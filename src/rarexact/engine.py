@@ -7,6 +7,16 @@ likelihood and summing gives any exact operating characteristic.  The
 sweep keeps two rolling layers, works entirely in log space, and visits
 edges in a fixed order (canonical state order, control before
 developmental arm, success before failure) so results are bit-stable.
+
+Evaluation is batched over success-rate points.  Within a block of fixed
+group sizes ``(n_c, n_d)`` the likelihood is a product of two binomial
+kernels, so an expectation over a grid of ``m`` points is one
+``(m, n_c + 1) @ (n_c + 1, n_d + 1)`` matrix product per block
+(:class:`TerminalFunctional`).  The product runs in linear space under
+two scalings -- the block's path weights by their largest entry, each
+kernel row by its largest entry -- whose logs are added back at the end,
+so a term is lost only if it is below about ``1e-308`` of its block's
+largest one.
 """
 
 from __future__ import annotations
@@ -166,33 +176,114 @@ def layer_log_likelihood(lay: Layer, theta: tuple[float, float]) -> np.ndarray:
     )
 
 
-class TerminalFunctional:
-    """Precomputed Hadamard product of a terminal function with the path
-    weights, reusable across evaluation parameters.
+def theta_array(thetas) -> np.ndarray:
+    """Evaluation points as an ``(m, 2)`` float array of ``(theta_C,
+    theta_D)`` rows; raises ``ValueError`` naming the first point that is
+    NaN or outside ``[0, 1]``."""
+    th = np.asarray(thetas, dtype=np.float64)
+    if th.ndim != 2 or th.shape[1] != 2:
+        raise ValueError("evaluation points must be (theta_C, theta_D) pairs")
+    bad = ~((th >= 0.0) & (th <= 1.0))
+    if np.any(bad):
+        i = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(
+            f"theta point {i} ({th[i, 0]!r}, {th[i, 1]!r}) is not in [0, 1] x [0, 1]"
+        )
+    return th
 
-    Negative function values are carried in a separate log-domain part, so
-    only two stable reductions are needed per parameter point.
+
+def _binomial_kernel(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rows ``theta**s * (1 - theta)**(m - s)`` for ``s = 0..m``, each divided
+    by its largest entry, and the natural log of those row maxima.
+
+    Built in log space with the convention ``0 * ln 0 = 0``, so the rows at
+    ``theta`` in ``{0, 1}`` are exact unit vectors.
+    """
+    s = np.arange(m + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_t = np.log(theta)[:, None]
+        ln_1t = np.log1p(-theta)[:, None]
+        log_u = np.where(s == 0, 0.0, s * ln_t) + np.where(s == m, 0.0, (m - s) * ln_1t)
+    row_max = log_u.max(axis=1)
+    return np.exp(log_u - row_max[:, None]), row_max
+
+
+class TerminalFunctional:
+    """Terminal functions multiplied by the path weights once, evaluated at
+    many success-rate points by one matrix product per ``(n_c, n_d)`` block.
+
+    ``f`` holds one function (shape ``(size,)``) or ``k`` functions side by
+    side (shape ``(size, k)``).  In a block the outcome likelihood factors
+    into a control and a developmental binomial kernel, so for the points
+    ``theta_1..theta_m`` the block's contribution is
+    ``rowsum((U_c @ E) * U_d)``:
+
+    * ``E`` is the block of ``f * g`` arranged as ``(n_c + 1)`` rows of
+      ``k * (n_d + 1)`` columns, in linear space after dividing ``g`` by
+      the block's largest path weight;
+    * ``U_c[i, s]`` is ``theta_C**s * (1 - theta_C)**(n_c - s)`` at point
+      ``i`` and ``U_d`` the same for the developmental arm, each row divided
+      by its own largest entry.
+
+    The three log scales are added back at the end, in log space, so
+    nothing overflows for any horizon.  A path weight is lost (flushed to
+    zero) only if it is below about ``1e-308`` of its block's largest one;
+    blocks without any reachable state are skipped.  Signed functions need
+    no special handling.  The products run in BLAS; OpenBLAS splits a
+    matrix product over output tiles, not over the reduction, and gave
+    bit-identical results at 1 and 2 threads.  Blocks are summed in
+    canonical order.  A one-point grid is a matrix-vector product, a
+    different BLAS kernel, and can differ in the last bit from the same
+    point in a larger grid.
     """
 
     def __init__(self, f: np.ndarray, table: PathWeightTable):
         f = np.asarray(f, dtype=np.float64)
-        if f.shape != table.log_g.shape:
+        if f.shape[:1] != table.log_g.shape or f.ndim > 2:
             raise ValueError("function/table dimension mismatch")
         if not np.all(np.isfinite(f)):
             raise ValueError("terminal function must be finite")
         self.layer = table.layer
-        with np.errstate(divide="ignore"):
-            log_af = np.log(np.abs(f))
-        self._log_pos = np.where(f > 0, log_af + table.log_g, -np.inf)
-        self._log_neg = np.where(f < 0, log_af + table.log_g, -np.inf)
-        self._has_neg = bool(np.any(f < 0))
+        self.k = 1 if f.ndim == 1 else f.shape[1]
+        self._scalar = f.ndim == 1
+        f2 = f.reshape(f.shape[0], self.k)
+        self._blocks = []
+        for n_c, n_d, sl in self.layer.blocks():
+            log_g = table.log_g[sl]
+            scale = np.max(log_g)
+            if scale == -np.inf:
+                continue
+            e = f2[sl] * np.exp(log_g - scale)[:, None]
+            e = e.reshape(n_c + 1, n_d + 1, self.k).transpose(0, 2, 1).reshape(n_c + 1, -1)
+            self._blocks.append((n_c, n_d, float(scale), e))
+
+    @property
+    def group_sizes(self) -> np.ndarray:
+        """``(n_c, n_d)`` of every evaluated block, in the order of
+        :meth:`block_values`."""
+        sizes = [(n_c, n_d) for n_c, n_d, _, _ in self._blocks]
+        return np.array(sizes, dtype=np.int64).reshape(-1, 2)
+
+    def block_values(self, thetas) -> np.ndarray:
+        """Per-block contributions, shape ``(blocks, points, k)``."""
+        th = theta_array(thetas)
+        out = np.zeros((len(self._blocks), th.shape[0], self.k))
+        for j, (n_c, n_d, scale, e) in enumerate(self._blocks):
+            u_c, lc = _binomial_kernel(th[:, 0], n_c)
+            u_d, ld = _binomial_kernel(th[:, 1], n_d)
+            prod = (u_c @ e).reshape(th.shape[0], self.k, n_d + 1)
+            out[j] = (prod * u_d[:, None, :]).sum(axis=2) * np.exp(scale + lc + ld)[:, None]
+        return out
+
+    def values(self, thetas) -> np.ndarray:
+        """Expectations at every point: shape ``(points,)`` for one
+        function, ``(points, k)`` for several."""
+        total = self.block_values(thetas).sum(axis=0)
+        return total[:, 0] if self._scalar else total
 
     def value(self, theta: tuple[float, float]) -> float:
-        ll = layer_log_likelihood(self.layer, theta)
-        total = np.exp(logsumexp_fixed(self._log_pos + ll))
-        if self._has_neg:
-            total -= np.exp(logsumexp_fixed(self._log_neg + ll))
-        return float(total)
+        """Expectation of a single function at one point."""
+        return float(self.values([theta])[0])
 
 
 def oc_value(f: np.ndarray, table: PathWeightTable, theta: tuple[float, float]) -> float:

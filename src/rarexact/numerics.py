@@ -113,8 +113,3 @@ def logsumexp_fixed(values: np.ndarray) -> float:
     if not np.isfinite(m):
         return float(m)
     return float(m + np.log(np.sum(np.exp(values - m))))
-
-
-def log_add(a, b):
-    """Two-term log-sum-exp, elementwise."""
-    return np.logaddexp(a, b)

@@ -1,8 +1,16 @@
 """Exact operating characteristics: rejection rates, patient benefit, and
 profiles over success-rate grids.
 
-Profiles precompute the Hadamard product of the rejection indicator with
-the path weights once and reuse it across every grid point.
+A profile makes one pass over the terminal layer for the whole grid.  The
+rejection indicator times the path weights and the path weights alone are
+put side by side in one :class:`~rarexact.engine.TerminalFunctional`, so
+each ``(n_c, n_d)`` block costs one matrix product for every grid point
+and both quantities (see that class for the two scalings and the error
+bound).  The second column is the probability of ending in the block; the
+allocation share ``n_c / n`` is constant within a block, so the patient
+benefit is the mass-weighted sum of the superior arm's share and needs no
+functional of its own.  The scalar functions evaluate a one-point grid
+the same way.
 """
 
 from __future__ import annotations
@@ -11,8 +19,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import PathWeightTable, TerminalFunctional
+from .engine import PathWeightTable, TerminalFunctional, theta_array
 from .numerics import normal_quantile
+from .wald import asymptotic_reject_array
 
 
 @dataclass
@@ -30,35 +39,43 @@ class AsymptoticRule:
         return normal_quantile(1.0 - self.alpha / 2.0)
 
     def reject(self, t: np.ndarray, s=None) -> np.ndarray:
-        return np.abs(t) >= self.z
+        return asymptotic_reject_array(t, self.alpha)
 
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
         return self.reject(table.wald_statistics())
 
 
+def _evaluate(table: PathWeightTable, reject: np.ndarray,
+              th: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rejection rates of the indicator ``reject`` and patient benefits at
+    the validated points ``th``.
+
+    Both are probabilities summed in floating point, which can overshoot
+    ``[0, 1]`` by rounding (about 1e-15 at ``theta = (0, 1)``), so they are
+    clipped to it.
+    """
+    f = np.asarray(reject, dtype=np.float64)
+    fn = TerminalFunctional(np.column_stack([f, np.ones_like(f)]), table)
+    per_block = fn.block_values(th)
+    rates = per_block[:, :, 0].sum(axis=0)
+    shares = fn.group_sizes / table.n
+    superior = np.where(th[None, :, 0] > th[None, :, 1], shares[:, :1], shares[:, 1:])
+    benefits = (superior * per_block[:, :, 1]).sum(axis=0)
+    benefits[th[:, 0] == th[:, 1]] = 0.5
+    return np.clip(rates, 0.0, 1.0), np.clip(benefits, 0.0, 1.0)
+
+
 def rejection_rate(table: PathWeightTable, rule, theta: tuple[float, float]) -> float:
     """Exact rejection probability of ``rule`` under ``theta``."""
-    f = rule.reject_table(table).astype(np.float64)
-    return TerminalFunctional(f, table).value(theta)
-
-
-def _benefit_functionals(table: PathWeightTable):
-    _, _, n_c, n_d = table.layer.arrays()
-    n = table.n
-    return (
-        TerminalFunctional(n_c / n, table),
-        TerminalFunctional(n_d / n, table),
-    )
+    rates, _ = _evaluate(table, rule.reject_table(table), theta_array([theta]))
+    return float(rates[0])
 
 
 def patient_benefit(table: PathWeightTable, theta: tuple[float, float]) -> float:
     """Expected proportion of participants allocated to the superior arm;
     exactly 1/2 by convention when the arms are equivalent."""
-    tc, td = theta
-    if tc == td:
-        return 0.5
-    frac_c, frac_d = _benefit_functionals(table)
-    return (frac_c if tc > td else frac_d).value(theta)
+    _, benefits = _evaluate(table, np.zeros(table.layer.size), theta_array([theta]))
+    return float(benefits[0])
 
 
 @dataclass
@@ -75,22 +92,13 @@ class OcProfile:
 
 
 def profile(table: PathWeightTable, rule, thetas, meta: dict | None = None) -> OcProfile:
-    """Evaluate rejection rate and patient benefit over ``thetas``, reusing
-    the precomputed indicator-weight product across the grid."""
+    """Evaluate rejection rate and patient benefit over ``thetas`` in one
+    batched pass; raises ``ValueError`` for an empty grid or a point that
+    is NaN or outside ``[0, 1]``."""
     thetas = list(thetas)
     if not thetas:
         raise ValueError("empty evaluation grid")
-    f = rule.reject_table(table).astype(np.float64)
-    fn = TerminalFunctional(f, table)
-    frac_c, frac_d = _benefit_functionals(table)
-    rates = np.empty(len(thetas))
-    bene = np.empty(len(thetas))
-    for i, (tc, td) in enumerate(thetas):
-        rates[i] = fn.value((tc, td))
-        if tc == td:
-            bene[i] = 0.5
-        else:
-            bene[i] = (frac_c if tc > td else frac_d).value((tc, td))
+    rates, bene = _evaluate(table, rule.reject_table(table), theta_array(thetas))
     info = dict(meta or {})
     info.setdefault("test", getattr(rule, "kind", "unknown"))
     info.setdefault("alpha", getattr(rule, "alpha", None))

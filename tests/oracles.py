@@ -11,6 +11,8 @@ import itertools
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 def wald_ref(s_c, s_d, n_c, n_d):
     tc = s_c / n_c
@@ -83,6 +85,43 @@ def expectation_ref(weights, f, theta):
         lik = (tc ** s_c) * ((1 - tc) ** (n_c - s_c)) * (td ** s_d) * ((1 - td) ** (n_d - s_d))
         total += f((s_c, s_d, n_c, n_d)) * g * lik
     return total
+
+
+def _log_count_prob(count, prob):
+    """``count * ln(prob)`` with ``0 * ln 0 = 0``."""
+    if prob == 0.0:
+        return np.where(count == 0, 0.0, -np.inf)
+    return count * np.log(prob)
+
+
+def _logsumexp(values):
+    m = np.max(values)
+    if not np.isfinite(m):
+        return m
+    return m + np.log(np.sum(np.exp(values - m)))
+
+
+def log_domain_expectation_ref(f, log_g, s_c, s_d, n_c, n_d, theta):
+    """Expectation of the terminal function ``f`` at one point ``theta``,
+    one log-sum-exp over every terminal state per sign of ``f``.
+
+    Takes the path weights ``log_g`` and the per-state statistics as flat
+    arrays; the positive and negative parts of ``f`` are reduced
+    separately, so any finite ``f`` works.
+    """
+    tc, td = theta
+    ll = (
+        _log_count_prob(s_c, tc)
+        + _log_count_prob(n_c - s_c, 1.0 - tc)
+        + _log_count_prob(s_d, td)
+        + _log_count_prob(n_d - s_d, 1.0 - td)
+    )
+    f = np.asarray(f, dtype=np.float64)
+    with np.errstate(divide="ignore"):
+        log_af = np.log(np.abs(f))
+    pos = np.where(f > 0, log_af + log_g, -np.inf) + ll
+    neg = np.where(f < 0, log_af + log_g, -np.inf) + ll
+    return float(np.exp(_logsumexp(pos)) - np.exp(_logsumexp(neg)))
 
 
 def conditional_masses_ref(weights, n):

@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -176,6 +179,12 @@ def test_cli_exit_codes(tmp_path):
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "x.rxgw")]) == 2
     cfg = _cfg(tmp_path, "bad3.json", n=10, burn_in=1, policy="EqualAllocation")
     assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2  # no grid
+    for bad in ([0.5, 1.5], [-0.2, 0.5], [0.5, "NaN"]):
+        cfg = _cfg(
+            tmp_path, "bad_theta.json", n=10, burn_in=1, policy="EqualAllocation",
+            theta_grid={"kind": "list", "values": [[0.5, 0.5], bad]},
+        )
+        assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     # 5: missing input file
     cfg = _cfg(
         tmp_path, "bad4.json", n=10, burn_in=1,
@@ -189,3 +198,26 @@ def test_cli_exit_codes(tmp_path):
         alpha_point=0.0005, null_grid=[0.5],
     )
     assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 3
+
+
+def test_cli_oc_independent_of_thread_counts(tmp_path):
+    import rarexact
+
+    cfg = _cfg(
+        tmp_path, "oc.json", n=30, burn_in=3, policy="BayesianRar", test="conditional",
+        theta_grid={"kind": "curves", "theta_c": [0.0, 0.2, 0.5, 0.9], "step": 0.05},
+    )
+    src = str(Path(rarexact.__file__).resolve().parents[1])
+    outputs = []
+    for blas_threads, threads in [("1", "1"), ("1", "2"), ("2", "1"), ("2", "2")]:
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"oc_{blas_threads}_{threads}.csv"
+        subprocess.run(
+            [sys.executable, "-m", "rarexact.cli", "oc", "--config", cfg, "--out", str(out),
+             "--threads", threads],
+            env=env, check=True, timeout=300,
+        )
+        outputs.append(out.read_bytes())
+    assert len(outputs[0].splitlines()) > 50
+    assert all(o == outputs[0] for o in outputs[1:])

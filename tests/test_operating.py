@@ -1,9 +1,15 @@
+from functools import lru_cache
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarexact import (
     AsymptoticRule,
     BayesianRar,
+    DbcdNeyman,
+    EqualAllocation,
+    TerminalFunctional,
     TrialState,
     conditional_rule,
     equal_allocation_g,
@@ -16,7 +22,7 @@ from rarexact import (
     unconditional_rule,
 )
 
-from oracles import enumerate_path_weights, expectation_ref, wald_ref
+from oracles import enumerate_path_weights, expectation_ref, log_domain_expectation_ref, wald_ref
 
 
 class _NothingRule:
@@ -100,3 +106,69 @@ def test_asymptotic_rule_threshold():
     assert rule.z == pytest.approx(1.959964, abs=1e-6)
     t = np.array([1.9599, 1.9600, -2.5])
     assert rule.reject(t).tolist() == [False, True, True]
+
+
+BAD_THETAS = [(float("nan"), 0.5), (0.5, float("nan")), (-0.1, 0.5), (0.5, 1.5),
+              (float("inf"), 0.2), (-0.0, -1e-300)]
+
+
+@pytest.mark.parametrize("bad", BAD_THETAS)
+def test_evaluators_reject_points_outside_unit_square(bad):
+    table = forward_g(BayesianRar(8, 1))
+    rule = AsymptoticRule(0.05)
+    with pytest.raises(ValueError, match="theta point 0"):
+        rejection_rate(table, rule, bad)
+    with pytest.raises(ValueError, match="theta point 0"):
+        patient_benefit(table, bad)
+    with pytest.raises(ValueError, match="theta point 2"):
+        profile(table, rule, [(0.2, 0.3), (0.0, 1.0), bad, (0.5, 0.5)])
+
+
+POLICIES = {
+    "DbcdNeyman": DbcdNeyman(30, 3),
+    "BayesianRar": BayesianRar(24, 2),
+    "EqualAllocation": EqualAllocation(30, 3),
+}
+
+
+@lru_cache(maxsize=None)
+def _design(name):
+    table = forward_g(POLICIES[name])
+    rule = AsymptoticRule(0.05)
+    return table, rule, rule.reject_table(table).astype(np.float64)
+
+
+def _oracle(table, f, theta):
+    s_c, s_d, n_c, n_d = table.layer.arrays()
+    return log_domain_expectation_ref(f, table.log_g, s_c, s_d, n_c, n_d, theta)
+
+
+unit = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+grids = st.lists(st.tuples(unit, unit), min_size=1, max_size=6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(POLICIES)), thetas=grids)
+def test_profile_matches_log_domain_oracle(name, thetas):
+    table, rule, reject = _design(name)
+    _, _, n_c, n_d = table.layer.arrays()
+    prof = profile(table, rule, thetas)
+    assert np.all((prof.rejection_rates >= 0.0) & (prof.rejection_rates <= 1.0))
+    assert np.all((prof.patient_benefits >= 0.0) & (prof.patient_benefits <= 1.0))
+    for (tc, td), rate, benefit in zip(thetas, prof.rejection_rates, prof.patient_benefits):
+        want_rate = _oracle(table, reject, (tc, td))
+        share = n_c if tc > td else n_d
+        want_benefit = 0.5 if tc == td else _oracle(table, share / table.n, (tc, td))
+        for got, want in [(rate, want_rate), (rejection_rate(table, rule, (tc, td)), want_rate),
+                          (benefit, want_benefit), (patient_benefit(table, (tc, td)), want_benefit)]:
+            assert got == pytest.approx(want, abs=1e-13)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(sorted(POLICIES)), theta=st.tuples(unit, unit),
+       seed=st.integers(0, 2**32 - 1))
+def test_signed_functional_matches_log_domain_oracle(name, theta, seed):
+    table, _, _ = _design(name)
+    f = np.random.default_rng(seed).normal(size=table.layer.size)
+    fn = TerminalFunctional(f, table)
+    assert fn.value(theta) == pytest.approx(_oracle(table, f, theta), abs=1e-13)
