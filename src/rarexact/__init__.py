@@ -9,7 +9,6 @@ __version__ = "0.1.0"
 from .cmdp import (
     AltUniform,
     AuditReport,
-    CmdpInfeasibleError,
     CmdpResult,
     CmdpSpec,
     NullUniform,
@@ -82,4 +81,4 @@ from .policies import (
     neyman_target,
 )
 from .states import INITIAL_STATE, Layer, TrialState, layer, predecessors, successors
-from .wald import asymptotic_reject, layer_wald_statistics, wald_statistic
+from .wald import asymptotic_reject, layer_wald_statistics, wald_statistic, wald_statistics

@@ -19,7 +19,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .cmdp import CmdpInfeasibleError, CmdpSpec, Rectangle, default_rectangles, solve_cmdp
+from .cmdp import CmdpSpec, Rectangle, default_rectangles, solve_cmdp
 from .engine import forward_g
 from .exact_tests import boschloo_rule, conditional_rule, unconditional_rule
 from .io import (
@@ -364,9 +364,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except CmdpInfeasibleError as exc:
-        print(f"error: infeasible: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
     except RuntimeError as exc:
         print(f"error: numeric-guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC

@@ -3,9 +3,10 @@ average power of the embedded asymptotic Wald test subject to average,
 pointwise, and (optionally) patient-benefit constraints.
 
 The Lagrangian is maximized by a backward recursion over the state
-layers (outcome likelihoods live entirely in the terminal reward, so both
-outcome branches carry weight one), and the multipliers follow a
-projected subgradient with a ``1/sqrt(k)`` step schedule.
+layers, one :meth:`~rarexact.states.Transition.pull` per layer (outcome
+likelihoods live entirely in the terminal reward, so both outcome branches
+carry weight one), and the multipliers follow a projected subgradient with
+a ``1/sqrt(k)`` step schedule.
 """
 
 from __future__ import annotations
@@ -15,11 +16,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import betainc
 
-from .engine import PathWeightTable, forward_g, layer_log_likelihood
-from .numerics import gammaln_table, logsumexp_fixed
+from .engine import (
+    PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood, log_likelihood_weight,
+)
+from .numerics import check_alpha, gammaln_table, log_beta, logsumexp_fixed
 from .policies import PolicyTable, TablePolicy
-from .states import Layer, TrialState, layer as make_layer
-from .wald import asymptotic_reject_array
+from .states import Layer, Transition, TrialState, layer as make_layer
+from .wald import asymptotic_reject_array, layer_wald_statistics
 
 
 # ---------------------------------------------------------------------------
@@ -114,9 +117,6 @@ def measure_log_weights(lay: Layer, measure) -> np.ndarray:
 
 def measure_log_weight(x: TrialState, measure) -> float:
     """Scalar :func:`measure_log_weights` for a single terminal state."""
-    from .engine import log_likelihood_weight
-    from .numerics import log_beta
-
     f_c, f_d = x.n_c - x.s_c, x.n_d - x.s_d
     if isinstance(measure, AltUniform):
         return float(log_beta(x.s_c + 1, f_c + 1) + log_beta(x.s_d + 1, f_d + 1))
@@ -167,6 +167,9 @@ class CmdpSpec:
     def __post_init__(self):
         if not 0.5 <= self.p <= 1.0:
             raise ValueError("p must lie in [0.5, 1]")
+        check_alpha(self.alpha)
+        check_alpha(self.alpha_avg, "alpha_avg", bound=True)
+        check_alpha(self.alpha_point, "alpha_point", bound=True)
         if self.alpha_point > self.alpha:
             raise ValueError("pointwise bound must not exceed the test level")
         if self.n < 2 * self.burn_in:
@@ -211,10 +214,6 @@ class DualState:
     history: list = field(default_factory=list)
 
 
-class CmdpInfeasibleError(ValueError):
-    pass
-
-
 @dataclass
 class CmdpResult:
     table: PolicyTable
@@ -222,7 +221,7 @@ class CmdpResult:
     dual: DualState
     feasible: bool
     iterations: int
-    balanced_audit: AuditReport | None = None
+    balanced_audit: AuditReport
 
 
 # ---------------------------------------------------------------------------
@@ -232,20 +231,9 @@ class CmdpResult:
 def _uniform_table(spec: CmdpSpec) -> PolicyTable:
     codes = []
     for t in range(spec.n):
-        lay = make_layer(t, spec.burn_in, spec.n)
         fill = PolicyTable.BURN_IN_CODE if t < 2 * spec.burn_in else 1
-        codes.append(np.full(lay.size, fill, dtype=np.int8))
+        codes.append(np.full(make_layer(t, spec.burn_in, spec.n).size, fill, dtype=np.int8))
     return PolicyTable(spec.n, spec.burn_in, spec.p, tuple(codes))
-
-
-def _gathered_continuations(lay: Layer, nxt: Layer, v_next: np.ndarray):
-    """Per-block ``(slice, control-sum, develop-sum)`` of successor values."""
-    for n_c, n_d, sl in lay.blocks():
-        vc_blk = v_next[nxt.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
-        wc = vc_blk[1:] + vc_blk[:-1]
-        vd_blk = v_next[nxt.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
-        wd = vd_blk[:, 1:] + vd_blk[:, :-1]
-        yield sl, wc.ravel(), wd.ravel()
 
 
 def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable, float]:
@@ -262,32 +250,17 @@ def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable
     codes: list[np.ndarray | None] = [None] * n
     v = np.asarray(reward, dtype=np.float64)
     for t in range(n - 1, 2 * b - 1, -1):
-        lay = make_layer(t, b, n)
-        nxt = make_layer(t + 1, b, n)
-        new_v = np.empty(lay.size)
-        act = np.empty(lay.size, dtype=np.int8)
-        for sl, wc, wd in _gathered_continuations(lay, nxt, v):
-            v_lo = lo * wc + (1.0 - lo) * wd
-            v_hi = hi * wc + (1.0 - hi) * wd
-            v_mid = 0.5 * (wc + wd)
-            vmax = np.maximum(np.maximum(v_lo, v_hi), v_mid)
-            act[sl] = np.where(v_mid == vmax, 1, np.where(v_lo == vmax, 0, 2))
-            new_v[sl] = vmax
-        codes[t] = act
-        v = new_v
+        wc, wd = Transition(t, b).pull(v)
+        v_lo = lo * wc + (1.0 - lo) * wd
+        v_hi = hi * wc + (1.0 - hi) * wd
+        v_mid = 0.5 * (wc + wd)
+        v = np.maximum(np.maximum(v_lo, v_hi), v_mid)
+        codes[t] = np.where(v_mid == v, 1, np.where(v_lo == v, 0, 2)).astype(np.int8)
     for t in range(min(2 * b, n)):
-        lay = make_layer(t, b, n)
-        codes[t] = np.full(lay.size, PolicyTable.BURN_IN_CODE, dtype=np.int8)
+        codes[t] = np.full(make_layer(t, b, n).size, PolicyTable.BURN_IN_CODE, dtype=np.int8)
 
-    counts = np.exp(_burn_in_log_counts(b))
-    value = float(np.sum(counts * v))
+    value = float(np.sum(np.exp(_burn_in_table(b)) * v))
     return PolicyTable(n, b, spec.p, tuple(codes)), value
-
-
-def _burn_in_log_counts(b: int) -> np.ndarray:
-    from .engine import _burn_in_table
-
-    return _burn_in_table(b)
 
 
 def evaluate_backward(table: PolicyTable, reward: np.ndarray, spec: CmdpSpec) -> float:
@@ -296,16 +269,10 @@ def evaluate_backward(table: PolicyTable, reward: np.ndarray, spec: CmdpSpec) ->
     n, b = spec.n, spec.burn_in
     v = np.asarray(reward, dtype=np.float64)
     for t in range(n - 1, 2 * b - 1, -1):
-        lay = make_layer(t, b, n)
-        nxt = make_layer(t + 1, b, n)
+        wc, wd = Transition(t, b).pull(v)
         q = table.probs_for_epoch(t)
-        new_v = np.empty(lay.size)
-        for sl, wc, wd in _gathered_continuations(lay, nxt, v):
-            qs = q[sl]
-            new_v[sl] = qs * wc + (1.0 - qs) * wd
-        v = new_v
-    counts = np.exp(_burn_in_log_counts(b))
-    return float(np.sum(counts * v))
+        v = q * wc + (1.0 - q) * wd
+    return float(np.sum(np.exp(_burn_in_table(b)) * v))
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +290,6 @@ class _AuditContext:
     def __init__(self, spec: CmdpSpec):
         self.spec = spec
         self.lay = make_layer(spec.n, spec.burn_in, spec.n)
-        from .wald import layer_wald_statistics
-
         rej = asymptotic_reject_array(layer_wald_statistics(self.lay), spec.alpha)
         with np.errstate(divide="ignore"):
             self.log_rej = np.where(rej, 0.0, -np.inf)
@@ -407,7 +372,7 @@ def _bounds(spec: CmdpSpec) -> dict:
     return out
 
 
-def solve_cmdp(spec: CmdpSpec, check_feasibility: bool = True) -> CmdpResult:
+def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     """Projected-subgradient dual solver around the backward recursion.
 
     Each iteration maximizes the current Lagrangian exactly, audits the
@@ -420,11 +385,9 @@ def solve_cmdp(spec: CmdpSpec, check_feasibility: bool = True) -> CmdpResult:
     so infeasibility is only declared when no iterate meets the bounds.
     """
     ctx = _AuditContext(spec)
-    balanced_audit = None
-    if check_feasibility:
-        balanced_audit = ctx.audit(
-            forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=_uniform_table(spec)))
-        )
+    balanced_audit = ctx.audit(
+        forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=_uniform_table(spec)))
+    )
     base = ctx.rej * np.exp(ctx.alt_lw)
     integrands = ctx.constraint_integrands()
     bounds = _bounds(spec)

@@ -4,9 +4,10 @@ terminal layer, and evaluation of parameter-dependent expectations.
 For every terminal state the coefficient collects the allocation-path
 probabilities leading to it; multiplying by the per-arm outcome
 likelihood and summing gives any exact operating characteristic.  The
-sweep keeps two rolling layers, works entirely in log space, and visits
-edges in a fixed order (canonical state order, control before
-developmental arm, success before failure) so results are bit-stable.
+sweep keeps two rolling layers, works entirely in log space, and steps
+with :meth:`~rarexact.states.Transition.push` (see
+:class:`~rarexact.states.Transition` for the fixed edge order that keeps
+results bit-stable).
 
 Evaluation is batched over success-rate points.  Within a block of fixed
 group sizes ``(n_c, n_d)`` the likelihood is a product of two binomial
@@ -27,7 +28,8 @@ import numpy as np
 
 from .numerics import log_binom, logsumexp_fixed
 from .policies import EqualAllocation, Policy
-from .states import Layer, TrialState, layer as make_layer
+from .states import Layer, Transition, TrialState, layer as make_layer
+from .wald import layer_wald_statistics
 
 LN2 = float(np.log(2.0))
 
@@ -56,8 +58,6 @@ class PathWeightTable:
         return abs(np.exp(total - self.n * LN2) - 1.0)
 
     def wald_statistics(self) -> np.ndarray:
-        from .wald import layer_wald_statistics
-
         if self._wald is None:
             self._wald = layer_wald_statistics(self.layer)
         return self._wald
@@ -104,24 +104,11 @@ def forward_g(policy: Policy, n: int | None = None, b: int | None = None) -> Pat
 
     cur = _burn_in_table(b)
     for t in range(2 * b, n):
-        src = make_layer(t, b, n)
-        dst = make_layer(t + 1, b, n)
-        lq, l1q = policy.layer_log_probs(src)
+        step = Transition(t, b)
+        lq, l1q = policy.layer_log_probs(step.src)
         if np.any(lq > 1e-9) or np.any(l1q > 1e-9) or np.any(np.isnan(lq)):
             raise ValueError(f"policy probabilities outside [0, 1] at epoch {t}")
-        nxt = np.full(dst.size, -np.inf)
-        for n_c, n_d, sl in src.blocks():
-            shape = (n_c + 1, n_d + 1)
-            s = cur[sl].reshape(shape)
-            to_c = s + lq[sl].reshape(shape)
-            to_d = s + l1q[sl].reshape(shape)
-            dc = nxt[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
-            np.logaddexp(dc[1:], to_c, out=dc[1:])
-            np.logaddexp(dc[:-1], to_c, out=dc[:-1])
-            dd = nxt[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
-            np.logaddexp(dd[:, 1:], to_d, out=dd[:, 1:])
-            np.logaddexp(dd[:, :-1], to_d, out=dd[:, :-1])
-        cur = nxt
+        cur = step.push(cur, lq, l1q)
 
     lay = make_layer(n, b, n)
     if policy.is_symmetric:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.optimize import minimize_scalar
 
 from .engine import PathWeightTable
-from .numerics import log_binom
+from .numerics import check_alpha, log_binom
 
 CERT_TOL = 1e-10
 # relative + absolute slack when comparing accumulated tie-group masses to a
@@ -42,20 +42,14 @@ def _grid_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _pmf_matrix(n: int, theta: np.ndarray) -> np.ndarray:
+    """Binomial pmf rows at ``theta``, with ``0 * ln 0 = 0`` (unit rows at
+    ``theta`` in ``{0, 1}``)."""
     s = np.arange(n + 1)
-    lc = log_binom(n, s)
-    out = np.empty((theta.size, n + 1))
-    for j, th in enumerate(theta):
-        if th == 0.0:
-            row = np.zeros(n + 1)
-            row[0] = 1.0
-        elif th == 1.0:
-            row = np.zeros(n + 1)
-            row[n] = 1.0
-        else:
-            row = np.exp(lc + s * np.log(th) + (n - s) * np.log1p(-th))
-        out[j] = row
-    return out
+    th = theta[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_s = np.where(s == 0, 0.0, s * np.log(th))
+        ln_f = np.where(s == n, 0.0, (n - s) * np.log1p(-th))
+    return np.exp(log_binom(n, s) + ln_s + ln_f)
 
 
 @lru_cache(maxsize=8)
@@ -334,6 +328,7 @@ def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
     """Two-sided conditional exact rule: within every total-success stratum
     the tie-group tail masses of the Wald statistic are accumulated up to
     ``alpha/2`` per side."""
+    check_alpha(alpha)
     _require_burn_in(table)
     n = table.n
     t_stat = table.wald_statistics()
@@ -385,6 +380,7 @@ def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
 def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRule:
     """Two-sided unconditional exact rule: each tail grows tie group by tie
     group while its certified null supremum stays at or below ``alpha/2``."""
+    check_alpha(alpha)
     _require_burn_in(table)
     n = table.n
     t_stat = table.wald_statistics()
@@ -444,6 +440,7 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     """Generalized Boschloo rule: one-sided unconditional growth on the
     conditional p-value statistic, rejecting small values, at full level
     ``alpha``."""
+    check_alpha(alpha)
     stat = boschloo_statistic(table)
     w, s = conditional_masses(table)
     mask, last, nxt, cert = _grow_prefix(stat, w, s, table.n, alpha)

@@ -4,7 +4,10 @@ All randomness comes from counter-based generators keyed by a master
 seed and a stream index, so results are bit-reproducible for a fixed
 seed on any worker partition.  Within one stream the first ``n`` draws
 are allocation keys and the next ``n`` are outcome draws; permuted-block
-allocations turn their keys into arrangements by sorting.
+allocations turn their keys into arrangements by sorting.  A trial moves
+along the edges of :class:`~rarexact.states.Transition`, like the exact
+sweeps; its allocation probabilities are looked up per layer by
+:meth:`~rarexact.states.Layer.indices`.
 """
 
 from __future__ import annotations
@@ -13,9 +16,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .numerics import check_alpha
 from .policies import EqualAllocation, Policy
 from .states import TrialState, layer as make_layer
-from .wald import wald_statistic
+from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy"
 DEFAULT_EA_BLOCK = 10
@@ -47,17 +51,18 @@ class TrialHistory:
         return self.arms.size
 
     def terminal_state(self) -> TrialState:
-        is_c = self.arms == 0
-        return TrialState(
-            int(self.outcomes[is_c].sum()),
-            int(self.outcomes[~is_c].sum()),
-            int(is_c.sum()),
-            int((~is_c).sum()),
-        )
+        s_c, s_d, n_c = map(int, _terminal_counts(self.arms, self.outcomes))
+        return TrialState(s_c, s_d, n_c, self.n - n_c)
 
     def control_proportion_path(self) -> np.ndarray:
         """Running proportion of participants allocated to control."""
         return np.cumsum(self.arms == 0) / np.arange(1, self.n + 1)
+
+
+def _terminal_counts(arms: np.ndarray, outcomes: np.ndarray):
+    """``(s_c, s_d, n_c)`` of trials laid out along the last axis."""
+    is_c = arms == 0
+    return (outcomes & is_c).sum(axis=-1), (outcomes & ~is_c).sum(axis=-1), is_c.sum(axis=-1)
 
 
 def _balanced_pattern(length: int) -> np.ndarray:
@@ -107,24 +112,20 @@ def permuted_block_sequence(n: int, block: int, seed_or_rng) -> np.ndarray:
 
 
 class _EpochLookup:
-    """Vectorized per-epoch allocation probabilities for a policy, backed by
-    the dense layer arrays."""
+    """Vectorized per-epoch allocation probabilities for a policy: the
+    layer and its control probabilities, kept once per epoch."""
 
     def __init__(self, policy: Policy):
         self.policy = policy
-        self._cache: dict[int, np.ndarray] = {}
-
-    def probs(self, t: int) -> np.ndarray:
-        if t not in self._cache:
-            lay = make_layer(t, self.policy.burn_in, self.policy.n)
-            self._cache[t] = self.policy.layer_control_probs(lay)
-        return self._cache[t]
+        self._cache: dict[int, tuple] = {}
 
     def lookup(self, t: int, s_c, s_d, n_c) -> np.ndarray:
-        lay = make_layer(t, self.policy.burn_in, self.policy.n)
-        n_d = t - n_c
-        idx = lay.offsets[n_c - lay.n_c_min] + s_c * (n_d + 1) + s_d
-        return self.probs(t)[idx]
+        entry = self._cache.get(t)
+        if entry is None:
+            lay = make_layer(t, self.policy.burn_in, self.policy.n)
+            entry = self._cache[t] = (lay, self.policy.layer_control_probs(lay))
+        lay, probs = entry
+        return probs[lay.indices(s_c, s_d, n_c)]
 
 
 def _burn_in_arms(alloc_keys: np.ndarray, b: int, blocks: bool) -> np.ndarray:
@@ -175,17 +176,21 @@ def _simulate_batch(policy: Policy, theta, alloc_keys: np.ndarray,
     return arms, outcomes
 
 
+def _one_trial(policy: Policy, theta, rng: np.random.Generator, lookup: _EpochLookup,
+               ea_block: int, burn_in_blocks: bool = False) -> TrialHistory:
+    """One trial from the next ``2n`` draws of ``rng``."""
+    u = rng.random(2 * policy.n)[None, :]
+    arms, outcomes = _simulate_batch(
+        policy, theta, u[:, :policy.n], u[:, policy.n:], lookup, ea_block, burn_in_blocks
+    )
+    return TrialHistory(arms[0], outcomes[0], policy.burn_in)
+
+
 def simulate_trial(policy: Policy, theta, seed: int, stream: int = 0,
                    ea_block: int = DEFAULT_EA_BLOCK) -> TrialHistory:
     """Simulate one trial: alternating burn-in (permuted blocks for equal
     allocation), then policy-randomized arms and Bernoulli outcomes."""
-    rng = make_rng(seed, stream)
-    u = rng.random(2 * policy.n)
-    lookup = _EpochLookup(policy)
-    arms, outcomes = _simulate_batch(
-        policy, theta, u[: policy.n][None, :], u[policy.n:][None, :], lookup, ea_block
-    )
-    return TrialHistory(arms[0], outcomes[0], policy.burn_in)
+    return _one_trial(policy, theta, make_rng(seed, stream), _EpochLookup(policy), ea_block)
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int,
@@ -195,9 +200,7 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int,
     trial; returns ``(s_c, s_d, n_c)`` arrays."""
     n = policy.n
     lookup = _EpochLookup(policy)
-    out_sc = np.empty(sims, dtype=np.int64)
-    out_sd = np.empty(sims, dtype=np.int64)
-    out_nc = np.empty(sims, dtype=np.int64)
+    out = np.empty((3, sims), dtype=np.int64)
     for start in range(0, sims, batch):
         stop = min(start + batch, sims)
         m = stop - start
@@ -207,22 +210,8 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int,
         arms, outcomes = _simulate_batch(
             policy, theta, u[:, :n], u[:, n:], lookup, ea_block
         )
-        is_c = arms == 0
-        out_sc[start:stop] = (outcomes & is_c).sum(axis=1)
-        out_sd[start:stop] = (outcomes & ~is_c).sum(axis=1)
-        out_nc[start:stop] = is_c.sum(axis=1)
-    return out_sc, out_sd, out_nc
-
-
-def _batch_wald(s_c, s_d, n_c, n_d):
-    tc = s_c / n_c
-    td = s_d / n_d
-    interior = ((tc > 0) & (tc < 1)) | ((td > 0) & (td < 1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t_int = (td - tc) / np.sqrt(tc * (1 - tc) / n_c + td * (1 - td) / n_d)
-    diff = td - tc
-    t_ext = np.where(diff > 0, np.inf, np.where(diff < 0, -np.inf, 0.0))
-    return np.where(interior, t_int, t_ext)
+        out[:, start:stop] = _terminal_counts(arms, outcomes)
+    return tuple(out)
 
 
 def _rerandomized_stats(policy: Policy, outcomes: np.ndarray, reps: int,
@@ -234,10 +223,8 @@ def _rerandomized_stats(policy: Policy, outcomes: np.ndarray, reps: int,
     keys = rng.random((reps, n))
     if isinstance(policy, EqualAllocation):
         arms = _arms_from_keys(keys, _block_plan(n, b, ea_block))
-        n_c = (arms == 0).sum(axis=1)
-        s_c = ((arms == 0) & (outcomes[None, :] == 1)).sum(axis=1)
-        s_d = ((arms == 1) & (outcomes[None, :] == 1)).sum(axis=1)
-        return _batch_wald(s_c, s_d, n_c, n - n_c)
+        s_c, s_d, n_c = _terminal_counts(arms, outcomes)
+        return wald_statistics(s_c, s_d, n_c, n - n_c)
 
     burn_in = _burn_in_arms(keys, b, burn_in_blocks)
     s_c = np.zeros(reps, dtype=np.int64)
@@ -255,7 +242,7 @@ def _rerandomized_stats(policy: Policy, outcomes: np.ndarray, reps: int,
         if y:
             s_c += is_c
             s_d += ~is_c
-    return _batch_wald(s_c, s_d, n_c, n - n_c)
+    return wald_statistics(s_c, s_d, n_c, n - n_c)
 
 
 def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
@@ -283,15 +270,17 @@ def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
     The burn-in is re-randomized as one permuted balanced block by default,
     matching the reference simulation protocol.
     """
+    check_alpha(alpha)
     if reps < 100:
         raise ValueError("need at least 100 re-randomizations")
     rng = rng if rng is not None else make_rng(seed, stream)
     lookup = lookup if lookup is not None else _EpochLookup(policy)
-    t_obs = wald_statistic(observed.terminal_state())
+    s_c, s_d, n_c = _terminal_counts(observed.arms[None, :], observed.outcomes)
+    t_obs = np.abs(wald_statistics(s_c, s_d, n_c, observed.n - n_c))
     stats = np.abs(_rerandomized_stats(
         policy, observed.outcomes, reps, rng, lookup, ea_block, burn_in_blocks
     ))
-    p = (1 + np.count_nonzero(stats >= abs(t_obs))) / (reps + 1.0)
+    p = (1 + np.count_nonzero(stats >= t_obs)) / (reps + 1.0)
     return p <= alpha, float(p)
 
 
@@ -311,19 +300,14 @@ def randomization_rejection_rate(policy: Policy, theta, sims: int, reps: int,
     """Rejection rate of the randomization test over independent simulated
     trials, with a normal-approximation 95% half-width.  The observed
     trials use the same burn-in mechanism as the re-randomizations."""
+    check_alpha(alpha)
     if sims < 100 or reps < 100:
         raise ValueError("need at least 100 simulations and re-randomizations")
-    n = policy.n
     lookup = _EpochLookup(policy)
     rejections = 0
     for i in range(sims):
         rng = make_rng(seed, i)
-        u = rng.random(2 * n)
-        arms, outcomes = _simulate_batch(
-            policy, theta, u[:n][None, :], u[n:][None, :], lookup, ea_block,
-            burn_in_blocks=burn_in_blocks,
-        )
-        observed = TrialHistory(arms[0], outcomes[0], policy.burn_in)
+        observed = _one_trial(policy, theta, rng, lookup, ea_block, burn_in_blocks)
         reject, _ = randomization_test(
             observed, policy, reps, alpha, seed, rng=rng, lookup=lookup,
             ea_block=ea_block, burn_in_blocks=burn_in_blocks,

@@ -59,6 +59,13 @@ def normal_quantile(p: float) -> float:
     return float(ndtri(p))
 
 
+def check_alpha(alpha: float, name: str = "alpha", bound: bool = False) -> None:
+    """Raise ``ValueError`` naming ``alpha`` unless it is a test level in
+    ``(0, 1)`` or, with ``bound=True``, a probability bound in ``[0, 1]``."""
+    if not (0.0 <= alpha <= 1.0 if bound else 0.0 < alpha < 1.0):
+        raise ValueError(f"{name} = {alpha!r} is not in {'[0, 1]' if bound else '(0, 1)'}")
+
+
 def _beta_exceedance_sum(a1: int, b1: int, a2: int, b2: int) -> float:
     """``P(Y > X)`` for ``X ~ Beta(a1, b1)``, ``Y ~ Beta(a2, b2)``, integer
     parameters, via the exact finite sum over the ``a2`` mass terms."""

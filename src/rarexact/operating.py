@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .engine import PathWeightTable, TerminalFunctional, theta_array
-from .numerics import normal_quantile
+from .numerics import check_alpha, normal_quantile
 from .wald import asymptotic_reject_array
 
 
@@ -33,6 +33,9 @@ class AsymptoticRule:
 
     kind = "asymptotic"
     certificate = None
+
+    def __post_init__(self):
+        check_alpha(self.alpha)
 
     @property
     def z(self) -> float:

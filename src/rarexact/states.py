@@ -133,9 +133,12 @@ class Layer:
         """Canonical dense index of ``state`` in this layer."""
         if not self.contains(state):
             raise ValueError(f"{state!r} not admissible in {self!r}")
-        n_d = self.t - state.n_c
-        off = self.offsets[state.n_c - self.n_c_min]
-        return int(off + state.s_c * (n_d + 1) + state.s_d)
+        return int(self.indices(state.s_c, state.s_d, state.n_c))
+
+    def indices(self, s_c, s_d, n_c):
+        """Vectorized :meth:`index` over arrays of states of this layer,
+        without the membership check."""
+        return self.offsets[n_c - self.n_c_min] + s_c * (self.t - n_c + 1) + s_d
 
     def state(self, index: int) -> TrialState:
         """Inverse of :meth:`index`."""
@@ -183,9 +186,62 @@ class Layer:
             if self.t < 2 * self.b and self.t % 2 == 1:
                 raise ValueError("burn-in layer at odd epoch is not swap-closed")
             s_c, s_d, n_c, n_d = self.arrays()
-            off = self.offsets[n_d - self.n_c_min]
-            self._swap_perm = np.asarray(off + s_d * (n_c + 1) + s_c, dtype=np.int64)
+            self._swap_perm = np.asarray(self.indices(s_d, s_c, n_d), dtype=np.int64)
         return self._swap_perm
+
+
+class Transition:
+    """The edges from layer ``t`` to layer ``t + 1`` under burn-in ``b``
+    (``t >= 2b``): state ``(s_c, s_d, n_c, n_d)`` of :attr:`src` has the
+    control successors ``(s_c + 1, s_d, n_c + 1, n_d)`` (success) and
+    ``(s_c, s_d, n_c + 1, n_d)`` (failure), and the developmental ones
+    ``(s_c, s_d + 1, n_c, n_d + 1)`` and ``(s_c, s_d, n_c, n_d + 1)``.
+
+    :meth:`push` carries weights forward and :meth:`pull` gathers values
+    backward; the two are adjoint.  Both visit the source blocks in
+    canonical order and, in a block, the control arm before the
+    developmental one and success before failure.  Sums are formed in that
+    fixed order, which keeps every artifact bit-stable; do not reorder.
+    The two layers are built for this step only, not taken from the
+    :func:`layer` cache, so a sweep holds just the layers it is on.
+    """
+
+    def __init__(self, t: int, b: int):
+        if t < 2 * b:
+            raise ValueError(f"transition from epoch {t} lies inside the burn-in of {b} per arm")
+        self.src = Layer(t, b)
+        self.dst = Layer(t + 1, b)
+
+    def push(self, log_w: np.ndarray, log_q: np.ndarray, log_1q: np.ndarray) -> np.ndarray:
+        """Log weights on :attr:`dst`: each weight times the allocation
+        probability of an arm goes to both outcome successors of that arm."""
+        src, dst = self.src, self.dst
+        nxt = np.full(dst.size, -np.inf)
+        for n_c, n_d, sl in src.blocks():
+            shape = (n_c + 1, n_d + 1)
+            s = log_w[sl].reshape(shape)
+            to_c = s + log_q[sl].reshape(shape)
+            to_d = s + log_1q[sl].reshape(shape)
+            dc = nxt[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
+            np.logaddexp(dc[1:], to_c, out=dc[1:])
+            np.logaddexp(dc[:-1], to_c, out=dc[:-1])
+            dd = nxt[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
+            np.logaddexp(dd[:, 1:], to_d, out=dd[:, 1:])
+            np.logaddexp(dd[:, :-1], to_d, out=dd[:, :-1])
+        return nxt
+
+    def pull(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """``(wc, wd)`` over :attr:`src`: ``wc[i]`` sums ``v`` over the two
+        control successors of state ``i``, ``wd[i]`` over the other two."""
+        src, dst = self.src, self.dst
+        wc = np.empty(src.size)
+        wd = np.empty(src.size)
+        for n_c, n_d, sl in src.blocks():
+            vc = v[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
+            wc[sl] = (vc[1:] + vc[:-1]).ravel()
+            vd = v[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
+            wd[sl] = (vd[:, 1:] + vd[:, :-1]).ravel()
+        return wc, wd
 
 
 @lru_cache(maxsize=64)

@@ -30,11 +30,10 @@ def wald_statistic(x: TrialState) -> float:
     return 0.0
 
 
-def layer_wald_statistics(lay: Layer) -> np.ndarray:
-    """Vectorized :func:`wald_statistic` over a layer (burn-in >= 1)."""
-    if lay.n_c_min < 1 or lay.n_c_max > lay.t - 1:
-        raise ValueError("layer contains states with an empty group")
-    s_c, s_d, n_c, n_d = lay.arrays()
+def wald_statistics(s_c, s_d, n_c, n_d) -> np.ndarray:
+    """Vectorized :func:`wald_statistic` over arrays of states."""
+    if np.any(n_c == 0) or np.any(n_d == 0):
+        raise ValueError("Wald statistic requires both group sizes positive")
     tc = s_c / n_c
     td = s_d / n_d
     interior = ((tc > 0) & (tc < 1)) | ((td > 0) & (td < 1))
@@ -46,10 +45,17 @@ def layer_wald_statistics(lay: Layer) -> np.ndarray:
     return np.where(interior, t_int, t_ext)
 
 
+def layer_wald_statistics(lay: Layer) -> np.ndarray:
+    """:func:`wald_statistics` of every state of a layer (burn-in >= 1)."""
+    if lay.n_c_min < 1 or lay.n_c_max > lay.t - 1:
+        raise ValueError("layer contains states with an empty group")
+    return wald_statistics(*lay.arrays())
+
+
 def asymptotic_reject(x: TrialState | float, alpha: float) -> bool:
     """Two-sided asymptotic Wald test at level ``alpha``."""
     t = wald_statistic(x) if isinstance(x, TrialState) else float(x)
-    return bool(abs(t) >= normal_quantile(1.0 - alpha / 2.0))
+    return bool(asymptotic_reject_array(t, alpha))
 
 
 def asymptotic_reject_array(t: np.ndarray, alpha: float) -> np.ndarray:

@@ -185,6 +185,9 @@ def test_cli_exit_codes(tmp_path):
             theta_grid={"kind": "list", "values": [[0.5, 0.5], bad]},
         )
         assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    for bad in (float("nan"), -0.1, 1.5):
+        cfg = _cfg(tmp_path, "bad_alpha.json", n=20, burn_in=2, policy="DbcdNeyman", alpha=bad)
+        assert main(["crit", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
     # 5: missing input file
     cfg = _cfg(
         tmp_path, "bad4.json", n=10, burn_in=1,

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarexact import TrialState, layer, predecessors, successors
-from rarexact.states import Layer
+from rarexact.states import Layer, Transition
 
 from oracles import enumerate_layer_states
 
@@ -108,3 +109,44 @@ def test_swap_permutation_is_involution():
 def test_layers_are_cached_and_immutable():
     assert layer(7, 1) is layer(7, 1)
     assert Layer(7, 1) == layer(7, 1)
+
+
+def test_indices_agree_with_index():
+    for b in range(4):
+        for t in range(21):
+            lay = Layer(t, b)
+            states = [lay.state(i) for i in range(lay.size)]
+            s_c, s_d, n_c = (np.array([getattr(x, f) for x in states]) for f in ("s_c", "s_d", "n_c"))
+            expected = [lay.index(x) for x in states]
+            assert np.array_equal(lay.indices(s_c, s_d, n_c), expected)
+            assert np.array_equal(lay.indices(*lay.arrays()[:3]), np.arange(lay.size))
+
+
+def test_transition_rejects_burn_in_epochs():
+    with pytest.raises(ValueError, match="burn-in"):
+        Transition(3, 2)
+    step = Transition(4, 2)
+    assert (step.src, step.dst) == (Layer(4, 2), Layer(5, 2))
+
+
+@st.composite
+def _transitions(draw):
+    b = draw(st.integers(0, 4))
+    n = draw(st.integers(2 * b + 1, 2 * b + 14))
+    t = draw(st.sampled_from([2 * b, n - 1]) | st.integers(2 * b, n - 1))
+    return t, b
+
+
+@settings(max_examples=80, deadline=None)
+@given(tb=_transitions(), seed=st.integers(0, 2**32 - 1))
+def test_push_and_pull_are_adjoint(tb, seed):
+    # sum over dst of push(g) * v == sum over src of g * (q wc + (1 - q) wd)
+    step = Transition(*tb)
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.01, 0.99, step.src.size)
+    g = rng.uniform(0.0, 5.0, step.src.size) * (rng.random(step.src.size) < 0.8)
+    v = rng.uniform(0.0, 1.0, step.dst.size)
+    with np.errstate(divide="ignore"):
+        pushed = np.exp(step.push(np.log(g), np.log(q), np.log1p(-q)))
+    wc, wd = step.pull(v)
+    assert np.sum(pushed * v) == pytest.approx(np.sum(g * (q * wc + (1 - q) * wd)), rel=1e-12)
