@@ -16,8 +16,6 @@ import json
 import os
 import sys
 
-import numpy as np
-
 from . import __version__
 from .cmdp import CmdpSpec, Rectangle, default_rectangles, solve_cmdp
 from .engine import forward_g
@@ -26,7 +24,6 @@ from .io import (
     read_policy_table,
     read_rule,
     read_weight_table,
-    rule_to_dict,
     write_policy_table,
     write_rule,
     write_weight_table,
@@ -142,18 +139,11 @@ def _fmt(x) -> str:
 
 def _write_csv(path, header: list[str], rows, cfg: dict):
     meta = {"config": cfg, "version": __version__}
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("# rarexact " + json.dumps(meta, sort_keys=True) + "\n")
-            fh.write(",".join(header) + "\n")
-            for row in rows:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
-    except OSError as exc:
-        raise _IoFailure(str(exc)) from exc
-
-
-class _IoFailure(OSError):
-    pass
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("# rarexact " + json.dumps(meta, sort_keys=True) + "\n")
+        fh.write(",".join(header) + "\n")
+        for row in rows:
+            fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
 def _design_table(cfg: dict):
@@ -223,7 +213,18 @@ def _cmd_power_diff(cfg: dict, out: str) -> int:
     return EXIT_OK
 
 
+# refused, not ignored: a config that sets one of these expects a step or
+# stopping rule that solve_cmdp does not run
+REMOVED_CMDP_KEYS = ("solver", "step_rule", "eta0", "settle", "margin", "multiplier_cap")
+
+
 def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
+    for key in REMOVED_CMDP_KEYS:
+        if key in cfg:
+            raise ConfigError(
+                f"'{key}' is not a cmdp setting: the solver has one step rule "
+                "and one stopping rule, tuned only by 'max_iters' and 'tol'"
+            )
     rect_cfg = cfg.get("rectangles", [])
     if rect_cfg == "section4-pairs":
         rectangles = default_rectangles()
@@ -236,12 +237,7 @@ def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
         null_grid=tuple(float(v) for v in cfg["null_grid"]),
         rectangles=rectangles,
         max_iters=int(cfg.get("max_iters", 400)),
-        eta0=float(cfg.get("eta0", 1.0)),
-        solver=str(cfg.get("solver", "subgradient")),
-        step_rule=str(cfg.get("step_rule", "sqrt")),
         tol=float(cfg.get("tol", 5e-4)),
-        settle=int(cfg.get("settle", 0)),
-        margin=float(cfg.get("margin", 0.0)),
     )
 
 
@@ -256,10 +252,15 @@ def _cmd_cmdp_solve(cfg: dict, out: str) -> int:
         "feasible": result.feasible,
         "iterations": result.iterations,
         "objective": result.audit.objective,
+        "max_violation": result.audit.max_violation(spec),
         "avg_type_i": result.audit.avg_type_i,
         "pointwise": {f"{k:g}": v for k, v in result.audit.pointwise.items()},
         "benefits": {str(k): v for k, v in result.audit.benefits.items()},
         "multipliers": result.dual.multipliers,
+        "dual_trace": [
+            {key: h[key] for key in ("iteration", "objective", "max_violation", "dual_value")}
+            for h in result.dual.history
+        ],
     }
     with open(audit_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(audit, fh, sort_keys=True, indent=1)
@@ -302,75 +303,58 @@ def _cmd_paths(cfg: dict, out: str) -> int:
     return EXIT_OK
 
 
+# subcommand path -> (handler, help); the parser is built from this table
 COMMANDS = {
-    "design": _cmd_design,
-    "crit": _cmd_crit,
-    "oc": _cmd_oc,
-    "power-diff": _cmd_power_diff,
-    "mc-randtest": _cmd_mc_randtest,
-    "paths": _cmd_paths,
+    ("design",): (_cmd_design, "compute a path-weight table for a policy"),
+    ("crit",): (_cmd_crit, "construct a test rule for a design"),
+    ("oc",): (_cmd_oc, "rejection-rate and patient-benefit profile CSV"),
+    ("power-diff",): (_cmd_power_diff, "difference profile of two designs"),
+    ("cmdp", "solve"): (_cmd_cmdp_solve, "solve the constrained design problem"),
+    ("mc", "randtest"): (_cmd_mc_randtest, "randomization-test rejection rates"),
+    ("paths",): (_cmd_paths, "running allocation-proportion paths CSV"),
 }
+GROUPS = {"cmdp": "constrained-design commands", "mc": "Monte Carlo commands"}
 
 
-def main(argv=None) -> int:
+def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rarexact",
         description="Exact design and inference for two-arm adaptive trials",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, help_text):
-        sp = sub.add_parser(name, help=help_text)
+    groups = {}
+    for path, (handler, help_text) in COMMANDS.items():
+        where = sub
+        if len(path) == 2:
+            if path[0] not in groups:
+                group = sub.add_parser(path[0], help=GROUPS[path[0]])
+                groups[path[0]] = group.add_subparsers(dest=f"{path[0]}_command", required=True)
+            where = groups[path[0]]
+        sp = where.add_parser(path[-1], help=help_text)
         sp.add_argument("--config", required=True, help="JSON configuration document")
         sp.add_argument("--out", required=True, help="output artifact path")
         sp.add_argument(
             "--threads",
             type=int,
-            default=int(os.environ.get("RAREXACT_THREADS", "0") or 0),
+            default=os.environ.get("RAREXACT_THREADS") or "0",
             help="worker hint; results are independent of it",
         )
-        return sp
+        sp.set_defaults(handler=handler)
+    return parser
 
-    add("design", "compute a path-weight table for a policy")
-    add("crit", "construct a test rule for a design")
-    add("oc", "rejection-rate and patient-benefit profile CSV")
-    add("power-diff", "difference profile of two designs")
-    cmdp_parser = sub.add_parser("cmdp", help="constrained-design commands")
-    cmdp_sub = cmdp_parser.add_subparsers(dest="cmdp_command", required=True)
-    sp = cmdp_sub.add_parser("solve", help="solve the constrained design problem")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--threads", type=int, default=0)
-    mc_parser = sub.add_parser("mc", help="Monte Carlo commands")
-    mc_sub = mc_parser.add_subparsers(dest="mc_command", required=True)
-    sp = mc_sub.add_parser("randtest", help="randomization-test rejection rates")
-    sp.add_argument("--config", required=True)
-    sp.add_argument("--out", required=True)
-    sp.add_argument("--threads", type=int, default=0)
-    add("paths", "running allocation-proportion paths CSV")
 
-    args = parser.parse_args(argv)
-    if args.command == "cmdp":
-        handler = _cmd_cmdp_solve
-    elif args.command == "mc":
-        handler = _cmd_mc_randtest
-    else:
-        handler = COMMANDS[args.command]
-
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     try:
-        cfg = _load_config(args.config)
-        return handler(cfg, args.out)
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+        return args.handler(_load_config(args.config), args.out)
     except RuntimeError as exc:
         print(f"error: numeric-guard: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    except (OSError, ValueError) as exc:
-        if isinstance(exc, ValueError) and not isinstance(exc, _IoFailure):
-            print(f"error: config: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    except ValueError as exc:   # ConfigError included
+        print(f"error: config: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except OSError as exc:
         print(f"error: io: {exc}", file=sys.stderr)
         return EXIT_IO
 

@@ -6,7 +6,8 @@ The Lagrangian is maximized by a backward recursion over the state
 layers, one :meth:`~rarexact.states.Transition.pull` per layer (outcome
 likelihoods live entirely in the terminal reward, so both outcome branches
 carry weight one), and the multipliers follow a projected subgradient with
-a ``1/sqrt(k)`` step schedule.
+per-coordinate AdaGrad steps until a duality-gap certificate or the
+iteration limit stops the loop (:func:`solve_cmdp`).
 """
 
 from __future__ import annotations
@@ -143,8 +144,13 @@ def measure_log_weight(x: TrialState, measure) -> float:
 
 @dataclass(frozen=True)
 class CmdpSpec:
-    """Problem data: horizon, action set, embedded test level, constraint
-    measures with bounds, and dual-solver settings."""
+    """Problem data: horizon, action set, embedded test level, and the
+    constraint measures with their bounds (see :meth:`constraints`).
+
+    The dual solver reads two limits: it runs at most ``max_iters``
+    iterations, and ``tol`` is both the slack it accepts on the bounds
+    when no iterate meets them exactly and the duality gap at which it
+    stops early (see :func:`solve_cmdp`)."""
 
     n: int
     burn_in: int
@@ -156,13 +162,7 @@ class CmdpSpec:
     rectangles: tuple = ()
     benefit_floor: float = 0.5
     max_iters: int = 400
-    eta0: float = 1.0
-    solver: str = "subgradient"   # or "cutting-plane" (LP master over the cuts)
-    step_rule: str = "sqrt"       # "sqrt": eta0/sqrt(k); "adagrad": per-coordinate
     tol: float = 5e-4
-    settle: int = 0   # extra feasible iterates to examine before stopping
-    multiplier_cap: float = 1e5   # box bound for the LP master
-    margin: float = 0.0           # internal bound tightening for the dual loop
 
     def __post_init__(self):
         if not 0.5 <= self.p <= 1.0:
@@ -174,41 +174,52 @@ class CmdpSpec:
             raise ValueError("pointwise bound must not exceed the test level")
         if self.n < 2 * self.burn_in:
             raise ValueError("horizon shorter than the burn-in")
+        if self.max_iters < 1:
+            raise ValueError(f"max_iters = {self.max_iters!r} is not a positive count")
+        if not self.tol >= 0.0:
+            raise ValueError(f"tol = {self.tol!r} is not a non-negative slack")
+        names = [name for name, _, _ in self.constraints()]
+        if len(set(names)) < len(names):
+            raise ValueError(f"null_grid {self.null_grid!r} repeats a point (to 6 digits)")
 
-    def constraint_names(self) -> list[str]:
-        names = ["avg"]
-        names += [f"point:{t0:g}" for t0 in self.null_grid]
-        names += [f"rect:{i}" for i in range(len(self.rectangles))]
-        return names
+    def constraints(self) -> tuple:
+        """The constraint set in its one fixed order, as ``(name, measure,
+        bound)``: the average type-I error under :class:`NullUniform`, the
+        type-I error at each null point, and the patient benefit on each
+        rectangle.  Each reads ``value <= bound``, so a benefit and its
+        floor enter negated."""
+        out = [("avg", NullUniform(), self.alpha_avg)]
+        out += [(f"point:{t0:g}", PointNull(t0), self.alpha_point) for t0 in self.null_grid]
+        out += [(f"rect:{i}", r, -self.benefit_floor) for i, r in enumerate(self.rectangles)]
+        return tuple(out)
 
 
 @dataclass
 class AuditReport:
-    """Exact constraint values of a concrete policy table."""
+    """Exact objective and constraint values of a concrete policy table.
+
+    ``values`` holds the constraint values in :meth:`CmdpSpec.constraints`
+    order and sign; ``avg_type_i``, ``pointwise`` (by null point) and
+    ``benefits`` (by rectangle index) report the same numbers by kind."""
 
     objective: float
     avg_type_i: float
     pointwise: dict
     benefits: dict
+    values: tuple
 
-    def violations(self, spec: CmdpSpec) -> dict:
-        v = {"avg": self.avg_type_i - spec.alpha_avg}
-        for t0, val in self.pointwise.items():
-            v[f"point:{t0:g}"] = val - spec.alpha_point
-        for i, bene in self.benefits.items():
-            v[f"rect:{i}"] = spec.benefit_floor - bene
-        return v
+    def violations(self, spec: CmdpSpec) -> np.ndarray:
+        """``value - bound`` per constraint, in constraint order."""
+        return np.array(self.values) - np.array([bound for _, _, bound in spec.constraints()])
 
     def max_violation(self, spec: CmdpSpec) -> float:
-        return max(self.violations(spec).values())
-
-    def is_feasible(self, spec: CmdpSpec) -> bool:
-        return self.max_violation(spec) <= spec.tol
+        return float(self.violations(spec).max())
 
 
 @dataclass
 class DualState:
-    """Multipliers and the per-iteration trace of the dual solver."""
+    """Final multipliers (by constraint name) and the per-iteration trace
+    of the dual solver."""
 
     multipliers: dict
     history: list = field(default_factory=list)
@@ -284,55 +295,50 @@ def _weighted_total(table: PathWeightTable, log_f: np.ndarray, log_w: np.ndarray
 
 
 class _AuditContext:
-    """Caches the terminal layer structure and measure weights so repeated
-    audits inside the dual loop cost one forward sweep plus dot products."""
+    """Caches the terminal layer structure and the per-constraint terminal
+    terms so repeated audits inside the dual loop cost one forward sweep
+    plus dot products."""
 
     def __init__(self, spec: CmdpSpec):
-        self.spec = spec
+        self.constraints = spec.constraints()
         self.lay = make_layer(spec.n, spec.burn_in, spec.n)
         rej = asymptotic_reject_array(layer_wald_statistics(self.lay), spec.alpha)
         with np.errstate(divide="ignore"):
             self.log_rej = np.where(rej, 0.0, -np.inf)
         self.rej = rej.astype(np.float64)
         self.alt_lw = measure_log_weights(self.lay, AltUniform())
-        self.null_lw = measure_log_weights(self.lay, NullUniform())
-        self.point_lws = {
-            t0: measure_log_weights(self.lay, PointNull(t0)) for t0 in spec.null_grid
-        }
         _, _, n_c, n_d = self.lay.arrays()
-        self.rect_lws = {}
-        self.rect_log_frac = {}
-        for i, rect in enumerate(spec.rectangles):
-            self.rect_lws[i] = measure_log_weights(self.lay, rect)
-            frac = (n_c if rect.superior_arm == "C" else n_d) / spec.n
-            with np.errstate(divide="ignore"):
-                self.rect_log_frac[i] = np.log(frac)
+        # per constraint (log f, log w, sign): its value is sign * E_g[f w],
+        # f the rejection indicator, or for a benefit the superior arm's share
+        self.terms = []
+        for _, measure, _ in self.constraints:
+            log_f, sign = self.log_rej, 1.0
+            if isinstance(measure, Rectangle):
+                with np.errstate(divide="ignore"):
+                    log_f = np.log((n_c if measure.superior_arm == "C" else n_d) / spec.n)
+                sign = -1.0
+            self.terms.append((log_f, measure_log_weights(self.lay, measure), sign))
+        self.point_lws = {
+            measure.theta0: log_w
+            for (_, measure, _), (_, log_w, _) in zip(self.constraints, self.terms)
+            if isinstance(measure, PointNull)
+        }
 
     def audit(self, gt: PathWeightTable) -> AuditReport:
         objective = _weighted_total(gt, self.log_rej, self.alt_lw)
-        avg_t1 = _weighted_total(gt, self.log_rej, self.null_lw)
-        pointwise = {
-            t0: _weighted_total(gt, self.log_rej, lw)
-            for t0, lw in self.point_lws.items()
-        }
-        benefits = {
-            i: _weighted_total(gt, self.rect_log_frac[i], self.rect_lws[i])
-            for i in self.rect_lws
-        }
-        return AuditReport(objective, avg_t1, pointwise, benefits)
+        values = tuple(sign * _weighted_total(gt, log_f, log_w) for log_f, log_w, sign in self.terms)
+        pointwise, benefits = {}, {}
+        for (_, measure, _), value in zip(self.constraints, values):
+            if isinstance(measure, PointNull):
+                pointwise[measure.theta0] = value
+            elif isinstance(measure, Rectangle):
+                benefits[len(benefits)] = -value
+        return AuditReport(objective, values[0], pointwise, benefits, values)
 
-    def constraint_integrands(self) -> dict:
-        """Per-state terminal integrands aligned with the constraint names;
-        each g-expectation is the constraint value with sign arranged as
-        `value <= bound`."""
-        out = {"avg": self.rej * np.exp(self.null_lw)}
-        for t0, lw in self.point_lws.items():
-            out[f"point:{t0:g}"] = self.rej * np.exp(lw)
-        for i, lw in self.rect_lws.items():
-            with np.errstate(invalid="ignore"):
-                frac = np.exp(self.rect_log_frac[i])
-            out[f"rect:{i}"] = -frac * np.exp(lw)
-        return out
+    def integrands(self) -> list[np.ndarray]:
+        """Per constraint, the linear-domain terminal integrand whose
+        g-expectation is the constraint value."""
+        return [sign * np.exp(log_f) * np.exp(log_w) for log_f, log_w, sign in self.terms]
 
 
 def audit_policy(table: PolicyTable, spec: CmdpSpec) -> AuditReport:
@@ -342,114 +348,73 @@ def audit_policy(table: PolicyTable, spec: CmdpSpec) -> AuditReport:
     return _AuditContext(spec).audit(forward_g(policy))
 
 
-def _kelley_master(cuts: list[tuple[float, np.ndarray]], cap: float) -> np.ndarray | None:
-    """Next multipliers from the LP master: minimize over the box the
-    maximum of the affine dual under-estimators collected so far."""
-    from scipy.optimize import linprog
-
-    m = cuts[0][1].size
-    a_ub = np.empty((len(cuts), m + 1))
-    b_ub = np.empty(len(cuts))
-    for j, (obj, viol) in enumerate(cuts):
-        a_ub[j, :m] = -viol
-        a_ub[j, m] = -1.0
-        b_ub[j] = -obj
-    c = np.zeros(m + 1)
-    c[m] = 1.0
-    bounds = [(0.0, cap)] * m + [(None, None)]
-    res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success:
-        return None
-    return res.x[:m]
-
-
-def _bounds(spec: CmdpSpec) -> dict:
-    out = {"avg": spec.alpha_avg}
-    for t0 in spec.null_grid:
-        out[f"point:{t0:g}"] = spec.alpha_point
-    for i in range(len(spec.rectangles)):
-        out[f"rect:{i}"] = -spec.benefit_floor
-    return out
-
-
 def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     """Projected-subgradient dual solver around the backward recursion.
 
-    Each iteration maximizes the current Lagrangian exactly, audits the
-    maximizer, and steps the multipliers along the constraint violations
-    with step ``eta0 / sqrt(k)``.  Returns the best feasible iterate by
-    objective, or the least-violating iterate flagged infeasible.
+    Each iteration maximizes the Lagrangian at the current multipliers
+    exactly (:func:`lagrangian_backward`), audits the maximizer with a
+    forward sweep, and takes a per-coordinate AdaGrad step along the
+    constraint violations ``v``:
+    ``lam_j <- max(0, lam_j + v_j / sqrt(sum of v_j**2 so far))``.
+    The Lagrangian maximum plus ``lam . bounds`` is a dual value, an upper
+    bound on the objective of every feasible design; the loop stops once
+    the best strictly feasible objective is within ``tol`` of the least
+    dual value so far, and otherwise after ``max_iters`` iterations.
 
-    The balanced (all-1/2) policy is audited up front for reference; it
-    need not be feasible (under the standard configuration it is not),
-    so infeasibility is only declared when no iterate meets the bounds.
+    Returns the strictly feasible iterate with the largest objective; if
+    there is none, the iterate within ``tol`` of the bounds with the
+    largest objective; if there is none either, the least-violating
+    iterate, flagged infeasible.  The balanced (all-1/2) policy is audited
+    up front for reference; it need not be feasible (under the standard
+    configuration it is not).
     """
     ctx = _AuditContext(spec)
     balanced_audit = ctx.audit(
         forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=_uniform_table(spec)))
     )
     base = ctx.rej * np.exp(ctx.alt_lw)
-    integrands = ctx.constraint_integrands()
-    bounds = _bounds(spec)
-    names = spec.constraint_names()
+    integrands = ctx.integrands()
+    names = [name for name, _, _ in ctx.constraints]
+    bounds = np.array([bound for _, _, bound in ctx.constraints])
 
-    lam = {name: 0.0 for name in names}
-    grad_sq = {name: 0.0 for name in names}
-    cuts: list[tuple[float, np.ndarray]] = []
-    dual = DualState(multipliers=lam)
-    best_strict = None    # violations <= 0: preferred when attainable
-    best_tol = None       # violations within the feasibility tolerance
+    lam = np.zeros(len(names))
+    grad_sq = np.zeros(len(names))
+    history = []
+    min_dual = np.inf
+    best_strict = None    # (objective, table, audit) with violations <= 0
+    best_tol = None       # the same within the tolerance
     least_violating = None
-    feasible_seen = 0
 
     for k in range(1, spec.max_iters + 1):
         reward = base.copy()
-        for name in names:
-            if lam[name] != 0.0:
-                reward -= lam[name] * integrands[name]
+        for lam_j, f_j in zip(lam, integrands):
+            if lam_j != 0.0:
+                reward -= lam_j * f_j
         table, value = lagrangian_backward(reward, spec)
-        gt = forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=table))
-        audit = ctx.audit(gt)
-        violations = audit.violations(spec)
-        worst = max(violations.values())
-        dual_value = value + sum(lam[nm] * bounds[nm] for nm in names)
-        dual.history.append(
+        audit = ctx.audit(forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=table)))
+        v = audit.violations(spec)
+        worst = float(v.max())
+        dual_value = value + float(lam @ bounds)
+        min_dual = min(min_dual, dual_value)
+        history.append(
             {"iteration": k, "objective": audit.objective,
              "max_violation": worst, "dual_value": dual_value,
-             "multipliers": dict(lam)}
+             "multipliers": dict(zip(names, lam.tolist()))}
         )
         if least_violating is None or worst < least_violating[0]:
             least_violating = (worst, table, audit)
         if worst <= 0.0 and (best_strict is None or audit.objective > best_strict[0]):
             best_strict = (audit.objective, table, audit)
-        if worst <= spec.tol:
-            if best_tol is None or audit.objective > best_tol[0]:
-                best_tol = (audit.objective, table, audit)
-            feasible_seen += 1
-            if feasible_seen > spec.settle:
-                break
-        # the dual loop chases bounds tightened by the margin, so iterate
-        # oscillation lands on the feasible side of the true bounds
-        tightened = {nm: violations[nm] + spec.margin for nm in names}
-        if spec.solver == "cutting-plane":
-            cuts.append((audit.objective, np.array([tightened[nm] for nm in names])))
-            new_lam = _kelley_master(cuts, spec.multiplier_cap)
-            if new_lam is not None:
-                lam.update(zip(names, new_lam))
-        elif spec.step_rule == "adagrad":
-            for name in names:
-                grad_sq[name] += tightened[name] ** 2
-                if grad_sq[name] > 0.0:
-                    step = spec.eta0 / np.sqrt(grad_sq[name])
-                    lam[name] = max(0.0, lam[name] + step * tightened[name])
-        else:
-            eta = spec.eta0 / np.sqrt(k)
-            for name in names:
-                lam[name] = max(0.0, lam[name] + eta * tightened[name])
+        if worst <= spec.tol and (best_tol is None or audit.objective > best_tol[0]):
+            best_tol = (audit.objective, table, audit)
+        if best_strict is not None and best_strict[0] >= min_dual - spec.tol:
+            break
+        grad_sq += v * v
+        step = np.divide(v, np.sqrt(grad_sq), out=np.zeros_like(v), where=grad_sq > 0.0)
+        lam = np.maximum(0.0, lam + step)
 
-    best = best_strict if best_strict is not None else best_tol
-    if best is not None:
-        _, table, audit = best
-        return CmdpResult(table, audit, dual, True, len(dual.history), balanced_audit)
-    _, table, audit = least_violating
-    return CmdpResult(table, audit, dual, False, len(dual.history), balanced_audit)
+    dual = DualState(dict(zip(names, lam.tolist())), history)
+    best = best_strict or best_tol
+    feasible = best is not None
+    _, table, audit = best if feasible else least_violating
+    return CmdpResult(table, audit, dual, feasible, len(history), balanced_audit)

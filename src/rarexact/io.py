@@ -20,6 +20,7 @@ from .exact_tests import (
     RegionCertificate,
     UnconditionalRule,
 )
+from .numerics import check_alpha
 from .operating import AsymptoticRule
 from .policies import PolicyTable
 from .states import layer as make_layer
@@ -137,6 +138,7 @@ def rule_to_dict(rule) -> dict:
 
 
 def rule_from_dict(d: dict):
+    check_alpha(d["alpha"])
     kind = d["kind"]
     if kind == "conditional":
         return ConditionalRule(

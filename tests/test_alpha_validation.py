@@ -1,3 +1,4 @@
+import json
 import math
 import re
 
@@ -15,6 +16,8 @@ from rarexact import (
     simulate_trial,
     unconditional_rule,
 )
+from rarexact.cli import main
+from rarexact.io import read_rule, rule_to_dict, write_weight_table
 
 BAD_LEVELS = [math.nan, -0.1, 0.0, 1.0, 1.5]
 BAD_BOUNDS = [math.nan, -0.1, 1.5]
@@ -51,3 +54,23 @@ def test_bad_cmdp_bound_is_rejected_naming_it(name, alpha):
 
 def test_cmdp_bounds_accept_the_closed_interval():
     CmdpSpec(n=8, burn_in=1, alpha_avg=1.0, alpha_point=0.0)
+
+
+@pytest.mark.parametrize("alpha", [math.nan, 1.5])
+@pytest.mark.parametrize("build", [conditional_rule, unconditional_rule, boschloo_rule])
+def test_rule_file_with_bad_level_is_rejected(tmp_path, build, alpha):
+    d = rule_to_dict(build(TABLE, 0.05))
+    d["alpha"] = alpha
+    rule_path = tmp_path / "rule.json"
+    rule_path.write_text(json.dumps(d))
+    with pytest.raises(ValueError, match=re.escape(f"alpha = {alpha!r}")):
+        read_rule(rule_path)
+    # oc reads the rule through rule_path and exits with a config error
+    design = tmp_path / "design.rxgw"
+    write_weight_table(design, TABLE)
+    cfg = tmp_path / "oc.json"
+    cfg.write_text(json.dumps({
+        "n": 20, "burn_in": 2, "design_path": str(design), "rule_path": str(rule_path),
+        "theta_grid": {"kind": "list", "values": [[0.4, 0.6]]},
+    }))
+    assert main(["oc", "--config", str(cfg), "--out", str(tmp_path / "oc.csv")]) == 2

@@ -58,7 +58,7 @@ def test_rule_round_trip_identical_decisions(tmp_path):
 
 
 def test_policy_table_round_trip(tmp_path):
-    spec = CmdpSpec(n=8, burn_in=1, max_iters=10, settle=10**9)
+    spec = CmdpSpec(n=8, burn_in=1, max_iters=10)
     res = solve_cmdp(spec)
     path = tmp_path / "policy.rxpt"
     write_policy_table(path, res.table)
@@ -124,14 +124,21 @@ def test_cli_cmdp_solve_and_table_policy(tmp_path):
     out = str(tmp_path / "policy.rxpt")
     cfg = _cfg(
         tmp_path, "cmdp.json", n=8, burn_in=1, max_iters=60,
-        settle=10**9, alpha_avg=0.045, alpha_point=0.05,
+        alpha_avg=0.045, alpha_point=0.05,
         null_grid=[0.0, 0.25, 0.5, 0.75, 1.0],
-        solver="cutting-plane", margin=1e-3,
     )
     rc = main(["cmdp", "solve", "--config", cfg, "--out", out])
     assert rc == 0
     audit = json.load(open(out + ".audit.json"))
     assert audit["feasible"] is True
+    # the dual trace: one entry per iteration, every dual value bounds the
+    # objective of the returned feasible design
+    trace = audit["dual_trace"]
+    assert len(trace) == audit["iterations"]
+    assert [h["iteration"] for h in trace] == list(range(1, audit["iterations"] + 1))
+    assert set(trace[0]) == {"iteration", "objective", "max_violation", "dual_value"}
+    assert audit["objective"] <= min(h["dual_value"] for h in trace) + 1e-9
+    assert audit["max_violation"] <= 5e-4
     # the emitted table drives the oc command
     oc_out = str(tmp_path / "cmdp_oc.csv")
     cfg2 = _cfg(
@@ -201,6 +208,11 @@ def test_cli_exit_codes(tmp_path):
         alpha_point=0.0005, null_grid=[0.5],
     )
     assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 3
+    # 2: settings of removed solver variants are rejected, not ignored
+    for key, value in (("solver", "cutting-plane"), ("step_rule", "sqrt"), ("eta0", 1.0),
+                       ("settle", 10**9), ("margin", 1e-3), ("multiplier_cap", 1e5)):
+        cfg = _cfg(tmp_path, "removed.json", n=8, burn_in=1, max_iters=2, **{key: value})
+        assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 2
 
 
 def test_cli_oc_independent_of_thread_counts(tmp_path):
@@ -224,3 +236,16 @@ def test_cli_oc_independent_of_thread_counts(tmp_path):
         outputs.append(out.read_bytes())
     assert len(outputs[0].splitlines()) > 50
     assert all(o == outputs[0] for o in outputs[1:])
+
+
+def test_cli_every_subcommand_shares_the_common_options(monkeypatch):
+    from rarexact.cli import COMMANDS, _parser
+
+    monkeypatch.setenv("RAREXACT_THREADS", "3")
+    assert len(COMMANDS) == 7
+    for path, (handler, _) in COMMANDS.items():
+        args = _parser().parse_args([*path, "--config", "c.json", "--out", "o"])
+        assert args.handler is handler
+        assert (args.config, args.out, args.threads) == ("c.json", "o", 3)
+        args = _parser().parse_args([*path, "--config", "c.json", "--out", "o", "--threads", "1"])
+        assert args.threads == 1

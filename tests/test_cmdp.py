@@ -79,7 +79,7 @@ def test_default_rectangles_are_all_ordered_pairs():
 
 
 def _tiny_spec(**kw):
-    defaults = dict(n=6, burn_in=1, p=0.95, max_iters=60, settle=10**9)
+    defaults = dict(n=6, burn_in=1, p=0.95, max_iters=60)
     defaults.update(kw)
     return CmdpSpec(**defaults)
 
@@ -173,6 +173,8 @@ def test_solve_unconstrained_dominates_uniform_policy():
     uniform_obj = audit_policy(_uniform_table(spec), spec).objective
     assert res.feasible
     assert res.audit.objective >= uniform_obj - 1e-12
+    # the first maximizer is feasible and meets its own dual bound
+    assert res.iterations == 1
 
 
 def test_solve_tiny_matches_lambda_grid_oracle():
@@ -183,7 +185,7 @@ def test_solve_tiny_matches_lambda_grid_oracle():
     theta0 = 0.1
     spec = CmdpSpec(
         n=6, burn_in=1, alpha_avg=1.0, alpha_point=0.04, null_grid=(theta0,),
-        max_iters=250, settle=10**9, solver="cutting-plane",
+        max_iters=250,
     )
     res = solve_cmdp(spec)
 
@@ -224,10 +226,59 @@ def test_solve_reports_balanced_audit_and_infeasible_path():
 
 
 def test_dual_history_running_minimum_monotone():
-    spec = CmdpSpec(n=8, burn_in=1, max_iters=40, settle=10**9)
+    spec = CmdpSpec(n=8, burn_in=1, max_iters=40)
     res = solve_cmdp(spec)
     duals = [h["dual_value"] for h in res.dual.history]
     running = np.minimum.accumulate(duals)
     assert np.all(np.diff(running) <= 1e-12)
     # weak duality: every dual value bounds any feasible objective
     assert res.audit.objective <= min(duals) + 1e-6
+
+
+def test_constraint_set_aligns_names_bounds_and_audit_values():
+    rects = (Rectangle(0.05, 0.1, 0.5, 0.75), Rectangle(0.5, 0.75, 0.1, 0.25))
+    spec = CmdpSpec(n=8, burn_in=1, null_grid=(0.25, 0.5), rectangles=rects)
+    names = [name for name, _, _ in spec.constraints()]
+    assert names == ["avg", "point:0.25", "point:0.5", "rect:0", "rect:1"]
+    audit = audit_policy(_uniform_table(spec), spec)
+    want = [audit.avg_type_i - spec.alpha_avg]
+    want += [audit.pointwise[t0] - spec.alpha_point for t0 in spec.null_grid]
+    want += [spec.benefit_floor - audit.benefits[i] for i in range(len(rects))]
+    assert audit.violations(spec).tolist() == want
+    assert audit.max_violation(spec) == max(want)
+    res = solve_cmdp(CmdpSpec(n=8, burn_in=1, null_grid=(0.25, 0.5), rectangles=rects,
+                              max_iters=3))
+    assert list(res.dual.multipliers) == names
+    assert all(list(h["multipliers"]) == names for h in res.dual.history)
+
+
+@pytest.mark.parametrize("spec", [
+    CmdpSpec(n=8, burn_in=1, null_grid=(0.0, 0.25, 0.5, 0.75, 1.0), max_iters=60),
+    CmdpSpec(n=8, burn_in=1, max_iters=40, alpha_point=0.03),
+    CmdpSpec(n=6, burn_in=1, alpha_avg=1.0, alpha_point=0.04, null_grid=(0.1,), max_iters=60),
+    CmdpSpec(n=8, burn_in=1, null_grid=(), alpha_avg=1.0, max_iters=3),
+])
+def test_solve_prefers_strictly_feasible_iterates_and_certifies_early_stops(spec):
+    res = solve_cmdp(spec)
+    history = res.dual.history
+    assert len(history) == res.iterations <= spec.max_iters
+    strict = [h["objective"] for h in history if h["max_violation"] <= 0.0]
+    if strict:
+        assert res.feasible
+        assert res.audit.max_violation(spec) <= 0.0
+        assert res.audit.objective == max(strict)
+    # an early stop is a duality-gap certificate for the returned design
+    if res.iterations < spec.max_iters:
+        assert strict
+        assert res.audit.objective >= min(h["dual_value"] for h in history) - spec.tol
+
+
+@pytest.mark.parametrize("kw, match", [
+    (dict(max_iters=0), "max_iters = 0"),
+    (dict(tol=-1e-3), "tol = -0.001"),
+    (dict(tol=math.nan), "tol = nan"),
+    (dict(null_grid=(0.25, 0.5, 0.25)), "repeats a point"),
+])
+def test_spec_rejects_bad_solver_limits_and_repeated_null_points(kw, match):
+    with pytest.raises(ValueError, match=match):
+        CmdpSpec(n=8, burn_in=1, **kw)
