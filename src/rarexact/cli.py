@@ -215,7 +215,7 @@ def _cmd_power_diff(cfg: dict, out: str) -> int:
 
 # refused, not ignored: a config that sets one of these expects a step or
 # stopping rule that solve_cmdp does not run
-REMOVED_CMDP_KEYS = ("solver", "step_rule", "eta0", "settle", "margin", "multiplier_cap")
+REMOVED_CMDP_KEYS = ("solver", "step_rule", "eta0", "settle", "margin", "multiplier_cap", "tol")
 
 
 def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
@@ -223,7 +223,7 @@ def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
         if key in cfg:
             raise ConfigError(
                 f"'{key}' is not a cmdp setting: the solver has one step rule "
-                "and one stopping rule, tuned only by 'max_iters' and 'tol'"
+                "and one stopping rule, limited only by 'max_iters'"
             )
     rect_cfg = cfg.get("rectangles", [])
     if rect_cfg == "section4-pairs":
@@ -237,7 +237,6 @@ def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
         null_grid=tuple(float(v) for v in cfg["null_grid"]),
         rectangles=rectangles,
         max_iters=int(cfg.get("max_iters", 400)),
-        tol=float(cfg.get("tol", 5e-4)),
     )
 
 

@@ -13,6 +13,7 @@ iteration limit stops the loop (:func:`solve_cmdp`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 from scipy.special import betainc
@@ -147,10 +148,10 @@ class CmdpSpec:
     """Problem data: horizon, action set, embedded test level, and the
     constraint measures with their bounds (see :meth:`constraints`).
 
-    The dual solver reads two limits: it runs at most ``max_iters``
-    iterations, and ``tol`` is both the slack it accepts on the bounds
-    when no iterate meets them exactly and the duality gap at which it
-    stops early (see :func:`solve_cmdp`)."""
+    The dual solver runs at most ``max_iters`` iterations.  ``tol`` is a
+    fixed constant, not a setting: it is both the slack the solver
+    accepts on the bounds when no iterate meets them exactly and the
+    duality gap at which it stops early (see :func:`solve_cmdp`)."""
 
     n: int
     burn_in: int
@@ -162,7 +163,7 @@ class CmdpSpec:
     rectangles: tuple = ()
     benefit_floor: float = 0.5
     max_iters: int = 400
-    tol: float = 5e-4
+    tol: ClassVar[float] = 5e-4
 
     def __post_init__(self):
         if not 0.5 <= self.p <= 1.0:
@@ -176,8 +177,6 @@ class CmdpSpec:
             raise ValueError("horizon shorter than the burn-in")
         if self.max_iters < 1:
             raise ValueError(f"max_iters = {self.max_iters!r} is not a positive count")
-        if not self.tol >= 0.0:
-            raise ValueError(f"tol = {self.tol!r} is not a non-negative slack")
         names = [name for name, _, _ in self.constraints()]
         if len(set(names)) < len(names):
             raise ValueError(f"null_grid {self.null_grid!r} repeats a point (to 6 digits)")

@@ -138,7 +138,10 @@ def rule_to_dict(rule) -> dict:
 
 
 def rule_from_dict(d: dict):
-    check_alpha(d["alpha"])
+    alpha = d["alpha"]
+    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+        raise ValueError(f"alpha = {alpha!r} is not a number")
+    check_alpha(alpha)
     kind = d["kind"]
     if kind == "conditional":
         return ConditionalRule(

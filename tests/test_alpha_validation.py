@@ -56,7 +56,7 @@ def test_cmdp_bounds_accept_the_closed_interval():
     CmdpSpec(n=8, burn_in=1, alpha_avg=1.0, alpha_point=0.0)
 
 
-@pytest.mark.parametrize("alpha", [math.nan, 1.5])
+@pytest.mark.parametrize("alpha", [math.nan, 1.5, "0.05", None])
 @pytest.mark.parametrize("build", [conditional_rule, unconditional_rule, boschloo_rule])
 def test_rule_file_with_bad_level_is_rejected(tmp_path, build, alpha):
     d = rule_to_dict(build(TABLE, 0.05))

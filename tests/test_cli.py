@@ -210,7 +210,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 3
     # 2: settings of removed solver variants are rejected, not ignored
     for key, value in (("solver", "cutting-plane"), ("step_rule", "sqrt"), ("eta0", 1.0),
-                       ("settle", 10**9), ("margin", 1e-3), ("multiplier_cap", 1e5)):
+                       ("settle", 10**9), ("margin", 1e-3), ("multiplier_cap", 1e5),
+                       ("tol", 1e-3)):
         cfg = _cfg(tmp_path, "removed.json", n=8, burn_in=1, max_iters=2, **{key: value})
         assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 2
 
