@@ -106,6 +106,8 @@ def _thetas_from_config(cfg: dict):
     if kind == "null-diagonal":
         return null_diagonal(int(spec.get("points", 99)))
     if kind == "curves":
+        if "theta_c" not in spec:
+            raise ConfigError("a 'curves' theta grid requires 'theta_c'")
         return power_curves(spec["theta_c"], float(spec.get("step", 0.01)))
     if kind == "list":
         vals = spec.get("values", [])

@@ -38,6 +38,15 @@ def _write_container(path, magic: bytes, header: dict, payload: bytes):
         fh.write(payload)
 
 
+def _require(d, keys, what: str) -> None:
+    """Raise ``ValueError`` naming the first of ``keys`` missing from ``d``."""
+    if not isinstance(d, dict):
+        raise ValueError(f"{what} must be a JSON object, not {type(d).__name__}")
+    for key in keys:
+        if key not in d:
+            raise ValueError(f"{what} lacks the required key {key!r}")
+
+
 def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -106,6 +115,7 @@ def _cert_dict(cert: RegionCertificate | None):
 def _cert_from(d):
     if d is None:
         return None
+    _require(d, ("level", "accepted", "certified_upper", "lower_bound"), "certificate")
     return RegionCertificate(d["level"], d["accepted"], d["certified_upper"], d["lower_bound"])
 
 
@@ -137,12 +147,26 @@ def rule_to_dict(rule) -> dict:
     raise TypeError(f"cannot serialize rule {rule!r}")
 
 
+# keys each rule kind needs besides "kind" and "alpha"; certificates and
+# Boschloo's "largest_included" are optional
+RULE_KEYS = {
+    "conditional": ("n", "upper", "upper_closed", "lower", "lower_closed"),
+    "unconditional": ("n", "upper", "upper_closed", "lower", "lower_closed"),
+    "boschloo": ("n", "threshold"),
+    "asymptotic": (),
+}
+
+
 def rule_from_dict(d: dict):
+    _require(d, ("kind", "alpha"), "rule")
     alpha = d["alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"alpha = {alpha!r} is not a number")
     check_alpha(alpha)
     kind = d["kind"]
+    if not isinstance(kind, str) or kind not in RULE_KEYS:
+        raise ValueError(f"unknown rule kind {kind!r}")
+    _require(d, RULE_KEYS[kind], f"{kind} rule")
     if kind == "conditional":
         return ConditionalRule(
             d["alpha"], d["n"],
@@ -165,9 +189,7 @@ def rule_from_dict(d: dict):
             d["alpha"], d["n"], d["threshold"], d.get("largest_included"),
             stat=None, certificate=_cert_from(d.get("certificate")),
         )
-    if kind == "asymptotic":
-        return AsymptoticRule(d["alpha"])
-    raise ValueError(f"unknown rule kind {kind!r}")
+    return AsymptoticRule(d["alpha"])
 
 
 def write_rule(path, rule):

@@ -149,6 +149,19 @@ class BayesianRar(Policy):
 
     The tuning exponent is ``u / (2n)`` with ``u`` the one-based index of
     the participant being allocated (the state epoch plus one).
+
+    :meth:`layer_log_probs` works block by block.  In the ``(n_c, n_d)``
+    block, ``P(s_c, s_d) = P(theta_C > theta_D | state)`` starts from the
+    closed form ``P(0, s_d) = B(a2, b2 + n_c + 1) / B(a2, b2)``, with
+    ``a2 = s_d + 1`` and ``b2 = n_d - s_d + 1``, and moves one control
+    failure to a success at a time by the exact two-term recurrence
+    ``P(k + 1, s_d) = (P(k, s_d) + step_a(k, s_d)) + step_b(k, s_d)``.
+    Row 0 and the increments ``step_a``, ``step_b`` of every ``k``, in
+    alternate rows, form one ``(2 n_c + 1, n_d + 1)`` array, and one
+    ``cumsum`` down its columns gives ``P`` in its even rows.  ``cumsum``
+    adds in sequence along the axis, so each even row is formed by the very
+    additions of the recurrence, in its order, and the design is
+    bit-stable.
     """
 
     def _exponent(self, epoch: int) -> float:
@@ -167,68 +180,37 @@ class BayesianRar(Policy):
         return float(np.exp(a - m))
 
     def layer_log_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-        log_p, log_s = _posterior_log_probs(lay)
+        g = gammaln_table(2 * lay.t + 8)
         e = self._exponent(lay.t)
-        a = e * log_p
-        c = e * log_s
-        m = np.logaddexp(a, c)
-        return a - m, c - m
+
+        def lbeta(a, b):
+            return g[a] + g[b] - g[a + b]
+
+        log_q = np.empty(lay.size)
+        log_1q = np.empty(lay.size)
+        for n_c, n_d, sl in lay.blocks():
+            a2 = np.arange(1, n_d + 2)          # s_d + 1, along a row
+            b2 = n_d + 2 - a2                   # n_d - s_d + 1
+            lb2 = lbeta(a2, b2)
+            k = np.arange(n_c)[:, None]         # s_c = k -> k + 1, down a column
+            inc = np.empty((2 * n_c + 1, n_d + 1))
+            inc[0] = np.exp(lbeta(a2, b2 + n_c + 1) - lb2)
+            a1, b1 = k + 1, n_c - k + 1
+            inc[1::2] = np.exp(lbeta(a1 + a2, b1 + b2) - np.log(a1) - lbeta(a1, b1) - lb2)
+            a1, b1 = k + 2, n_c - k
+            inc[2::2] = np.exp(lbeta(a1 + a2, b1 + b2) - np.log(b1) - lbeta(a1, b1) - lb2)
+            p = np.cumsum(inc, axis=0)[::2].ravel()
+            np.clip(p, 0.0, 1.0, out=p)
+            with np.errstate(divide="ignore"):
+                a = e * np.log(p)
+                c = e * np.log1p(-p)
+            m = np.logaddexp(a, c)
+            log_q[sl] = a - m
+            log_1q[sl] = c - m
+        return log_q, log_1q
 
     def layer_control_probs(self, lay: Layer) -> np.ndarray:
         return np.exp(self.layer_log_probs(lay)[0])
-
-
-def _posterior_log_probs(lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-    """``(ln P, ln(1 - P))`` with ``P = P(theta_C > theta_D | state)`` under
-    uniform priors, for every state of a layer.
-
-    Starting from the closed form for zero control successes, rows are
-    filled by the exact two-term recurrence that moves one control success
-    from the failure count, batched across all blocks sharing the row index.
-    """
-    t = lay.t
-    g = gammaln_table(2 * t + 8)
-    s_c, s_d, n_c, _ = lay.arrays()
-
-    # success-major ordering: all rows with the same s_c are contiguous
-    order = np.lexsort((s_d, n_c, s_c))
-    sm_n_c = n_c[order]
-    sm_s_d = s_d[order]
-    seg_start = np.searchsorted(s_c[order], np.arange(t + 2))
-
-    def lbeta(a, b):
-        return g[a] + g[b] - g[a + b]
-
-    p = np.empty(lay.size)
-    # row s_c = 0: P = B(a2, b2 + n_c + 1) / B(a2, b2)
-    sl = slice(seg_start[0], seg_start[1])
-    a2 = sm_s_d[sl] + 1
-    b2 = t - sm_n_c[sl] - sm_s_d[sl] + 1
-    p[sl] = np.exp(lbeta(a2, b2 + sm_n_c[sl] + 1) - lbeta(a2, b2))
-
-    max_sc = int(s_c.max()) if lay.size else 0
-    for k in range(max_sc):
-        dst = slice(seg_start[k + 1], seg_start[k + 2])
-        if dst.start == dst.stop:
-            break
-        # source: the tail of row k restricted to blocks with n_c >= k + 1
-        src = slice(seg_start[k + 1] - (dst.stop - dst.start), seg_start[k + 1])
-        ncv = sm_n_c[dst]
-        sdv = sm_s_d[dst]
-        a2 = sdv + 1
-        b2 = (t - ncv) - sdv + 1
-        lb2 = lbeta(a2, b2)
-        a1, b1 = k + 1, ncv - k + 1
-        step_a = np.exp(lbeta(a1 + a2, b1 + b2) - np.log(a1) - lbeta(a1, b1) - lb2)
-        a1p, b1p = k + 2, ncv - k
-        step_b = np.exp(lbeta(a1p + a2, b1p + b2) - np.log(b1p) - lbeta(a1p, b1p) - lb2)
-        p[dst] = p[src] + step_a + step_b
-
-    np.clip(p, 0.0, 1.0, out=p)
-    out_p = np.empty(lay.size)
-    out_p[order] = p
-    with np.errstate(divide="ignore"):
-        return np.log(out_p), np.log1p(-out_p)
 
 
 @dataclass(frozen=True)

@@ -303,3 +303,61 @@ def fisher_two_sided_ref(s_c, s_d, half, alpha):
     lower = sum(p for k, p in pmf.items() if k <= s_c)
     a2 = Fraction(alpha).limit_denominator(10**6) / 2
     return upper <= a2 or lower <= a2
+
+
+def posterior_log_probs_ref(lay):
+    """``(ln P, ln(1 - P))`` with ``P = P(theta_C > theta_D | state)`` under
+    uniform priors, for every state of a layer.
+
+    Starting from the closed form for zero control successes, rows are
+    filled by the exact two-term recurrence that moves one control success
+    from the failure count, batched across all blocks sharing the row index.
+    This is the success-major loop that ``BayesianRar.layer_log_probs``
+    replaced with one cumulative sum per block; the two must agree bit for
+    bit.
+    """
+    from rarexact.numerics import gammaln_table
+
+    t = lay.t
+    g = gammaln_table(2 * t + 8)
+    s_c, s_d, n_c, _ = lay.arrays()
+
+    # success-major ordering: all rows with the same s_c are contiguous
+    order = np.lexsort((s_d, n_c, s_c))
+    sm_n_c = n_c[order]
+    sm_s_d = s_d[order]
+    seg_start = np.searchsorted(s_c[order], np.arange(t + 2))
+
+    def lbeta(a, b):
+        return g[a] + g[b] - g[a + b]
+
+    p = np.empty(lay.size)
+    # row s_c = 0: P = B(a2, b2 + n_c + 1) / B(a2, b2)
+    sl = slice(seg_start[0], seg_start[1])
+    a2 = sm_s_d[sl] + 1
+    b2 = t - sm_n_c[sl] - sm_s_d[sl] + 1
+    p[sl] = np.exp(lbeta(a2, b2 + sm_n_c[sl] + 1) - lbeta(a2, b2))
+
+    max_sc = int(s_c.max()) if lay.size else 0
+    for k in range(max_sc):
+        dst = slice(seg_start[k + 1], seg_start[k + 2])
+        if dst.start == dst.stop:
+            break
+        # source: the tail of row k restricted to blocks with n_c >= k + 1
+        src = slice(seg_start[k + 1] - (dst.stop - dst.start), seg_start[k + 1])
+        ncv = sm_n_c[dst]
+        sdv = sm_s_d[dst]
+        a2 = sdv + 1
+        b2 = (t - ncv) - sdv + 1
+        lb2 = lbeta(a2, b2)
+        a1, b1 = k + 1, ncv - k + 1
+        step_a = np.exp(lbeta(a1 + a2, b1 + b2) - np.log(a1) - lbeta(a1, b1) - lb2)
+        a1p, b1p = k + 2, ncv - k
+        step_b = np.exp(lbeta(a1p + a2, b1p + b2) - np.log(b1p) - lbeta(a1p, b1p) - lb2)
+        p[dst] = p[src] + step_a + step_b
+
+    np.clip(p, 0.0, 1.0, out=p)
+    out_p = np.empty(lay.size)
+    out_p[order] = p
+    with np.errstate(divide="ignore"):
+        return np.log(out_p), np.log1p(-out_p)

@@ -177,6 +177,28 @@ def test_cli_paths(tmp_path):
     assert len(lines) == 2 + 3 * 12
 
 
+def test_rule_missing_a_required_key_is_rejected_naming_it():
+    from rarexact import AsymptoticRule
+    from rarexact.io import RULE_KEYS
+
+    table = forward_g(BayesianRar(10, 1))
+    rules = [conditional_rule(table, 0.05), unconditional_rule(table, 0.05),
+             boschloo_rule(table, 0.05), AsymptoticRule(0.05)]
+    for rule in rules:
+        d = rule_to_dict(rule)
+        for key in ("kind", "alpha") + RULE_KEYS[d["kind"]]:
+            partial = {k: v for k, v in d.items() if k != key}
+            with pytest.raises(ValueError, match=repr(key)):
+                rule_from_dict(partial)
+    d = rule_to_dict(rules[0])
+    del d["certificate"]["lower_bound"]
+    with pytest.raises(ValueError, match="'lower_bound'"):
+        rule_from_dict(d)
+    for bad in ([], {"kind": ["conditional"], "alpha": 0.05}):
+        with pytest.raises(ValueError):
+            rule_from_dict(bad)
+
+
 def test_cli_exit_codes(tmp_path):
     # 2: config errors
     bad = tmp_path / "bad.json"
@@ -195,6 +217,20 @@ def test_cli_exit_codes(tmp_path):
     for bad in (float("nan"), -0.1, 1.5):
         cfg = _cfg(tmp_path, "bad_alpha.json", n=20, burn_in=2, policy="DbcdNeyman", alpha=bad)
         assert main(["crit", "--config", cfg, "--out", str(tmp_path / "x.json")]) == 2
+    # 2: a required key missing from a rule file or from a theta grid
+    grid = {"kind": "list", "values": [[0.5, 0.5]]}
+    rule_path = tmp_path / "cond_rule.json"
+    cfg = _cfg(tmp_path, "crit_cond.json", n=10, burn_in=1, policy="DbcdNeyman", test="conditional")
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    rule = json.loads(rule_path.read_text())
+    del rule["upper"]
+    rule_path.write_text(json.dumps(rule))
+    cfg = _cfg(tmp_path, "no_upper.json", n=10, burn_in=1, policy="DbcdNeyman",
+               rule_path=str(rule_path), theta_grid=grid)
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    cfg = _cfg(tmp_path, "no_theta_c.json", n=10, burn_in=1, policy="EqualAllocation",
+               theta_grid={"kind": "curves", "step": 0.1})
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     # 5: missing input file
     cfg = _cfg(
         tmp_path, "bad4.json", n=10, burn_in=1,

@@ -2,11 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rarexact import (
     BayesianRar,
     DbcdNeyman,
     EqualAllocation,
+    TemperedDbcdNeyman,
     TrialState,
     equal_allocation_g,
     forward_g,
@@ -191,3 +193,24 @@ def test_forward_rejects_bad_policy_probabilities():
 
     with pytest.raises(ValueError):
         forward_g(Bad(3, 0, 1.5))
+
+
+@st.composite
+def _symmetric_designs(draw):
+    # DBCD is undefined on an empty arm, so its burn-in is at least one;
+    # equal allocation needs an even horizon
+    cls = draw(st.sampled_from([BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation]))
+    b = draw(st.integers(0 if cls in (BayesianRar, EqualAllocation) else 1, 3))
+    n = draw(st.integers(max(2 * b, 1), 40))
+    if cls is EqualAllocation:
+        n += n % 2
+    return cls(n, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=_symmetric_designs())
+def test_sweep_is_normalized_and_exactly_swap_invariant(policy):
+    table = forward_g(policy)
+    assert table.normalization_error() <= 1e-12
+    perm = table.layer.swap_permutation()
+    assert np.array_equal(table.log_g[perm], table.log_g)

@@ -14,7 +14,7 @@ from rarexact import (
     neyman_target,
 )
 from rarexact.numerics import prob_beta_greater
-from rarexact.policies import _posterior_log_probs
+from oracles import posterior_log_probs_ref as _posterior_log_probs
 
 
 def test_neyman_target_symmetry_and_paper_values():
@@ -113,6 +113,21 @@ def test_posterior_grid_matches_scalar():
                 int(s_d[i]) + 1, int(n_d[i] - s_d[i]) + 1,
             )
             assert np.exp(lp[i]) == pytest.approx(exact, abs=1e-12)
+
+
+@pytest.mark.parametrize("n, b", [(30, 0), (31, 1), (40, 3), (60, 2)])
+def test_brar_block_posterior_is_bit_identical_to_success_major_loop(n, b):
+    # every layer, so b = 0 and the n_c = 0 blocks of early layers are covered
+    pol = BayesianRar(n, b)
+    for t in range(2 * b, n):
+        lay = layer(t, b)
+        log_p, log_s = _posterior_log_probs(lay)
+        e = (t + 1) / (2.0 * n)
+        a, c = e * log_p, e * log_s
+        m = np.logaddexp(a, c)
+        log_q, log_1q = pol.layer_log_probs(lay)
+        assert np.array_equal(log_q, a - m), (n, b, t)
+        assert np.array_equal(log_1q, c - m), (n, b, t)
 
 
 @pytest.mark.parametrize("policy_cls", [BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation])
