@@ -17,7 +17,6 @@ from .cmdp import (
     audit_policy,
     default_rectangles,
     lagrangian_backward,
-    measure_log_weight,
     measure_log_weights,
     solve_cmdp,
 )
@@ -27,8 +26,6 @@ from .engine import (
     equal_allocation_g,
     forward_g,
     layer_log_likelihood,
-    log_likelihood_weight,
-    oc_value,
 )
 from .exact_tests import (
     BoschlooRule,
@@ -52,14 +49,7 @@ from .montecarlo import (
     simulate_terminals,
     simulate_trial,
 )
-from .numerics import (
-    beta_cdf,
-    log_beta,
-    log_binom,
-    logsumexp_fixed,
-    normal_quantile,
-    prob_beta_greater,
-)
+from .numerics import log_binom, logsumexp_fixed, normal_quantile
 from .operating import (
     AsymptoticRule,
     OcProfile,
@@ -77,8 +67,7 @@ from .policies import (
     PolicyTable,
     TablePolicy,
     TemperedDbcdNeyman,
-    alloc_prob,
     neyman_target,
 )
-from .states import INITIAL_STATE, Layer, TrialState, layer, predecessors, successors
-from .wald import asymptotic_reject, layer_wald_statistics, wald_statistic, wald_statistics
+from .states import Layer, TrialState, layer
+from .wald import layer_wald_statistics, wald_statistics

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import __version__
@@ -338,8 +337,8 @@ def _parser() -> argparse.ArgumentParser:
         sp.add_argument(
             "--threads",
             type=int,
-            default=os.environ.get("RAREXACT_THREADS") or "0",
-            help="worker hint; results are independent of it",
+            default=0,
+            help="accepted and ignored; results do not depend on it",
         )
         sp.set_defaults(handler=handler)
     return parser

@@ -18,12 +18,10 @@ from typing import ClassVar
 import numpy as np
 from scipy.special import betainc
 
-from .engine import (
-    PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood, log_likelihood_weight,
-)
-from .numerics import check_alpha, gammaln_table, log_beta, logsumexp_fixed
+from .engine import PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood
+from .numerics import check_alpha, gammaln_table, logsumexp_fixed
 from .policies import PolicyTable, TablePolicy
-from .states import Layer, Transition, TrialState, layer as make_layer
+from .states import Layer, Transition, layer as make_layer
 from .wald import asymptotic_reject_array, layer_wald_statistics
 
 
@@ -88,7 +86,8 @@ def _stable_beta_cdf_diff(a, b, lo: float, hi: float) -> np.ndarray:
 
 
 def measure_log_weights(lay: Layer, measure) -> np.ndarray:
-    """Log of the parameter-integrated outcome likelihood per state."""
+    """Log of the outcome likelihood of every state of a layer, integrated
+    over the prior ``measure`` on ``(theta_C, theta_D)``."""
     s_c, s_d, n_c, n_d = lay.arrays()
     g = gammaln_table(2 * lay.t + 8)
 
@@ -114,28 +113,6 @@ def measure_log_weights(lay: Layer, measure) -> np.ndarray:
             with np.errstate(divide="ignore"):
                 out += np.log(diff) - np.log(hi - lo) + lbeta(s_a + 1, n_a - s_a + 1)
         return out
-    raise TypeError(f"unknown measure {measure!r}")
-
-
-def measure_log_weight(x: TrialState, measure) -> float:
-    """Scalar :func:`measure_log_weights` for a single terminal state."""
-    f_c, f_d = x.n_c - x.s_c, x.n_d - x.s_d
-    if isinstance(measure, AltUniform):
-        return float(log_beta(x.s_c + 1, f_c + 1) + log_beta(x.s_d + 1, f_d + 1))
-    if isinstance(measure, NullUniform):
-        return float(log_beta(x.successes + 1, x.epoch - x.successes + 1))
-    if isinstance(measure, PointNull):
-        return log_likelihood_weight(x, (measure.theta0, measure.theta0))
-    if isinstance(measure, Rectangle):
-        total = 0.0
-        for (s_a, n_a, lo, hi) in (
-            (x.s_c, x.n_c, measure.l_c, measure.u_c),
-            (x.s_d, x.n_d, measure.l_d, measure.u_d),
-        ):
-            a, b = float(s_a + 1), float(n_a - s_a + 1)
-            diff = float(_stable_beta_cdf_diff(np.float64(a), np.float64(b), lo, hi))
-            total += np.log(diff) - np.log(hi - lo) + float(log_beta(a, b))
-        return float(total)
     raise TypeError(f"unknown measure {measure!r}")
 
 

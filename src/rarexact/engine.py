@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import log_binom, logsumexp_fixed
 from .policies import EqualAllocation, Policy
-from .states import Layer, Transition, TrialState, layer as make_layer
+from .states import Layer, Transition, layer as make_layer
 from .wald import layer_wald_statistics
 
 LN2 = float(np.log(2.0))
@@ -91,7 +91,7 @@ def forward_g(policy: Policy, n: int | None = None, b: int | None = None) -> Pat
     """Terminal path-weight table of ``policy`` over horizon ``n``.
 
     Starts from the balanced burn-in layer and pushes each state's weight
-    to all four successors, with the allocation probability attached to the
+    to all four children, with the allocation probability attached to the
     arm and both outcome branches receiving the full arm mass (outcome
     likelihoods enter later, through the evaluation weights).
     """
@@ -138,21 +138,10 @@ def _count_log_prob(count: np.ndarray, prob: float) -> np.ndarray | float:
     return count * np.log(prob)
 
 
-def log_likelihood_weight(x: TrialState, theta: tuple[float, float]) -> float:
-    """Log outcome likelihood of a state: each success contributes
-    ``ln(theta_a)`` and each failure ``ln(1 - theta_a)``."""
-    tc, td = theta
-    parts = [
-        _count_log_prob(np.asarray(x.s_c), tc),
-        _count_log_prob(np.asarray(x.n_c - x.s_c), 1.0 - tc),
-        _count_log_prob(np.asarray(x.s_d), td),
-        _count_log_prob(np.asarray(x.n_d - x.s_d), 1.0 - td),
-    ]
-    return float(sum(parts))
-
-
 def layer_log_likelihood(lay: Layer, theta: tuple[float, float]) -> np.ndarray:
-    """Vectorized :func:`log_likelihood_weight` over a layer."""
+    """Log outcome likelihood of every state of a layer at ``theta``: each
+    success on arm ``a`` contributes ``ln(theta_a)`` and each failure
+    ``ln(1 - theta_a)``, with ``0 * ln 0 = 0``."""
     tc, td = theta
     s_c, s_d, n_c, n_d = lay.arrays()
     return (
@@ -271,8 +260,3 @@ class TerminalFunctional:
     def value(self, theta: tuple[float, float]) -> float:
         """Expectation of a single function at one point."""
         return float(self.values([theta])[0])
-
-
-def oc_value(f: np.ndarray, table: PathWeightTable, theta: tuple[float, float]) -> float:
-    """Exact expectation of a terminal function under ``theta``."""
-    return TerminalFunctional(f, table).value(theta)

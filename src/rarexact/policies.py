@@ -1,5 +1,5 @@
 """Allocation policies: the probability of assigning the next participant
-to the control arm, as a function of the current trial state.
+to the control arm, computed for every state of an epoch layer at once.
 
 Every policy is defined for epochs ``t >= 2b``; the first ``2b``
 participants are always allocated by the canonical alternating burn-in,
@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import gammaln_table, log_prob_beta_greater
+from .numerics import gammaln_table
 from .states import Layer, TrialState, layer as make_layer
 
 # Allocation probabilities are kept away from 0 and 1 so no state becomes
@@ -20,15 +20,15 @@ from .states import Layer, TrialState, layer as make_layer
 DBCD_CLIP = (0.01, 0.99)
 
 
-def neyman_target(theta_c: float, theta_d: float) -> float:
+def neyman_target(theta_c, theta_d):
     """Allocation proportion to control that minimizes the variance of the
     difference-in-means estimate (proportional to per-arm standard
-    deviations)."""
-    if not (0.0 < theta_c < 1.0 and 0.0 < theta_d < 1.0):
+    deviations); elementwise over arrays of rates."""
+    if not np.all((0.0 < theta_c) & (theta_c < 1.0) & (0.0 < theta_d) & (theta_d < 1.0)):
         raise ValueError("neyman_target requires rates strictly inside (0, 1)")
     sc = np.sqrt(theta_c * (1.0 - theta_c))
     sd = np.sqrt(theta_d * (1.0 - theta_d))
-    return float(sc / (sc + sd))
+    return sc / (sc + sd)
 
 
 def _shrunk_estimates(s_c, s_d, n_c, n_d):
@@ -49,8 +49,8 @@ def _dbcd_alloc(rho, r, gamma):
 
 @dataclass(frozen=True)
 class Policy:
-    """Base class; concrete policies implement :meth:`control_prob` and the
-    vectorized :meth:`layer_control_probs`."""
+    """Base class; concrete policies implement :meth:`layer_control_probs`,
+    and :meth:`control_prob` reads one state's entry of it."""
 
     n: int
     burn_in: int
@@ -58,7 +58,11 @@ class Policy:
     is_symmetric = False
 
     def control_prob(self, state: TrialState) -> float:
-        raise NotImplementedError
+        """Allocation probability of one state past the burn-in."""
+        if state.epoch < 2 * self.burn_in:
+            raise ValueError("states inside the burn-in are allocated canonically")
+        lay = make_layer(state.epoch, self.burn_in, self.n)
+        return float(self.layer_control_probs(lay)[lay.index(state)])
 
     def layer_control_probs(self, lay: Layer) -> np.ndarray:
         """Allocation probabilities for every state of ``lay`` in canonical
@@ -83,36 +87,29 @@ class EqualAllocation(Policy):
 
     is_symmetric = True
 
-    def control_prob(self, state: TrialState) -> float:
-        return 0.5
-
     def layer_control_probs(self, lay: Layer) -> np.ndarray:
         return np.full(lay.size, 0.5)
 
 
 @dataclass(frozen=True)
 class DbcdNeyman(Policy):
-    """Doubly adaptive biased coin targeting the Neyman proportion."""
+    """Doubly adaptive biased coin targeting the Neyman proportion.
+
+    The coin steers the realized control proportion, so it needs both
+    arms non-empty: the burn-in must be at least one per arm."""
 
     gamma: float = 2.0
 
     is_symmetric = True
 
-    def control_prob(self, state: TrialState) -> float:
-        t = state.epoch
-        if state.n_c == 0 or state.n_d == 0:
-            raise ValueError("DBCD allocation requires both group sizes positive")
-        tc, td = _shrunk_estimates(state.s_c, state.s_d, state.n_c, state.n_d)
-        rho = neyman_target(tc, td)
-        q = _dbcd_alloc(rho, state.n_c / t, self.gamma)
-        return float(np.clip(q, *DBCD_CLIP))
+    def __post_init__(self):
+        if self.burn_in < 1:
+            raise ValueError(f"DBCD needs a burn-in of at least 1 per arm, not {self.burn_in}")
 
     def layer_control_probs(self, lay: Layer) -> np.ndarray:
         s_c, s_d, n_c, n_d = lay.arrays()
         tc, td = _shrunk_estimates(s_c, s_d, n_c, n_d)
-        sc = np.sqrt(tc * (1.0 - tc))
-        sd = np.sqrt(td * (1.0 - td))
-        rho = sc / (sc + sd)
+        rho = neyman_target(tc, td)
         q = _dbcd_alloc(rho, n_c / lay.t, self.gamma)
         return np.clip(q, *DBCD_CLIP)
 
@@ -126,13 +123,6 @@ class TemperedDbcdNeyman(DbcdNeyman):
     estimated inferior: outside the agreeing branches the target is 1/2."""
 
     is_symmetric = True
-
-    def control_prob(self, state: TrialState) -> float:
-        q = super().control_prob(state)
-        tc, td = _shrunk_estimates(state.s_c, state.s_d, state.n_c, state.n_d)
-        if (q > 0.5 and tc > td) or (q < 0.5 and td > tc):
-            return q
-        return 0.5
 
     def layer_control_probs(self, lay: Layer) -> np.ndarray:
         q = super().layer_control_probs(lay)
@@ -168,16 +158,6 @@ class BayesianRar(Policy):
         return (epoch + 1) / (2.0 * self.n)
 
     is_symmetric = True
-
-    def control_prob(self, state: TrialState) -> float:
-        lp, ls = log_prob_beta_greater(
-            state.s_c + 1, state.n_c - state.s_c + 1,
-            state.s_d + 1, state.n_d - state.s_d + 1,
-        )
-        e = self._exponent(state.epoch)
-        a, c = e * lp, e * ls
-        m = np.logaddexp(a, c)
-        return float(np.exp(a - m))
 
     def layer_log_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
         g = gammaln_table(2 * lay.t + 8)
@@ -266,10 +246,6 @@ class TablePolicy(Policy):
         if (self.n, self.burn_in) != (self.table.n, self.table.burn_in):
             raise ValueError("table horizon/burn-in mismatch")
 
-    def control_prob(self, state: TrialState) -> float:
-        lay = make_layer(state.epoch, self.burn_in, self.n)
-        return float(self.table.probs_for_epoch(state.epoch)[lay.index(state)])
-
     def layer_control_probs(self, lay: Layer) -> np.ndarray:
         if lay.b != self.burn_in:
             raise ValueError("layer burn-in does not match the table")
@@ -277,10 +253,3 @@ class TablePolicy(Policy):
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), p=self.table.p)
-
-
-def alloc_prob(policy: Policy, state: TrialState) -> float:
-    """Dispatch the per-state allocation probability of ``policy``."""
-    if state.epoch < 2 * policy.burn_in:
-        raise ValueError("states inside the burn-in are allocated canonically")
-    return policy.control_prob(state)

@@ -18,9 +18,6 @@ from functools import lru_cache
 
 import numpy as np
 
-CONTROL = "C"
-DEVELOP = "D"
-
 
 @dataclass(frozen=True)
 class TrialState:
@@ -42,45 +39,6 @@ class TrialState:
     @property
     def successes(self) -> int:
         return self.s_c + self.s_d
-
-    def swap(self) -> "TrialState":
-        """Exchange the roles of the two arms."""
-        return TrialState(self.s_d, self.s_c, self.n_d, self.n_c)
-
-
-INITIAL_STATE = TrialState(0, 0, 0, 0)
-
-
-def successors(state: TrialState, arm: str) -> tuple[TrialState, TrialState]:
-    """Return the (success, failure) successors after allocating one
-    participant to ``arm``."""
-    if arm == CONTROL:
-        return (
-            TrialState(state.s_c + 1, state.s_d, state.n_c + 1, state.n_d),
-            TrialState(state.s_c, state.s_d, state.n_c + 1, state.n_d),
-        )
-    if arm == DEVELOP:
-        return (
-            TrialState(state.s_c, state.s_d + 1, state.n_c, state.n_d + 1),
-            TrialState(state.s_c, state.s_d, state.n_c, state.n_d + 1),
-        )
-    raise ValueError(f"unknown arm {arm!r}")
-
-
-def predecessors(state: TrialState) -> list[tuple[TrialState, str, bool]]:
-    """All (predecessor, arm, outcome-was-success) triples leading to ``state``."""
-    preds = []
-    if state.n_c > 0:
-        if state.s_c > 0:
-            preds.append((TrialState(state.s_c - 1, state.s_d, state.n_c - 1, state.n_d), CONTROL, True))
-        if state.s_c <= state.n_c - 1:
-            preds.append((TrialState(state.s_c, state.s_d, state.n_c - 1, state.n_d), CONTROL, False))
-    if state.n_d > 0:
-        if state.s_d > 0:
-            preds.append((TrialState(state.s_c, state.s_d - 1, state.n_c, state.n_d - 1), DEVELOP, True))
-        if state.s_d <= state.n_d - 1:
-            preds.append((TrialState(state.s_c, state.s_d, state.n_c, state.n_d - 1), DEVELOP, False))
-    return preds
 
 
 class Layer:
@@ -193,7 +151,7 @@ class Layer:
 class Transition:
     """The edges from layer ``t`` to layer ``t + 1`` under burn-in ``b``
     (``t >= 2b``): state ``(s_c, s_d, n_c, n_d)`` of :attr:`src` has the
-    control successors ``(s_c + 1, s_d, n_c + 1, n_d)`` (success) and
+    control children ``(s_c + 1, s_d, n_c + 1, n_d)`` (success) and
     ``(s_c, s_d, n_c + 1, n_d)`` (failure), and the developmental ones
     ``(s_c, s_d + 1, n_c, n_d + 1)`` and ``(s_c, s_d, n_c, n_d + 1)``.
 
@@ -214,7 +172,7 @@ class Transition:
 
     def push(self, log_w: np.ndarray, log_q: np.ndarray, log_1q: np.ndarray) -> np.ndarray:
         """Log weights on :attr:`dst`: each weight times the allocation
-        probability of an arm goes to both outcome successors of that arm."""
+        probability of an arm goes to both outcome children of that arm."""
         src, dst = self.src, self.dst
         nxt = np.full(dst.size, -np.inf)
         for n_c, n_d, sl in src.blocks():
@@ -232,7 +190,7 @@ class Transition:
 
     def pull(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(wc, wd)`` over :attr:`src`: ``wc[i]`` sums ``v`` over the two
-        control successors of state ``i``, ``wd[i]`` over the other two."""
+        control children of state ``i``, ``wd[i]`` over the other two."""
         src, dst = self.src, self.dst
         wc = np.empty(src.size)
         wd = np.empty(src.size)

@@ -11,27 +11,13 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import normal_quantile
-from .states import Layer, TrialState
-
-
-def wald_statistic(x: TrialState) -> float:
-    if x.n_c == 0 or x.n_d == 0:
-        raise ValueError("Wald statistic requires both group sizes positive")
-    tc = x.s_c / x.n_c
-    td = x.s_d / x.n_d
-    if 0.0 < tc < 1.0 or 0.0 < td < 1.0:
-        se = np.sqrt(tc * (1.0 - tc) / x.n_c + td * (1.0 - td) / x.n_d)
-        return float((td - tc) / se)
-    diff = td - tc
-    if diff > 0:
-        return np.inf
-    if diff < 0:
-        return -np.inf
-    return 0.0
+from .states import Layer
 
 
 def wald_statistics(s_c, s_d, n_c, n_d) -> np.ndarray:
-    """Vectorized :func:`wald_statistic` over arrays of states."""
+    """Wald statistics ``(d - c) / se`` of states given as arrays, ``c`` and
+    ``d`` the per-arm success proportions and ``se`` their unpooled
+    standard error."""
     if np.any(n_c == 0) or np.any(n_d == 0):
         raise ValueError("Wald statistic requires both group sizes positive")
     tc = s_c / n_c
@@ -50,12 +36,6 @@ def layer_wald_statistics(lay: Layer) -> np.ndarray:
     if lay.n_c_min < 1 or lay.n_c_max > lay.t - 1:
         raise ValueError("layer contains states with an empty group")
     return wald_statistics(*lay.arrays())
-
-
-def asymptotic_reject(x: TrialState | float, alpha: float) -> bool:
-    """Two-sided asymptotic Wald test at level ``alpha``."""
-    t = wald_statistic(x) if isinstance(x, TrialState) else float(x)
-    return bool(asymptotic_reject_array(t, alpha))
 
 
 def asymptotic_reject_array(t: np.ndarray, alpha: float) -> np.ndarray:

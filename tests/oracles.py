@@ -7,11 +7,13 @@ none of the package's indexing or sweep machinery.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
 
 import numpy as np
+from scipy.special import betainc, gammaln
 
 
 def wald_ref(s_c, s_d, n_c, n_d):
@@ -33,6 +35,7 @@ def enumerate_path_weights(prob_fn, n, b):
     the burn-in; the first ``2b`` arms alternate (control first) with
     probability one.  Returns ``{terminal state tuple: weight}``.
     """
+    prob_fn = functools.lru_cache(maxsize=None)(prob_fn)
     weights = {}
     for arms in itertools.product("CD", repeat=n):
         if any(arms[t] != ("C" if t % 2 == 0 else "D") for t in range(2 * b)):
@@ -92,6 +95,80 @@ def _log_count_prob(count, prob):
     if prob == 0.0:
         return np.where(count == 0, 0.0, -np.inf)
     return count * np.log(prob)
+
+
+def log_likelihood_weight(x, theta):
+    """Log outcome likelihood of the state ``x`` (any object with ``s_c``,
+    ``s_d``, ``n_c``, ``n_d``): each success contributes ``ln(theta_a)`` and
+    each failure ``ln(1 - theta_a)``."""
+    tc, td = theta
+    return float(
+        _log_count_prob(x.s_c, tc)
+        + _log_count_prob(x.n_c - x.s_c, 1.0 - tc)
+        + _log_count_prob(x.s_d, td)
+        + _log_count_prob(x.n_d - x.s_d, 1.0 - td)
+    )
+
+
+def _log_beta(a, b):
+    return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
+
+
+def measure_log_weight(x, measure):
+    """Log outcome likelihood of the state ``x`` integrated over the prior
+    ``measure`` (a ``rarexact.cmdp`` measure), one state at a time from
+    ``math.lgamma`` and the regularized incomplete beta function."""
+    kind = type(measure).__name__
+    if kind == "AltUniform":
+        return _log_beta(x.s_c + 1, x.n_c - x.s_c + 1) + _log_beta(x.s_d + 1, x.n_d - x.s_d + 1)
+    if kind == "NullUniform":
+        s, t = x.s_c + x.s_d, x.n_c + x.n_d
+        return _log_beta(s + 1, t - s + 1)
+    if kind == "PointNull":
+        return log_likelihood_weight(x, (measure.theta0, measure.theta0))
+    if kind == "Rectangle":
+        total = 0.0
+        for s, m, lo, hi in ((x.s_c, x.n_c, measure.l_c, measure.u_c),
+                             (x.s_d, x.n_d, measure.l_d, measure.u_d)):
+            a, b = s + 1, m - s + 1
+            # the interval's Beta(a, b) mass from whichever tail cancels less
+            mass = max(betainc(a, b, hi) - betainc(a, b, lo),
+                       betainc(b, a, 1.0 - lo) - betainc(b, a, 1.0 - hi))
+            total += math.log(mass) - math.log(hi - lo) + _log_beta(a, b)
+        return total
+    raise TypeError(f"unknown measure {measure!r}")
+
+
+def _beta_exceedance_sum(a1, b1, a2, b2):
+    """``P(Y > X)`` for ``X ~ Beta(a1, b1)``, ``Y ~ Beta(a2, b2)``, integer
+    parameters, via the exact finite sum over the ``a2`` mass terms."""
+    g = gammaln(np.arange(a1 + b1 + a2 + b2 + 2, dtype=np.float64))
+    lb_a1b1 = g[a1] + g[b1] - g[a1 + b1]
+    i = np.arange(a2)
+    log_terms = (
+        (g[a1 + i] + g[b1 + b2] - g[a1 + i + b1 + b2])
+        - np.log(b2 + i)
+        - (g[1 + i] + g[b2] - g[1 + i + b2])
+        - lb_a1b1
+    )
+    return math.fsum(np.exp(log_terms))
+
+
+def prob_beta_greater(a1, b1, a2, b2):
+    """``P(X > Y)`` for independent ``X ~ Beta(a1, b1)``, ``Y ~ Beta(a2, b2)``.
+
+    Parameters must be positive integers (posterior counts plus one under
+    a uniform prior).  Uses the exact summation identity; the smaller tail
+    is summed directly so both ``P`` and ``1 - P`` are accurate.
+    """
+    for v in (a1, b1, a2, b2):
+        if int(v) != v or v < 1:
+            raise ValueError("prob_beta_greater requires positive integer parameters")
+    a1, b1, a2, b2 = int(a1), int(b1), int(a2), int(b2)
+    if a1 * b2 >= a2 * b1:
+        # P(X > Y) is the larger side; sum its complement directly
+        return 1.0 - _beta_exceedance_sum(a1, b1, a2, b2)
+    return _beta_exceedance_sum(a2, b2, a1, b1)
 
 
 def _logsumexp(values):
@@ -272,6 +349,7 @@ def backward_policy_ref(reward_fn, n, b, actions):
 
 def policy_value_ref(reward_fn, prob_fn, n, b):
     """Value of a fixed policy by history-tree recursion."""
+    prob_fn = functools.lru_cache(maxsize=None)(prob_fn)
 
     def rec(s_c, s_d, n_c, n_d):
         t = n_c + n_d

@@ -206,6 +206,8 @@ def test_cli_exit_codes(tmp_path):
     assert main(["oc", "--config", str(bad), "--out", str(tmp_path / "x.csv")]) == 2
     cfg = _cfg(tmp_path, "bad2.json", n=10, burn_in=1, policy="NoSuchPolicy")
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "x.rxgw")]) == 2
+    cfg = _cfg(tmp_path, "dbcd_b0.json", n=10, burn_in=0, policy="DbcdNeyman")
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "x.rxgw")]) == 2
     cfg = _cfg(tmp_path, "bad3.json", n=10, burn_in=1, policy="EqualAllocation")
     assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2  # no grid
     for bad in ([0.5, 1.5], [-0.2, 0.5], [0.5, "NaN"]):
@@ -275,14 +277,13 @@ def test_cli_oc_independent_of_thread_counts(tmp_path):
     assert all(o == outputs[0] for o in outputs[1:])
 
 
-def test_cli_every_subcommand_shares_the_common_options(monkeypatch):
+def test_cli_every_subcommand_shares_the_common_options():
     from rarexact.cli import COMMANDS, _parser
 
-    monkeypatch.setenv("RAREXACT_THREADS", "3")
     assert len(COMMANDS) == 7
     for path, (handler, _) in COMMANDS.items():
         args = _parser().parse_args([*path, "--config", "c.json", "--out", "o"])
         assert args.handler is handler
-        assert (args.config, args.out, args.threads) == ("c.json", "o", 3)
+        assert (args.config, args.out, args.threads) == ("c.json", "o", 0)
         args = _parser().parse_args([*path, "--config", "c.json", "--out", "o", "--threads", "1"])
         assert args.threads == 1

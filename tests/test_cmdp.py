@@ -16,14 +16,13 @@ from rarexact import (
     forward_g,
     lagrangian_backward,
     layer,
-    measure_log_weight,
     measure_log_weights,
     solve_cmdp,
 )
 from rarexact.cmdp import _uniform_table, evaluate_backward
 from rarexact.policies import PolicyTable, TablePolicy
 
-from oracles import backward_policy_ref, backward_value_ref, policy_value_ref
+from oracles import backward_policy_ref, backward_value_ref, measure_log_weight, policy_value_ref
 
 
 def test_measure_weight_examples():

@@ -13,13 +13,11 @@ from rarexact import (
     equal_allocation_g,
     forward_g,
     layer,
-    log_likelihood_weight,
-    oc_value,
 )
 from rarexact.engine import TerminalFunctional, layer_log_likelihood
 from rarexact.policies import Policy
 
-from oracles import enumerate_path_weights, expectation_ref
+from oracles import enumerate_path_weights, expectation_ref, log_likelihood_weight
 
 
 class ConstantCoin(Policy):
@@ -148,14 +146,14 @@ def test_oc_value_total_probability():
         table = forward_g(policy)
         ones = np.ones(table.layer.size)
         for theta in [(0.5, 0.5), (0.2, 0.9), (0.0, 1.0)]:
-            assert oc_value(ones, table, theta) == pytest.approx(1.0, abs=1e-10)
+            assert TerminalFunctional(ones, table).value(theta) == pytest.approx(1.0, abs=1e-10)
 
 
 def test_oc_value_equal_allocation_binomial():
     table = equal_allocation_g(2, b=1)
     s = table.successes()
-    assert oc_value((s == 1).astype(float), table, (0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
-    assert oc_value((s == 2).astype(float), table, (1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
+    assert TerminalFunctional((s == 1).astype(float), table).value((0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
+    assert TerminalFunctional((s == 2).astype(float), table).value((1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_oc_value_matches_brute_force():
@@ -168,7 +166,7 @@ def test_oc_value_matches_brute_force():
     f = (s_c + s_d).astype(float)
     for theta in [(0.5, 0.5), (0.2, 0.8), (0.9, 0.4)]:
         want = expectation_ref(ref, lambda st: st[0] + st[1], theta)
-        assert oc_value(f, table, theta) == pytest.approx(want, rel=1e-10)
+        assert TerminalFunctional(f, table).value(theta) == pytest.approx(want, rel=1e-10)
 
 
 def test_terminal_functional_handles_signed_functions():

@@ -7,49 +7,11 @@ from scipy.integrate import quad
 from scipy.stats import beta as beta_dist
 
 from rarexact.numerics import (
-    beta_cdf,
-    log_beta,
     log_binom,
     logsumexp_fixed,
     normal_quantile,
-    prob_beta_greater,
 )
-
-
-def test_log_beta_values():
-    assert log_beta(1, 1) == pytest.approx(0.0, abs=1e-15)
-    assert log_beta(2, 1) == pytest.approx(math.log(0.5), abs=1e-13)
-    assert log_beta(2, 3) == pytest.approx(math.log(1 / 12), abs=1e-13)
-
-
-def test_log_beta_large_arguments_absolute_error():
-    # against the exact factorial expression at integer arguments
-    for a, b in [(700, 1400), (2100, 2100), (1, 2100)]:
-        exact = (
-            math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-        )
-        assert abs(log_beta(a, b) - exact) <= 1e-12 * max(1.0, abs(exact))
-
-
-def test_log_beta_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        log_beta(0, 1)
-    with pytest.raises(ValueError):
-        log_beta(2, -1)
-
-
-def test_beta_cdf_examples():
-    x = np.linspace(0, 1, 11)
-    assert beta_cdf(x, 1, 1) == pytest.approx(x, abs=1e-14)
-    assert beta_cdf(0.5, 2, 2) == pytest.approx(0.5, abs=1e-14)
-    assert beta_cdf(0.25, 2, 1) == pytest.approx(0.0625, rel=1e-10)
-
-
-def test_beta_cdf_domain():
-    with pytest.raises(ValueError):
-        beta_cdf(1.5, 1, 1)
-    with pytest.raises(ValueError):
-        beta_cdf(0.5, 0, 1)
+from oracles import prob_beta_greater
 
 
 def test_normal_quantile():

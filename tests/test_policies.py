@@ -9,12 +9,10 @@ from rarexact import (
     TablePolicy,
     TemperedDbcdNeyman,
     TrialState,
-    alloc_prob,
     layer,
     neyman_target,
 )
-from rarexact.numerics import prob_beta_greater
-from oracles import posterior_log_probs_ref as _posterior_log_probs
+from oracles import posterior_log_probs_ref as _posterior_log_probs, prob_beta_greater
 
 
 def test_neyman_target_symmetry_and_paper_values():
@@ -53,6 +51,13 @@ def test_dbcd_fixed_points():
     st = TrialState(2, 7, 6, 14)
     tc, td = 2.5 / 7, 7.5 / 15
     assert pol0.control_prob(st) == pytest.approx(neyman_target(tc, td), abs=1e-12)
+
+
+def test_dbcd_requires_a_burn_in():
+    # the coin steers the realized proportion, undefined with an empty arm
+    for cls in (DbcdNeyman, TemperedDbcdNeyman):
+        with pytest.raises(ValueError):
+            cls(10, 0)
 
 
 def test_dbcd_monotone_in_target():
@@ -143,12 +148,22 @@ def test_swap_antisymmetry_of_allocation(policy_cls):
 
 def test_layer_probs_match_scalar_dispatch():
     n, b = 10, 1
-    for pol in (BayesianRar(n, b), DbcdNeyman(n, b), TemperedDbcdNeyman(n, b)):
+    codes = tuple(
+        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
+        else (np.arange(layer(t, b).size) % 3).astype(np.int8)
+        for t in range(n)
+    )
+    table_policy = TablePolicy(n, b, table=PolicyTable(n, b, 0.9, codes))
+    for pol in (BayesianRar(n, b), DbcdNeyman(n, b), TemperedDbcdNeyman(n, b),
+                EqualAllocation(n, b), table_policy):
         for t in range(2 * b, n):
             lay = layer(t, b)
             q = pol.layer_control_probs(lay)
-            for i in range(0, lay.size, 3):
-                assert q[i] == pytest.approx(alloc_prob(pol, lay.state(i)), abs=1e-11)
+            for i in range(lay.size):
+                assert q[i] == pol.control_prob(lay.state(i))
+        for state in (TrialState(0, 0, 0, 0), TrialState(1, 0, 1, 0)):
+            with pytest.raises(ValueError):
+                pol.control_prob(state)
 
 
 def test_policy_table_lookup_and_validation():
@@ -163,13 +178,13 @@ def test_policy_table_lookup_and_validation():
     pol = TablePolicy(n, b, table=table)
     lay = layer(2, b)
     assert pol.layer_control_probs(lay) == pytest.approx([0.05, 0.5, 0.95, 0.5], abs=1e-12)
-    assert alloc_prob(pol, lay.state(2)) == pytest.approx(0.95)
+    assert pol.control_prob(lay.state(2)) == pytest.approx(0.95)
     with pytest.raises(ValueError):
         table.probs_for_epoch(1)   # burn-in sentinel
     with pytest.raises(ValueError):
         PolicyTable(n, b, 0.3, tuple(codes))
     with pytest.raises(ValueError):
-        alloc_prob(pol, TrialState(0, 0, 1, 0))
+        pol.control_prob(TrialState(0, 0, 1, 0))
 
 
 def test_equal_allocation_probs_are_sentinel():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rarexact import TrialState, layer, predecessors, successors
+from rarexact import TrialState, layer
 from rarexact.states import Layer, Transition
 
 from oracles import enumerate_layer_states
@@ -70,24 +70,6 @@ def test_index_rejects_inadmissible():
         layer(5, 2, n=4)
     with pytest.raises(ValueError):
         layer(3, 3, n=4)
-
-
-def test_successors():
-    s_succ, s_fail = successors(TrialState(0, 0, 0, 0), "C")
-    assert s_succ == TrialState(1, 0, 1, 0)
-    assert s_fail == TrialState(0, 0, 1, 0)
-    d_succ, d_fail = successors(TrialState(1, 2, 2, 2), "D")
-    assert d_succ == TrialState(1, 3, 2, 3)
-    assert d_fail == TrialState(1, 2, 2, 3)
-
-
-def test_successor_predecessor_round_trip():
-    lay = layer(5, 0)
-    for i in range(lay.size):
-        x = lay.state(i)
-        for arm in "CD":
-            for child in successors(x, arm):
-                assert any(p == x for p, _, _ in predecessors(child))
 
 
 def test_arrays_consistent_with_state():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rarexact import TrialState, asymptotic_reject, layer, wald_statistic
+from rarexact import layer, wald_statistics
 from rarexact.wald import asymptotic_reject_array, layer_wald_statistics
 
 from oracles import wald_ref
@@ -11,18 +11,18 @@ from oracles import wald_ref
 
 def test_wald_hand_example():
     # one success of two on control, both successes on developmental
-    assert wald_statistic(TrialState(1, 2, 2, 2)) == pytest.approx(
+    assert wald_statistics(1, 2, 2, 2) == pytest.approx(
         (1 - 0.5) / math.sqrt(0.25 / 2), abs=1e-12
     )
-    assert wald_statistic(TrialState(1, 2, 2, 2)) == pytest.approx(1.414214, abs=1e-6)
+    assert wald_statistics(1, 2, 2, 2) == pytest.approx(1.414214, abs=1e-6)
 
 
 def test_wald_boundary_conventions():
-    assert wald_statistic(TrialState(2, 2, 2, 2)) == 0.0
-    assert wald_statistic(TrialState(0, 2, 2, 2)) == np.inf
-    assert wald_statistic(TrialState(2, 0, 2, 2)) == -np.inf
+    assert wald_statistics(2, 2, 2, 2) == 0.0
+    assert wald_statistics(0, 2, 2, 2) == np.inf
+    assert wald_statistics(2, 0, 2, 2) == -np.inf
     with pytest.raises(ValueError):
-        wald_statistic(TrialState(0, 0, 0, 2))
+        wald_statistics(0, 0, 0, 2)
 
 
 def test_layer_statistics_match_scalar():
@@ -50,11 +50,11 @@ def test_antisymmetry_exact(t):
 
 
 def test_asymptotic_reject():
-    assert not asymptotic_reject(0.0, 0.04)
-    assert asymptotic_reject(np.inf, 0.001)
-    assert asymptotic_reject(1.96, 0.05)      # 1.96 >= 1.959964
-    assert not asymptotic_reject(1.9599, 0.05)
-    assert asymptotic_reject(TrialState(0, 2, 2, 2), 0.05)
+    assert not asymptotic_reject_array(0.0, 0.04)
+    assert asymptotic_reject_array(np.inf, 0.001)
+    assert asymptotic_reject_array(1.96, 0.05)      # 1.96 >= 1.959964
+    assert not asymptotic_reject_array(1.9599, 0.05)
+    assert asymptotic_reject_array(wald_statistics(0, 2, 2, 2), 0.05)
 
 
 def test_asymptotic_reject_array():
