@@ -7,7 +7,9 @@ layers, one :meth:`~rarexact.states.Transition.pull` per layer (outcome
 likelihoods live entirely in the terminal reward, so both outcome branches
 carry weight one), and the multipliers follow a projected subgradient with
 per-coordinate AdaGrad steps until a duality-gap certificate or the
-iteration limit stops the loop (:func:`solve_cmdp`).
+iteration limit stops the loop (:func:`solve_cmdp`).  The objective and
+every constraint value are expectations of one row of a terminal integrand
+matrix under the forward path weights; the reward reads the same rows.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 from scipy.special import betainc
 
 from .engine import PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood
-from .numerics import check_alpha, gammaln_table, logsumexp_fixed
+from .numerics import check_alpha, gammaln_table
 from .policies import PolicyTable, TablePolicy
 from .states import Layer, Transition, layer as make_layer
 from .wald import asymptotic_reject_array, layer_wald_statistics
@@ -208,19 +210,10 @@ class CmdpResult:
     dual: DualState
     feasible: bool
     iterations: int
-    balanced_audit: AuditReport
 
 
 # ---------------------------------------------------------------------------
 # backward recursion
-
-
-def _uniform_table(spec: CmdpSpec) -> PolicyTable:
-    codes = []
-    for t in range(spec.n):
-        fill = PolicyTable.BURN_IN_CODE if t < 2 * spec.burn_in else 1
-        codes.append(np.full(make_layer(t, spec.burn_in, spec.n).size, fill, dtype=np.int8))
-    return PolicyTable(spec.n, spec.burn_in, spec.p, tuple(codes))
 
 
 def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable, float]:
@@ -266,55 +259,35 @@ def evaluate_backward(table: PolicyTable, reward: np.ndarray, spec: CmdpSpec) ->
 # audit and dual solver
 
 
-def _weighted_total(table: PathWeightTable, log_f: np.ndarray, log_w: np.ndarray) -> float:
-    return float(np.exp(logsumexp_fixed(table.log_g + log_f + log_w)))
-
-
 class _AuditContext:
-    """Caches the terminal layer structure and the per-constraint terminal
-    terms so repeated audits inside the dual loop cost one forward sweep
-    plus dot products."""
+    """The terminal integrands of one problem as the rows of one linear
+    ``(K + 1, size)`` matrix: row 0 is the objective, row ``1 + j`` is
+    constraint ``j`` of :meth:`CmdpSpec.constraints` in its order and sign.
+    Each row is the rejection indicator (for a rectangle, minus the superior
+    arm's share ``n_a / n``) times its measure's weight."""
 
     def __init__(self, spec: CmdpSpec):
         self.constraints = spec.constraints()
-        self.lay = make_layer(spec.n, spec.burn_in, spec.n)
-        rej = asymptotic_reject_array(layer_wald_statistics(self.lay), spec.alpha)
-        with np.errstate(divide="ignore"):
-            self.log_rej = np.where(rej, 0.0, -np.inf)
-        self.rej = rej.astype(np.float64)
-        self.alt_lw = measure_log_weights(self.lay, AltUniform())
-        _, _, n_c, n_d = self.lay.arrays()
-        # per constraint (log f, log w, sign): its value is sign * E_g[f w],
-        # f the rejection indicator, or for a benefit the superior arm's share
-        self.terms = []
-        for _, measure, _ in self.constraints:
-            log_f, sign = self.log_rej, 1.0
-            if isinstance(measure, Rectangle):
-                with np.errstate(divide="ignore"):
-                    log_f = np.log((n_c if measure.superior_arm == "C" else n_d) / spec.n)
-                sign = -1.0
-            self.terms.append((log_f, measure_log_weights(self.lay, measure), sign))
-        self.point_lws = {
-            measure.theta0: log_w
-            for (_, measure, _), (_, log_w, _) in zip(self.constraints, self.terms)
-            if isinstance(measure, PointNull)
-        }
+        lay = make_layer(spec.n, spec.burn_in, spec.n)
+        rej = asymptotic_reject_array(layer_wald_statistics(lay), spec.alpha).astype(np.float64)
+        _, _, n_c, n_d = lay.arrays()
+        share = {"C": -n_c / spec.n, "D": -n_d / spec.n}
+        self.integrands = np.array([
+            (share[m.superior_arm] if isinstance(m, Rectangle) else rej)
+            * np.exp(measure_log_weights(lay, m))
+            for m in [AltUniform()] + [m for _, m, _ in self.constraints]
+        ])
 
     def audit(self, gt: PathWeightTable) -> AuditReport:
-        objective = _weighted_total(gt, self.log_rej, self.alt_lw)
-        values = tuple(sign * _weighted_total(gt, log_f, log_w) for log_f, log_w, sign in self.terms)
-        pointwise, benefits = {}, {}
-        for (_, measure, _), value in zip(self.constraints, values):
-            if isinstance(measure, PointNull):
-                pointwise[measure.theta0] = value
-            elif isinstance(measure, Rectangle):
-                benefits[len(benefits)] = -value
-        return AuditReport(objective, values[0], pointwise, benefits, values)
-
-    def integrands(self) -> list[np.ndarray]:
-        """Per constraint, the linear-domain terminal integrand whose
-        g-expectation is the constraint value."""
-        return [sign * np.exp(log_f) * np.exp(log_w) for log_f, log_w, sign in self.terms]
+        """Every row's expectation under ``gt`` in one reduction (``einsum``,
+        not BLAS, so the sums do not depend on the thread count)."""
+        top = float(gt.log_g.max())
+        totals = np.einsum("kj,j->k", self.integrands, np.exp(gt.log_g - top)) * np.exp(top)
+        values = tuple(totals[1:].tolist())
+        measures = [m for _, m, _ in self.constraints]
+        pointwise = {m.theta0: v for m, v in zip(measures, values) if isinstance(m, PointNull)}
+        benefits = dict(enumerate(-v for m, v in zip(measures, values) if isinstance(m, Rectangle)))
+        return AuditReport(float(totals[0]), values[0], pointwise, benefits, values)
 
 
 def audit_policy(table: PolicyTable, spec: CmdpSpec) -> AuditReport:
@@ -340,16 +313,12 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     Returns the strictly feasible iterate with the largest objective; if
     there is none, the iterate within ``tol`` of the bounds with the
     largest objective; if there is none either, the least-violating
-    iterate, flagged infeasible.  The balanced (all-1/2) policy is audited
-    up front for reference; it need not be feasible (under the standard
-    configuration it is not).
+    iterate, flagged infeasible.  The reward is row 0 of the integrands
+    (:class:`_AuditContext`) minus ``lam`` times the constraint rows; the
+    constraint values are the same rows' expectations under the maximizer.
     """
     ctx = _AuditContext(spec)
-    balanced_audit = ctx.audit(
-        forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=_uniform_table(spec)))
-    )
-    base = ctx.rej * np.exp(ctx.alt_lw)
-    integrands = ctx.integrands()
+    base, integrands = ctx.integrands[0], ctx.integrands[1:]
     names = [name for name, _, _ in ctx.constraints]
     bounds = np.array([bound for _, _, bound in ctx.constraints])
 
@@ -393,4 +362,4 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     best = best_strict or best_tol
     feasible = best is not None
     _, table, audit = best if feasible else least_violating
-    return CmdpResult(table, audit, dual, feasible, len(history), balanced_audit)
+    return CmdpResult(table, audit, dual, feasible, len(history))

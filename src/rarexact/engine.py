@@ -87,16 +87,15 @@ def _burn_in_table(b: int) -> np.ndarray:
     return np.add.outer(lb, lb).ravel()
 
 
-def forward_g(policy: Policy, n: int | None = None, b: int | None = None) -> PathWeightTable:
-    """Terminal path-weight table of ``policy`` over horizon ``n``.
+def forward_g(policy: Policy) -> PathWeightTable:
+    """Terminal path-weight table of ``policy`` over its horizon.
 
     Starts from the balanced burn-in layer and pushes each state's weight
     to all four children, with the allocation probability attached to the
     arm and both outcome branches receiving the full arm mass (outcome
     likelihoods enter later, through the evaluation weights).
     """
-    n = policy.n if n is None else n
-    b = policy.burn_in if b is None else b
+    n, b = policy.n, policy.burn_in
     if n < 2 * b:
         raise ValueError("horizon shorter than the burn-in")
     if isinstance(policy, EqualAllocation):

@@ -87,9 +87,9 @@ class RegionCertificate:
     lower_bound: float
 
 
-def certify_region(coeffs: np.ndarray, level: float, tol: float = CERT_TOL) -> RegionCertificate:
+def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
     """Decide whether the null rejection polynomial stays at or below
-    ``level`` (within ``tol``), with a sound two-sided bracket.
+    ``level`` (within ``CERT_TOL``), with a sound two-sided bracket.
 
     Accepts immediately when the coefficient bound suffices; otherwise the
     grid and a bounded line search sharpen the lower bound while midpoint
@@ -99,7 +99,7 @@ def certify_region(coeffs: np.ndarray, level: float, tol: float = CERT_TOL) -> R
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n = coeffs.size - 1
     upper = float(coeffs.max())
-    if upper <= level + tol:
+    if upper <= level + CERT_TOL:
         return RegionCertificate(level, True, upper, float(np.max(coeffs[[0, -1]])))
 
     theta, basis = _grid_basis(n)
@@ -123,7 +123,7 @@ def certify_region(coeffs: np.ndarray, level: float, tol: float = CERT_TOL) -> R
     heap = [(-upper, counter, coeffs)]
     for _ in range(_MAX_BOXES):
         upper = -heap[0][0]
-        if upper <= level + tol:
+        if upper <= level + CERT_TOL:
             return RegionCertificate(level, True, upper, lower)
         if lower > level:
             return RegionCertificate(level, False, upper, lower)

@@ -22,7 +22,7 @@ from .states import TrialState, layer as make_layer
 from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy"
-DEFAULT_EA_BLOCK = 10
+EA_BLOCK = 10
 
 
 @dataclass(frozen=True)
@@ -141,7 +141,6 @@ def _burn_in_arms(alloc_keys: np.ndarray, b: int, blocks: bool) -> np.ndarray:
 
 def _simulate_batch(policy: Policy, theta, alloc_keys: np.ndarray,
                     outcome_keys: np.ndarray, lookup: _EpochLookup,
-                    ea_block: int = DEFAULT_EA_BLOCK,
                     burn_in_blocks: bool = False):
     """Step a batch of trials; returns per-trial arms and outcomes."""
     n, b = policy.n, policy.burn_in
@@ -149,7 +148,7 @@ def _simulate_batch(policy: Policy, theta, alloc_keys: np.ndarray,
     tc, td = theta
     arms = np.empty((m, n), dtype=np.int8)
     if isinstance(policy, EqualAllocation):
-        arms[:] = _arms_from_keys(alloc_keys, _block_plan(n, b, ea_block))
+        arms[:] = _arms_from_keys(alloc_keys, _block_plan(n, b, EA_BLOCK))
         outcomes = np.where(
             arms == 0, outcome_keys < tc, outcome_keys < td
         ).astype(np.int8)
@@ -177,25 +176,22 @@ def _simulate_batch(policy: Policy, theta, alloc_keys: np.ndarray,
 
 
 def _one_trial(policy: Policy, theta, rng: np.random.Generator, lookup: _EpochLookup,
-               ea_block: int, burn_in_blocks: bool = False) -> TrialHistory:
+               burn_in_blocks: bool = False) -> TrialHistory:
     """One trial from the next ``2n`` draws of ``rng``."""
     u = rng.random(2 * policy.n)[None, :]
     arms, outcomes = _simulate_batch(
-        policy, theta, u[:, :policy.n], u[:, policy.n:], lookup, ea_block, burn_in_blocks
+        policy, theta, u[:, :policy.n], u[:, policy.n:], lookup, burn_in_blocks
     )
     return TrialHistory(arms[0], outcomes[0], policy.burn_in)
 
 
-def simulate_trial(policy: Policy, theta, seed: int, stream: int = 0,
-                   ea_block: int = DEFAULT_EA_BLOCK) -> TrialHistory:
+def simulate_trial(policy: Policy, theta, seed: int, stream: int = 0) -> TrialHistory:
     """Simulate one trial: alternating burn-in (permuted blocks for equal
     allocation), then policy-randomized arms and Bernoulli outcomes."""
-    return _one_trial(policy, theta, make_rng(seed, stream), _EpochLookup(policy), ea_block)
+    return _one_trial(policy, theta, make_rng(seed, stream), _EpochLookup(policy))
 
 
-def simulate_terminals(policy: Policy, theta, sims: int, seed: int,
-                       ea_block: int = DEFAULT_EA_BLOCK,
-                       batch: int = 20_000):
+def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int = 20_000):
     """Terminal states of ``sims`` independent trials, one substream per
     trial; returns ``(s_c, s_d, n_c)`` arrays."""
     n = policy.n
@@ -207,26 +203,24 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int,
         u = np.empty((m, 2 * n))
         for i in range(m):
             u[i] = make_rng(seed, start + i).random(2 * n)
-        arms, outcomes = _simulate_batch(
-            policy, theta, u[:, :n], u[:, n:], lookup, ea_block
-        )
+        arms, outcomes = _simulate_batch(policy, theta, u[:, :n], u[:, n:], lookup)
         out[:, start:stop] = _terminal_counts(arms, outcomes)
     return tuple(out)
 
 
 def _rerandomized_stats(policy: Policy, outcomes: np.ndarray, reps: int,
-                        rng: np.random.Generator, lookup: _EpochLookup,
-                        ea_block: int, burn_in_blocks: bool) -> np.ndarray:
+                        rng: np.random.Generator, lookup: _EpochLookup) -> np.ndarray:
     """Wald statistics of ``reps`` re-randomized allocations over a fixed
-    outcome sequence (outcomes attach to participant positions)."""
+    outcome sequence (outcomes attach to participant positions); the burn-in
+    is one permuted balanced block."""
     n, b = policy.n, policy.burn_in
     keys = rng.random((reps, n))
     if isinstance(policy, EqualAllocation):
-        arms = _arms_from_keys(keys, _block_plan(n, b, ea_block))
+        arms = _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
         s_c, s_d, n_c = _terminal_counts(arms, outcomes)
         return wald_statistics(s_c, s_d, n_c, n - n_c)
 
-    burn_in = _burn_in_arms(keys, b, burn_in_blocks)
+    burn_in = _burn_in_arms(keys, b, True)
     s_c = np.zeros(reps, dtype=np.int64)
     s_d = np.zeros(reps, dtype=np.int64)
     n_c = np.zeros(reps, dtype=np.int64)
@@ -248,9 +242,7 @@ def _rerandomized_stats(policy: Policy, outcomes: np.ndarray, reps: int,
 def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
                        alpha: float, seed: int, stream: int = 0,
                        rng: np.random.Generator | None = None,
-                       lookup: _EpochLookup | None = None,
-                       ea_block: int = DEFAULT_EA_BLOCK,
-                       burn_in_blocks: bool = True):
+                       lookup: _EpochLookup | None = None):
     """Two-sided randomization test: hold the outcome sequence fixed in
     participant order, re-run the allocation mechanism, and compare the
     observed Wald statistic against the re-randomization distribution.
@@ -267,8 +259,8 @@ def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
     conservative under designs with heavy statistic ties, such as
     permuted-block equal allocation, but never anti-conservative.
 
-    The burn-in is re-randomized as one permuted balanced block by default,
-    matching the reference simulation protocol.
+    The burn-in is re-randomized as one permuted balanced block, matching
+    the reference simulation protocol.
     """
     check_alpha(alpha)
     if reps < 100:
@@ -277,9 +269,7 @@ def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
     lookup = lookup if lookup is not None else _EpochLookup(policy)
     s_c, s_d, n_c = _terminal_counts(observed.arms[None, :], observed.outcomes)
     t_obs = np.abs(wald_statistics(s_c, s_d, n_c, observed.n - n_c))
-    stats = np.abs(_rerandomized_stats(
-        policy, observed.outcomes, reps, rng, lookup, ea_block, burn_in_blocks
-    ))
+    stats = np.abs(_rerandomized_stats(policy, observed.outcomes, reps, rng, lookup))
     p = (1 + np.count_nonzero(stats >= t_obs)) / (reps + 1.0)
     return p <= alpha, float(p)
 
@@ -294,9 +284,7 @@ class RateEstimate:
 
 
 def randomization_rejection_rate(policy: Policy, theta, sims: int, reps: int,
-                                 alpha: float, seed: int,
-                                 ea_block: int = DEFAULT_EA_BLOCK,
-                                 burn_in_blocks: bool = True) -> RateEstimate:
+                                 alpha: float, seed: int) -> RateEstimate:
     """Rejection rate of the randomization test over independent simulated
     trials, with a normal-approximation 95% half-width.  The observed
     trials use the same burn-in mechanism as the re-randomizations."""
@@ -307,11 +295,8 @@ def randomization_rejection_rate(policy: Policy, theta, sims: int, reps: int,
     rejections = 0
     for i in range(sims):
         rng = make_rng(seed, i)
-        observed = _one_trial(policy, theta, rng, lookup, ea_block, burn_in_blocks)
-        reject, _ = randomization_test(
-            observed, policy, reps, alpha, seed, rng=rng, lookup=lookup,
-            ea_block=ea_block, burn_in_blocks=burn_in_blocks,
-        )
+        observed = _one_trial(policy, theta, rng, lookup, burn_in_blocks=True)
+        reject, _ = randomization_test(observed, policy, reps, alpha, seed, rng=rng, lookup=lookup)
         rejections += bool(reject)
     est = rejections / sims
     half = 1.96 * np.sqrt(est * (1.0 - est) / sims)

@@ -94,7 +94,7 @@ class OcProfile:
         return len(self.thetas)
 
 
-def profile(table: PathWeightTable, rule, thetas, meta: dict | None = None) -> OcProfile:
+def profile(table: PathWeightTable, rule, thetas) -> OcProfile:
     """Evaluate rejection rate and patient benefit over ``thetas`` in one
     batched pass; raises ``ValueError`` for an empty grid or a point that
     is NaN or outside ``[0, 1]``."""
@@ -102,9 +102,7 @@ def profile(table: PathWeightTable, rule, thetas, meta: dict | None = None) -> O
     if not thetas:
         raise ValueError("empty evaluation grid")
     rates, bene = _evaluate(table, rule.reject_table(table), theta_array(thetas))
-    info = dict(meta or {})
-    info.setdefault("test", getattr(rule, "kind", "unknown"))
-    info.setdefault("alpha", getattr(rule, "alpha", None))
+    info = {"test": getattr(rule, "kind", "unknown"), "alpha": getattr(rule, "alpha", None)}
     info.update(table.meta if isinstance(table.meta, dict) else {})
     return OcProfile(thetas, rates, bene, info)
 

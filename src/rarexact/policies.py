@@ -58,9 +58,12 @@ class Policy:
     is_symmetric = False
 
     def control_prob(self, state: TrialState) -> float:
-        """Allocation probability of one state past the burn-in."""
+        """Allocation probability of one state past the burn-in and before
+        the horizon."""
         if state.epoch < 2 * self.burn_in:
             raise ValueError("states inside the burn-in are allocated canonically")
+        if state.epoch >= self.n:
+            raise ValueError(f"epoch {state.epoch} allocates no one: the horizon is {self.n}")
         lay = make_layer(state.epoch, self.burn_in, self.n)
         return float(self.layer_control_probs(lay)[lay.index(state)])
 

@@ -439,3 +439,15 @@ def posterior_log_probs_ref(lay):
     out_p[order] = p
     with np.errstate(divide="ignore"):
         return np.log(out_p), np.log1p(-out_p)
+
+
+def _uniform_table(spec):
+    """The all-1/2 CMDP policy table of ``spec`` (burn-in codes first)."""
+    from rarexact.policies import PolicyTable
+    from rarexact.states import layer
+
+    codes = []
+    for t in range(spec.n):
+        fill = PolicyTable.BURN_IN_CODE if t < 2 * spec.burn_in else 1
+        codes.append(np.full(layer(t, spec.burn_in, spec.n).size, fill, dtype=np.int8))
+    return PolicyTable(spec.n, spec.burn_in, spec.p, tuple(codes))

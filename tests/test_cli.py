@@ -277,6 +277,27 @@ def test_cli_oc_independent_of_thread_counts(tmp_path):
     assert all(o == outputs[0] for o in outputs[1:])
 
 
+def test_cli_cmdp_solve_independent_of_blas_threads(tmp_path):
+    import rarexact
+
+    cfg = _cfg(tmp_path, "cmdp.json", n=24, burn_in=2, rectangles="section4-pairs", max_iters=15)
+    src = str(Path(rarexact.__file__).resolve().parents[1])
+    outputs, codes = [], []
+    for blas_threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        out = tmp_path / f"policy_{blas_threads}.rxpt"
+        proc = subprocess.run(
+            [sys.executable, "-m", "rarexact.cli", "cmdp", "solve", "--config", cfg,
+             "--out", str(out)],
+            env=env, timeout=300,
+        )
+        codes.append(proc.returncode)
+        outputs.append((out.read_bytes(), Path(f"{out}.audit.json").read_bytes()))
+    assert codes[0] in (0, 3) and codes[1] == codes[0]
+    assert outputs[1] == outputs[0]
+
+
 def test_cli_every_subcommand_shares_the_common_options():
     from rarexact.cli import COMMANDS, _parser
 

@@ -19,10 +19,18 @@ from rarexact import (
     measure_log_weights,
     solve_cmdp,
 )
-from rarexact.cmdp import _uniform_table, evaluate_backward
+from rarexact.cmdp import evaluate_backward
 from rarexact.policies import PolicyTable, TablePolicy
 
-from oracles import backward_policy_ref, backward_value_ref, measure_log_weight, policy_value_ref
+from oracles import (
+    _uniform_table,
+    backward_policy_ref,
+    backward_value_ref,
+    enumerate_path_weights,
+    measure_log_weight,
+    policy_value_ref,
+    wald_ref,
+)
 
 
 def test_measure_weight_examples():
@@ -166,6 +174,45 @@ def test_audit_examples():
     assert audit.benefits[0] == pytest.approx(0.5, abs=1e-10)
 
 
+def test_audit_matches_history_enumeration_oracle():
+    # every row of the integrand matrix, including both superior arms of a
+    # rectangle, against brute-force path weights of a lopsided policy
+    from scipy.stats import norm
+
+    rects = (Rectangle(0.05, 0.1, 0.5, 0.75), Rectangle(0.5, 0.75, 0.1, 0.25))
+    spec = CmdpSpec(n=6, burn_in=1, null_grid=(0.25, 0.5), rectangles=rects)
+    rng = np.random.default_rng(3)
+    codes = [np.full(layer(t, 1).size, PolicyTable.BURN_IN_CODE if t < 2 else 0, dtype=np.int8)
+             for t in range(6)]
+    codes[2:] = [rng.integers(0, 3, size=c.size).astype(np.int8) for c in codes[2:]]
+    table = PolicyTable(6, 1, 0.95, tuple(codes))
+
+    def prob_fn(state):
+        t = state[2] + state[3]
+        return float(table.probs_for_epoch(t)[layer(t, 1).index(TrialState(*state))])
+
+    weights = enumerate_path_weights(prob_fn, 6, 1)
+    z = norm.ppf(1 - spec.alpha / 2)
+
+    def expect(f, measure):
+        return sum(g * f(x) * math.exp(measure_log_weight(TrialState(*x), measure))
+                   for x, g in weights.items())
+
+    def rej(x):
+        return float(abs(wald_ref(*x)) >= z)
+
+    audit = audit_policy(table, spec)
+    assert audit.objective == pytest.approx(expect(rej, AltUniform()), abs=1e-12)
+    assert audit.avg_type_i == pytest.approx(expect(rej, NullUniform()), abs=1e-12)
+    for t0 in spec.null_grid:
+        assert audit.pointwise[t0] == pytest.approx(expect(rej, PointNull(t0)), abs=1e-12)
+    for i, r in enumerate(rects):
+        arm = 2 if r.superior_arm == "C" else 3
+        want = expect(lambda x: x[arm] / 6, r)
+        assert audit.benefits[i] == pytest.approx(want, abs=1e-12)
+    assert audit.benefits[0] != pytest.approx(audit.benefits[1], abs=1e-3)
+
+
 def test_solve_unconstrained_dominates_uniform_policy():
     spec = CmdpSpec(n=8, burn_in=1, null_grid=(), alpha_avg=1.0, max_iters=3)
     res = solve_cmdp(spec)
@@ -192,8 +239,7 @@ def test_solve_tiny_matches_lambda_grid_oracle():
     from rarexact.cmdp import _AuditContext
 
     ctx = _AuditContext(spec)
-    base_arr = ctx.rej * np.exp(ctx.alt_lw)
-    cons_arr = ctx.rej * np.exp(ctx.point_lws[theta0])
+    base_arr, cons_arr = ctx.integrands[0], ctx.integrands[2]
 
     def arr_fn(arr):
         return lambda state: arr[lay.index(TrialState(*state))]
@@ -216,10 +262,9 @@ def test_solve_tiny_matches_lambda_grid_oracle():
     assert res.audit.objective >= best_feasible - 1e-9
 
 
-def test_solve_reports_balanced_audit_and_infeasible_path():
+def test_solve_reports_infeasible_path():
     spec = CmdpSpec(n=8, burn_in=1, alpha_point=0.0005, max_iters=5)
     res = solve_cmdp(spec)
-    assert res.balanced_audit is not None
     assert not res.feasible      # cannot push pointwise error this low
     assert res.audit is not None
 

@@ -36,18 +36,18 @@ def _dbcd_reference(state, gamma, n):
 
 
 def test_dbcd_matches_reference_implementation():
-    pol = DbcdNeyman(12, 1, gamma=2.0)
+    pol = DbcdNeyman(13, 1, gamma=2.0)
     for st in [TrialState(3, 3, 6, 6), TrialState(1, 4, 5, 7), TrialState(0, 0, 2, 10)]:
         assert pol.control_prob(st) == pytest.approx(_dbcd_reference(st, 2.0, 12), abs=1e-12)
 
 
 def test_dbcd_fixed_points():
     # at the target proportion the coin is unbiased toward it
-    pol = DbcdNeyman(20, 1, gamma=2.0)
+    pol = DbcdNeyman(21, 1, gamma=2.0)
     st = TrialState(5, 5, 10, 10)   # symmetric estimates => rho = 1/2 = r
     assert pol.control_prob(st) == pytest.approx(0.5, abs=1e-12)
     # gamma = 0 reproduces the plain target regardless of imbalance
-    pol0 = DbcdNeyman(20, 1, gamma=0.0)
+    pol0 = DbcdNeyman(21, 1, gamma=0.0)
     st = TrialState(2, 7, 6, 14)
     tc, td = 2.5 / 7, 7.5 / 15
     assert pol0.control_prob(st) == pytest.approx(neyman_target(tc, td), abs=1e-12)
@@ -73,8 +73,8 @@ def test_dbcd_monotone_in_target():
 
 
 def test_tempered_branches():
-    pol = TemperedDbcdNeyman(20, 1, gamma=2.0)
-    base = DbcdNeyman(20, 1, gamma=2.0)
+    pol = TemperedDbcdNeyman(21, 1, gamma=2.0)
+    base = DbcdNeyman(21, 1, gamma=2.0)
     # control better estimated AND higher variance: the coin favors control
     st = TrialState(6, 1, 10, 10)
     assert base.control_prob(st) > 0.5
@@ -185,6 +185,19 @@ def test_policy_table_lookup_and_validation():
         PolicyTable(n, b, 0.3, tuple(codes))
     with pytest.raises(ValueError):
         pol.control_prob(TrialState(0, 0, 1, 0))
+
+
+def test_control_prob_refuses_the_terminal_epoch():
+    # nobody is allocated at t = n: no probability exists there
+    n, b = 4, 1
+    codes = tuple(
+        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE if t < 2 * b else 1, dtype=np.int8)
+        for t in range(n)
+    )
+    table_policy = TablePolicy(n, b, table=PolicyTable(n, b, 0.95, codes))
+    for pol in (BayesianRar(n, b), table_policy):
+        with pytest.raises(ValueError, match="horizon"):
+            pol.control_prob(TrialState(1, 1, 2, 2))
 
 
 def test_equal_allocation_probs_are_sentinel():
