@@ -27,7 +27,7 @@ from .io import (
     write_rule,
     write_weight_table,
 )
-from .montecarlo import randomization_rejection_rate, simulate_trial
+from .montecarlo import randomization_rejection_rate, simulate_trials
 from .operating import AsymptoticRule, null_diagonal, power_curves, profile
 from .policies import (
     BayesianRar,
@@ -295,8 +295,7 @@ def _cmd_paths(cfg: dict, out: str) -> int:
     sims = int(cfg.get("path_sims", cfg["sims"]))
     rows = []
     for tc, td in thetas:
-        for i in range(sims):
-            hist = simulate_trial(policy, (tc, td), int(cfg["seed"]), stream=i)
+        for i, hist in enumerate(simulate_trials(policy, (tc, td), int(cfg["seed"]), 0, sims)):
             for t, prop in enumerate(hist.control_proportion_path(), start=1):
                 rows.append((tc, td, i, t, prop))
     _write_csv(out, ["theta_c", "theta_d", "sim", "t", "control_proportion"], rows, cfg)

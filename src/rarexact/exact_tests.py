@@ -95,6 +95,11 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
     grid and a bounded line search sharpen the lower bound while midpoint
     subdivision of the coefficient representation drives the upper bound
     down until the question is settled.
+
+    Every evaluated value is a convex combination of coefficients, so its
+    exact value is at most ``certified_upper``; rounding can lift it a few
+    ulps above (a polynomial flat at its maximum), and the reported
+    ``lower_bound`` is clipped there, so the bracket is never inverted.
     """
     coeffs = np.asarray(coeffs, dtype=np.float64)
     n = coeffs.size - 1
@@ -115,7 +120,7 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
         )
         lower = max(lower, float(-res.fun))
     if lower > level:
-        return RegionCertificate(level, False, upper, lower)
+        return RegionCertificate(level, False, upper, min(lower, upper))
 
     split = _split_matrix(n)
     wmid = _midpoint_weights(n)
@@ -124,9 +129,9 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
     for _ in range(_MAX_BOXES):
         upper = -heap[0][0]
         if upper <= level + CERT_TOL:
-            return RegionCertificate(level, True, upper, lower)
+            return RegionCertificate(level, True, upper, min(lower, upper))
         if lower > level:
-            return RegionCertificate(level, False, upper, lower)
+            return RegionCertificate(level, False, upper, min(lower, upper))
         _, _, c = heapq.heappop(heap)
         left = np.einsum("ij,j->i", split, c)
         right = np.einsum("ij,j->i", split, c[::-1])[::-1]

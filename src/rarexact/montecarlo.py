@@ -2,12 +2,18 @@
 
 All randomness comes from counter-based generators keyed by a master
 seed and a stream index, so results are bit-reproducible for a fixed
-seed on any worker partition.  Within one stream the first ``n`` draws
-are allocation keys and the next ``n`` are outcome draws; permuted-block
-allocations turn their keys into arrangements by sorting.  A trial moves
-along the edges of :class:`~rarexact.states.Transition`, like the exact
-sweeps; its allocation probabilities are looked up per layer by
-:meth:`~rarexact.states.Layer.indices`.
+seed on any worker partition.  Trial ``i`` of a run reads stream ``i``:
+its first ``n`` draws are allocation keys and the next ``n`` are outcome
+draws; in :func:`randomization_rejection_rate` the stream goes on with
+the ``reps * n`` keys of that trial's re-randomizations, one row of
+``n`` per re-randomization.  Permuted-block allocations turn their keys
+into arrangements by sorting.
+
+Trials are stepped together, many rows at a time, along the edges of
+:class:`~rarexact.states.Transition`, like the exact sweeps; allocation
+probabilities are looked up per layer by
+:meth:`~rarexact.states.Layer.indices`.  Every row depends only on its
+own stream, so results do not depend on how the trials are chunked.
 """
 
 from __future__ import annotations
@@ -23,6 +29,10 @@ from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy"
 EA_BLOCK = 10
+# Re-randomized rows stepped together by randomization_rejection_rate:
+# about ten trials at reps = 1000, a working set of a few MB.  Chunks of
+# 25 or 50 trials measured slower.
+RERANDOMIZED_ROWS = 10_000
 
 
 @dataclass(frozen=True)
@@ -33,9 +43,35 @@ class RngSeed:
     generator: str = GENERATOR_ID
 
 
+def _key(seed: int, stream: int) -> np.ndarray:
+    return np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
+
+
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    key = np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return np.random.Generator(np.random.Philox(key=_key(seed, stream)))
+
+
+def _stream_uniforms(seed: int, start: int, m: int, count: int) -> np.ndarray:
+    """The first ``count`` uniforms of streams ``start .. start + m - 1`` as
+    an ``(m, count)`` array; row ``i`` equals
+    ``make_rng(seed, start + i).random(count)`` bit for bit.
+
+    Philox is counter-based: a stream is its key and a zero counter.  So
+    one generator is re-keyed per stream rather than a new ``Philox``
+    built, whose constructor draws OS entropy even when given a key.
+    """
+    rng = make_rng(seed, start)
+    bits = rng.bit_generator
+    # a fresh state: counter 0, empty buffer (buffer_pos 4, has_uint32 0)
+    state = bits.state
+    keys = np.repeat(_key(seed, start)[None, :], m, axis=0)
+    keys[:, 1] += np.arange(m, dtype=np.uint64)  # wraps modulo 2**64 like the stream
+    out = np.empty((m, count))
+    for i in range(m):
+        state["state"]["key"] = keys[i]
+        bits.state = state
+        rng.random(out=out[i])
+    return out
 
 
 @dataclass
@@ -51,7 +87,7 @@ class TrialHistory:
         return self.arms.size
 
     def terminal_state(self) -> TrialState:
-        s_c, s_d, n_c = map(int, _terminal_counts(self.arms, self.outcomes))
+        s_c, s_d, n_c = map(int, _terminal_counts(self.arms, self.outcomes, self.outcomes))
         return TrialState(s_c, s_d, n_c, self.n - n_c)
 
     def control_proportion_path(self) -> np.ndarray:
@@ -59,10 +95,11 @@ class TrialHistory:
         return np.cumsum(self.arms == 0) / np.arange(1, self.n + 1)
 
 
-def _terminal_counts(arms: np.ndarray, outcomes: np.ndarray):
-    """``(s_c, s_d, n_c)`` of trials laid out along the last axis."""
+def _terminal_counts(arms: np.ndarray, y_c: np.ndarray, y_d: np.ndarray):
+    """``(s_c, s_d, n_c)`` of trials laid out along the last axis, where a
+    participant responds ``y_c`` on control and ``y_d`` on the other arm."""
     is_c = arms == 0
-    return (outcomes & is_c).sum(axis=-1), (outcomes & ~is_c).sum(axis=-1), is_c.sum(axis=-1)
+    return (y_c & is_c).sum(axis=-1), (y_d & ~is_c).sum(axis=-1), is_c.sum(axis=-1)
 
 
 def _balanced_pattern(length: int) -> np.ndarray:
@@ -128,121 +165,100 @@ class _EpochLookup:
         return probs[lay.indices(s_c, s_d, n_c)]
 
 
-def _burn_in_arms(alloc_keys: np.ndarray, b: int, blocks: bool) -> np.ndarray:
-    """Arms for the first ``2b`` participants: one permuted balanced block,
-    or the canonical alternation."""
-    m = alloc_keys.shape[0]
-    if b == 0:
-        return np.empty((m, 0), dtype=np.int8)
-    if blocks:
-        return _arms_from_keys(alloc_keys[:, : 2 * b], [2 * b])
-    return np.tile(_balanced_pattern(2 * b), (m, 1))
-
-
-def _simulate_batch(policy: Policy, theta, alloc_keys: np.ndarray,
-                    outcome_keys: np.ndarray, lookup: _EpochLookup,
-                    burn_in_blocks: bool = False):
-    """Step a batch of trials; returns per-trial arms and outcomes."""
+def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray,
+              lookup: _EpochLookup, burn_in_blocks: bool):
+    """Arms and terminal ``(s_c, s_d, n_c)`` of trials laid out along the
+    last axis, driven by the allocation ``keys``; participant ``t``
+    responds ``y_c[..., t]`` on control and ``y_d[..., t]`` otherwise (the
+    responses broadcast against the keys).  The burn-in is one permuted
+    balanced block, or the canonical alternation; permuted-block equal
+    allocation uses its block plan throughout."""
     n, b = policy.n, policy.burn_in
-    m = alloc_keys.shape[0]
-    tc, td = theta
-    arms = np.empty((m, n), dtype=np.int8)
     if isinstance(policy, EqualAllocation):
-        arms[:] = _arms_from_keys(alloc_keys, _block_plan(n, b, EA_BLOCK))
-        outcomes = np.where(
-            arms == 0, outcome_keys < tc, outcome_keys < td
-        ).astype(np.int8)
-        return arms, outcomes
+        arms = _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
+        return arms, _terminal_counts(arms, y_c, y_d)
 
-    burn_in = _burn_in_arms(alloc_keys, b, burn_in_blocks)
-    s_c = np.zeros(m, dtype=np.int64)
-    s_d = np.zeros(m, dtype=np.int64)
-    n_c = np.zeros(m, dtype=np.int64)
-    outcomes = np.empty((m, n), dtype=np.int8)
+    # epoch-major arms: each epoch writes one contiguous row
+    arms = np.empty((n,) + keys.shape[:-1], dtype=np.int8)
+    if burn_in_blocks and b:
+        arms[:2 * b] = np.moveaxis(_arms_from_keys(keys[..., :2 * b], [2 * b]), -1, 0)
+    else:
+        arms[:2 * b] = _balanced_pattern(2 * b).reshape((2 * b,) + (1,) * (keys.ndim - 1))
+    s_c = np.zeros(keys.shape[:-1], dtype=np.int64)
+    s_d = np.zeros_like(s_c)
+    n_c = np.zeros_like(s_c)
     for t in range(n):
         if t < 2 * b:
-            arm = burn_in[:, t]
+            is_c = arms[t] == 0
         else:
-            q = lookup.lookup(t, s_c, s_d, n_c)
-            arm = (alloc_keys[:, t] >= q).astype(np.int8)
-        y = np.where(arm == 0, outcome_keys[:, t] < tc, outcome_keys[:, t] < td)
-        arms[:, t] = arm
-        outcomes[:, t] = y
-        is_c = arm == 0
+            is_c = keys[..., t] < lookup.lookup(t, s_c, s_d, n_c)
+            arms[t] = ~is_c
         n_c += is_c
-        s_c += is_c & y
-        s_d += (~is_c) & y
-    return arms, outcomes
+        s_c += is_c & y_c[..., t]
+        s_d += ~is_c & y_d[..., t]
+    arms = np.moveaxis(arms, 0, -1)
+    return arms, (s_c, s_d, n_c)
 
 
-def _one_trial(policy: Policy, theta, rng: np.random.Generator, lookup: _EpochLookup,
-               burn_in_blocks: bool = False) -> TrialHistory:
-    """One trial from the next ``2n`` draws of ``rng``."""
-    u = rng.random(2 * policy.n)[None, :]
-    arms, outcomes = _simulate_batch(
-        policy, theta, u[:, :policy.n], u[:, policy.n:], lookup, burn_in_blocks
-    )
-    return TrialHistory(arms[0], outcomes[0], policy.burn_in)
+def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
+                    burn_in_blocks: bool = False):
+    """Step the trials whose rows of ``u`` hold ``n`` allocation keys, then
+    ``n`` outcome draws; returns arms, outcomes and terminal counts."""
+    n = policy.n
+    tc, td = theta
+    y_c = u[:, n:2 * n] < tc
+    y_d = u[:, n:2 * n] < td
+    arms, counts = _allocate(policy, u[:, :n], y_c, y_d, lookup, burn_in_blocks)
+    outcomes = np.where(arms == 0, y_c, y_d).astype(np.int8)
+    return arms, outcomes, counts
+
+
+def simulate_trials(policy: Policy, theta, seed: int, start: int,
+                    count: int) -> list[TrialHistory]:
+    """Trials on streams ``start .. start + count - 1``, stepped together;
+    trial ``i`` equals ``simulate_trial(policy, theta, seed, start + i)``."""
+    u = _stream_uniforms(seed, start, count, 2 * policy.n)
+    arms, outcomes, _ = _simulate_batch(policy, theta, u, _EpochLookup(policy))
+    return [TrialHistory(a, y, policy.burn_in) for a, y in zip(arms, outcomes)]
 
 
 def simulate_trial(policy: Policy, theta, seed: int, stream: int = 0) -> TrialHistory:
     """Simulate one trial: alternating burn-in (permuted blocks for equal
     allocation), then policy-randomized arms and Bernoulli outcomes."""
-    return _one_trial(policy, theta, make_rng(seed, stream), _EpochLookup(policy))
+    return simulate_trials(policy, theta, seed, stream, 1)[0]
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int = 20_000):
     """Terminal states of ``sims`` independent trials, one substream per
     trial; returns ``(s_c, s_d, n_c)`` arrays."""
-    n = policy.n
     lookup = _EpochLookup(policy)
     out = np.empty((3, sims), dtype=np.int64)
     for start in range(0, sims, batch):
         stop = min(start + batch, sims)
-        m = stop - start
-        u = np.empty((m, 2 * n))
-        for i in range(m):
-            u[i] = make_rng(seed, start + i).random(2 * n)
-        arms, outcomes = _simulate_batch(policy, theta, u[:, :n], u[:, n:], lookup)
-        out[:, start:stop] = _terminal_counts(arms, outcomes)
+        u = _stream_uniforms(seed, start, stop - start, 2 * policy.n)
+        _, _, counts = _simulate_batch(policy, theta, u, lookup)
+        out[:, start:stop] = counts
     return tuple(out)
 
 
-def _rerandomized_stats(policy: Policy, outcomes: np.ndarray, reps: int,
-                        rng: np.random.Generator, lookup: _EpochLookup) -> np.ndarray:
-    """Wald statistics of ``reps`` re-randomized allocations over a fixed
-    outcome sequence (outcomes attach to participant positions); the burn-in
-    is one permuted balanced block."""
-    n, b = policy.n, policy.burn_in
-    keys = rng.random((reps, n))
-    if isinstance(policy, EqualAllocation):
-        arms = _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
-        s_c, s_d, n_c = _terminal_counts(arms, outcomes)
-        return wald_statistics(s_c, s_d, n_c, n - n_c)
-
-    burn_in = _burn_in_arms(keys, b, True)
-    s_c = np.zeros(reps, dtype=np.int64)
-    s_d = np.zeros(reps, dtype=np.int64)
-    n_c = np.zeros(reps, dtype=np.int64)
-    for t in range(n):
-        if t < 2 * b:
-            arm = burn_in[:, t]
-        else:
-            q = lookup.lookup(t, s_c, s_d, n_c)
-            arm = (keys[:, t] >= q).astype(np.int8)
-        y = outcomes[t]
-        is_c = arm == 0
-        n_c += is_c
-        if y:
-            s_c += is_c
-            s_d += ~is_c
-    return wald_statistics(s_c, s_d, n_c, n - n_c)
+def _rerandomized_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
+                           keys: np.ndarray, lookup: _EpochLookup) -> np.ndarray:
+    """Randomization p-values of ``m`` observed trials, given as ``(m, n)``
+    rows of arms and outcomes: the outcomes stay fixed in participant
+    order while the allocation is re-run with the key rows ``keys``
+    ``(m, reps, n)``.  The burn-in is one permuted balanced block."""
+    n, reps = policy.n, keys.shape[1]
+    s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
+    t_obs = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
+    y = outcomes[:, None, :]
+    _, (s_c, s_d, n_c) = _allocate(policy, keys, y, y, lookup, burn_in_blocks=True)
+    stats = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
+    hits = np.count_nonzero(stats >= t_obs[:, None], axis=1)
+    return (1 + hits) / (reps + 1.0)
 
 
 def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
-                       alpha: float, seed: int, stream: int = 0,
-                       rng: np.random.Generator | None = None,
-                       lookup: _EpochLookup | None = None):
+                       alpha: float, seed: int, stream: int = 0):
     """Two-sided randomization test: hold the outcome sequence fixed in
     participant order, re-run the allocation mechanism, and compare the
     observed Wald statistic against the re-randomization distribution.
@@ -260,18 +276,18 @@ def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
     permuted-block equal allocation, but never anti-conservative.
 
     The burn-in is re-randomized as one permuted balanced block, matching
-    the reference simulation protocol.
+    the reference simulation protocol.  The keys are the first
+    ``reps * n`` draws of stream ``stream``.
     """
     check_alpha(alpha)
     if reps < 100:
         raise ValueError("need at least 100 re-randomizations")
-    rng = rng if rng is not None else make_rng(seed, stream)
-    lookup = lookup if lookup is not None else _EpochLookup(policy)
-    s_c, s_d, n_c = _terminal_counts(observed.arms[None, :], observed.outcomes)
-    t_obs = np.abs(wald_statistics(s_c, s_d, n_c, observed.n - n_c))
-    stats = np.abs(_rerandomized_stats(policy, observed.outcomes, reps, rng, lookup))
-    p = (1 + np.count_nonzero(stats >= t_obs)) / (reps + 1.0)
-    return p <= alpha, float(p)
+    n = policy.n
+    keys = _stream_uniforms(seed, stream, 1, reps * n).reshape(1, reps, n)
+    p = float(_rerandomized_p_values(
+        policy, observed.arms[None, :], observed.outcomes[None, :], keys, _EpochLookup(policy)
+    )[0])
+    return p <= alpha, p
 
 
 @dataclass(frozen=True)
@@ -287,17 +303,26 @@ def randomization_rejection_rate(policy: Policy, theta, sims: int, reps: int,
                                  alpha: float, seed: int) -> RateEstimate:
     """Rejection rate of the randomization test over independent simulated
     trials, with a normal-approximation 95% half-width.  The observed
-    trials use the same burn-in mechanism as the re-randomizations."""
+    trials use the same burn-in mechanism as the re-randomizations.
+
+    Trial ``i`` reads stream ``i``: ``2n`` trial draws, then its
+    ``reps * n`` re-randomization keys.  Trials are stepped in chunks of
+    about ``RERANDOMIZED_ROWS`` re-randomized rows."""
     check_alpha(alpha)
     if sims < 100 or reps < 100:
         raise ValueError("need at least 100 simulations and re-randomizations")
+    n = policy.n
     lookup = _EpochLookup(policy)
+    chunk = max(1, RERANDOMIZED_ROWS // reps)
     rejections = 0
-    for i in range(sims):
-        rng = make_rng(seed, i)
-        observed = _one_trial(policy, theta, rng, lookup, burn_in_blocks=True)
-        reject, _ = randomization_test(observed, policy, reps, alpha, seed, rng=rng, lookup=lookup)
-        rejections += bool(reject)
+    for start in range(0, sims, chunk):
+        m = min(chunk, sims - start)
+        u = _stream_uniforms(seed, start, m, (2 + reps) * n)
+        arms, outcomes, _ = _simulate_batch(policy, theta, u[:, :2 * n], lookup,
+                                            burn_in_blocks=True)
+        keys = u[:, 2 * n:].reshape(m, reps, n)
+        p = _rerandomized_p_values(policy, arms, outcomes, keys, lookup)
+        rejections += int(np.count_nonzero(p <= alpha))
     est = rejections / sims
     half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
     return RateEstimate(est, float(half), sims, reps, RngSeed(seed))

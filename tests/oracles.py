@@ -4,8 +4,8 @@ Everything here works on plain dicts keyed by ``(s_c, s_d, n_c, n_d)``
 tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
-replaced them (:func:`posterior_log_probs_ref`, :func:`forward_g_log_ref`);
-they walk the package's layers.
+replaced them (:func:`posterior_log_probs_ref`, :func:`forward_g_log_ref`,
+:func:`randomization_rejection_rate_ref`); they walk the package's layers.
 """
 
 from __future__ import annotations
@@ -501,3 +501,98 @@ def forward_g_log_ref(policy):
         out[mask] = hi[mask] + np.log1p(np.exp(lo[mask] - hi[mask])) - LN2
         cur = out
     return PathWeightTable(lay, cur, meta=policy.descriptor())
+
+
+
+def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):
+    """Arms of rows of trials stepped one epoch at a time, the burn-in a
+    permuted balanced block or the alternation, equal allocation in
+    permuted blocks; ``outcome_at(t, arm)`` is participant ``t``'s
+    response."""
+    from rarexact.montecarlo import EA_BLOCK, _arms_from_keys, _balanced_pattern, _block_plan
+    from rarexact.policies import EqualAllocation
+
+    n, b = policy.n, policy.burn_in
+    if isinstance(policy, EqualAllocation):
+        return _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
+    rows = keys.shape[0]
+    if burn_in_blocks and b:
+        burn_in = _arms_from_keys(keys[:, : 2 * b], [2 * b])
+    else:
+        burn_in = np.tile(_balanced_pattern(2 * b), (rows, 1))
+    arms = np.empty((rows, n), dtype=np.int8)
+    s_c = np.zeros(rows, dtype=np.int64)
+    s_d = np.zeros(rows, dtype=np.int64)
+    n_c = np.zeros(rows, dtype=np.int64)
+    for t in range(n):
+        if t < 2 * b:
+            arm = burn_in[:, t]
+        else:
+            arm = (keys[:, t] >= lookup.lookup(t, s_c, s_d, n_c)).astype(np.int8)
+        y = outcome_at(t, arm)
+        arms[:, t] = arm
+        is_c = arm == 0
+        n_c += is_c
+        s_c += is_c & y
+        s_d += (~is_c) & y
+    return arms
+
+
+def _trial_ref(policy, theta, rng, lookup, burn_in_blocks):
+    """Arms and outcomes of one trial from the next ``2n`` draws of
+    ``rng``: ``n`` allocation keys, then ``n`` outcome draws."""
+    n = policy.n
+    tc, td = theta
+    u = rng.random(2 * n)[None, :]
+    draws = u[:, n:]
+    arms = _trial_arms_ref(
+        policy, u[:, :n],
+        lambda t, arm: np.where(arm == 0, draws[:, t] < tc, draws[:, t] < td),
+        lookup, burn_in_blocks,
+    )
+    return arms[0], np.where(arms == 0, draws < tc, draws < td).astype(np.int8)[0]
+
+
+def simulate_trial_ref(policy, theta, seed, stream):
+    """``(arms, outcomes)`` of the trial on stream ``stream``, stepped
+    alone from a fresh ``make_rng(seed, stream)``."""
+    from rarexact.montecarlo import _EpochLookup, make_rng
+
+    return _trial_ref(policy, theta, make_rng(seed, stream), _EpochLookup(policy), False)
+
+
+def _abs_wald_ref(arms, outcomes):
+    from rarexact.wald import wald_statistics
+
+    is_c = arms == 0
+    s_c, s_d, n_c = (outcomes & is_c).sum(-1), (outcomes & ~is_c).sum(-1), is_c.sum(-1)
+    return np.abs(wald_statistics(s_c, s_d, n_c, arms.shape[-1] - n_c))
+
+
+def randomization_p_value_ref(policy, arms, outcomes, keys, lookup):
+    """Randomization p-value of one observed trial, re-randomized with the
+    ``(reps, n)`` key rows ``keys`` over its fixed outcomes."""
+    stats = _abs_wald_ref(
+        _trial_arms_ref(policy, keys, lambda t, arm: outcomes[t], lookup, True), outcomes
+    )
+    return (1 + np.count_nonzero(stats >= _abs_wald_ref(arms, outcomes))) / (keys.shape[0] + 1.0)
+
+
+def randomization_rejection_rate_ref(policy, theta, sims, reps, alpha, seed):
+    """The randomization-test rejection rate one trial at a time: trial
+    ``i`` draws its ``2n`` trial uniforms and then its ``(reps, n)``
+    re-randomization keys from a fresh ``make_rng(seed, i)``.  This is the
+    loop that the chunked ``randomization_rejection_rate`` replaced."""
+    from rarexact.montecarlo import RateEstimate, RngSeed, _EpochLookup, make_rng
+
+    lookup = _EpochLookup(policy)
+    rejections = 0
+    for i in range(sims):
+        rng = make_rng(seed, i)
+        arms, outcomes = _trial_ref(policy, theta, rng, lookup, True)
+        keys = rng.random((reps, policy.n))
+        p = randomization_p_value_ref(policy, arms, outcomes, keys, lookup)
+        rejections += bool(p <= alpha)
+    est = rejections / sims
+    half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
+    return RateEstimate(est, float(half), sims, reps, RngSeed(seed))

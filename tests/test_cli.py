@@ -96,14 +96,14 @@ def test_cli_design_oc_round_trip(tmp_path):
         theta_grid={"kind": "list", "values": [[0.3, 0.3], [0.3, 0.9]]},
     )
     assert main(["oc", "--config", cfg, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[0].startswith("# rarexact ")
     assert lines[1] == "theta_c,theta_d,rejection_rate,patient_benefit"
     assert len(lines) == 4
     # byte-identical rerun
     out2 = str(tmp_path / "oc2.csv")
     assert main(["oc", "--config", cfg, "--out", out2]) == 0
-    assert open(out, "rb").read() == open(out2, "rb").read()
+    assert Path(out).read_bytes() == Path(out2).read_bytes()
 
 
 def test_cli_crit_round_trip_small(tmp_path):
@@ -133,7 +133,7 @@ def test_cli_power_diff(tmp_path):
         theta_grid={"kind": "list", "values": [[0.2, 0.8]]},
     )
     assert main(["power-diff", "--config", cfg, "--out", out]) == 0
-    header = open(out).read().splitlines()[1].split(",")
+    header = Path(out).read_text().splitlines()[1].split(",")
     assert header == ["theta_c", "theta_d", "rate", "rate_baseline", "rate_diff",
                       "benefit", "benefit_baseline", "benefit_diff"]
 
@@ -147,7 +147,7 @@ def test_cli_cmdp_solve_and_table_policy(tmp_path):
     )
     rc = main(["cmdp", "solve", "--config", cfg, "--out", out])
     assert rc == 0
-    audit = json.load(open(out + ".audit.json"))
+    audit = json.loads(Path(out + ".audit.json").read_text())
     assert audit["feasible"] is True
     # the dual trace: one entry per iteration, every dual value bounds the
     # objective of the returned feasible design
@@ -165,7 +165,7 @@ def test_cli_cmdp_solve_and_table_policy(tmp_path):
         theta_grid={"kind": "list", "values": [[0.25, 0.25]]},
     )
     assert main(["oc", "--config", cfg2, "--out", oc_out]) == 0
-    rate = float(open(oc_out).read().splitlines()[2].split(",")[2])
+    rate = float(Path(oc_out).read_text().splitlines()[2].split(",")[2])
     assert rate == pytest.approx(audit["pointwise"]["0.25"], abs=1e-10)
 
 
@@ -177,7 +177,7 @@ def test_cli_mc_randtest(tmp_path):
         theta_grid={"kind": "list", "values": [[0.5, 0.5]]},
     )
     assert main(["mc", "randtest", "--config", cfg, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert lines[1].split(",")[:4] == ["theta_c", "theta_d", "estimate", "half_width"]
     est = float(lines[2].split(",")[2])
     assert 0.0 <= est <= 0.25
@@ -191,7 +191,7 @@ def test_cli_paths(tmp_path):
         theta_grid={"kind": "list", "values": [[0.5, 0.5]]},
     )
     assert main(["paths", "--config", cfg, "--out", out]) == 0
-    lines = open(out).read().splitlines()
+    lines = Path(out).read_text().splitlines()
     assert len(lines) == 2 + 3 * 12
 
 

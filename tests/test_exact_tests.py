@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from rarexact import (
     BayesianRar,
@@ -17,7 +18,7 @@ from rarexact import (
     forward_g,
     unconditional_rule,
 )
-from rarexact.exact_tests import conditional_masses, region_coefficients
+from rarexact.exact_tests import CERT_TOL, conditional_masses, region_coefficients
 
 from oracles import (
     boschloo_statistic_ref,
@@ -128,6 +129,32 @@ def test_certify_region_decisions():
     assert cert3.certified_upper <= 0.03 + 1e-10
     true_max = 0.05 * math.comb(8, 4) * 0.5 ** 8
     assert cert3.lower_bound == pytest.approx(true_max, rel=1e-6)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    coeffs=st.integers(1, 12).flatmap(
+        lambda n: st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)
+    ),
+    level=st.floats(0.0, 1.0),
+)
+@example(coeffs=[0.3] * 12, level=0.03)  # flat maximum: rounding lifts the grid value
+def test_certificate_brackets_dense_grid_maximum(coeffs, level):
+    c = np.array(coeffs)
+    n = c.size - 1
+    cert = certify_region(c, level)
+    grid = 100_001
+    theta = np.linspace(0.0, 1.0, grid)[:, None]
+    k = np.arange(n + 1)
+    comb = np.array([math.comb(n, j) for j in k], dtype=float)
+    dense = float(np.max((comb * theta**k * (1.0 - theta) ** (n - k)) @ c))
+    # a grid point lies within h/2 of the maximizer and |p''| <= 2n(n-1)
+    # for coefficients in [0, 1], so the grid misses at most n(n-1)h^2/4
+    resolution = n * (n - 1) / (4.0 * (grid - 1) ** 2) + 1e-14
+    assert cert.certified_upper >= cert.lower_bound
+    assert cert.lower_bound <= dense + resolution
+    assert dense <= cert.certified_upper + CERT_TOL
+    assert cert.accepted == (cert.certified_upper <= level + CERT_TOL)
 
 
 def test_unconditional_rule_matches_bruteforce(brar8, brar8_ref):

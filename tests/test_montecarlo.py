@@ -6,6 +6,7 @@ from rarexact import (
     BayesianRar,
     DbcdNeyman,
     EqualAllocation,
+    TemperedDbcdNeyman,
     TrialState,
     forward_g,
     layer,
@@ -15,7 +16,19 @@ from rarexact import (
     simulate_terminals,
     simulate_trial,
 )
-from rarexact.montecarlo import make_rng
+from rarexact.montecarlo import (
+    RERANDOMIZED_ROWS,
+    _EpochLookup,
+    _stream_uniforms,
+    make_rng,
+    simulate_trials,
+)
+
+from oracles import (
+    randomization_p_value_ref,
+    randomization_rejection_rate_ref,
+    simulate_trial_ref,
+)
 
 
 def test_simulate_certain_outcomes():
@@ -83,6 +96,29 @@ def test_reproducibility_and_substreams():
         assert (st.s_c, st.s_d, st.n_c) == (s_c[i], s_d[i], n_c[i])
 
 
+@pytest.mark.parametrize("seed, start, m, count", [
+    (3, 0, 5, 7),                   # odd count
+    (-11, 17, 4, 102),              # negative seed; count not a multiple of 4
+    (2**70 + 5, 2**64 - 2, 3, 13),  # streams 2**64 - 2, 2**64 - 1 and 2**64 = 0
+])
+def test_stream_uniforms_match_fresh_generators(seed, start, m, count):
+    u = _stream_uniforms(seed, start, m, count)
+    assert u.shape == (m, count)
+    for i in range(m):
+        assert np.array_equal(u[i], make_rng(seed, start + i).random(count))
+
+
+@pytest.mark.parametrize("policy", [
+    DbcdNeyman(14, 2), TemperedDbcdNeyman(13, 1), BayesianRar(12, 2), EqualAllocation(23, 2),
+])
+def test_batched_trials_match_per_trial_loop(policy):
+    hists = simulate_trials(policy, (0.3, 0.7), seed=8, start=5, count=40)
+    for i, hist in enumerate(hists):
+        arms, outcomes = simulate_trial_ref(policy, (0.3, 0.7), seed=8, stream=5 + i)
+        assert np.array_equal(hist.arms, arms) and np.array_equal(hist.outcomes, outcomes)
+        assert hist.arms.dtype == arms.dtype and hist.outcomes.dtype == outcomes.dtype
+
+
 def test_batch_chunking_invariance():
     pol = BayesianRar(10, 1)
     a = simulate_terminals(pol, (0.3, 0.7), sims=50, seed=3, batch=7)
@@ -138,6 +174,17 @@ def test_randomization_test_smallest_p_value(policy_cls):
     assert p == 1 / 201 and reject
 
 
+@pytest.mark.parametrize("policy", [DbcdNeyman(16, 2), EqualAllocation(16, 2)])
+def test_randomization_test_matches_reference(policy):
+    lookup = _EpochLookup(policy)
+    for stream in range(3):
+        hist = simulate_trial(policy, (0.2, 0.7), seed=4, stream=stream)
+        reject, p = randomization_test(hist, policy, reps=150, alpha=0.1, seed=9, stream=stream)
+        keys = make_rng(9, stream).random((150, policy.n))
+        assert p == randomization_p_value_ref(policy, hist.arms, hist.outcomes, keys, lookup)
+        assert reject == (p <= 0.1) and type(reject) is bool
+
+
 def test_randomization_test_requires_reps():
     pol = EqualAllocation(10, 1)
     hist = simulate_trial(pol, (0.5, 0.5), seed=1)
@@ -153,6 +200,19 @@ def test_randomization_ratetest_reproducible():
     assert a.half_width == pytest.approx(
         1.96 * np.sqrt(a.estimate * (1 - a.estimate) / 120), abs=1e-12
     )
+
+
+@pytest.mark.parametrize("reps", [100, 1000])
+@pytest.mark.parametrize("policy", [
+    DbcdNeyman(12, 2), TemperedDbcdNeyman(12, 2), BayesianRar(10, 1), EqualAllocation(12, 1),
+])
+def test_chunked_rejection_rate_matches_per_trial_loop(policy, reps):
+    sims = 107
+    assert sims % max(1, RERANDOMIZED_ROWS // reps) != 0
+    got = randomization_rejection_rate(policy, (0.2, 0.8), sims, reps, alpha=0.2, seed=-3)
+    ref = randomization_rejection_rate_ref(policy, (0.2, 0.8), sims, reps, alpha=0.2, seed=-3)
+    assert got == ref
+    assert 0 < ref.estimate < 1
 
 
 def test_randomization_null_within_ci():
