@@ -32,7 +32,6 @@ from .exact_tests import (
     ConditionalRule,
     RegionCertificate,
     UnconditionalRule,
-    bernstein_tail_sup,
     boschloo_rule,
     boschloo_statistic,
     certify_region,
@@ -43,11 +42,9 @@ from .montecarlo import (
     RateEstimate,
     RngSeed,
     TrialHistory,
-    permuted_block_sequence,
     randomization_rejection_rate,
     randomization_test,
     simulate_terminals,
-    simulate_trial,
 )
 from .numerics import log_binom, logsumexp_fixed, normal_quantile
 from .operating import (

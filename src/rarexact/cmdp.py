@@ -15,10 +15,10 @@ matrix under the forward path weights; the reward reads the same rows.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
-from scipy.special import betainc
 
 from .engine import PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood
 from .numerics import check_alpha, gammaln_table
@@ -80,11 +80,56 @@ def default_rectangles() -> tuple[Rectangle, ...]:
     return tuple(out)
 
 
-def _stable_beta_cdf_diff(a, b, lo: float, hi: float) -> np.ndarray:
-    """``I_hi(a,b) - I_lo(a,b)`` computed from whichever tail cancels less."""
-    d1 = betainc(a, b, hi) - betainc(a, b, lo)
-    d2 = betainc(b, a, 1.0 - lo) - betainc(b, a, 1.0 - hi)
-    return np.maximum(np.maximum(d1, d2), 0.0)
+def _binomial_tails(x: float, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(U, L)`` with ``U[m, j] = P(Bin(m, x) >= j)`` and
+    ``L[m, j] = P(Bin(m, x) < j)`` for ``m, j`` in ``[0, size)``.  Each
+    tail is a cumulative sum of positive pmf terms from its own end, so
+    both are accurate in relative terms however small."""
+    m = np.arange(size)[:, None]
+    k = np.arange(size)[None, :]
+    g = gammaln_table(size + 1)
+    inside = k <= m
+    m_k = np.where(inside, m - k, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_s = np.where(k == 0, 0.0, k * np.log(x))
+        ln_f = np.where(m_k == 0, 0.0, m_k * np.log1p(-x))
+    pmf = np.where(inside, np.exp(g[m + 1] - g[k + 1] - g[m_k + 1] + ln_s + ln_f), 0.0)
+    upper = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    lower = np.zeros_like(pmf)
+    np.cumsum(pmf[:, :-1], axis=1, out=lower[:, 1:])
+    return upper, lower
+
+
+def _interval_masses(lo: float, hi: float, size: int) -> np.ndarray:
+    """``M[n, s] = P(lo < X < hi)`` for ``X ~ Beta(s + 1, n - s + 1)`` and
+    ``0 <= s <= n < size``.
+
+    For integer parameters the Beta cdf is a binomial tail,
+    ``I_x(s + 1, n - s + 1) = P(Bin(n + 1, x) >= s + 1)``, so the mass is
+    a difference of upper tails, or equally of lower tails.  The upper
+    tails are taken where ``P_hi(X >= s + 1) <= 1/2`` and the lower ones
+    elsewhere, so the larger term of the difference is never a rounded
+    ``1 - tiny``."""
+    u_lo, l_lo = (t[1:, 1:] for t in _binomial_tails(lo, size + 1))
+    u_hi, l_hi = (t[1:, 1:] for t in _binomial_tails(hi, size + 1))
+    return np.maximum(np.where(u_hi <= 0.5, u_hi - u_lo, l_lo - l_hi), 0.0)
+
+
+@lru_cache(maxsize=32)
+def _interval_log_weights(lo: float, hi: float, size: int) -> np.ndarray:
+    """``W[n, s]``, for ``0 <= s <= n < size``: the log of the mean of
+    ``theta**s * (1 - theta)**(n - s)`` over ``theta`` in ``[lo, hi]``,
+    that is ``ln M[n, s] + ln B(s + 1, n - s + 1) - ln(hi - lo)`` with
+    the masses ``M`` of :func:`_interval_masses`."""
+    n = np.arange(size)[:, None]
+    s = np.arange(size)[None, :]
+    n_s = np.maximum(n - s, 0)
+    g = gammaln_table(size + 2)
+    with np.errstate(divide="ignore"):
+        w = (np.log(_interval_masses(lo, hi, size)) - np.log(hi - lo)
+             + (g[s + 1] + g[n_s + 1] - g[s + n_s + 2]))
+    w.setflags(write=False)
+    return w
 
 
 def measure_log_weights(lay: Layer, measure) -> np.ndarray:
@@ -109,11 +154,7 @@ def measure_log_weights(lay: Layer, measure) -> np.ndarray:
             (s_c, n_c, measure.l_c, measure.u_c),
             (s_d, n_d, measure.l_d, measure.u_d),
         ):
-            a = (s_a + 1).astype(np.float64)
-            b = (n_a - s_a + 1).astype(np.float64)
-            diff = _stable_beta_cdf_diff(a, b, lo, hi)
-            with np.errstate(divide="ignore"):
-                out += np.log(diff) - np.log(hi - lo) + lbeta(s_a + 1, n_a - s_a + 1)
+            out += _interval_log_weights(lo, hi, lay.t + 1)[n_a, s_a]
         return out
     raise TypeError(f"unknown measure {measure!r}")
 
@@ -241,18 +282,6 @@ def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable
 
     value = float(np.sum(np.exp(_burn_in_table(b)) * v))
     return PolicyTable(n, b, spec.p, tuple(codes)), value
-
-
-def evaluate_backward(table: PolicyTable, reward: np.ndarray, spec: CmdpSpec) -> float:
-    """Value of a fixed policy table for a terminal reward (no maximization);
-    equals the forward-weighted terminal sum by construction."""
-    n, b = spec.n, spec.burn_in
-    v = np.asarray(reward, dtype=np.float64)
-    for t in range(n - 1, 2 * b - 1, -1):
-        wc, wd = Transition(t, b).pull(v)
-        q = table.probs_for_epoch(t)
-        v = q * wc + (1.0 - q) * wd
-    return float(np.sum(np.exp(_burn_in_table(b)) * v))
 
 
 # ---------------------------------------------------------------------------

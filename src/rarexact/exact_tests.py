@@ -13,11 +13,11 @@ grid/line-search lower bound.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .engine import PathWeightTable
 from .numerics import check_alpha, log_binom
@@ -28,6 +28,9 @@ CERT_TOL = 1e-10
 MASS_SLACK_REL = 1e-12
 MASS_SLACK_ABS = 1e-15
 _MAX_BOXES = 200_000
+# the golden-section search stops once its bracket is this narrow
+LINE_SEARCH_XTOL = 1e-12
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 # ---------------------------------------------------------------------------
@@ -77,6 +80,27 @@ def _poly_value(coeffs: np.ndarray, theta: float) -> float:
     return float(np.einsum("ij,j->i", _pmf_matrix(n, np.array([theta])), coeffs)[0])
 
 
+def _golden_max(f, lo: float, hi: float, xtol: float = LINE_SEARCH_XTOL) -> float:
+    """Largest value of ``f`` met by a golden-section search for its
+    maximum on ``[lo, hi]``, run until the bracket is ``xtol`` wide."""
+    c = hi - _INV_PHI * (hi - lo)
+    d = lo + _INV_PHI * (hi - lo)
+    fc, fd = f(c), f(d)
+    best = max(fc, fd)
+    while hi - lo > xtol:
+        if fc >= fd:
+            hi, d, fd = d, c, fc
+            c = hi - _INV_PHI * (hi - lo)
+            fc = f(c)
+            best = max(best, fc)
+        else:
+            lo, c, fc = c, d, fd
+            d = lo + _INV_PHI * (hi - lo)
+            fd = f(d)
+            best = max(best, fd)
+    return best
+
+
 @dataclass(frozen=True)
 class RegionCertificate:
     """Sound bracket of the null supremum of a rejection region."""
@@ -92,7 +116,8 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
     ``level`` (within ``CERT_TOL``), with a sound two-sided bracket.
 
     Accepts immediately when the coefficient bound suffices; otherwise the
-    grid and a bounded line search sharpen the lower bound while midpoint
+    grid and a golden-section line search (:func:`_golden_max`) around
+    the best grid point sharpen the lower bound while midpoint
     subdivision of the coefficient representation drives the upper bound
     down until the question is settled.
 
@@ -114,11 +139,7 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
     if lower <= level:
         lo = theta[max(jbest - 1, 0)]
         hi = theta[min(jbest + 1, theta.size - 1)]
-        res = minimize_scalar(
-            lambda th: -_poly_value(coeffs, th),
-            bounds=(lo, hi), method="bounded", options={"xatol": 1e-12},
-        )
-        lower = max(lower, float(-res.fun))
+        lower = max(lower, _golden_max(lambda th: _poly_value(coeffs, th), lo, hi))
     if lower > level:
         return RegionCertificate(level, False, upper, min(lower, upper))
 
@@ -140,17 +161,6 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
             counter += 1
             heapq.heappush(heap, (-float(half.max()), counter, half))
     raise RuntimeError("certification did not converge (numeric guard)")
-
-
-def bernstein_tail_sup(table: PathWeightTable, reject: np.ndarray) -> tuple[float, float]:
-    """``(grid lower bound, coefficient upper bound)`` for the null
-    probability of an arbitrary terminal rejection indicator."""
-    coeffs = region_coefficients(table, np.asarray(reject, dtype=bool))
-    n = table.n
-    upper = float(coeffs.max())
-    _, basis = _grid_basis(n)
-    lower = float(np.max(np.einsum("ij,j->i", basis, coeffs)))
-    return lower, upper
 
 
 def conditional_masses(table: PathWeightTable) -> tuple[np.ndarray, np.ndarray]:

@@ -137,17 +137,6 @@ def _arms_from_keys(keys: np.ndarray, lengths: list[int]) -> np.ndarray:
     return arms
 
 
-def permuted_block_sequence(n: int, block: int, seed_or_rng) -> np.ndarray:
-    """Arm sequence from a permuted block design: each full block holds
-    exactly half of each arm in uniformly random order; a trailing partial
-    block is a uniformly drawn balanced prefix."""
-    if block % 2 != 0:
-        raise ValueError("block size must be even")
-    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else make_rng(seed_or_rng)
-    keys = rng.random(n)
-    return _arms_from_keys(keys, _block_plan(n, 0, block))
-
-
 class _EpochLookup:
     """Vectorized per-epoch allocation probabilities for a policy: the
     layer and its control probabilities, kept once per epoch."""
@@ -215,17 +204,13 @@ def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
 
 def simulate_trials(policy: Policy, theta, seed: int, start: int,
                     count: int) -> list[TrialHistory]:
-    """Trials on streams ``start .. start + count - 1``, stepped together;
-    trial ``i`` equals ``simulate_trial(policy, theta, seed, start + i)``."""
+    """Trials on streams ``start .. start + count - 1``, stepped together:
+    alternating burn-in (permuted blocks for equal allocation), then
+    policy-randomized arms and Bernoulli outcomes.  Each trial reads only
+    its own stream, so it does not depend on ``start`` or ``count``."""
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
     arms, outcomes, _ = _simulate_batch(policy, theta, u, _EpochLookup(policy))
     return [TrialHistory(a, y, policy.burn_in) for a, y in zip(arms, outcomes)]
-
-
-def simulate_trial(policy: Policy, theta, seed: int, stream: int = 0) -> TrialHistory:
-    """Simulate one trial: alternating burn-in (permuted blocks for equal
-    allocation), then policy-randomized arms and Bernoulli outcomes."""
-    return simulate_trials(policy, theta, seed, stream, 1)[0]
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int = 20_000):

@@ -5,7 +5,11 @@ tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
 replaced them (:func:`posterior_log_probs_ref`, :func:`forward_g_log_ref`,
-:func:`randomization_rejection_rate_ref`); they walk the package's layers.
+:func:`randomization_rejection_rate_ref`), which walk the package's
+layers, and the helpers at the end that only the tests call
+(:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
+:func:`permuted_block_sequence`, :func:`simulate_trial`), thin wrappers
+over the package's kernels.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ import itertools
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
-from scipy.special import betainc, gammaln
+from scipy.special import gammaln
 
 
 def wald_ref(s_c, s_d, n_c, n_d):
@@ -117,10 +122,18 @@ def _log_beta(a, b):
     return math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
 
 
+def interval_mass_ref(s, n, lo, hi):
+    """``P(lo < X < hi)`` for ``X ~ Beta(s + 1, n - s + 1)``: mpmath's
+    regularized incomplete beta at 60 digits, far more than the worst
+    cancellation between its two endpoint values needs for ``n <= 50``."""
+    with mpmath.workdps(60):
+        return float(mpmath.betainc(s + 1, n - s + 1, lo, hi, regularized=True))
+
+
 def measure_log_weight(x, measure):
     """Log outcome likelihood of the state ``x`` integrated over the prior
     ``measure`` (a ``rarexact.cmdp`` measure), one state at a time from
-    ``math.lgamma`` and the regularized incomplete beta function."""
+    ``math.lgamma`` and :func:`interval_mass_ref`."""
     kind = type(measure).__name__
     if kind == "AltUniform":
         return _log_beta(x.s_c + 1, x.n_c - x.s_c + 1) + _log_beta(x.s_d + 1, x.n_d - x.s_d + 1)
@@ -133,11 +146,8 @@ def measure_log_weight(x, measure):
         total = 0.0
         for s, m, lo, hi in ((x.s_c, x.n_c, measure.l_c, measure.u_c),
                              (x.s_d, x.n_d, measure.l_d, measure.u_d)):
-            a, b = s + 1, m - s + 1
-            # the interval's Beta(a, b) mass from whichever tail cancels less
-            mass = max(betainc(a, b, hi) - betainc(a, b, lo),
-                       betainc(b, a, 1.0 - lo) - betainc(b, a, 1.0 - hi))
-            total += math.log(mass) - math.log(hi - lo) + _log_beta(a, b)
+            mass = interval_mass_ref(s, m, lo, hi)
+            total += math.log(mass) - math.log(hi - lo) + _log_beta(s + 1, m - s + 1)
         return total
     raise TypeError(f"unknown measure {measure!r}")
 
@@ -596,3 +606,52 @@ def randomization_rejection_rate_ref(policy, theta, sims, reps, alpha, seed):
     est = rejections / sims
     half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
     return RateEstimate(est, float(half), sims, reps, RngSeed(seed))
+
+
+# ---------------------------------------------------------------------------
+# helpers only the tests call
+
+
+def evaluate_backward(table, reward, spec):
+    """Value of a fixed CMDP policy table for a terminal reward by backward
+    recursion (no maximization); equals the forward-weighted terminal sum
+    by construction."""
+    from rarexact.engine import _burn_in_table
+    from rarexact.states import Transition
+
+    n, b = spec.n, spec.burn_in
+    v = np.asarray(reward, dtype=np.float64)
+    for t in range(n - 1, 2 * b - 1, -1):
+        wc, wd = Transition(t, b).pull(v)
+        q = table.probs_for_epoch(t)
+        v = q * wc + (1.0 - q) * wd
+    return float(np.sum(np.exp(_burn_in_table(b)) * v))
+
+
+def bernstein_tail_sup(table, reject):
+    """``(grid lower bound, coefficient upper bound)`` for the null
+    probability of an arbitrary terminal rejection indicator."""
+    from rarexact.exact_tests import _grid_basis, region_coefficients
+
+    coeffs = region_coefficients(table, np.asarray(reject, dtype=bool))
+    _, basis = _grid_basis(table.n)
+    return float(np.max(np.einsum("ij,j->i", basis, coeffs))), float(coeffs.max())
+
+
+def permuted_block_sequence(n, block, seed_or_rng):
+    """Arm sequence from a permuted block design: each full block holds
+    exactly half of each arm in uniformly random order; a trailing partial
+    block is a uniformly drawn balanced prefix."""
+    from rarexact.montecarlo import _arms_from_keys, _block_plan, make_rng
+
+    if block % 2 != 0:
+        raise ValueError("block size must be even")
+    rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else make_rng(seed_or_rng)
+    return _arms_from_keys(rng.random(n), _block_plan(n, 0, block))
+
+
+def simulate_trial(policy, theta, seed, stream=0):
+    """The one trial on stream ``stream``, as a ``TrialHistory``."""
+    from rarexact.montecarlo import simulate_trials
+
+    return simulate_trials(policy, theta, seed, stream, 1)[0]

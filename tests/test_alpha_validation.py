@@ -13,11 +13,12 @@ from rarexact import (
     forward_g,
     randomization_rejection_rate,
     randomization_test,
-    simulate_trial,
     unconditional_rule,
 )
 from rarexact.cli import main
 from rarexact.io import read_rule, rule_to_dict, write_weight_table
+
+from oracles import simulate_trial
 
 BAD_LEVELS = [math.nan, -0.1, 0.0, 1.0, 1.5]
 BAD_BOUNDS = [math.nan, -0.1, 1.5]

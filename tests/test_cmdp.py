@@ -19,7 +19,7 @@ from rarexact import (
     measure_log_weights,
     solve_cmdp,
 )
-from rarexact.cmdp import evaluate_backward
+from rarexact.cmdp import SECTION4_INTERVALS, _interval_masses
 from rarexact.policies import PolicyTable, TablePolicy
 
 from oracles import (
@@ -27,6 +27,8 @@ from oracles import (
     backward_policy_ref,
     backward_value_ref,
     enumerate_path_weights,
+    evaluate_backward,
+    interval_mass_ref,
     measure_log_weight,
     policy_value_ref,
     wald_ref,
@@ -59,6 +61,18 @@ def test_measure_layer_vectorization_matches_scalar():
         vec = measure_log_weights(lay, m)
         for i in range(0, lay.size, 3):
             assert vec[i] == pytest.approx(measure_log_weight(lay.state(i), m), abs=1e-10)
+
+
+def test_rectangle_interval_masses_match_mpmath():
+    # every (s, n) with n <= 50 on the Section-4 intervals, down to masses
+    # of 4e-67; the larger of the two incomplete-beta differences is off
+    # by up to 98 % at masses near 6e-17 on these states
+    for lo, hi in SECTION4_INTERVALS:
+        got = _interval_masses(lo, hi, 51)
+        for n in range(51):
+            for s in range(n + 1):
+                want = interval_mass_ref(s, n, lo, hi)
+                assert abs(got[n, s] - want) <= 1e-12 * want, (lo, hi, s, n)
 
 
 def test_measures_are_probability_measures():

@@ -9,7 +9,6 @@ from rarexact import (
     DbcdNeyman,
     TemperedDbcdNeyman,
     TrialState,
-    bernstein_tail_sup,
     boschloo_rule,
     boschloo_statistic,
     certify_region,
@@ -18,9 +17,18 @@ from rarexact import (
     forward_g,
     unconditional_rule,
 )
-from rarexact.exact_tests import CERT_TOL, conditional_masses, region_coefficients
+from rarexact.exact_tests import (
+    CERT_TOL,
+    _golden_max,
+    _grid_basis,
+    _pmf_matrix,
+    _poly_value,
+    conditional_masses,
+    region_coefficients,
+)
 
 from oracles import (
+    bernstein_tail_sup,
     boschloo_statistic_ref,
     conditional_rule_ref,
     enumerate_path_weights,
@@ -155,6 +163,37 @@ def test_certificate_brackets_dense_grid_maximum(coeffs, level):
     assert cert.lower_bound <= dense + resolution
     assert dense <= cert.certified_upper + CERT_TOL
     assert cert.accepted == (cert.certified_upper <= level + CERT_TOL)
+
+
+def _best_grid_bracket(coeffs):
+    theta, basis = _grid_basis(coeffs.size - 1)
+    j = int(np.argmax(basis @ coeffs))
+    return theta[max(j - 1, 0)], theta[min(j + 1, theta.size - 1)]
+
+
+@pytest.mark.parametrize("policy", [DbcdNeyman(30, 3), BayesianRar(20, 2)])
+def test_golden_section_reaches_the_dense_grid_maximum(policy):
+    # a real rejection polynomial: the upper tail of the Wald statistic
+    table = forward_g(policy)
+    coeffs = region_coefficients(table, table.wald_statistics() >= 1.5)
+    lo, hi = _best_grid_bracket(coeffs)
+    best = _golden_max(lambda th: _poly_value(coeffs, th), lo, hi)
+    dense = float(np.max(_pmf_matrix(table.n, np.linspace(lo, hi, 50_001)) @ coeffs))
+    assert abs(best - dense) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(coeffs=st.integers(1, 30).flatmap(
+    lambda n: st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
+def test_line_search_bracket_never_inverts(coeffs):
+    # a level at the grid maximum always runs the line search
+    c = np.array(coeffs)
+    _, basis = _grid_basis(c.size - 1)
+    grid_max = float(np.max(basis @ c))
+    cert = certify_region(c, grid_max)
+    assert cert.lower_bound <= cert.certified_upper
+    if c.max() > grid_max + CERT_TOL:   # not settled by the coefficient bound
+        assert cert.lower_bound >= grid_max or cert.lower_bound == cert.certified_upper
 
 
 def test_unconditional_rule_matches_bruteforce(brar8, brar8_ref):

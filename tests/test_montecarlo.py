@@ -10,11 +10,9 @@ from rarexact import (
     TrialState,
     forward_g,
     layer,
-    permuted_block_sequence,
     randomization_rejection_rate,
     randomization_test,
     simulate_terminals,
-    simulate_trial,
 )
 from rarexact.montecarlo import (
     RERANDOMIZED_ROWS,
@@ -25,8 +23,10 @@ from rarexact.montecarlo import (
 )
 
 from oracles import (
+    permuted_block_sequence,
     randomization_p_value_ref,
     randomization_rejection_rate_ref,
+    simulate_trial,
     simulate_trial_ref,
 )
 

@@ -1,16 +1,20 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
+from scipy.special import gammaln, ndtri
 from scipy.stats import beta as beta_dist
 
 from rarexact.numerics import (
+    gammaln_table,
     log_binom,
     logsumexp_fixed,
     normal_quantile,
 )
+from rarexact.wald import wald_statistics
 from oracles import prob_beta_greater
 
 
@@ -21,6 +25,51 @@ def test_normal_quantile():
     assert normal_quantile(0.975) == pytest.approx(-normal_quantile(0.025), abs=1e-12)
     with pytest.raises(ValueError):
         normal_quantile(0.0)
+
+
+def test_gammaln_table_is_bit_identical_to_cephes():
+    # the BRAR posterior magnifies any one-ulp change in this table into
+    # patient-benefit shifts far above the reference bounds
+    size = 200_000
+    assert np.array_equal(gammaln_table(size), gammaln(np.arange(size, dtype=np.float64)))
+    assert gammaln_table(3).tolist() == [math.inf, 0.0, 0.0]
+
+
+def _ulps(got, want):
+    return np.abs(got - want) / np.spacing(np.abs(want))
+
+
+def test_normal_quantile_within_ulps_of_ndtri_and_exact():
+    p = np.logspace(-12, math.log10(0.5), 2001)
+    p = np.concatenate([p, 1.0 - p])
+    got = np.array([normal_quantile(float(x)) for x in p])
+    # measured: 5 ulp from ndtri, which is itself up to 3 ulp off, and 4
+    # from the correctly rounded value (checked on every fifth point, as
+    # mpmath's erfinv is slow); the usual test levels are 1-3 ulp off
+    assert _ulps(got, ndtri(p)).max() <= 5
+    with mpmath.workdps(25):
+        exact = np.array([float(mpmath.sqrt(2) * mpmath.erfinv(2 * mpmath.mpf(float(x)) - 1))
+                          for x in p[::5]])
+    assert _ulps(got[::5], exact).max() <= 4
+    levels = np.array([0.995, 0.975, 0.95])
+    assert _ulps(np.array([normal_quantile(x) for x in levels]), ndtri(levels)).max() <= 3
+
+
+def test_no_wald_statistic_is_near_a_critical_value():
+    # every |T| with n_c + n_d <= 200 is at least 1e-9 from z(alpha) at the
+    # usual levels (2.4e-8 measured, at alpha = 0.05), so an ulp-level
+    # change of z leaves every asymptotic rejection set unchanged;
+    # swapping the arms negates T exactly, so n_c <= n_d suffices
+    zs = np.array([normal_quantile(1.0 - a / 2.0) for a in (0.01, 0.05, 0.1)])
+    gap = np.inf
+    horizon = 200
+    for n_c in range(1, horizon // 2 + 1):
+        n_d = np.arange(n_c, horizon - n_c + 1)
+        nd = np.repeat(n_d, n_d + 1)
+        sd = np.arange(nd.size) - np.repeat(np.cumsum(n_d + 1) - (n_d + 1), n_d + 1)
+        t = np.abs(wald_statistics(np.arange(n_c + 1)[:, None], sd[None, :], n_c, nd[None, :]))
+        gap = min(gap, float(np.min(np.abs(t[..., None] - zs))))
+    assert gap > 1e-9
 
 
 def _pbg_quadrature(a1, b1, a2, b2):
