@@ -80,14 +80,15 @@ def _poly_value(coeffs: np.ndarray, theta: float) -> float:
     return float(np.einsum("ij,j->i", _pmf_matrix(n, np.array([theta])), coeffs)[0])
 
 
-def _golden_max(f, lo: float, hi: float, xtol: float = LINE_SEARCH_XTOL) -> float:
+def _golden_max(f, lo: float, hi: float) -> float:
     """Largest value of ``f`` met by a golden-section search for its
-    maximum on ``[lo, hi]``, run until the bracket is ``xtol`` wide."""
+    maximum on ``[lo, hi]``, run until the bracket is
+    ``LINE_SEARCH_XTOL`` wide."""
     c = hi - _INV_PHI * (hi - lo)
     d = lo + _INV_PHI * (hi - lo)
     fc, fd = f(c), f(d)
     best = max(fc, fd)
-    while hi - lo > xtol:
+    while hi - lo > LINE_SEARCH_XTOL:
         if fc >= fd:
             hi, d, fd = d, c, fc
             c = hi - _INV_PHI * (hi - lo)
