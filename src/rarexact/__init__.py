@@ -62,7 +62,6 @@ from .policies import (
     EqualAllocation,
     Policy,
     PolicyTable,
-    TablePolicy,
     TemperedDbcdNeyman,
     neyman_target,
 )

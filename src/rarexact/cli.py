@@ -33,7 +33,6 @@ from .policies import (
     BayesianRar,
     DbcdNeyman,
     EqualAllocation,
-    TablePolicy,
     TemperedDbcdNeyman,
 )
 
@@ -75,25 +74,63 @@ def _load_config(path: str) -> dict:
     return cfg
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _integer(d: dict, key: str, default=None) -> int:
+    """``d[key]``, or ``default`` when absent, as a JSON integer; a float
+    such as ``6.5``, a bool or a string is refused, not truncated."""
+    value = d.get(key, default)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ConfigError(f"'{key}' = {value!r} is not an integer")
+    return value
+
+
+def _number(d: dict, key: str, default=None) -> float:
+    """``d[key]``, or ``default`` when absent, as a JSON number."""
+    value = d.get(key, default)
+    if not _is_number(value):
+        raise ConfigError(f"'{key}' = {value!r} is not a number")
+    return float(value)
+
+
+def _numbers(value, key: str, length: int | None = None) -> list[float]:
+    """``value`` as a JSON list of numbers, of ``length`` entries if given."""
+    if (not isinstance(value, list) or not all(map(_is_number, value))
+            or length is not None and len(value) != length):
+        what = f"{length} numbers" if length is not None else "numbers"
+        raise ConfigError(f"'{key}' must be a list of {what}, not {value!r}")
+    return [float(v) for v in value]
+
+
 def _policy_from_config(cfg: dict):
     spec = cfg.get("policy", {"kind": "EqualAllocation"})
     if isinstance(spec, str):
         spec = {"kind": spec}
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'policy' must be a kind name or a JSON object, not {spec!r}")
     kind = spec.get("kind")
-    n, b = int(cfg["n"]), int(cfg["burn_in"])
+    n, b = _integer(cfg, "n"), _integer(cfg, "burn_in")
     if kind in ("EqualAllocation", "equal", "ea"):
         return EqualAllocation(n, b)
     if kind in ("DbcdNeyman", "dbcd", "na"):
-        return DbcdNeyman(n, b, gamma=float(spec.get("gamma", cfg["gamma"])))
+        return DbcdNeyman(n, b, gamma=_number(spec, "gamma", cfg["gamma"]))
     if kind in ("TemperedDbcdNeyman", "tempered", "tna"):
-        return TemperedDbcdNeyman(n, b, gamma=float(spec.get("gamma", cfg["gamma"])))
+        return TemperedDbcdNeyman(n, b, gamma=_number(spec, "gamma", cfg["gamma"]))
     if kind in ("BayesianRar", "brar"):
         return BayesianRar(n, b)
     if kind in ("CmdpTable", "table"):
         path = spec.get("table_path") or cfg.get("table_path")
         if not path:
             raise ConfigError("table policy requires 'table_path'")
-        return TablePolicy(n, b, table=read_policy_table(path))
+        table = read_policy_table(path)
+        if (table.n, table.burn_in) != (n, b):
+            raise ConfigError(
+                f"policy table {path} has n = {table.n}, burn_in = {table.burn_in}; "
+                f"the configuration has n = {n}, burn_in = {b}"
+            )
+        return table
     raise ConfigError(f"unknown policy kind {kind!r}")
 
 
@@ -101,18 +138,22 @@ def _thetas_from_config(cfg: dict):
     spec = cfg.get("theta_grid")
     if spec is None:
         raise ConfigError("missing 'theta_grid'")
+    if not isinstance(spec, dict):
+        raise ConfigError(f"'theta_grid' must be a JSON object, not {spec!r}")
     kind = spec.get("kind")
     if kind == "null-diagonal":
-        return null_diagonal(int(spec.get("points", 99)))
+        return null_diagonal(_integer(spec, "points", 99))
     if kind == "curves":
         if "theta_c" not in spec:
             raise ConfigError("a 'curves' theta grid requires 'theta_c'")
-        return power_curves(spec["theta_c"], float(spec.get("step", 0.01)))
+        return power_curves(_numbers(spec["theta_c"], "theta_grid.theta_c"),
+                            _number(spec, "step", 0.01))
     if kind == "list":
         vals = spec.get("values", [])
-        if not vals:
-            raise ConfigError("empty theta list")
-        return [(float(a), float(b)) for a, b in vals]
+        if not isinstance(vals, list) or not vals:
+            raise ConfigError(
+                f"'theta_grid.values' must be a non-empty list of pairs, not {vals!r}")
+        return [tuple(_numbers(v, "theta_grid.values", 2)) for v in vals]
     raise ConfigError(f"unknown theta grid kind {kind!r}")
 
 
@@ -120,7 +161,7 @@ def _rule_from_config(cfg: dict, table):
     if "rule_path" in cfg:
         return read_rule(cfg["rule_path"])
     test = cfg.get("test", "unconditional")
-    alpha = float(cfg["alpha"])
+    alpha = _number(cfg, "alpha")
     if test == "asymptotic":
         return AsymptoticRule(alpha)
     if test == "conditional":
@@ -229,15 +270,17 @@ def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
     rect_cfg = cfg.get("rectangles", [])
     if rect_cfg == "section4-pairs":
         rectangles = default_rectangles()
+    elif isinstance(rect_cfg, list):
+        rectangles = tuple(Rectangle(*_numbers(r, "rectangles", 4)) for r in rect_cfg)
     else:
-        rectangles = tuple(Rectangle(*map(float, r)) for r in rect_cfg)
+        raise ConfigError(f"'rectangles' must be 'section4-pairs' or a list, not {rect_cfg!r}")
     return CmdpSpec(
-        n=int(cfg["n"]), burn_in=int(cfg["burn_in"]), p=float(cfg["p"]),
-        alpha=float(cfg["alpha"]), alpha_avg=float(cfg["alpha_avg"]),
-        alpha_point=float(cfg["alpha_point"]),
-        null_grid=tuple(float(v) for v in cfg["null_grid"]),
+        n=_integer(cfg, "n"), burn_in=_integer(cfg, "burn_in"), p=_number(cfg, "p"),
+        alpha=_number(cfg, "alpha"), alpha_avg=_number(cfg, "alpha_avg"),
+        alpha_point=_number(cfg, "alpha_point"),
+        null_grid=tuple(_numbers(cfg["null_grid"], "null_grid")),
         rectangles=rectangles,
-        max_iters=int(cfg.get("max_iters", 400)),
+        max_iters=_integer(cfg, "max_iters", 400),
     )
 
 
@@ -276,8 +319,8 @@ def _cmd_mc_randtest(cfg: dict, out: str) -> int:
     rows = []
     for tc, td in thetas:
         est = randomization_rejection_rate(
-            policy, (tc, td), int(cfg["sims"]), int(cfg["reps"]),
-            float(cfg["alpha"]), int(cfg["seed"]),
+            policy, (tc, td), _integer(cfg, "sims"), _integer(cfg, "reps"),
+            _number(cfg, "alpha"), _integer(cfg, "seed"),
         )
         rows.append((tc, td, est.estimate, est.half_width, est.sims, est.reps,
                      est.seed.seed, est.seed.generator))
@@ -292,10 +335,11 @@ def _cmd_mc_randtest(cfg: dict, out: str) -> int:
 def _cmd_paths(cfg: dict, out: str) -> int:
     policy = _policy_from_config(cfg)
     thetas = _thetas_from_config(cfg)
-    sims = int(cfg.get("path_sims", cfg["sims"]))
+    sims = _integer(cfg, "path_sims") if "path_sims" in cfg else _integer(cfg, "sims")
+    seed = _integer(cfg, "seed")
     rows = []
     for tc, td in thetas:
-        for i, hist in enumerate(simulate_trials(policy, (tc, td), int(cfg["seed"]), 0, sims)):
+        for i, hist in enumerate(simulate_trials(policy, (tc, td), seed, 0, sims)):
             for t, prop in enumerate(hist.control_proportion_path(), start=1):
                 rows.append((tc, td, i, t, prop))
     _write_csv(out, ["theta_c", "theta_d", "sim", "t", "control_proportion"], rows, cfg)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .engine import PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood
 from .numerics import check_alpha, gammaln_table
-from .policies import PolicyTable, TablePolicy
+from .policies import PolicyTable
 from .states import Layer, Transition, layer as make_layer
 from .wald import asymptotic_reject_array, layer_wald_statistics
 
@@ -322,8 +322,9 @@ class _AuditContext:
 def audit_policy(table: PolicyTable, spec: CmdpSpec) -> AuditReport:
     """Exact objective and constraint values of a policy table under the
     embedded asymptotic Wald test."""
-    policy = TablePolicy(n=spec.n, burn_in=spec.burn_in, table=table)
-    return _AuditContext(spec).audit(forward_g(policy))
+    if (table.n, table.burn_in) != (spec.n, spec.burn_in):
+        raise ValueError("table horizon/burn-in mismatch")
+    return _AuditContext(spec).audit(forward_g(table))
 
 
 def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
@@ -365,7 +366,7 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
             if lam_j != 0.0:
                 reward -= lam_j * f_j
         table, value = lagrangian_backward(reward, spec)
-        audit = ctx.audit(forward_g(TablePolicy(n=spec.n, burn_in=spec.burn_in, table=table)))
+        audit = ctx.audit(forward_g(table))
         v = audit.violations(spec)
         worst = float(v.max())
         dual_value = value + float(lam @ bounds)

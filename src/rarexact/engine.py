@@ -9,8 +9,9 @@ The sweep keeps two rolling layers and steps with
 :class:`~rarexact.states.Transition` for the fixed edge order that keeps
 results bit-stable).  It works in the linear domain on the fair-coin path
 probability ``p = g * 2**-t`` of each state, which lies in ``[0, 1]`` and
-sums to one over a layer: each epoch halves the arm probabilities, an
-exact scaling.  The terminal table stores ``log g = log p + n ln 2``.
+sums to one over a layer: each epoch takes the policy's linear arm
+probabilities ``(q, 1 - q)`` and halves them, an exact scaling.  The
+terminal table stores ``log g = log p + n ln 2``.
 
 Evaluation is batched over success-rate points.  Within a block of fixed
 group sizes ``(n_c, n_d)`` the likelihood is a product of two binomial
@@ -99,8 +100,8 @@ def forward_g(policy: Policy) -> PathWeightTable:
     arm and both outcome branches receiving the full arm mass (outcome
     likelihoods enter later, through the evaluation weights).  The weights
     carried are fair-coin path probabilities: the policy's
-    :meth:`~rarexact.policies.Policy.layer_log_probs` are exponentiated in
-    place and halved.  A state whose fair-coin probability underflows to
+    :meth:`~rarexact.policies.Policy.layer_arm_probs` are checked and halved
+    in place.  A state whose fair-coin probability underflows to
     zero gets ``log g = -inf``; :meth:`~rarexact.states.Transition.push`
     bounds the probability so lost.
     """
@@ -113,9 +114,7 @@ def forward_g(policy: Policy) -> PathWeightTable:
     cur = np.exp(_burn_in_table(b) - 2 * b * LN2)
     for t in range(2 * b, n):
         step = Transition(t, b)
-        q, q1 = policy.layer_log_probs(step.src)
-        np.exp(q, out=q)
-        np.exp(q1, out=q1)
+        q, q1 = policy.layer_arm_probs(step.src)
         _check_arm_probs(q, q1, t)
         q *= 0.5
         q1 *= 0.5

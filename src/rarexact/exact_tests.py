@@ -197,9 +197,10 @@ def _grow_prefix(keys, w, s, n, level):
     """Largest tie-group prefix (by ascending ``keys``) whose certified null
     supremum stays at or below ``level``.
 
-    Returns ``(end, last_value, next_value, certificate)`` with ``end`` the
-    flat prefix length in the sorted order; galloping plus binary search
-    keeps the number of certifications logarithmic in the group count.
+    Returns ``(last_value, next_value, certificate)``: the largest key
+    inside the prefix and the smallest outside it (``None`` where there is
+    none); galloping plus binary search keeps the number of certifications
+    logarithmic in the group count.
     """
     order = np.argsort(keys, kind="stable")
     ks = keys[order]
@@ -238,9 +239,7 @@ def _grow_prefix(keys, w, s, n, level):
     end = int(ends[lo - 1]) if lo else 0
     last = float(ks[end - 1]) if lo else None
     nxt = float(ks[end]) if end < ks.size else None
-    mask = np.zeros(keys.size, dtype=bool)
-    mask[order[:end]] = True
-    return mask, last, nxt, cert_lo
+    return last, nxt, cert_lo
 
 
 # ---------------------------------------------------------------------------
@@ -403,8 +402,8 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
     w, s = conditional_masses(table)
     level = alpha / 2.0
 
-    up_mask, up_last, _, up_cert = _grow_prefix(-t_stat, w, s, n, level)
-    lo_mask, lo_last, _, lo_cert = _grow_prefix(t_stat, w, s, n, level)
+    up_last, _, up_cert = _grow_prefix(-t_stat, w, s, n, level)
+    lo_last, _, lo_cert = _grow_prefix(t_stat, w, s, n, level)
 
     upper = -up_last if up_last is not None else np.inf
     lower = lo_last if lo_last is not None else -np.inf
@@ -433,13 +432,9 @@ def boschloo_statistic(table: PathWeightTable) -> np.ndarray:
     wv = w[order]
     sv = s[order]
     cs = np.cumsum(wv)
-    stratum_starts = np.searchsorted(sv, np.arange(n + 2))
-    base = np.zeros(av.size)
-    for sp in range(n + 1):
-        beg, stop = stratum_starts[sp], stratum_starts[sp + 1]
-        if beg < stop:
-            base[beg:stop] = cs[beg - 1] if beg > 0 else 0.0
-    rel = cs - base
+    # the mass of all lower strata: the cumsum just before each stratum
+    stratum_starts = np.searchsorted(sv, np.arange(n + 1))
+    rel = cs - np.concatenate(([0.0], cs))[stratum_starts[sv]]
 
     new_group = np.empty(av.size, dtype=bool)
     new_group[0] = True
@@ -459,7 +454,7 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     check_alpha(alpha)
     stat = boschloo_statistic(table)
     w, s = conditional_masses(table)
-    mask, last, nxt, cert = _grow_prefix(stat, w, s, table.n, alpha)
+    last, nxt, cert = _grow_prefix(stat, w, s, table.n, alpha)
     threshold = nxt if nxt is not None else np.inf
     rule = BoschlooRule(alpha, table.n, float(threshold), last, stat, cert)
     return rule

@@ -51,7 +51,10 @@ def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
             raise ValueError(f"{path}: not a {magic!r} container")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
+        prefix = fh.read(8)
+        if len(prefix) != 8:
+            raise ValueError(f"{path}: truncated {magic!r} container")
+        (hlen,) = struct.unpack("<Q", prefix)
         header = json.loads(fh.read(hlen).decode("utf-8"))
         return header, fh.read()
 
@@ -75,6 +78,7 @@ def read_weight_table(path) -> PathWeightTable:
     """Read a table written by :func:`write_weight_table`; header keys it
     does not need, such as the numeric health, are ignored."""
     header, payload = _read_container(path, WEIGHT_MAGIC)
+    _require(header, ("n", "burn_in"), f"{path} header")
     lay = make_layer(header["n"], header["burn_in"])
     log_g = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if log_g.size != lay.size:
@@ -98,7 +102,12 @@ def write_policy_table(path, table: PolicyTable, extra: dict | None = None):
 
 def read_policy_table(path) -> PolicyTable:
     header, payload = _read_container(path, POLICY_MAGIC)
+    _require(header, ("n", "burn_in", "p", "sizes"), f"{path} header")
     raw = np.frombuffer(payload, dtype=np.int8)
+    total = sum(header["sizes"])
+    if raw.size != total:
+        raise ValueError(
+            f"{path}: payload holds {raw.size} codes, the header's sizes sum to {total}")
     codes = []
     pos = 0
     for size in header["sizes"]:

@@ -11,8 +11,9 @@ into arrangements by sorting.
 
 Trials are stepped together, many rows at a time, along the edges of
 :class:`~rarexact.states.Transition`, like the exact sweeps; allocation
-probabilities are looked up per layer by
-:meth:`~rarexact.states.Layer.indices`.  Every row depends only on its
+probabilities are the control side ``q`` of the policy's
+:meth:`~rarexact.policies.Policy.layer_arm_probs`, looked up per layer
+by :meth:`~rarexact.states.Layer.indices`.  Every row depends only on its
 own stream, so results do not depend on how the trials are chunked.
 """
 
@@ -139,7 +140,9 @@ def _arms_from_keys(keys: np.ndarray, lengths: list[int]) -> np.ndarray:
 
 class _EpochLookup:
     """Vectorized per-epoch allocation probabilities for a policy: the
-    layer and its control probabilities, kept once per epoch."""
+    layer and the control side ``q`` of its
+    :meth:`~rarexact.policies.Policy.layer_arm_probs`, kept once per
+    epoch."""
 
     def __init__(self, policy: Policy):
         self.policy = policy
@@ -149,7 +152,7 @@ class _EpochLookup:
         entry = self._cache.get(t)
         if entry is None:
             lay = make_layer(t, self.policy.burn_in, self.policy.n)
-            entry = self._cache[t] = (lay, self.policy.layer_control_probs(lay))
+            entry = self._cache[t] = (lay, self.policy.layer_arm_probs(lay)[0])
         lay, probs = entry
         return probs[lay.indices(s_c, s_d, n_c)]
 

@@ -1,5 +1,7 @@
-"""Allocation policies: the probability of assigning the next participant
-to the control arm, computed for every state of an epoch layer at once.
+"""Allocation policies: the probabilities of assigning the next participant
+to the control arm and to the developmental arm, computed for every state
+of an epoch layer at once (:meth:`Policy.layer_arm_probs`).  Built-in
+designs and CMDP policy tables serve the same linear pair ``(q, 1 - q)``.
 
 Every policy is defined for epochs ``t >= 2b``; the first ``2b``
 participants are always allocated by the canonical alternating burn-in,
@@ -49,8 +51,8 @@ def _dbcd_alloc(rho, r, gamma):
 
 @dataclass(frozen=True)
 class Policy:
-    """Base class; concrete policies implement :meth:`layer_control_probs`,
-    and :meth:`control_prob` reads one state's entry of it."""
+    """Base class; concrete policies implement :meth:`layer_arm_probs`, and
+    :meth:`control_prob` reads one state's entry of its control side."""
 
     n: int
     burn_in: int
@@ -65,19 +67,15 @@ class Policy:
         if state.epoch >= self.n:
             raise ValueError(f"epoch {state.epoch} allocates no one: the horizon is {self.n}")
         lay = make_layer(state.epoch, self.burn_in, self.n)
-        return float(self.layer_control_probs(lay)[lay.index(state)])
+        return float(self.layer_arm_probs(lay)[0][lay.index(state)])
 
-    def layer_control_probs(self, lay: Layer) -> np.ndarray:
-        """Allocation probabilities for every state of ``lay`` in canonical
-        order; only called for epochs ``2b <= t < n``."""
+    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+        """``(q, q1)``: the probabilities of allocating the next participant
+        to control and to the developmental arm, for every state of ``lay``
+        in canonical order; they sum to one per state.  Only called for
+        epochs ``2b <= t < n``.  Each call returns two fresh arrays, which
+        the forward sweep scales in place."""
         raise NotImplementedError
-
-    def layer_log_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-        """``(log q, log(1 - q))`` per state; subclasses override when the
-        tails need more accuracy than ``log(q)`` provides."""
-        q = self.layer_control_probs(lay)
-        with np.errstate(divide="ignore"):
-            return np.log(q), np.log1p(-q)
 
     def descriptor(self) -> dict:
         return {"kind": type(self).__name__, "n": self.n, "burn_in": self.burn_in}
@@ -90,8 +88,8 @@ class EqualAllocation(Policy):
 
     is_symmetric = True
 
-    def layer_control_probs(self, lay: Layer) -> np.ndarray:
-        return np.full(lay.size, 0.5)
+    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+        return np.full(lay.size, 0.5), np.full(lay.size, 0.5)
 
 
 @dataclass(frozen=True)
@@ -109,12 +107,12 @@ class DbcdNeyman(Policy):
         if self.burn_in < 1:
             raise ValueError(f"DBCD needs a burn-in of at least 1 per arm, not {self.burn_in}")
 
-    def layer_control_probs(self, lay: Layer) -> np.ndarray:
+    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
         s_c, s_d, n_c, n_d = lay.arrays()
         tc, td = _shrunk_estimates(s_c, s_d, n_c, n_d)
         rho = neyman_target(tc, td)
-        q = _dbcd_alloc(rho, n_c / lay.t, self.gamma)
-        return np.clip(q, *DBCD_CLIP)
+        q = np.clip(_dbcd_alloc(rho, n_c / lay.t, self.gamma), *DBCD_CLIP)
+        return q, 1.0 - q
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), gamma=self.gamma)
@@ -127,12 +125,13 @@ class TemperedDbcdNeyman(DbcdNeyman):
 
     is_symmetric = True
 
-    def layer_control_probs(self, lay: Layer) -> np.ndarray:
-        q = super().layer_control_probs(lay)
+    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+        q, _ = super().layer_arm_probs(lay)
         s_c, s_d, n_c, n_d = lay.arrays()
         tc, td = _shrunk_estimates(s_c, s_d, n_c, n_d)
         keep = ((q > 0.5) & (tc > td)) | ((q < 0.5) & (td > tc))
-        return np.where(keep, q, 0.5)
+        q = np.where(keep, q, 0.5)
+        return q, 1.0 - q
 
 
 @dataclass(frozen=True)
@@ -143,7 +142,7 @@ class BayesianRar(Policy):
     The tuning exponent is ``u / (2n)`` with ``u`` the one-based index of
     the participant being allocated (the state epoch plus one).
 
-    :meth:`layer_log_probs` works block by block.  In the ``(n_c, n_d)``
+    The posterior ``P`` is computed block by block.  In the ``(n_c, n_d)``
     block, ``P(s_c, s_d) = P(theta_C > theta_D | state)`` starts from the
     closed form ``P(0, s_d) = B(a2, b2 + n_c + 1) / B(a2, b2)``, with
     ``a2 = s_d + 1`` and ``b2 = n_d - s_d + 1``, and moves one control
@@ -154,7 +153,9 @@ class BayesianRar(Policy):
     ``cumsum`` down its columns gives ``P`` in its even rows.  ``cumsum``
     adds in sequence along the axis, so each even row is formed by the very
     additions of the recurrence, in its order, and the design is
-    bit-stable.
+    bit-stable.  With ``a = e ln P`` and ``c = e ln(1 - P)`` for the
+    exponent ``e``, and ``m = logaddexp(a, c)``, the allocation pair is
+    ``(exp(a - m), exp(c - m))``.
     """
 
     def _exponent(self, epoch: int) -> float:
@@ -162,15 +163,15 @@ class BayesianRar(Policy):
 
     is_symmetric = True
 
-    def layer_log_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
         g = gammaln_table(2 * lay.t + 8)
         e = self._exponent(lay.t)
 
         def lbeta(a, b):
             return g[a] + g[b] - g[a + b]
 
-        log_q = np.empty(lay.size)
-        log_1q = np.empty(lay.size)
+        q = np.empty(lay.size)
+        q1 = np.empty(lay.size)
         for n_c, n_d, sl in lay.blocks():
             a2 = np.arange(1, n_d + 2)          # s_d + 1, along a row
             b2 = n_d + 2 - a2                   # n_d - s_d + 1
@@ -188,24 +189,23 @@ class BayesianRar(Policy):
                 a = e * np.log(p)
                 c = e * np.log1p(-p)
             m = np.logaddexp(a, c)
-            log_q[sl] = a - m
-            log_1q[sl] = c - m
-        return log_q, log_1q
-
-    def layer_control_probs(self, lay: Layer) -> np.ndarray:
-        return np.exp(self.layer_log_probs(lay)[0])
+            q[sl] = a - m
+            q1[sl] = c - m
+        np.exp(q, out=q)
+        np.exp(q1, out=q1)
+        return q, q1
 
 
 @dataclass(frozen=True)
-class PolicyTable:
-    """Dense per-layer action codes of an optimized design.
+class PolicyTable(Policy):
+    """An optimized design as dense per-layer action codes.
 
-    Codes: ``0 -> 1 - p``, ``1 -> 1/2``, ``2 -> p``; layers before the end
-    of the burn-in carry the sentinel ``-1``.
+    Codes: ``0 -> 1 - p``, ``1 -> 1/2``, ``2 -> p`` (the control
+    probability); layers before the end of the burn-in carry the sentinel
+    ``-1``.  The developmental probability of code ``k`` is the control
+    probability of code ``2 - k``.
     """
 
-    n: int
-    burn_in: int
     p: float
     codes: tuple = field(repr=False)  # one int8 array per epoch 0 .. n-1
 
@@ -216,17 +216,28 @@ class PolicyTable:
             raise ValueError("maximum randomized allocation rate must lie in [0.5, 1]")
         if len(self.codes) != self.n:
             raise ValueError("need one code array per epoch 0 .. n-1")
+        for t, codes in enumerate(self.codes):
+            size = make_layer(t, self.burn_in, self.n).size
+            if codes.size != size:
+                raise ValueError(f"epoch {t} holds {codes.size} codes for {size} states")
+            if t < 2 * self.burn_in:
+                lo, hi, allowed = self.BURN_IN_CODE, self.BURN_IN_CODE, "the burn-in code -1"
+            else:
+                lo, hi, allowed = 0, 2, "codes 0, 1 and 2"
+            if not lo <= codes.min() <= codes.max() <= hi:
+                raise ValueError(f"epoch {t} may hold only {allowed}")
 
-    @property
-    def action_probs(self) -> np.ndarray:
-        return np.array([1.0 - self.p, 0.5, self.p])
+    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+        if lay.b != self.burn_in:
+            raise ValueError("layer burn-in does not match the table")
+        if lay.t < 2 * self.burn_in:
+            raise ValueError(f"epoch {lay.t} is inside the burn-in")
+        probs = np.array([1.0 - self.p, 0.5, self.p])
+        codes = self.codes[lay.t]
+        return probs[codes], probs[2 - codes]
 
-    def probs_for_epoch(self, t: int) -> np.ndarray:
-        """Control-allocation probabilities for every state of layer ``t``."""
-        codes = self.codes[t]
-        if np.any(codes == self.BURN_IN_CODE):
-            raise ValueError(f"epoch {t} is inside the burn-in")
-        return self.action_probs[codes]
+    def descriptor(self) -> dict:
+        return dict(super().descriptor(), p=self.p)
 
     def __eq__(self, other):
         if not isinstance(other, PolicyTable):
@@ -235,24 +246,3 @@ class PolicyTable:
             (self.n, self.burn_in, self.p) == (other.n, other.burn_in, other.p)
             and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
         )
-
-
-@dataclass(frozen=True)
-class TablePolicy(Policy):
-    """Policy backed by a :class:`PolicyTable` lookup."""
-
-    table: PolicyTable = None
-
-    def __post_init__(self):
-        if self.table is None:
-            raise ValueError("TablePolicy requires a table")
-        if (self.n, self.burn_in) != (self.table.n, self.table.burn_in):
-            raise ValueError("table horizon/burn-in mismatch")
-
-    def layer_control_probs(self, lay: Layer) -> np.ndarray:
-        if lay.b != self.burn_in:
-            raise ValueError("layer burn-in does not match the table")
-        return self.table.probs_for_epoch(lay.t)
-
-    def descriptor(self) -> dict:
-        return dict(super().descriptor(), p=self.table.p)

@@ -403,7 +403,7 @@ def posterior_log_probs_ref(lay):
     Starting from the closed form for zero control successes, rows are
     filled by the exact two-term recurrence that moves one control success
     from the failure count, batched across all blocks sharing the row index.
-    This is the success-major loop that ``BayesianRar.layer_log_probs``
+    This is the success-major loop that ``BayesianRar.layer_arm_probs``
     replaced with one cumulative sum per block; the two must agree bit for
     bit.
     """
@@ -499,7 +499,9 @@ def forward_g_log_ref(policy):
     cur = _burn_in_table(b)
     for t in range(2 * b, n):
         src = Layer(t, b)
-        log_q, log_1q = policy.layer_log_probs(src)
+        q, q1 = policy.layer_arm_probs(src)
+        with np.errstate(divide="ignore"):
+            log_q, log_1q = np.log(q), np.log(q1)
         cur = _log_push_ref(src, Layer(t + 1, b), cur, log_q, log_1q)
     lay = Layer(n, b)
     if policy.is_symmetric:
@@ -617,13 +619,13 @@ def evaluate_backward(table, reward, spec):
     recursion (no maximization); equals the forward-weighted terminal sum
     by construction."""
     from rarexact.engine import _burn_in_table
-    from rarexact.states import Transition
+    from rarexact.states import Transition, layer
 
     n, b = spec.n, spec.burn_in
     v = np.asarray(reward, dtype=np.float64)
     for t in range(n - 1, 2 * b - 1, -1):
         wc, wd = Transition(t, b).pull(v)
-        q = table.probs_for_epoch(t)
+        q = table.layer_arm_probs(layer(t, b))[0]
         v = q * wc + (1.0 - q) * wd
     return float(np.sum(np.exp(_burn_in_table(b)) * v))
 

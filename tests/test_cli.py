@@ -9,6 +9,7 @@ import pytest
 
 from rarexact.cli import main
 from rarexact.io import (
+    POLICY_MAGIC,
     WEIGHT_MAGIC,
     _read_container,
     _write_container,
@@ -28,6 +29,8 @@ from rarexact import (
     boschloo_rule,
     equal_allocation_g,
     forward_g,
+    lagrangian_backward,
+    layer,
     solve_cmdp,
     unconditional_rule,
 )
@@ -270,6 +273,69 @@ def test_cli_exit_codes(tmp_path):
                        ("tol", 1e-3)):
         cfg = _cfg(tmp_path, "removed.json", n=8, burn_in=1, max_iters=2, **{key: value})
         assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 2
+
+
+@pytest.mark.parametrize("command, key, bad", [
+    pytest.param(["paths"], "theta_grid", {"theta_grid": "null-diagonal"}, id="theta_grid"),
+    pytest.param(["design"], "policy", {"policy": ["brar"]}, id="policy"),
+    pytest.param(["paths"], "theta_grid.values",
+                 {"theta_grid": {"kind": "list", "values": [0.1]}}, id="values"),
+    pytest.param(["paths"], "theta_grid.theta_c",
+                 {"theta_grid": {"kind": "curves", "theta_c": 0.3}}, id="theta_c"),
+    pytest.param(["cmdp", "solve"], "rectangles", {"rectangles": [[0, 0.1, 0.2]]},
+                 id="rectangles"),
+    pytest.param(["cmdp", "solve"], "null_grid", {"null_grid": 0.5}, id="null_grid"),
+    pytest.param(["design"], "n", {"n": 6.5}, id="n"),
+    pytest.param(["paths"], "seed", {"seed": True}, id="seed"),
+])
+def test_cli_malformed_config_shape_exits_2_naming_the_key(tmp_path, capsys, command, key, bad):
+    base = {"n": 10, "burn_in": 1, "policy": "DbcdNeyman", "path_sims": 2, "max_iters": 2,
+            "theta_grid": {"kind": "list", "values": [[0.5, 0.5]]}}
+    cfg = _cfg(tmp_path, "bad.json", **dict(base, **bad))
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tamper, message", [
+    pytest.param("code 5", "may hold only", id="code-5"),
+    pytest.param("no sizes", "'sizes'", id="no-sizes"),
+    pytest.param("short payload", "payload holds", id="short-payload"),
+    pytest.param("other horizon", "the configuration has n = 8", id="other-horizon"),
+    pytest.param("truncated", "truncated", id="truncated"),
+])
+def test_cli_malformed_policy_file_exits_2(tmp_path, capsys, tamper, message):
+    n, b = 6, 1
+    table, _ = lagrangian_backward(np.zeros(layer(n, b).size), CmdpSpec(n=n, burn_in=b))
+    path = tmp_path / "policy.rxpt"
+    write_policy_table(path, table)
+    header, payload = _read_container(path, POLICY_MAGIC)
+    if tamper == "code 5":
+        payload = payload[:-1] + bytes([5])
+    elif tamper == "no sizes":
+        del header["sizes"]
+    elif tamper == "short payload":
+        payload = payload[:-3]
+    elif tamper == "other horizon":
+        n = 8
+    _write_container(path, POLICY_MAGIC, header, payload)
+    if tamper == "truncated":
+        path.write_bytes(path.read_bytes()[:10])
+    cfg = _cfg(tmp_path, "design.json", n=n, burn_in=b,
+               policy={"kind": "table", "table_path": str(path)})
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "design.bin")]) == 2
+    assert message in capsys.readouterr().err
+
+
+def test_cli_weight_header_without_n_exits_2(tmp_path, capsys):
+    path = tmp_path / "design.bin"
+    write_weight_table(path, forward_g(BayesianRar(6, 1)))
+    header, payload = _read_container(path, WEIGHT_MAGIC)
+    del header["n"]
+    _write_container(path, WEIGHT_MAGIC, header, payload)
+    cfg = _cfg(tmp_path, "oc.json", design_path=str(path), test="asymptotic",
+               theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 2
+    assert "'n'" in capsys.readouterr().err
 
 
 def test_cli_oc_independent_of_thread_counts(tmp_path):

@@ -20,7 +20,7 @@ from rarexact import (
     solve_cmdp,
 )
 from rarexact.cmdp import SECTION4_INTERVALS, _interval_masses
-from rarexact.policies import PolicyTable, TablePolicy
+from rarexact.policies import PolicyTable
 
 from oracles import (
     _uniform_table,
@@ -146,7 +146,7 @@ def test_backward_forward_duality():
         reward = rng.normal(size=lay.size)
         table, _ = lagrangian_backward(reward, spec)
         value = evaluate_backward(table, reward, spec)
-        gt = forward_g(TablePolicy(n=n, burn_in=b, table=table))
+        gt = forward_g(table)
         forward_value = float(np.sum(np.exp(gt.log_g) * reward))
         assert value == pytest.approx(forward_value, rel=1e-8)
 
@@ -168,7 +168,7 @@ def test_fixed_policy_value_matches_history_tree():
     def prob_fn(state):
         t = state[2] + state[3]
         lay_t = layer(t, 1)
-        return float(table.probs_for_epoch(t)[lay_t.index(TrialState(*state))])
+        return float(table.layer_arm_probs(lay_t)[0][lay_t.index(TrialState(*state))])
 
     def reward_fn(state):
         return reward[lay.index(TrialState(*state))]
@@ -203,7 +203,8 @@ def test_audit_matches_history_enumeration_oracle():
 
     def prob_fn(state):
         t = state[2] + state[3]
-        return float(table.probs_for_epoch(t)[layer(t, 1).index(TrialState(*state))])
+        lay_t = layer(t, 1)
+        return float(table.layer_arm_probs(lay_t)[0][lay_t.index(TrialState(*state))])
 
     weights = enumerate_path_weights(prob_fn, 6, 1)
     z = norm.ppf(1 - spec.alpha / 2)

@@ -16,7 +16,7 @@ from rarexact import (
     layer,
 )
 from rarexact.engine import LN2, TerminalFunctional, layer_log_likelihood
-from rarexact.policies import Policy, PolicyTable, TablePolicy
+from rarexact.policies import Policy, PolicyTable
 
 from oracles import (
     enumerate_path_weights,
@@ -36,8 +36,8 @@ class ConstantCoin(Policy):
     def control_prob(self, state):
         return self.q
 
-    def layer_control_probs(self, lay):
-        return np.full(lay.size, self.q)
+    def layer_arm_probs(self, lay):
+        return np.full(lay.size, self.q), np.full(lay.size, 1.0 - self.q)
 
 
 def _table_as_dict(table):
@@ -188,24 +188,20 @@ def test_terminal_functional_handles_signed_functions():
 
 def test_forward_rejects_bad_policy_probabilities():
     class Bad(ConstantCoin):
-        def layer_control_probs(self, lay):
-            return np.full(lay.size, 1.5)
-
-        def layer_log_probs(self, lay):
-            q = self.layer_control_probs(lay)
-            return np.log(q), np.log1p(-q + 0j).real * np.nan
+        def layer_arm_probs(self, lay):
+            return np.full(lay.size, 1.5), np.full(lay.size, np.nan)
 
     with pytest.raises(ValueError):
         forward_g(Bad(3, 0, 1.5))
 
     class NanFailureArm(ConstantCoin):
-        def layer_log_probs(self, lay):
-            return np.full(lay.size, np.log(self.q)), np.full(lay.size, np.nan)
+        def layer_arm_probs(self, lay):
+            return np.full(lay.size, self.q), np.full(lay.size, np.nan)
 
     class ArmsNotComplementary(ConstantCoin):
         # q = 1 - q = 0.3: both arms in [0, 1] but summing to 0.6
-        def layer_log_probs(self, lay):
-            return np.full(lay.size, np.log(self.q)), np.full(lay.size, np.log(self.q))
+        def layer_arm_probs(self, lay):
+            return np.full(lay.size, self.q), np.full(lay.size, self.q)
 
     for bad in (NanFailureArm(5, 1, 0.3), ArmsNotComplementary(5, 1, 0.3)):
         with pytest.raises(ValueError, match="epoch 2"):
@@ -241,10 +237,10 @@ def _oracle_log2_p(ref):
 
 @st.composite
 def _sweep_designs(draw):
-    kind = draw(st.sampled_from([BayesianRar, DbcdNeyman, TemperedDbcdNeyman, TablePolicy]))
+    kind = draw(st.sampled_from([BayesianRar, DbcdNeyman, TemperedDbcdNeyman, PolicyTable]))
     b = draw(st.integers(1 if kind in (DbcdNeyman, TemperedDbcdNeyman) else 0, 4))
     n = draw(st.integers(max(2 * b, 1), 60))
-    if kind is not TablePolicy:
+    if kind is not PolicyTable:
         return kind(n, b)
     # an arm of probability 2**-52 drives some states below the subnormals
     p = draw(st.floats(0.5, 1.0) | st.just(1.0 - 2.0**-52))
@@ -254,7 +250,7 @@ def _sweep_designs(draw):
         else rng.integers(0, 3, layer(t, b).size).astype(np.int8)
         for t in range(n)
     )
-    return TablePolicy(n, b, table=PolicyTable(n, b, p, codes))
+    return PolicyTable(n, b, p, codes)
 
 
 @settings(max_examples=40, deadline=None)

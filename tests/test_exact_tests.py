@@ -15,6 +15,7 @@ from rarexact import (
     conditional_rule,
     equal_allocation_g,
     forward_g,
+    profile,
     unconditional_rule,
 )
 from rarexact.exact_tests import (
@@ -291,3 +292,26 @@ def test_rules_require_burn_in():
         unconditional_rule(table, ALPHA)
     with pytest.raises(ValueError):
         boschloo_statistic(table)
+
+
+@st.composite
+def _small_adaptive_designs(draw):
+    cls = draw(st.sampled_from([BayesianRar, DbcdNeyman, TemperedDbcdNeyman]))
+    b = draw(st.sampled_from([1, 2]))
+    n = draw(st.integers(2 * b, 16))
+    return cls(n, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=_small_adaptive_designs(), alpha=st.sampled_from([0.05, 0.1, 0.2]))
+def test_certified_rules_keep_their_level_on_the_null_grid(policy, alpha):
+    # exact null size at theta = j / (4n): within the level and within
+    # the rule's own certified upper bound
+    table = forward_g(policy)
+    m = 4 * policy.n
+    nulls = [(j / m, j / m) for j in range(m + 1)]
+    for build in (conditional_rule, unconditional_rule, boschloo_rule):
+        rule = build(table, alpha)
+        size = profile(table, rule, nulls).rejection_rates.max()
+        assert size <= alpha + 2 * CERT_TOL, (build.__name__, size)
+        assert size <= rule.certificate.certified_upper + 1e-15, (build.__name__, size)

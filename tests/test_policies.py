@@ -6,7 +6,6 @@ from rarexact import (
     DbcdNeyman,
     EqualAllocation,
     PolicyTable,
-    TablePolicy,
     TemperedDbcdNeyman,
     TrialState,
     layer,
@@ -130,9 +129,9 @@ def test_brar_block_posterior_is_bit_identical_to_success_major_loop(n, b):
         e = (t + 1) / (2.0 * n)
         a, c = e * log_p, e * log_s
         m = np.logaddexp(a, c)
-        log_q, log_1q = pol.layer_log_probs(lay)
-        assert np.array_equal(log_q, a - m), (n, b, t)
-        assert np.array_equal(log_1q, c - m), (n, b, t)
+        q, q1 = pol.layer_arm_probs(lay)
+        assert np.array_equal(q, np.exp(a - m)), (n, b, t)
+        assert np.array_equal(q1, np.exp(c - m)), (n, b, t)
 
 
 @pytest.mark.parametrize("policy_cls", [BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation])
@@ -141,7 +140,7 @@ def test_swap_antisymmetry_of_allocation(policy_cls):
     pol = policy_cls(n, b)
     for t in range(2 * b, n):
         lay = layer(t, b)
-        q = pol.layer_control_probs(lay)
+        q = pol.layer_arm_probs(lay)[0]
         perm = lay.swap_permutation()
         assert np.allclose(q[perm], 1.0 - q, atol=1e-12)
 
@@ -153,12 +152,12 @@ def test_layer_probs_match_scalar_dispatch():
         else (np.arange(layer(t, b).size) % 3).astype(np.int8)
         for t in range(n)
     )
-    table_policy = TablePolicy(n, b, table=PolicyTable(n, b, 0.9, codes))
+    table_policy = PolicyTable(n, b, 0.9, codes)
     for pol in (BayesianRar(n, b), DbcdNeyman(n, b), TemperedDbcdNeyman(n, b),
                 EqualAllocation(n, b), table_policy):
         for t in range(2 * b, n):
             lay = layer(t, b)
-            q = pol.layer_control_probs(lay)
+            q = pol.layer_arm_probs(lay)[0]
             for i in range(lay.size):
                 assert q[i] == pol.control_prob(lay.state(i))
         for state in (TrialState(0, 0, 0, 0), TrialState(1, 0, 1, 0)):
@@ -174,17 +173,28 @@ def test_policy_table_lookup_and_validation():
         fill = PolicyTable.BURN_IN_CODE if t < 2 * b else 1
         codes.append(np.full(size, fill, dtype=np.int8))
     codes[2] = np.array([0, 1, 2, 1], dtype=np.int8)
-    table = PolicyTable(n, b, p, tuple(codes))
-    pol = TablePolicy(n, b, table=table)
+    pol = PolicyTable(n, b, p, tuple(codes))
     lay = layer(2, b)
-    assert pol.layer_control_probs(lay) == pytest.approx([0.05, 0.5, 0.95, 0.5], abs=1e-12)
+    assert pol.layer_arm_probs(lay)[0] == pytest.approx([0.05, 0.5, 0.95, 0.5], abs=1e-12)
     assert pol.control_prob(lay.state(2)) == pytest.approx(0.95)
     with pytest.raises(ValueError):
-        table.probs_for_epoch(1)   # burn-in sentinel
+        pol.layer_arm_probs(layer(1, b))   # burn-in sentinel
     with pytest.raises(ValueError):
         PolicyTable(n, b, 0.3, tuple(codes))
     with pytest.raises(ValueError):
         pol.control_prob(TrialState(0, 0, 1, 0))
+
+
+def test_policy_table_refuses_malformed_codes():
+    # one array per layer, -1 throughout the burn-in, 0..2 after it
+    n, b = 5, 1
+    good = [np.full(layer(t, b).size, -1 if t < 2 * b else 1, dtype=np.int8) for t in range(n)]
+    PolicyTable(n, b, 0.9, tuple(good))
+    bad = [(3, good[3][:-1]), (1, np.zeros_like(good[1])),
+           (2, np.full_like(good[2], PolicyTable.BURN_IN_CODE)), (4, np.full_like(good[4], 3))]
+    for t, codes in bad:
+        with pytest.raises(ValueError, match=f"epoch {t}"):
+            PolicyTable(n, b, 0.9, tuple(good[:t] + [codes] + good[t + 1:]))
 
 
 def test_control_prob_refuses_the_terminal_epoch():
@@ -194,7 +204,7 @@ def test_control_prob_refuses_the_terminal_epoch():
         np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE if t < 2 * b else 1, dtype=np.int8)
         for t in range(n)
     )
-    table_policy = TablePolicy(n, b, table=PolicyTable(n, b, 0.95, codes))
+    table_policy = PolicyTable(n, b, 0.95, codes)
     for pol in (BayesianRar(n, b), table_policy):
         with pytest.raises(ValueError, match="horizon"):
             pol.control_prob(TrialState(1, 1, 2, 2))
