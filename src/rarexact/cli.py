@@ -95,6 +95,15 @@ def _number(d: dict, key: str, default=None) -> float:
     return float(value)
 
 
+def _path(d: dict, key: str, default=None) -> str:
+    """``d[key]``, or ``default`` when absent, as a JSON string; ``open()``
+    would take an integer as a file descriptor."""
+    value = d.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError(f"'{key}' = {value!r} is not a path string")
+    return value
+
+
 def _numbers(value, key: str, length: int | None = None) -> list[float]:
     """``value`` as a JSON list of numbers, of ``length`` entries if given."""
     if (not isinstance(value, list) or not all(map(_is_number, value))
@@ -121,9 +130,10 @@ def _policy_from_config(cfg: dict):
     if kind in ("BayesianRar", "brar"):
         return BayesianRar(n, b)
     if kind in ("CmdpTable", "table"):
-        path = spec.get("table_path") or cfg.get("table_path")
-        if not path:
+        where = spec if "table_path" in spec else cfg
+        if "table_path" not in where:
             raise ConfigError("table policy requires 'table_path'")
+        path = _path(where, "table_path")
         table = read_policy_table(path)
         if (table.n, table.burn_in) != (n, b):
             raise ConfigError(
@@ -159,7 +169,7 @@ def _thetas_from_config(cfg: dict):
 
 def _rule_from_config(cfg: dict, table):
     if "rule_path" in cfg:
-        return read_rule(cfg["rule_path"])
+        return read_rule(_path(cfg, "rule_path"))
     test = cfg.get("test", "unconditional")
     alpha = _number(cfg, "alpha")
     if test == "asymptotic":
@@ -190,7 +200,7 @@ def _write_csv(path, header: list[str], rows, cfg: dict):
 
 def _design_table(cfg: dict):
     if "design_path" in cfg:
-        return read_weight_table(cfg["design_path"])
+        return read_weight_table(_path(cfg, "design_path"))
     policy = _policy_from_config(cfg)
     return forward_g(policy)
 
@@ -230,8 +240,8 @@ def _cmd_power_diff(cfg: dict, out: str) -> int:
     for key in ("design_path", "baseline_design_path"):
         if key not in cfg:
             raise ConfigError(f"power-diff requires '{key}'")
-    table = read_weight_table(cfg["design_path"])
-    base = read_weight_table(cfg["baseline_design_path"])
+    table = read_weight_table(_path(cfg, "design_path"))
+    base = read_weight_table(_path(cfg, "baseline_design_path"))
     thetas = _thetas_from_config(cfg)
     rule = _rule_from_config(cfg, table)
     base_cfg = dict(cfg)
@@ -286,9 +296,9 @@ def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
 
 def _cmd_cmdp_solve(cfg: dict, out: str) -> int:
     spec = _cmdp_spec_from_config(cfg)
+    audit_path = _path(cfg, "audit_path", out + ".audit.json")
     result = solve_cmdp(spec)
     write_policy_table(out, result.table, extra={"config": cfg, "version": __version__})
-    audit_path = cfg.get("audit_path", out + ".audit.json")
     audit = {
         "config": cfg,
         "version": __version__,

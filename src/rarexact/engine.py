@@ -85,7 +85,9 @@ def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int) -> None:
     probabilities in ``[0, 1]`` (so not NaN) that sum to one per state."""
     lo = np.minimum(q.min(), q1.min())
     hi = np.maximum(q.max(), q1.max())
-    gap = np.max(np.abs(q + q1 - 1.0))
+    s = q + q1
+    s -= 1.0
+    gap = max(s.max(), -s.min())    # NaN in s makes it NaN, which fails
     if not (lo >= 0.0 and hi <= 1.0 and gap <= ARM_SUM_TOL):
         raise ValueError(
             f"policy probabilities at epoch {t} are not a pair (q, 1 - q) in [0, 1]"

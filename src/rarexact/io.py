@@ -47,6 +47,26 @@ def _require(d, keys, what: str) -> None:
             raise ValueError(f"{what} lacks the required key {key!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _require_types(d: dict, checks: dict, what: str) -> None:
+    """Raise ``ValueError`` naming the first key of ``checks`` whose value in
+    ``d`` fails its test; ``checks`` maps a key to ``(test, description)``."""
+    for key, (test, kind) in checks.items():
+        if not test(d[key]):
+            raise ValueError(f"{what} key {key!r} = {d[key]!r} is not {kind}")
+
+
+_INT = (_is_int, "an integer")
+_NUMBER = (lambda v: _is_int(v) or isinstance(v, float), "a number")
+_SIZES = (
+    lambda v: isinstance(v, list) and all(_is_int(x) and x >= 0 for x in v),
+    "a list of non-negative integers",
+)
+
+
 def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
         if fh.read(len(magic)) != magic:
@@ -79,6 +99,7 @@ def read_weight_table(path) -> PathWeightTable:
     does not need, such as the numeric health, are ignored."""
     header, payload = _read_container(path, WEIGHT_MAGIC)
     _require(header, ("n", "burn_in"), f"{path} header")
+    _require_types(header, {"n": _INT, "burn_in": _INT}, f"{path} header")
     lay = make_layer(header["n"], header["burn_in"])
     log_g = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if log_g.size != lay.size:
@@ -103,6 +124,8 @@ def write_policy_table(path, table: PolicyTable, extra: dict | None = None):
 def read_policy_table(path) -> PolicyTable:
     header, payload = _read_container(path, POLICY_MAGIC)
     _require(header, ("n", "burn_in", "p", "sizes"), f"{path} header")
+    _require_types(header, {"n": _INT, "burn_in": _INT, "p": _NUMBER, "sizes": _SIZES},
+                   f"{path} header")
     raw = np.frombuffer(payload, dtype=np.int8)
     total = sum(header["sizes"])
     if raw.size != total:

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import gammaln_table
 from .states import Layer, TrialState, layer as make_layer
@@ -156,6 +157,20 @@ class BayesianRar(Policy):
     bit-stable.  With ``a = e ln P`` and ``c = e ln(1 - P)`` for the
     exponent ``e``, and ``m = logaddexp(a, c)``, the allocation pair is
     ``(exp(a - m), exp(c - m))``.
+
+    Every ``lbeta`` is read from the ``gammaln_table`` with slices and
+    windows, without an integer gather.  In a step ``a1 + b1 = n_c + 2``
+    and ``a2 + b2 = n_d + 2``, so ``lbeta(a1 + a2, b1 + b2)`` depends on
+    ``m = a1 + a2 - 2`` alone: it is ``h[m] = g[m + 2] + g[t + 2 - m] -
+    g[t + 4]``, built once per layer for ``m = 0 .. t``.  The ``(n_c, n_d +
+    1)`` windows ``h[k + s_d]`` and ``h[k + 1 + s_d]`` of ``h`` are the
+    first terms of ``step_a`` and ``step_b``, and the row-0 numerator
+    ``lbeta(a2, b2 + n_c + 1)`` is ``r[s_d] = g[s_d + 1] + g[t + 2 - s_d] -
+    g[t + 3]``, the same in every block.  Each step is formed as
+    ``((h - ln a1) - lbeta(a1, b1)) - lb2`` (``ln b1`` in ``step_b``) with
+    ``lb2 = lbeta(a2, b2)``, and each ``lbeta`` as ``(g[a] + g[b]) - g[a + b]``: the operands and
+    their order are those of the recurrence, so the result is bit for bit
+    that of a per-state evaluation.
     """
 
     def _exponent(self, epoch: int) -> float:
@@ -164,33 +179,46 @@ class BayesianRar(Policy):
     is_symmetric = True
 
     def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-        g = gammaln_table(2 * lay.t + 8)
-        e = self._exponent(lay.t)
+        t = lay.t
+        g = gammaln_table(2 * t + 8)
+        e = self._exponent(t)
 
-        def lbeta(a, b):
-            return g[a] + g[b] - g[a + b]
+        def lbeta_row(n):
+            # lbeta(j + 1, n + 1 - j) for j = 0 .. n
+            return g[1:n + 2] + g[n + 1:0:-1] - g[n + 2]
 
+        h = g[2:t + 3] + g[t + 2:1:-1] - g[t + 4]
+        r = g[1:t + 2] + g[t + 2:1:-1] - g[t + 3]
+        log_k = np.log(np.arange(1, t + 1))     # ln 1 .. ln t
         q = np.empty(lay.size)
         q1 = np.empty(lay.size)
-        for n_c, n_d, sl in lay.blocks():
-            a2 = np.arange(1, n_d + 2)          # s_d + 1, along a row
-            b2 = n_d + 2 - a2                   # n_d - s_d + 1
-            lb2 = lbeta(a2, b2)
-            k = np.arange(n_c)[:, None]         # s_c = k -> k + 1, down a column
+        for n_c, n_d, start, stop in lay.spans:
+            lb2 = lbeta_row(n_d)                # lbeta(a2, b2) along a row
+            lb1 = lbeta_row(n_c)[:, None]       # lbeta(k + 1, n_c + 1 - k) down a column
+            win = sliding_window_view(h, n_d + 1)
             inc = np.empty((2 * n_c + 1, n_d + 1))
-            inc[0] = np.exp(lbeta(a2, b2 + n_c + 1) - lb2)
-            a1, b1 = k + 1, n_c - k + 1
-            inc[1::2] = np.exp(lbeta(a1 + a2, b1 + b2) - np.log(a1) - lbeta(a1, b1) - lb2)
-            a1, b1 = k + 2, n_c - k
-            inc[2::2] = np.exp(lbeta(a1 + a2, b1 + b2) - np.log(b1) - lbeta(a1, b1) - lb2)
+            np.subtract(r[:n_d + 1], lb2, out=inc[0])
+            # step_a: a1 = k + 1, b1 = n_c - k + 1
+            step = inc[1::2]
+            np.subtract(win[:-1], log_k[:n_c, None], out=step)
+            np.subtract(step, lb1[:-1], out=step)
+            np.subtract(step, lb2, out=step)
+            # step_b: a1 = k + 2, b1 = n_c - k
+            step = inc[2::2]
+            np.subtract(win[1:], log_k[:n_c][::-1, None], out=step)
+            np.subtract(step, lb1[1:], out=step)
+            np.subtract(step, lb2, out=step)
+            np.exp(inc, out=inc)
             p = np.cumsum(inc, axis=0)[::2].ravel()
             np.clip(p, 0.0, 1.0, out=p)
             with np.errstate(divide="ignore"):
-                a = e * np.log(p)
-                c = e * np.log1p(-p)
+                c = np.log1p(-p)
+                a = np.log(p, out=p)
+            a *= e
+            c *= e
             m = np.logaddexp(a, c)
-            q[sl] = a - m
-            q1[sl] = c - m
+            np.subtract(a, m, out=q[start:stop])
+            np.subtract(c, m, out=q1[start:stop])
         np.exp(q, out=q)
         np.exp(q1, out=q1)
         return q, q1

@@ -9,6 +9,15 @@ in flat numpy arrays.
 The state ordering inside a layer -- ascending control group size, then
 ascending control successes, then ascending developmental successes --
 is part of the on-disk format of every artifact and must not change.
+
+A layer is a run of ``(n_c, n_d)`` blocks, each a dense ``(n_c + 1,
+n_d + 1)`` grid of ``(s_c, s_d)`` stored row by row.  The block spans are
+computed once per ``(t, b)`` and cached as Python ints, so building a
+layer, or a :class:`Transition` between two, does no array work; the
+per-state arrays stay with each layer.  :class:`Transition` is the one
+kernel between consecutive layers: it forms its products over the whole
+layer and adds them block by block, each destination state in a fixed
+order, so every result is bit-stable.
 """
 
 from __future__ import annotations
@@ -41,6 +50,25 @@ class TrialState:
         return self.s_c + self.s_d
 
 
+@lru_cache(maxsize=512)
+def _block_layout(n_c_min: int, n_c_max: int, t: int) -> tuple[tuple, np.ndarray]:
+    """``(spans, offsets)`` of the layer at epoch ``t`` with control group
+    sizes ``n_c_min .. n_c_max``: ``spans`` holds ``(n_c, n_d, start,
+    stop)`` per block as Python ints, ``offsets`` the block starts and the
+    layer size as a read-only array.  Cached, so building a layer costs no
+    array work; the per-state arrays stay with each :class:`Layer`."""
+    n_c = np.arange(n_c_min, n_c_max + 1)
+    block_sizes = (n_c + 1) * (t - n_c + 1)
+    offsets = np.concatenate(([0], np.cumsum(block_sizes)))
+    offsets.flags.writeable = False
+    bounds = offsets.tolist()
+    spans = tuple(
+        (nc, t - nc, bounds[k], bounds[k + 1])
+        for k, nc in enumerate(range(n_c_min, n_c_max + 1))
+    )
+    return spans, offsets
+
+
 class Layer:
     """Dense index over the states reachable at epoch ``t`` given a burn-in
     of ``b`` participants per arm.
@@ -50,6 +78,10 @@ class Layer:
     canonical alternating burn-in (control first), i.e. a single control
     group size ``ceil(t / 2)``.  Only layers with ``t >= 2b`` are part of
     the public contract.
+
+    :attr:`spans` holds ``(n_c, n_d, start, stop)`` of each block in
+    canonical order, and :attr:`offsets` (read-only) the block starts
+    followed by :attr:`size`.
 
     Instances are immutable after construction and safe to share.
     """
@@ -64,11 +96,8 @@ class Layer:
             self.n_c_max = t - b
         else:
             self.n_c_min = self.n_c_max = (t + 1) // 2
-        n_c = np.arange(self.n_c_min, self.n_c_max + 1)
-        block_sizes = (n_c + 1) * (t - n_c + 1)
-        # offsets[k] = start of the block with n_c = n_c_min + k
-        self.offsets = np.concatenate(([0], np.cumsum(block_sizes)))
-        self.size = int(self.offsets[-1])
+        self.spans, self.offsets = _block_layout(self.n_c_min, self.n_c_max, t)
+        self.size = self.spans[-1][3]
         self._arrays = None
         self._swap_perm = None
 
@@ -111,13 +140,13 @@ class Layer:
 
     def block_slice(self, n_c: int) -> slice:
         """Flat slice of the block with control group size ``n_c``."""
-        k = n_c - self.n_c_min
-        return slice(int(self.offsets[k]), int(self.offsets[k + 1]))
+        _, _, start, stop = self.spans[n_c - self.n_c_min]
+        return slice(start, stop)
 
     def blocks(self):
         """Yield (n_c, n_d, slice) for each block in canonical order."""
-        for n_c in range(self.n_c_min, self.n_c_max + 1):
-            yield n_c, self.t - n_c, self.block_slice(n_c)
+        for n_c, n_d, start, stop in self.spans:
+            yield n_c, n_d, slice(start, stop)
 
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-state ``(s_c, s_d, n_c, n_d)`` arrays in canonical order."""
@@ -156,12 +185,25 @@ class Transition:
     ``(s_c, s_d + 1, n_c, n_d + 1)`` and ``(s_c, s_d, n_c, n_d + 1)``.
 
     :meth:`push` carries weights forward and :meth:`pull` gathers values
-    backward; the two are adjoint.  Both visit the source blocks in
-    canonical order and, in a block, the control arm before the
-    developmental one and success before failure.  Sums are formed in that
-    fixed order, which keeps every artifact bit-stable; do not reorder.
-    The two layers are built for this step only, not taken from the
-    :func:`layer` cache, so a sweep holds just the layers it is on.
+    backward; the two are adjoint.  Both walk the cached block spans of the
+    two layers (:attr:`Layer.spans`) in canonical order.  Source block
+    ``k`` (``n_c = b + k``) sends its control children to destination block
+    ``k + 1`` and its developmental children to destination block ``k``.
+    Both layers start at ``n_c = b``, and source block ``k`` and destination
+    block ``k + 1`` share the row width ``n_d + 1``.  So the control
+    children of a block are two contiguous runs of the destination: the
+    success run starts one row, ``n_d + 1`` states, after the failure run.
+    The developmental children are the two column-shifted views of the
+    ``(n_c + 1, n_d + 2)`` destination block.
+
+    Every destination state receives its sums in one fixed order: control
+    success, control failure (from source block ``k - 1``), then
+    developmental success, developmental failure (from block ``k``).  That
+    order, and the elementwise products, make each result bit-identical to
+    a plain per-state loop in the same order, which keeps every artifact
+    bit-stable; do not reorder.  The two layers are built for this step
+    only, not taken from the :func:`layer` cache, so a sweep holds just the
+    layers it is on.
     """
 
     def __init__(self, t: int, b: int):
@@ -175,6 +217,11 @@ class Transition:
         probability ``q`` (control) or ``q1`` (developmental) of an arm goes
         to both outcome children of that arm.
 
+        The products ``w * q`` and ``w * q1`` are formed once over the whole
+        layer; being elementwise, they are the very products a per-block
+        loop would form.  Each block then adds its slice of them into the
+        destination in place, in the order of the class docstring.
+
         The domain is linear.  The forward sweep passes fair-coin path
         probabilities and both arm probabilities already halved, the exact
         ``1/2`` of a fair outcome per epoch, so every weight lies in
@@ -186,32 +233,41 @@ class Transition:
         of probability; at horizon ``n`` it changes an expectation of a
         function bounded by one by at most ``2 * S * 2**(n - 1075)``.
         """
-        src, dst = self.src, self.dst
-        nxt = np.zeros(dst.size)
-        for n_c, n_d, sl in src.blocks():
-            shape = (n_c + 1, n_d + 1)
-            s = w[sl].reshape(shape)
-            to_c = s * q[sl].reshape(shape)
-            to_d = s * q1[sl].reshape(shape)
-            dc = nxt[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
-            dc[1:] += to_c
-            dc[:-1] += to_c
-            dd = nxt[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
-            dd[:, 1:] += to_d
-            dd[:, :-1] += to_d
+        nxt = np.zeros(self.dst.size)
+        to_c = w * q
+        to_d = w * q1
+        dst = self.dst.spans
+        # per source block: its span, then the starts d0 and c0 of its
+        # developmental and control destination blocks
+        for (n_c, n_d, start, stop), (_, _, d0, _), (_, _, c0, _) in zip(
+                self.src.spans, dst, dst[1:]):
+            m, row = stop - start, n_d + 1
+            x = to_c[start:stop]
+            success = nxt[c0 + row:c0 + row + m]
+            np.add(success, x, out=success)
+            failure = nxt[c0:c0 + m]
+            np.add(failure, x, out=failure)
+            x = to_d[start:stop].reshape(n_c + 1, row)
+            dd = nxt[d0:d0 + m + n_c + 1].reshape(n_c + 1, row + 1)
+            success = dd[:, 1:]
+            np.add(success, x, out=success)
+            failure = dd[:, :-1]
+            np.add(failure, x, out=failure)
         return nxt
 
     def pull(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(wc, wd)`` over :attr:`src`: ``wc[i]`` sums ``v`` over the two
-        control children of state ``i``, ``wd[i]`` over the other two."""
-        src, dst = self.src, self.dst
-        wc = np.empty(src.size)
-        wd = np.empty(src.size)
-        for n_c, n_d, sl in src.blocks():
-            vc = v[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
-            wc[sl] = (vc[1:] + vc[:-1]).ravel()
-            vd = v[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
-            wd[sl] = (vd[:, 1:] + vd[:, :-1]).ravel()
+        control children of state ``i``, ``wd[i]`` over the other two, each
+        as ``success + failure``, written straight into its block span."""
+        wc = np.empty(self.src.size)
+        wd = np.empty(self.src.size)
+        dst = self.dst.spans
+        for (n_c, n_d, start, stop), (_, _, d0, _), (_, _, c0, _) in zip(
+                self.src.spans, dst, dst[1:]):
+            m, row = stop - start, n_d + 1
+            np.add(v[c0 + row:c0 + row + m], v[c0:c0 + m], out=wc[start:stop])
+            vd = v[d0:d0 + m + n_c + 1].reshape(n_c + 1, row + 1)
+            np.add(vd[:, 1:], vd[:, :-1], out=wd[start:stop].reshape(n_c + 1, row))
         return wc, wd
 
 

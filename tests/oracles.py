@@ -4,7 +4,8 @@ Everything here works on plain dicts keyed by ``(s_c, s_d, n_c, n_d)``
 tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
-replaced them (:func:`posterior_log_probs_ref`, :func:`forward_g_log_ref`,
+replaced them (:func:`posterior_log_probs_ref`, :func:`push_ref`,
+:func:`pull_ref`, :func:`forward_g_log_ref`,
 :func:`randomization_rejection_rate_ref`), which walk the package's
 layers, and the helpers at the end that only the tests call
 (:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
@@ -464,6 +465,42 @@ def _uniform_table(spec):
         fill = PolicyTable.BURN_IN_CODE if t < 2 * spec.burn_in else 1
         codes.append(np.full(layer(t, spec.burn_in, spec.n).size, fill, dtype=np.int8))
     return PolicyTable(spec.n, spec.burn_in, spec.p, tuple(codes))
+
+
+def push_ref(step, w, q, q1):
+    """``Transition.push`` as a loop over source blocks, each with its own
+    2-D products and the four in-place adds of the edge order: the kernel
+    that the whole-layer products and flat control spans replaced; the two
+    must agree bit for bit."""
+    src, dst = step.src, step.dst
+    nxt = np.zeros(dst.size)
+    for n_c, n_d, sl in src.blocks():
+        shape = (n_c + 1, n_d + 1)
+        s = w[sl].reshape(shape)
+        to_c = s * q[sl].reshape(shape)
+        to_d = s * q1[sl].reshape(shape)
+        dc = nxt[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
+        dc[1:] += to_c
+        dc[:-1] += to_c
+        dd = nxt[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
+        dd[:, 1:] += to_d
+        dd[:, :-1] += to_d
+    return nxt
+
+
+def pull_ref(step, v):
+    """``Transition.pull`` as a loop over source blocks that forms each
+    block's sums as new arrays and copies them in; bit for bit the same as
+    the kernel."""
+    src, dst = step.src, step.dst
+    wc = np.empty(src.size)
+    wd = np.empty(src.size)
+    for n_c, n_d, sl in src.blocks():
+        vc = v[dst.block_slice(n_c + 1)].reshape(n_c + 2, n_d + 1)
+        wc[sl] = (vc[1:] + vc[:-1]).ravel()
+        vd = v[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
+        wd[sl] = (vd[:, 1:] + vd[:, :-1]).ravel()
+    return wc, wd
 
 
 def _log_push_ref(src, dst, log_w, log_q, log_1q):

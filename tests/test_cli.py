@@ -338,6 +338,63 @@ def test_cli_weight_header_without_n_exits_2(tmp_path, capsys):
     assert "'n'" in capsys.readouterr().err
 
 
+# an int is not a descriptor open() may use: a stale one fails with EBADF
+NOT_A_PATH = 987654321
+
+
+@pytest.mark.parametrize("command, key", [
+    pytest.param(["crit"], "rule_path", id="rule_path"),
+    pytest.param(["crit"], "design_path", id="design_path"),
+    pytest.param(["power-diff"], "baseline_design_path", id="baseline_design_path"),
+    pytest.param(["design"], "table_path", id="table_path"),
+    pytest.param(["cmdp", "solve"], "audit_path", id="audit_path"),
+])
+def test_cli_path_key_must_be_a_string(tmp_path, capsys, command, key):
+    design = tmp_path / "design.bin"
+    write_weight_table(design, forward_g(BayesianRar(6, 1)))
+    cfg = {"n": 6, "burn_in": 1, "policy": "DbcdNeyman", "max_iters": 2,
+           "design_path": str(design), "test": "asymptotic",
+           "theta_grid": {"kind": "list", "values": [[0.5, 0.5]]}}
+    if key == "table_path":
+        cfg["policy"] = {"kind": "table", "table_path": NOT_A_PATH}
+    else:
+        cfg[key] = NOT_A_PATH
+    out = tmp_path / "out"
+    assert main([*command, "--config", _cfg(tmp_path, "c.json", **cfg), "--out", str(out)]) == 2
+    assert f"'{key}'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("magic, key, bad", [
+    pytest.param(WEIGHT_MAGIC, "n", "6", id="weight-n"),
+    pytest.param(WEIGHT_MAGIC, "burn_in", True, id="weight-burn_in"),
+    pytest.param(POLICY_MAGIC, "n", 6.0, id="policy-n"),
+    pytest.param(POLICY_MAGIC, "burn_in", "1", id="policy-burn_in"),
+    pytest.param(POLICY_MAGIC, "p", "0.9", id="policy-p"),
+    pytest.param(POLICY_MAGIC, "sizes", 5, id="policy-sizes"),
+    pytest.param(POLICY_MAGIC, "sizes", [-1], id="policy-sizes-negative"),
+])
+def test_cli_container_header_value_of_the_wrong_type_exits_2(tmp_path, capsys, magic, key, bad):
+    n, b = 6, 1
+    path = tmp_path / "container.bin"
+    if magic == WEIGHT_MAGIC:
+        write_weight_table(path, forward_g(BayesianRar(n, b)))
+        cfg = {"design_path": str(path), "test": "asymptotic",
+               "theta_grid": {"kind": "list", "values": [[0.5, 0.5]]}}
+        command = ["oc"]
+    else:
+        table, _ = lagrangian_backward(np.zeros(layer(n, b).size), CmdpSpec(n=n, burn_in=b))
+        write_policy_table(path, table)
+        cfg = {"n": n, "burn_in": b, "policy": {"kind": "table", "table_path": str(path)}}
+        command = ["design"]
+    header, payload = _read_container(path, magic)
+    header[key] = bad
+    _write_container(path, magic, header, payload)
+    cfg = _cfg(tmp_path, "c.json", **cfg)
+    assert main([*command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"key '{key}'" in capsys.readouterr().err
+
+
 def test_cli_oc_independent_of_thread_counts(tmp_path):
     import rarexact
 

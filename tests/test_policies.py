@@ -119,11 +119,18 @@ def test_posterior_grid_matches_scalar():
             assert np.exp(lp[i]) == pytest.approx(exact, abs=1e-12)
 
 
-@pytest.mark.parametrize("n, b", [(30, 0), (31, 1), (40, 3), (60, 2)])
-def test_brar_block_posterior_is_bit_identical_to_success_major_loop(n, b):
-    # every layer, so b = 0 and the n_c = 0 blocks of early layers are covered
+@pytest.mark.parametrize("n, b, epochs", [
+    pytest.param(30, 0, None, id="30-0"),
+    pytest.param(31, 1, None, id="31-1"),
+    pytest.param(40, 3, None, id="40-3"),
+    pytest.param(60, 2, None, id="60-2"),
+    pytest.param(150, 6, (12, 80, 149), id="150-6"),
+])
+def test_brar_block_posterior_is_bit_identical_to_success_major_loop(n, b, epochs):
+    # every layer of the small horizons, so b = 0 and the n_c = 0 blocks of
+    # early layers are covered; the first, a middle and the last of n = 150
     pol = BayesianRar(n, b)
-    for t in range(2 * b, n):
+    for t in epochs or range(2 * b, n):
         lay = layer(t, b)
         log_p, log_s = _posterior_log_probs(lay)
         e = (t + 1) / (2.0 * n)

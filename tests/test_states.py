@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rarexact import TrialState, layer
 from rarexact.states import Layer, Transition
 
-from oracles import enumerate_layer_states
+from oracles import enumerate_layer_states, pull_ref, push_ref
 
 
 def test_initial_layer_has_single_state():
@@ -132,3 +132,40 @@ def test_push_and_pull_are_adjoint(tb, seed):
         pushed = step.push(g, q, 1 - q)
     wc, wd = step.pull(v)
     assert np.sum(pushed * v) == pytest.approx(np.sum(g * (q * wc + (1 - q) * wd)), rel=1e-12)
+
+
+def _weights(rng, size):
+    # generic weights in [0, 1), so sums round, a fifth of them zero and a
+    # fifth subnormal (below 2**-1022)
+    w = rng.uniform(0.0, 1.0, size)
+    kind = rng.integers(0, 5, size)
+    w[kind == 0] = 0.0
+    w[kind == 1] *= 2.0**-1030
+    return w
+
+
+@settings(max_examples=80, deadline=None)
+@given(tb=_transitions(), seed=st.integers(0, 2**32 - 1))
+def test_push_and_pull_match_the_per_block_oracle_bit_for_bit(tb, seed):
+    step = Transition(*tb)
+    rng = np.random.default_rng(seed)
+    w, q, q1 = (_weights(rng, step.src.size) for _ in range(3))
+    v = _weights(rng, step.dst.size)
+    assert np.array_equal(step.push(w, q, q1), push_ref(step, w, q, q1))
+    for got, want in zip(step.pull(v), pull_ref(step, v)):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("t, b", [(7, 4), (9, 4), (20, 3), (5, 0), (0, 0)])
+def test_offsets_are_read_only_and_follow_the_block_sizes(t, b):
+    # t < 2b (a single burn-in block), t >= 2b, and no burn-in
+    lay = Layer(t, b)
+    n_c = np.arange(lay.n_c_min, lay.n_c_max + 1)
+    expected = np.concatenate(([0], np.cumsum((n_c + 1) * (t - n_c + 1))))
+    assert np.array_equal(lay.offsets, expected) and lay.offsets.dtype == expected.dtype
+    assert lay.size == expected[-1]
+    assert [(sl.start, sl.stop) for _, _, sl in lay.blocks()] == list(
+        zip(expected[:-1], expected[1:]))
+    assert not lay.offsets.flags.writeable
+    with pytest.raises(ValueError):
+        lay.offsets[0] = 1
