@@ -391,7 +391,8 @@ def _parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=0,
-            help="accepted and ignored; results do not depend on it",
+            help="accepted and ignored: the BRAR posterior's worker threads follow the "
+                 "process's CPU affinity (taskset), and no output depends on either",
         )
         sp.set_defaults(handler=handler)
     return parser

@@ -274,9 +274,13 @@ def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable
         wc, wd = Transition(t, b).pull(v)
         v_lo = lo * wc + (1.0 - lo) * wd
         v_hi = hi * wc + (1.0 - hi) * wd
-        v_mid = 0.5 * (wc + wd)
-        v = np.maximum(np.maximum(v_lo, v_hi), v_mid)
-        codes[t] = np.where(v_mid == v, 1, np.where(v_lo == v, 0, 2)).astype(np.int8)
+        v_mid = wc + wd
+        v_mid *= 0.5
+        v = np.maximum(v_lo, v_hi)
+        np.maximum(v, v_mid, out=v)
+        # 2 where the low action is short of the best, then 1/2 wins ties
+        codes[t] = (v_lo != v).view(np.int8) * np.int8(2)
+        codes[t][v_mid == v] = 1
     for t in range(min(2 * b, n)):
         codes[t] = np.full(make_layer(t, b, n).size, PolicyTable.BURN_IN_CODE, dtype=np.int8)
 

@@ -10,7 +10,9 @@ which the engine and simulator handle directly.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -135,6 +137,56 @@ class TemperedDbcdNeyman(DbcdNeyman):
         return q, 1.0 - q
 
 
+# The BRAR tail runs on contiguous runs of a layer of at least this many
+# states, handed to _TAIL_WORKERS threads (one per further CPU of the
+# process's affinity) while the calling thread builds the next blocks.
+# Read by nothing but BayesianRar.layer_arm_probs; no option sets them.
+_TAIL_RUN = 1 << 14
+try:
+    _TAIL_WORKERS = len(os.sched_getaffinity(0)) - 1
+except AttributeError:          # no affinity call on this platform
+    _TAIL_WORKERS = (os.cpu_count() or 1) - 1
+
+
+@lru_cache(maxsize=1)
+def _tail_pool(workers: int):
+    # imported here: concurrent.futures pulls in logging, and most
+    # subcommands never reach a BRAR posterior
+    from concurrent.futures import ThreadPoolExecutor
+    return ThreadPoolExecutor(workers, thread_name_prefix="rarexact-brar-tail")
+
+
+@lru_cache(maxsize=8)
+def _lbeta_rows(capacity: int) -> tuple:
+    """``rows[n][j] = lbeta(j + 1, n + 1 - j)`` for ``j = 0 .. n`` and every
+    ``n < capacity``; read-only, one table per power-of-two capacity."""
+    g = gammaln_table(capacity + 2)
+    rows = []
+    for n in range(capacity):
+        row = g[1:n + 2] + g[n + 1:0:-1] - g[n + 2]
+        row.setflags(write=False)
+        rows.append(row)
+    return tuple(rows)
+
+
+def _arm_tail(p: np.ndarray, c: np.ndarray, e: float) -> None:
+    """Turn the posterior ``P`` held in ``p`` into the allocation pair, in
+    place: ``p`` becomes ``q`` and ``c`` becomes ``q1``.  Elementwise, so
+    any split of a layer into runs gives the same bits; the ufuncs release
+    the GIL, and ``errstate`` is per thread, so it is set here."""
+    np.clip(p, 0.0, 1.0, out=p)
+    with np.errstate(divide="ignore"):
+        np.log1p(np.negative(p, out=c), out=c)
+        np.log(p, out=p)
+    p *= e
+    c *= e
+    m = np.logaddexp(p, c)
+    np.subtract(p, m, out=p)
+    np.subtract(c, m, out=c)
+    np.exp(p, out=p)
+    np.exp(c, out=c)
+
+
 @dataclass(frozen=True)
 class BayesianRar(Policy):
     """Power-tuned posterior probability that control is the better arm,
@@ -151,26 +203,39 @@ class BayesianRar(Policy):
     ``P(k + 1, s_d) = (P(k, s_d) + step_a(k, s_d)) + step_b(k, s_d)``.
     Row 0 and the increments ``step_a``, ``step_b`` of every ``k``, in
     alternate rows, form one ``(2 n_c + 1, n_d + 1)`` array, and one
-    ``cumsum`` down its columns gives ``P`` in its even rows.  ``cumsum``
-    adds in sequence along the axis, so each even row is formed by the very
-    additions of the recurrence, in its order, and the design is
-    bit-stable.  With ``a = e ln P`` and ``c = e ln(1 - P)`` for the
-    exponent ``e``, and ``m = logaddexp(a, c)``, the allocation pair is
-    ``(exp(a - m), exp(c - m))``.
+    in-place ``add.accumulate`` down its columns gives ``P`` in its even
+    rows.  It adds in sequence along the axis, like ``cumsum``, so each
+    even row is formed by the very additions of the recurrence, in its
+    order, and the design is bit-stable.  With ``a = e ln P`` and ``c = e
+    ln(1 - P)`` for the exponent ``e``, and ``m = logaddexp(a, c)``, the
+    allocation pair is ``(exp(a - m), exp(c - m))``.
 
-    Every ``lbeta`` is read from the ``gammaln_table`` with slices and
-    windows, without an integer gather.  In a step ``a1 + b1 = n_c + 2``
-    and ``a2 + b2 = n_d + 2``, so ``lbeta(a1 + a2, b1 + b2)`` depends on
-    ``m = a1 + a2 - 2`` alone: it is ``h[m] = g[m + 2] + g[t + 2 - m] -
-    g[t + 4]``, built once per layer for ``m = 0 .. t``.  The ``(n_c, n_d +
-    1)`` windows ``h[k + s_d]`` and ``h[k + 1 + s_d]`` of ``h`` are the
-    first terms of ``step_a`` and ``step_b``, and the row-0 numerator
-    ``lbeta(a2, b2 + n_c + 1)`` is ``r[s_d] = g[s_d + 1] + g[t + 2 - s_d] -
-    g[t + 3]``, the same in every block.  Each step is formed as
-    ``((h - ln a1) - lbeta(a1, b1)) - lb2`` (``ln b1`` in ``step_b``) with
-    ``lb2 = lbeta(a2, b2)``, and each ``lbeta`` as ``(g[a] + g[b]) - g[a + b]``: the operands and
-    their order are those of the recurrence, so the result is bit for bit
-    that of a per-state evaluation.
+    Every ``lbeta`` is read from tables with slices, without an integer
+    gather.  ``lbeta(j + 1, n + 1 - j)`` depends on ``n`` alone; its rows
+    for ``n = n_c`` (``lbeta(a1, b1)`` down a column) and ``n = n_d``
+    (``lb2 = lbeta(a2, b2)`` along a row) come from one read-only table
+    per power-of-two capacity (:func:`_lbeta_rows`).  In a step ``a1 + b1
+    = n_c + 2`` and ``a2 + b2 = n_d + 2``, so ``lbeta(a1 + a2, b1 + b2)``
+    depends on ``m = a1 + a2 - 2`` alone: it is ``h[m] = g[m + 2] + g[t +
+    2 - m] - g[t + 4]`` for ``m = 0 .. t``.  One Hankel view ``hank[i, j]
+    = h[i + j]`` of ``h`` (padded, never read past ``i + j = t``) is taken
+    per layer, and block ``(n_c, n_d)`` reads ``hank[:n_c + 1, :n_d + 1]``.
+    The first subtraction of ``step_a``, ``h[k + s_d] - ln(k + 1)``, does
+    not depend on the block either, so it is formed once per layer as
+    ``da = hank[:t] - ln(1 .. t)``.  The row-0 numerator ``lbeta(a2, b2 +
+    n_c + 1)`` is ``r[s_d] = g[s_d + 1] + g[t + 2 - s_d] - g[t + 3]``, the
+    same in every block.  Each step is ``((h - ln a1) - lbeta(a1, b1)) -
+    lb2`` (``ln b1`` in ``step_b``), and each ``lbeta`` is ``(g[a] + g[b])
+    - g[a + b]``: the operands and their order are those of the
+    recurrence, so the result is bit for bit that of a per-state
+    evaluation.
+
+    The tail from ``P`` to the pair (:func:`_arm_tail`) is elementwise and
+    releases the GIL, so it runs on contiguous runs of the layer, handed to
+    worker threads as soon as enough blocks are built while this thread
+    builds on.  Each state's value depends on its own ``P`` alone, so the
+    result is the same bits for any split into runs and any number of
+    workers, including none.
     """
 
     def _exponent(self, epoch: int) -> float:
@@ -182,45 +247,52 @@ class BayesianRar(Policy):
         t = lay.t
         g = gammaln_table(2 * t + 8)
         e = self._exponent(t)
+        lbeta_rows = _lbeta_rows(1 << t.bit_length())
 
-        def lbeta_row(n):
-            # lbeta(j + 1, n + 1 - j) for j = 0 .. n
-            return g[1:n + 2] + g[n + 1:0:-1] - g[n + 2]
-
-        h = g[2:t + 3] + g[t + 2:1:-1] - g[t + 4]
+        h = np.zeros(2 * t + 1)
+        np.subtract(g[2:t + 3] + g[t + 2:1:-1], g[t + 4], out=h[:t + 1])
+        hank = sliding_window_view(h, t + 1)    # hank[i, j] = h[i + j]
         r = g[1:t + 2] + g[t + 2:1:-1] - g[t + 3]
         log_k = np.log(np.arange(1, t + 1))     # ln 1 .. ln t
-        q = np.empty(lay.size)
+        da = hank[:t] - log_k[:, None]          # step_a's h[k + s_d] - ln(k + 1)
+        q = np.empty(lay.size)                  # holds P until its tail has run
         q1 = np.empty(lay.size)
+        runs = []
+        lo = 0
         for n_c, n_d, start, stop in lay.spans:
-            lb2 = lbeta_row(n_d)                # lbeta(a2, b2) along a row
-            lb1 = lbeta_row(n_c)[:, None]       # lbeta(k + 1, n_c + 1 - k) down a column
-            win = sliding_window_view(h, n_d + 1)
+            lb2 = lbeta_rows[n_d]               # lbeta(a2, b2) along a row
+            lb1 = lbeta_rows[n_c][:, None]      # lbeta(k + 1, n_c + 1 - k) down a column
             inc = np.empty((2 * n_c + 1, n_d + 1))
             np.subtract(r[:n_d + 1], lb2, out=inc[0])
             # step_a: a1 = k + 1, b1 = n_c - k + 1
             step = inc[1::2]
-            np.subtract(win[:-1], log_k[:n_c, None], out=step)
-            np.subtract(step, lb1[:-1], out=step)
+            np.subtract(da[:n_c, :n_d + 1], lb1[:-1], out=step)
             np.subtract(step, lb2, out=step)
             # step_b: a1 = k + 2, b1 = n_c - k
             step = inc[2::2]
-            np.subtract(win[1:], log_k[:n_c][::-1, None], out=step)
+            np.subtract(hank[1:n_c + 1, :n_d + 1], log_k[:n_c][::-1, None], out=step)
             np.subtract(step, lb1[1:], out=step)
             np.subtract(step, lb2, out=step)
             np.exp(inc, out=inc)
-            p = np.cumsum(inc, axis=0)[::2].ravel()
-            np.clip(p, 0.0, 1.0, out=p)
-            with np.errstate(divide="ignore"):
-                c = np.log1p(-p)
-                a = np.log(p, out=p)
-            a *= e
-            c *= e
-            m = np.logaddexp(a, c)
-            np.subtract(a, m, out=q[start:stop])
-            np.subtract(c, m, out=q1[start:stop])
-        np.exp(q, out=q)
-        np.exp(q1, out=q1)
+            np.add.accumulate(inc, axis=0, out=inc)
+            np.copyto(q[start:stop].reshape(n_c + 1, n_d + 1), inc[::2])
+            if stop - lo >= _TAIL_RUN:
+                run = (q[lo:stop], q1[lo:stop], e)
+                if _TAIL_WORKERS == 0:
+                    _arm_tail(*run)
+                else:
+                    runs.append((_tail_pool(_TAIL_WORKERS).submit(_arm_tail, *run), run))
+                lo = stop
+        _arm_tail(q[lo:], q1[lo:], e)
+        # take back the runs no worker has started, then wait for the rest
+        started = []
+        for future, run in runs:
+            if future.cancel():
+                _arm_tail(*run)
+            else:
+                started.append(future)
+        for future in started:
+            future.result()
         return q, q1
 
 

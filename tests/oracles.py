@@ -667,6 +667,27 @@ def evaluate_backward(table, reward, spec):
     return float(np.sum(np.exp(_burn_in_table(b)) * v))
 
 
+def lagrangian_backward_ref(reward, spec):
+    """``lagrangian_backward`` as three full value arrays and a nested
+    ``np.where`` for the codes: ties prefer 1/2, then the low action.
+    Returns the per-epoch codes after the burn-in and the value."""
+    from rarexact.engine import _burn_in_table
+    from rarexact.states import Transition
+
+    n, b = spec.n, spec.burn_in
+    lo, hi = 1.0 - spec.p, spec.p
+    codes = {}
+    v = np.asarray(reward, dtype=np.float64)
+    for t in range(n - 1, 2 * b - 1, -1):
+        wc, wd = Transition(t, b).pull(v)
+        v_lo = lo * wc + (1.0 - lo) * wd
+        v_hi = hi * wc + (1.0 - hi) * wd
+        v_mid = 0.5 * (wc + wd)
+        v = np.maximum(np.maximum(v_lo, v_hi), v_mid)
+        codes[t] = np.where(v_mid == v, 1, np.where(v_lo == v, 0, 2)).astype(np.int8)
+    return codes, float(np.sum(np.exp(_burn_in_table(b)) * v))
+
+
 def bernstein_tail_sup(table, reject):
     """``(grid lower bound, coefficient upper bound)`` for the null
     probability of an arbitrary terminal rejection indicator."""

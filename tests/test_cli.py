@@ -418,6 +418,25 @@ def test_cli_oc_independent_of_thread_counts(tmp_path):
     assert all(o == outputs[0] for o in outputs[1:])
 
 
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+def test_cli_brar_design_independent_of_cpu_affinity(tmp_path):
+    # one CPU runs the BRAR tail inline, more hand it to worker threads; at
+    # n = 60 the last 15 layers exceed one hand-off run
+    import rarexact
+
+    cfg = _cfg(tmp_path, "design.json", n=60, burn_in=2, policy="brar")
+    src = str(Path(rarexact.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    one_cpu = {min(os.sched_getaffinity(0))}
+    outputs = []
+    for name, pin in (("pinned", lambda: os.sched_setaffinity(0, one_cpu)), ("free", None)):
+        out = tmp_path / f"design_{name}.bin"
+        subprocess.run([sys.executable, "-m", "rarexact.cli", "design", "--config", cfg,
+                        "--out", str(out)], env=env, check=True, timeout=300, preexec_fn=pin)
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 def test_cli_cmdp_solve_independent_of_blas_threads(tmp_path):
     import rarexact
 

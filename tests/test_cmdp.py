@@ -29,6 +29,7 @@ from oracles import (
     enumerate_path_weights,
     evaluate_backward,
     interval_mass_ref,
+    lagrangian_backward_ref,
     measure_log_weight,
     policy_value_ref,
     wald_ref,
@@ -136,6 +137,24 @@ def test_backward_optimum_matches_history_tree_oracle():
         # the returned table attains the optimal value
         attained = evaluate_backward(table, reward, spec)
         assert attained == pytest.approx(want, rel=1e-11)
+
+
+@pytest.mark.parametrize("n, b, p", [(12, 1, 0.95), (20, 2, 0.8), (16, 3, 0.5)])
+def test_backward_codes_and_values_match_nested_where_with_ties(n, b, p):
+    # a reward of three distinct values ties many children (wc == wd, where
+    # all three actions are worth the same), a constant reward ties every
+    # state, and so does p = 1/2
+    spec = CmdpSpec(n=n, burn_in=b, p=p)
+    size = layer(n, b).size
+    three = np.random.default_rng(n + b).choice([-1.0, 0.0, 2.5], size=size)
+    for reward, reached in ((three, {0, 1, 2} if p > 0.5 else {1}), (np.full(size, 0.25), {1})):
+        table, value = lagrangian_backward(reward, spec)
+        want_codes, want_value = lagrangian_backward_ref(reward, spec)
+        assert value == want_value
+        for t, want in want_codes.items():
+            assert table.codes[t].dtype == np.int8
+            assert np.array_equal(table.codes[t], want), t
+        assert set(np.unique(np.concatenate(list(want_codes.values())))) == reached
 
 
 def test_backward_forward_duality():

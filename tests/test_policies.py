@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -8,8 +10,10 @@ from rarexact import (
     PolicyTable,
     TemperedDbcdNeyman,
     TrialState,
+    forward_g,
     layer,
     neyman_target,
+    policies,
 )
 from oracles import posterior_log_probs_ref as _posterior_log_probs, prob_beta_greater
 
@@ -139,6 +143,50 @@ def test_brar_block_posterior_is_bit_identical_to_success_major_loop(n, b, epoch
         q, q1 = pol.layer_arm_probs(lay)
         assert np.array_equal(q, np.exp(a - m)), (n, b, t)
         assert np.array_equal(q1, np.exp(c - m)), (n, b, t)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 1: BRAR forms log(1 - P) as log1p(-P), which loses "
+                          "the small tail; take 1 - P from the mirrored block")
+def test_brar_small_tail_matches_exact_oracle():
+    # epoch 60 of n = 150, (s_c, n_c, s_d, n_d) = (14, 14, 0, 46): 1 - P is
+    # 15 * 14! * 47! / 62! = 1.07e-14, summed directly by the oracle
+    e = 61 / 300
+    p, s = prob_beta_greater(15, 1, 1, 47), prob_beta_greater(1, 47, 15, 1)
+    exact = s**e / (p**e + s**e)
+    assert exact == pytest.approx(1.4423e-3, rel=1e-4)
+    lay = layer(60, 6)
+    q1 = BayesianRar(150, 6).layer_arm_probs(lay)[1]
+    assert q1[lay.index(TrialState(14, 0, 14, 46))] == pytest.approx(exact, rel=1e-12)
+
+
+def _brar_outputs():
+    pol = BayesianRar(150, 6)
+    probs = [a for t in (12, 80, 149) for a in pol.layer_arm_probs(layer(t, 6))]
+    sweeps = [forward_g(BayesianRar(n, b)).log_g for n, b in ((60, 2), (40, 0))]
+    return probs + sweeps
+
+
+@pytest.fixture(scope="module")
+def brar_default_outputs():
+    return _brar_outputs()
+
+
+@pytest.mark.parametrize("workers, run", [(0, 1 << 14), (1, 1 << 14), (2, 1 << 14), (3, 64), (2, 1)])
+def test_brar_outputs_do_not_depend_on_tail_workers_or_runs(monkeypatch, brar_default_outputs,
+                                                            workers, run):
+    # the tail is elementwise: any split of a layer over any number of
+    # threads, or none, gives the bits of the process's default
+    monkeypatch.setattr(policies, "_TAIL_WORKERS", workers)
+    monkeypatch.setattr(policies, "_TAIL_RUN", run)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)     # hand the GIL over often
+    try:
+        outputs = _brar_outputs()
+    finally:
+        sys.setswitchinterval(interval)
+    for got, want in zip(outputs, brar_default_outputs, strict=True):
+        assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("policy_cls", [BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation])
