@@ -10,6 +10,12 @@ per-coordinate AdaGrad steps until a duality-gap certificate or the
 iteration limit stops the loop (:func:`solve_cmdp`).  The objective and
 every constraint value are expectations of one row of a terminal integrand
 matrix under the forward path weights; the reward reads the same rows.
+
+The solve holds its transitions, one per layer, for the whole loop: each
+is used by every backward recursion and every forward audit sweep, so
+from its second use on it gathers through its index plan instead of
+looping over blocks (:class:`~rarexact.states.Transition`), with the same
+bits.  The plans are freed with the transitions when the solve returns.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import PathWeightTable, _burn_in_table, forward_g, layer_log_likelihood
+from .engine import PathWeightTable, _burn_in_table, _sweep, forward_g, layer_log_likelihood
 from .numerics import check_alpha, gammaln_table
 from .policies import PolicyTable
 from .states import Layer, Transition, layer as make_layer
@@ -260,6 +266,14 @@ class CmdpResult:
 def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable, float]:
     """Maximize the expected terminal reward over the restricted action set
     by backward recursion; ties prefer 1/2, then the low action."""
+    b = spec.burn_in
+    return _backward(reward, spec, (Transition(t, b) for t in range(spec.n - 1, 2 * b - 1, -1)))
+
+
+def _backward(reward: np.ndarray, spec: CmdpSpec, steps) -> tuple[PolicyTable, float]:
+    """:func:`lagrangian_backward` over ``steps``, the transitions from
+    epoch ``n - 1`` down to ``2b`` in order; :func:`solve_cmdp` passes the
+    ones it holds."""
     n, b = spec.n, spec.burn_in
     lo, hi = 1.0 - spec.p, spec.p
     terminal = make_layer(n, b, n)
@@ -270,8 +284,9 @@ def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable
 
     codes: list[np.ndarray | None] = [None] * n
     v = np.asarray(reward, dtype=np.float64)
-    for t in range(n - 1, 2 * b - 1, -1):
-        wc, wd = Transition(t, b).pull(v)
+    for step in steps:
+        t = step.src.t
+        wc, wd = step.pull(v)
         v_lo = lo * wc + (1.0 - lo) * wd
         v_hi = hi * wc + (1.0 - hi) * wd
         v_mid = wc + wd
@@ -353,6 +368,8 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     """
     ctx = _AuditContext(spec)
     base, integrands = ctx.integrands[0], ctx.integrands[1:]
+    # held for the whole loop: from its second use a transition gathers
+    steps = [Transition(t, spec.burn_in) for t in range(2 * spec.burn_in, spec.n)]
     names = [name for name, _, _ in ctx.constraints]
     bounds = np.array([bound for _, _, bound in ctx.constraints])
 
@@ -369,8 +386,8 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
         for lam_j, f_j in zip(lam, integrands):
             if lam_j != 0.0:
                 reward -= lam_j * f_j
-        table, value = lagrangian_backward(reward, spec)
-        audit = ctx.audit(forward_g(table))
+        table, value = _backward(reward, spec, reversed(steps))
+        audit = ctx.audit(_sweep(table, steps))
         v = audit.violations(spec)
         worst = float(v.max())
         dual_value = value + float(lam @ bounds)

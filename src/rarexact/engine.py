@@ -112,12 +112,20 @@ def forward_g(policy: Policy) -> PathWeightTable:
         raise ValueError("horizon shorter than the burn-in")
     if isinstance(policy, EqualAllocation):
         return equal_allocation_g(n, b)
+    return _sweep(policy, (Transition(t, b) for t in range(2 * b, n)))
 
+
+def _sweep(policy: Policy, steps) -> PathWeightTable:
+    """The sweep of :func:`forward_g` over ``steps``, the transitions from
+    epoch ``2b`` up to ``n - 1`` in order.  :func:`forward_g` makes each
+    one as it goes; a caller that sweeps many policies over one horizon
+    passes the same held transitions every time, so they gather through
+    their plans (see :class:`~rarexact.states.Transition`)."""
+    n, b = policy.n, policy.burn_in
     cur = np.exp(_burn_in_table(b) - 2 * b * LN2)
-    for t in range(2 * b, n):
-        step = Transition(t, b)
+    for step in steps:
         q, q1 = policy.layer_arm_probs(step.src)
-        _check_arm_probs(q, q1, t)
+        _check_arm_probs(q, q1, step.src.t)
         q *= 0.5
         q1 *= 0.5
         cur = step.push(cur, q, q1)

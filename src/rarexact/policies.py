@@ -303,7 +303,7 @@ class PolicyTable(Policy):
     Codes: ``0 -> 1 - p``, ``1 -> 1/2``, ``2 -> p`` (the control
     probability); layers before the end of the burn-in carry the sentinel
     ``-1``.  The developmental probability of code ``k`` is the control
-    probability of code ``2 - k``.
+    probability of code ``2 - k``: the probability triple read backwards.
     """
 
     p: float
@@ -326,15 +326,17 @@ class PolicyTable(Policy):
                 lo, hi, allowed = 0, 2, "codes 0, 1 and 2"
             if not lo <= codes.min() <= codes.max() <= hi:
                 raise ValueError(f"epoch {t} may hold only {allowed}")
+        probs = np.array([1.0 - self.p, 0.5, self.p])
+        probs.flags.writeable = False
+        object.__setattr__(self, "_probs", probs)
 
     def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
         if lay.b != self.burn_in:
             raise ValueError("layer burn-in does not match the table")
         if lay.t < 2 * self.burn_in:
             raise ValueError(f"epoch {lay.t} is inside the burn-in")
-        probs = np.array([1.0 - self.p, 0.5, self.p])
         codes = self.codes[lay.t]
-        return probs[codes], probs[2 - codes]
+        return self._probs[codes], self._probs[::-1][codes]
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), p=self.p)

@@ -16,8 +16,16 @@ computed once per ``(t, b)`` and cached as Python ints, so building a
 layer, or a :class:`Transition` between two, does no array work; the
 per-state arrays stay with each layer.  :class:`Transition` is the one
 kernel between consecutive layers: it forms its products over the whole
-layer and adds them block by block, each destination state in a fixed
-order, so every result is bit-stable.
+layer and adds them, each destination state in a fixed order, so every
+result is bit-stable.  It has two schedules with the same bits: a loop
+over the blocks, and whole-layer gathers through an index plan.  A
+method of a transition builds its plan only on its second call, and only
+if the source layer holds at most ``2**15`` states; a one-shot sweep,
+which makes a fresh transition per layer, never builds one, since the
+build costs more than the one call it would serve.  Measured, the
+gathers win for a push up to about 60k source states and for a pull up
+to about 110k; at ``t = 100`` a gathered push takes 2.4-3.2 ms against
+2.1-2.3 ms for the loop (see :class:`Transition`).
 """
 
 from __future__ import annotations
@@ -177,6 +185,12 @@ class Layer:
         return self._swap_perm
 
 
+# Largest source layer whose transition builds a gather plan when reused:
+# above it the gathers win little or lose (see Transition), and the plans
+# grow with the layer.
+_PLAN_CAP = 2**15
+
+
 class Transition:
     """The edges from layer ``t`` to layer ``t + 1`` under burn-in ``b``
     (``t >= 2b``): state ``(s_c, s_d, n_c, n_d)`` of :attr:`src` has the
@@ -185,25 +199,60 @@ class Transition:
     ``(s_c, s_d + 1, n_c, n_d + 1)`` and ``(s_c, s_d, n_c, n_d + 1)``.
 
     :meth:`push` carries weights forward and :meth:`pull` gathers values
-    backward; the two are adjoint.  Both walk the cached block spans of the
-    two layers (:attr:`Layer.spans`) in canonical order.  Source block
-    ``k`` (``n_c = b + k``) sends its control children to destination block
-    ``k + 1`` and its developmental children to destination block ``k``.
-    Both layers start at ``n_c = b``, and source block ``k`` and destination
-    block ``k + 1`` share the row width ``n_d + 1``.  So the control
-    children of a block are two contiguous runs of the destination: the
-    success run starts one row, ``n_d + 1`` states, after the failure run.
-    The developmental children are the two column-shifted views of the
-    ``(n_c + 1, n_d + 2)`` destination block.
+    backward; the two are adjoint.  Source block ``k`` (``n_c = b + k``)
+    sends its control children to destination block ``k + 1`` and its
+    developmental children to destination block ``k``.  Both layers start
+    at ``n_c = b``, and source block ``k`` and destination block ``k + 1``
+    share the row width ``n_d + 1``.  So the control children of a block
+    are two contiguous runs of the destination: the success run starts one
+    row, ``n_d + 1`` states, after the failure run.  The developmental
+    children are the two column-shifted views of the ``(n_c + 1, n_d +
+    2)`` destination block.
 
     Every destination state receives its sums in one fixed order: control
     success, control failure (from source block ``k - 1``), then
     developmental success, developmental failure (from block ``k``).  That
     order, and the elementwise products, make each result bit-identical to
     a plain per-state loop in the same order, which keeps every artifact
-    bit-stable; do not reorder.  The two layers are built for this step
-    only, not taken from the :func:`layer` cache, so a sweep holds just the
-    layers it is on.
+    bit-stable; do not reorder.
+
+    Two schedules compute the same bits (a push up to the sign of a zero
+    summed from four negative zeros, see :meth:`push`):
+
+    * the *block loop* walks the cached block spans of the two layers
+      (:attr:`Layer.spans`) in canonical order, a few numpy calls per
+      block;
+    * the *gather plan* holds, per edge kind, one ``intp`` index array:
+      the child of every source state for :meth:`pull`, the parent of
+      every destination state for :meth:`push`, where a missing parent
+      points at one zero appended to the products.  A call is then four
+      whole-layer gathers and adds in the order above.
+
+    Each method runs the block loop on its first call on a transition.
+    From its second call on, if the source layer holds at most
+    ``_PLAN_CAP`` states, the method builds its plan once, with
+    ``np.repeat`` over the block spans, and gathers; the plan lives and
+    dies with the transition.  A one-shot sweep
+    (:func:`~rarexact.engine.forward_g`,
+    :func:`~rarexact.cmdp.lagrangian_backward`) makes a fresh transition
+    per layer and so never builds a plan.  Building on first use would
+    not pay: at ``t = 49``, ``b = 6`` (20,140 states) the push plan
+    takes about 1 ms to build against 0.4-0.5 ms for one block-loop
+    push, and the plans, 16 MB over the layers of ``n = 50``, would
+    raise the peak memory of every process that runs such a sweep.  A
+    caller that reuses transitions, such as the CMDP solve, holds them.
+
+    Measured with numpy 2.4 on one thread of a 2-vCPU x86-64 machine,
+    ``b = 6``: the gathers beat the block loop for :meth:`push` up to
+    about 60k source states (648 against 737 us at 37,289 states, a tie
+    at 59,354) and for :meth:`pull` up to about 110k (788 against 929 us
+    at 106,264); at ``t = 100`` (172,749 states) a gathered push takes
+    2.4-3.2 ms against 2.1-2.3 ms.  The cap leaves on the block loop
+    every layer where the gathers do not clearly win, and spares the
+    memory of larger plans.
+
+    The two layers are built for this step only, not taken from the
+    :func:`layer` cache, so a sweep holds just the layers it is on.
     """
 
     def __init__(self, t: int, b: int):
@@ -211,6 +260,49 @@ class Transition:
             raise ValueError(f"transition from epoch {t} lies inside the burn-in of {b} per arm")
         self.src = Layer(t, b)
         self.dst = Layer(t + 1, b)
+        self._called = set()
+        self._children = None
+        self._parents = None
+
+    def _reused(self, method: str) -> bool:
+        """Whether this call of ``method`` may gather: the method ran on
+        this transition before and the source layer is within
+        ``_PLAN_CAP``.  Records the call."""
+        reused = method in self._called
+        self._called.add(method)
+        return reused and self.src.size <= _PLAN_CAP
+
+    def _child_plan(self) -> tuple[np.ndarray, ...]:
+        """``(cs, cf, ds, df)``: the destination index of the control
+        success, control failure, developmental success and developmental
+        failure child of every source state."""
+        if self._children is None:
+            spans, dst = self.src.spans, self.dst.spans
+            sizes = [stop - start for _, _, start, stop in spans]
+            start = np.repeat([s[2] for s in spans], sizes)
+            row = np.repeat([s[1] + 1 for s in spans], sizes)
+            i = np.arange(self.src.size, dtype=np.intp)
+            local = i - start
+            # control rows keep their width; each developmental row is one
+            # wider, so row s_c = local // row is shifted s_c states on
+            cf = np.repeat([d[2] for d in dst[1:]], sizes) + local
+            df = np.repeat([d[2] for d in dst[:-1]], sizes) + local + local // row
+            self._children = (cf + row, cf, df + 1, df)
+        return self._children
+
+    def _parent_plan(self) -> tuple[np.ndarray, ...]:
+        """The inverse of :meth:`_child_plan` per edge kind: the source
+        index of each destination state's parent, ``src.size`` (the
+        appended zero) where it has none."""
+        if self._parents is None:
+            i = np.arange(self.src.size, dtype=np.intp)
+            parents = []
+            for child in self._child_plan():
+                parent = np.full(self.dst.size, self.src.size, dtype=np.intp)
+                parent[child] = i
+                parents.append(parent)
+            self._parents = tuple(parents)
+        return self._parents
 
     def push(self, w: np.ndarray, q: np.ndarray, q1: np.ndarray) -> np.ndarray:
         """Weights on :attr:`dst`: each weight times the allocation
@@ -219,8 +311,12 @@ class Transition:
 
         The products ``w * q`` and ``w * q1`` are formed once over the whole
         layer; being elementwise, they are the very products a per-block
-        loop would form.  Each block then adds its slice of them into the
-        destination in place, in the order of the class docstring.
+        loop would form.  Each destination state then sums them in the
+        order of the class docstring: block by block into zeros, in place,
+        or through the gather plan, whose first term is the control-success
+        gather instead of a zero.  The two differ only where all four
+        terms are ``-0.0`` (the loop gives ``+0.0``), which needs a
+        negative-zero weight or probability; the sweep passes none.
 
         The domain is linear.  The forward sweep passes fair-coin path
         probabilities and both arm probabilities already halved, the exact
@@ -233,6 +329,19 @@ class Transition:
         of probability; at horizon ``n`` it changes an expectation of a
         function bounded by one by at most ``2 * S * 2**(n - 1075)``.
         """
+        if self._reused("push"):
+            m = self.src.size
+            to_c = np.empty(m + 1)
+            to_d = np.empty(m + 1)
+            np.multiply(w, q, out=to_c[:m])
+            np.multiply(w, q1, out=to_d[:m])
+            to_c[m] = to_d[m] = 0.0
+            cs, cf, ds, df = self._parent_plan()
+            nxt = to_c.take(cs)
+            nxt += to_c.take(cf)
+            nxt += to_d.take(ds)
+            nxt += to_d.take(df)
+            return nxt
         nxt = np.zeros(self.dst.size)
         to_c = w * q
         to_d = w * q1
@@ -258,7 +367,15 @@ class Transition:
     def pull(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(wc, wd)`` over :attr:`src`: ``wc[i]`` sums ``v`` over the two
         control children of state ``i``, ``wd[i]`` over the other two, each
-        as ``success + failure``, written straight into its block span."""
+        as ``success + failure``, written straight into its block span or
+        gathered through the plan (see the class docstring)."""
+        if self._reused("pull"):
+            cs, cf, ds, df = self._child_plan()
+            wc = v.take(cs)
+            wc += v.take(cf)
+            wd = v.take(ds)
+            wd += v.take(df)
+            return wc, wd
         wc = np.empty(self.src.size)
         wd = np.empty(self.src.size)
         dst = self.dst.spans

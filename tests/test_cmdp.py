@@ -358,3 +358,31 @@ def test_solve_prefers_strictly_feasible_iterates_and_certifies_early_stops(spec
 def test_spec_rejects_bad_solver_limits_and_repeated_null_points(kw, match):
     with pytest.raises(ValueError, match=match):
         CmdpSpec(n=8, burn_in=1, **kw)
+
+
+def test_solve_is_bit_identical_with_and_without_gather_plans(monkeypatch):
+    # solve_cmdp holds its transitions, which gather through index plans
+    # from their second use; a cap of 0 keeps every call on the block loop
+    from rarexact import states
+
+    built = []
+    child_plan = states.Transition._child_plan
+
+    def spy(step):
+        built.append(step.src.t)
+        return child_plan(step)
+
+    spec = CmdpSpec(n=12, burn_in=1, rectangles=(Rectangle(0.1, 0.25, 0.5, 0.75),),
+                    max_iters=15)
+    with monkeypatch.context() as m:
+        m.setattr(states.Transition, "_child_plan", spy)
+        gathered = solve_cmdp(spec)
+    assert set(built) == set(range(2, 12))
+    monkeypatch.setattr(states, "_PLAN_CAP", 0)
+    looped = solve_cmdp(spec)
+    assert gathered.iterations == looped.iterations == 15
+    assert gathered.table == looped.table
+    assert gathered.audit.values == looped.audit.values
+    assert gathered.audit.objective == looped.audit.objective
+    assert gathered.dual.history == looped.dual.history
+    assert gathered.feasible == looped.feasible

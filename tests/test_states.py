@@ -122,16 +122,22 @@ def _transitions(draw):
 @settings(max_examples=80, deadline=None)
 @given(tb=_transitions(), seed=st.integers(0, 2**32 - 1))
 def test_push_and_pull_are_adjoint(tb, seed):
-    # sum over dst of push(g) * v == sum over src of g * (q wc + (1 - q) wd)
+    # sum over dst of push(g) * v == sum over src of g * (q wc + (1 - q) wd);
+    # three uses of one transition: the block loop, then the gather plan
+    # as it is built, then as it is reused
     step = Transition(*tb)
     rng = np.random.default_rng(seed)
-    q = rng.uniform(0.01, 0.99, step.src.size)
-    g = rng.uniform(0.0, 5.0, step.src.size) * (rng.random(step.src.size) < 0.8)
-    v = rng.uniform(0.0, 1.0, step.dst.size)
-    with np.errstate(divide="ignore"):
-        pushed = step.push(g, q, 1 - q)
-    wc, wd = step.pull(v)
-    assert np.sum(pushed * v) == pytest.approx(np.sum(g * (q * wc + (1 - q) * wd)), rel=1e-12)
+    for _ in range(3):
+        q = rng.uniform(0.01, 0.99, step.src.size)
+        g = rng.uniform(0.0, 5.0, step.src.size) * (rng.random(step.src.size) < 0.8)
+        v = rng.uniform(0.0, 1.0, step.dst.size)
+        with np.errstate(divide="ignore"):
+            pushed = step.push(g, q, 1 - q)
+        wc, wd = step.pull(v)
+        assert np.sum(pushed * v) == pytest.approx(np.sum(g * (q * wc + (1 - q) * wd)), rel=1e-12)
+        assert np.array_equal(pushed, push_ref(step, g, q, 1 - q))
+        for got, want in zip((wc, wd), pull_ref(step, v)):
+            assert np.array_equal(got, want)
 
 
 def _weights(rng, size):
@@ -147,13 +153,49 @@ def _weights(rng, size):
 @settings(max_examples=80, deadline=None)
 @given(tb=_transitions(), seed=st.integers(0, 2**32 - 1))
 def test_push_and_pull_match_the_per_block_oracle_bit_for_bit(tb, seed):
+    # the first call of each method runs the block loop, the second builds
+    # the gather plan and the third reuses it
     step = Transition(*tb)
     rng = np.random.default_rng(seed)
-    w, q, q1 = (_weights(rng, step.src.size) for _ in range(3))
-    v = _weights(rng, step.dst.size)
-    assert np.array_equal(step.push(w, q, q1), push_ref(step, w, q, q1))
-    for got, want in zip(step.pull(v), pull_ref(step, v)):
-        assert np.array_equal(got, want)
+    for _ in range(3):
+        w, q, q1 = (_weights(rng, step.src.size) for _ in range(3))
+        v = _weights(rng, step.dst.size)
+        assert np.array_equal(step.push(w, q, q1), push_ref(step, w, q, q1))
+        for got, want in zip(step.pull(v), pull_ref(step, v)):
+            assert np.array_equal(got, want)
+
+
+def _uses(step, rng):
+    w, q = (rng.uniform(0.0, 1.0, step.src.size) for _ in range(2))
+    v = rng.uniform(0.0, 1.0, step.dst.size)
+    return step.push(w, q, 1 - q), *step.pull(v)
+
+
+def test_gather_plan_is_built_on_reuse_and_only_within_the_cap():
+    rng = np.random.default_rng(7)
+    small, large = Transition(30, 6), Transition(70, 6)
+    assert large.src.size == 59_354
+    for step in (small, large):
+        _uses(step, rng)
+        assert (step._children, step._parents) == (None, None)
+    for step in (small, large):
+        _uses(step, rng)
+    assert small._children is not None and small._parents is not None
+    assert (large._children, large._parents) == (None, None)
+
+
+@pytest.mark.parametrize("t, b", [(30, 6), (7, 1), (70, 6)])
+def test_calls_on_one_transition_return_independent_arrays(t, b):
+    step = Transition(t, b)
+    rng = np.random.default_rng(3)
+    w, q = (rng.uniform(0.0, 1.0, step.src.size) for _ in range(2))
+    v = rng.uniform(0.0, 1.0, step.dst.size)
+    calls = [(step.push(w, q, 1 - q), *step.pull(v)) for _ in range(3)]
+    for out in calls[1:]:
+        assert all(np.array_equal(a, b) for a, b in zip(out, calls[0]))
+    arrays = [a for out in calls for a in out] + [w, q, v]
+    for i, a in enumerate(arrays):
+        assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
 @pytest.mark.parametrize("t, b", [(7, 4), (9, 4), (20, 3), (5, 0), (0, 0)])
