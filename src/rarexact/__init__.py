@@ -40,7 +40,6 @@ from .exact_tests import (
 )
 from .montecarlo import (
     RateEstimate,
-    RngSeed,
     TrialHistory,
     randomization_rejection_rate,
     randomization_test,

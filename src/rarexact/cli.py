@@ -53,7 +53,6 @@ SECTION4_DEFAULTS = {
     "null_grid": [i / 20 for i in range(21)],
     "seed": 2024,
     "sims": 1000,
-    "reps": 1000,
 }
 
 
@@ -328,15 +327,11 @@ def _cmd_mc_randtest(cfg: dict, out: str) -> int:
     thetas = _thetas_from_config(cfg)
     rows = []
     for tc, td in thetas:
-        est = randomization_rejection_rate(
-            policy, (tc, td), _integer(cfg, "sims"), _integer(cfg, "reps"),
-            _number(cfg, "alpha"), _integer(cfg, "seed"),
-        )
-        rows.append((tc, td, est.estimate, est.half_width, est.sims, est.reps,
-                     est.seed.seed, est.seed.generator))
+        est = randomization_rejection_rate(policy, (tc, td), _integer(cfg, "sims"),
+                                           _number(cfg, "alpha"), _integer(cfg, "seed"))
+        rows.append((tc, td, est.estimate, est.half_width, est.sims, est.seed, est.generator))
     _write_csv(
-        out,
-        ["theta_c", "theta_d", "estimate", "half_width", "sims", "reps", "seed", "generator"],
+        out, ["theta_c", "theta_d", "estimate", "half_width", "sims", "seed", "generator"],
         rows, cfg,
     )
     return EXIT_OK

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .numerics import log_binom, logsumexp_fixed
-from .policies import EqualAllocation, Policy
+from .policies import EqualAllocation, Policy, PolicyTable
 from .states import Layer, Transition, layer as make_layer
 from .wald import layer_wald_statistics
 
@@ -102,7 +102,8 @@ def forward_g(policy: Policy) -> PathWeightTable:
     arm and both outcome branches receiving the full arm mass (outcome
     likelihoods enter later, through the evaluation weights).  The weights
     carried are fair-coin path probabilities: the policy's
-    :meth:`~rarexact.policies.Policy.layer_arm_probs` are checked and halved
+    :meth:`~rarexact.policies.Policy.layer_arm_probs` are checked (a
+    :class:`~rarexact.policies.PolicyTable` once, when it is made) and halved
     in place.  A state whose fair-coin probability underflows to
     zero gets ``log g = -inf``; :meth:`~rarexact.states.Transition.push`
     bounds the probability so lost.
@@ -123,9 +124,12 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
     their plans (see :class:`~rarexact.states.Transition`)."""
     n, b = policy.n, policy.burn_in
     cur = np.exp(_burn_in_table(b) - 2 * b * LN2)
+    # a table's probabilities are its p and codes, checked when it was made
+    check = not isinstance(policy, PolicyTable)
     for step in steps:
         q, q1 = policy.layer_arm_probs(step.src)
-        _check_arm_probs(q, q1, step.src.t)
+        if check:
+            _check_arm_probs(q, q1, step.src.t)
         q *= 0.5
         q1 *= 0.5
         cur = step.push(cur, q, q1)

@@ -1,12 +1,10 @@
-"""Trial simulation and the randomization-based Wald test.
+"""Trial simulation and the exact randomization-based Wald test.
 
 All randomness comes from counter-based generators keyed by a master
 seed and a stream index, so results are bit-reproducible for a fixed
 seed on any worker partition.  Trial ``i`` of a run reads stream ``i``:
 its first ``n`` draws are allocation keys and the next ``n`` are outcome
-draws; in :func:`randomization_rejection_rate` the stream goes on with
-the ``reps * n`` keys of that trial's re-randomizations, one row of
-``n`` per re-randomization.  Permuted-block allocations turn their keys
+draws, ``2n`` draws in all.  Permuted-block allocations turn their keys
 into arrangements by sorting.
 
 Trials are stepped together, many rows at a time, along the edges of
@@ -15,10 +13,14 @@ probabilities are the control side ``q`` of the policy's
 :meth:`~rarexact.policies.Policy.layer_arm_probs`, looked up per layer
 by :meth:`~rarexact.states.Layer.indices`.  Every row depends only on its
 own stream, so results do not depend on how the trials are chunked.
+
+The randomization test draws nothing: a dynamic program gives its exact
+p-value (:func:`randomization_test`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,18 +32,9 @@ from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy"
 EA_BLOCK = 10
-# Re-randomized rows stepped together by randomization_rejection_rate:
-# about ten trials at reps = 1000, a working set of a few MB.  Chunks of
-# 25 or 50 trials measured slower.
-RERANDOMIZED_ROWS = 10_000
-
-
-@dataclass(frozen=True)
-class RngSeed:
-    """Master seed plus the generator identity recorded in outputs."""
-
-    seed: int
-    generator: str = GENERATOR_ID
+# Trials whose p-values randomization_rejection_rate computes together: at
+# n = 50 each holds up to 39 x 45 states, about 0.5 MB per array a chunk.
+DP_TRIALS = 32
 
 
 def _key(seed: int, stream: int) -> np.ndarray:
@@ -140,7 +133,7 @@ def _arms_from_keys(keys: np.ndarray, lengths: list[int]) -> np.ndarray:
 
 class _EpochLookup:
     """Vectorized per-epoch allocation probabilities for a policy: the
-    layer and the control side ``q`` of its
+    layer and the pair ``(q, q1)`` of its
     :meth:`~rarexact.policies.Policy.layer_arm_probs`, kept once per
     epoch."""
 
@@ -148,21 +141,20 @@ class _EpochLookup:
         self.policy = policy
         self._cache: dict[int, tuple] = {}
 
-    def lookup(self, t: int, s_c, s_d, n_c) -> np.ndarray:
+    def arm_probs(self, t: int) -> tuple:
+        """``(layer, q, q1)`` at epoch ``t``."""
         entry = self._cache.get(t)
         if entry is None:
             lay = make_layer(t, self.policy.burn_in, self.policy.n)
-            entry = self._cache[t] = (lay, self.policy.layer_arm_probs(lay)[0])
-        lay, probs = entry
-        return probs[lay.indices(s_c, s_d, n_c)]
+            entry = self._cache[t] = (lay, *self.policy.layer_arm_probs(lay))
+        return entry
 
 
 def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray,
               lookup: _EpochLookup, burn_in_blocks: bool):
-    """Arms and terminal ``(s_c, s_d, n_c)`` of trials laid out along the
-    last axis, driven by the allocation ``keys``; participant ``t``
-    responds ``y_c[..., t]`` on control and ``y_d[..., t]`` otherwise (the
-    responses broadcast against the keys).  The burn-in is one permuted
+    """Arms and terminal ``(s_c, s_d, n_c)`` of trials given as ``(m, n)``
+    rows of allocation ``keys``; participant ``t`` responds ``y_c[:, t]``
+    on control and ``y_d[:, t]`` otherwise.  The burn-in is one permuted
     balanced block, or the canonical alternation; permuted-block equal
     allocation uses its block plan throughout."""
     n, b = policy.n, policy.burn_in
@@ -171,25 +163,24 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
         return arms, _terminal_counts(arms, y_c, y_d)
 
     # epoch-major arms: each epoch writes one contiguous row
-    arms = np.empty((n,) + keys.shape[:-1], dtype=np.int8)
+    m = keys.shape[0]
+    arms = np.empty((n, m), dtype=np.int8)
     if burn_in_blocks and b:
-        arms[:2 * b] = np.moveaxis(_arms_from_keys(keys[..., :2 * b], [2 * b]), -1, 0)
+        arms[:2 * b] = _arms_from_keys(keys[:, :2 * b], [2 * b]).T
     else:
-        arms[:2 * b] = _balanced_pattern(2 * b).reshape((2 * b,) + (1,) * (keys.ndim - 1))
-    s_c = np.zeros(keys.shape[:-1], dtype=np.int64)
-    s_d = np.zeros_like(s_c)
-    n_c = np.zeros_like(s_c)
+        arms[:2 * b] = _balanced_pattern(2 * b)[:, None]
+    s_c, s_d, n_c = np.zeros((3, m), dtype=np.int64)
     for t in range(n):
         if t < 2 * b:
             is_c = arms[t] == 0
         else:
-            is_c = keys[..., t] < lookup.lookup(t, s_c, s_d, n_c)
+            lay, q, _ = lookup.arm_probs(t)
+            is_c = keys[:, t] < q[lay.indices(s_c, s_d, n_c)]
             arms[t] = ~is_c
         n_c += is_c
-        s_c += is_c & y_c[..., t]
-        s_d += ~is_c & y_d[..., t]
-    arms = np.moveaxis(arms, 0, -1)
-    return arms, (s_c, s_d, n_c)
+        s_c += is_c & y_c[:, t]
+        s_d += ~is_c & y_d[:, t]
+    return arms.T, (s_c, s_d, n_c)
 
 
 def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
@@ -229,88 +220,101 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int =
     return tuple(out)
 
 
-def _rerandomized_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
-                           keys: np.ndarray, lookup: _EpochLookup) -> np.ndarray:
-    """Randomization p-values of ``m`` observed trials, given as ``(m, n)``
-    rows of arms and outcomes: the outcomes stay fixed in participant
-    order while the allocation is re-run with the key rows ``keys``
-    ``(m, reps, n)``.  The burn-in is one permuted balanced block."""
-    n, reps = policy.n, keys.shape[1]
+def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
+                            lookup: _EpochLookup) -> np.ndarray:
+    """Exact randomization p-values of ``(m, n)`` rows of observed arms and
+    outcomes (see :func:`randomization_test`).  Given the outcomes, the
+    successes ``S_t`` before epoch ``t`` are known, so the allocation is a
+    Markov chain on ``(n_c, s_c)``, ``s_d = S_t - s_c``.  Its law is an
+    ``(m, K, lo + K)`` array over ``n_c = lo .. lo + K - 1`` and ``s_c``;
+    states off the layer hold no mass.  Each permuted balanced block (the
+    burn-in, all of equal allocation) of ``L`` with ``c = ceil(L / 2)``
+    controls adds ``c`` to ``n_c`` and a ``Hypergeom(L, S_block, c)`` count
+    to ``s_c``; each later epoch moves ``q`` of a state's mass to ``(n_c +
+    1, s_c + y_t)`` and keeps ``q1``.  Shapes depend on ``t`` alone and
+    the work is elementwise per row, so rows do not affect each other."""
+    n, b = policy.n, policy.burn_in
+    m = outcomes.shape[0]
     s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
     t_obs = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
-    y = outcomes[:, None, :]
-    _, (s_c, s_d, n_c) = _allocate(policy, keys, y, y, lookup, burn_in_blocks=True)
-    stats = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
-    hits = np.count_nonzero(stats >= t_obs[:, None], axis=1)
-    return (1 + hits) / (reps + 1.0)
+    succ = np.zeros((m, n + 1), dtype=np.int64)
+    np.cumsum(outcomes, axis=1, out=succ[:, 1:])
+
+    w, lo, pos = np.ones((m, 1, 1)), 0, 0
+    for length in _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK):
+        c = (length + 1) // 2
+        hyper = np.array([[math.comb(s, k) * math.comb(length - s, c - k) / math.comb(length, c)
+                           for k in range(c + 1)] for s in range(length + 1)])
+        hyper = hyper[succ[:, pos + length] - succ[:, pos]]
+        out = np.zeros(w.shape[:2] + (w.shape[2] + c,))
+        for k in range(c + 1):
+            out[:, :, k:k + w.shape[2]] += w * hyper[:, k, None, None]
+        w, lo, pos = out, lo + c, pos + length
+    for t in range(pos, n):
+        lay, q, q1 = lookup.arm_probs(t)
+        rows, cols = w.shape[1:]
+        s_c = np.arange(cols)
+        # off-layer states hold no mass, and their indices stay in the layer
+        idx = lay.indices(s_c, succ[:, t, None, None] - s_c, np.arange(lo, lo + rows)[:, None])
+        out = np.zeros((m, rows + 1, cols + 1))
+        np.multiply(w, q1[idx], out=out[:, :rows, :cols])
+        w *= q[idx]
+        y_t = outcomes[:, t, None, None]
+        out[:, 1:, 1:] += w * y_t
+        out[:, 1:, :cols] += w * (1 - y_t)
+        w = out
+
+    rows, cols = w.shape[1:]
+    n_c = np.arange(lo, lo + rows)[:, None]
+    s_c = np.minimum(np.arange(cols), n_c)
+    s_d = np.clip(succ[:, n, None, None] - s_c, 0, n - n_c)
+    extreme = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c)) >= t_obs[:, None, None]
+    return np.where(extreme, w, 0.0).reshape(m, -1).sum(axis=1)
 
 
-def randomization_test(observed: TrialHistory, policy: Policy, reps: int,
-                       alpha: float, seed: int, stream: int = 0):
-    """Two-sided randomization test: hold the outcome sequence fixed in
-    participant order, re-run the allocation mechanism, and compare the
-    observed Wald statistic against the re-randomization distribution.
-
-    The p-value is the Monte Carlo estimate of P(|T| >= |t_obs|) with the
-    observed trial counted as one of the draws::
-
-        p = (1 + #{r : |T_r| >= |t_obs|}) / (reps + 1)
-
-    so p lies in [1/(reps+1), 1], and p = 1 when every re-randomized
-    statistic ties the observed one (for instance when all outcomes are
-    zero).  Under exchangeability P(p <= alpha) <= alpha for every reps
-    (Phipson & Smyth 2010).  Ties count fully, which makes the test
-    conservative under designs with heavy statistic ties, such as
-    permuted-block equal allocation, but never anti-conservative.
-
-    The burn-in is re-randomized as one permuted balanced block, matching
-    the reference simulation protocol.  The keys are the first
-    ``reps * n`` draws of stream ``stream``.
+def randomization_test(observed: TrialHistory, policy: Policy, alpha: float):
+    """Exact two-sided randomization test; returns ``(reject, p)``.  With
+    the outcome sequence fixed in participant order, ``p = P(|T| >=
+    |t_obs|)`` over every allocation the design could have made, its
+    burn-in one permuted balanced block.  Ties count fully, so p = 1 when
+    all allocations tie (say, all outcomes zero), P(p <= alpha) <= alpha
+    given the outcomes, and designs with heavy ties, such as permuted-block
+    equal allocation, are conservative.  An adaptive policy needs a burn-in
+    of at least one per arm, or some Wald statistic is undefined.
     """
     check_alpha(alpha)
-    if reps < 100:
-        raise ValueError("need at least 100 re-randomizations")
-    n = policy.n
-    keys = _stream_uniforms(seed, stream, 1, reps * n).reshape(1, reps, n)
-    p = float(_rerandomized_p_values(
-        policy, observed.arms[None, :], observed.outcomes[None, :], keys, _EpochLookup(policy)
-    )[0])
+    arms, outcomes = observed.arms[None, :], observed.outcomes[None, :]
+    p = float(_randomization_p_values(policy, arms, outcomes, _EpochLookup(policy))[0])
     return p <= alpha, p
 
 
 @dataclass(frozen=True)
 class RateEstimate:
+    """A rejection rate, its master seed and the generator recorded in outputs."""
+
     estimate: float
     half_width: float
     sims: int
-    reps: int
-    seed: RngSeed
+    seed: int
+    generator: str = GENERATOR_ID
 
 
-def randomization_rejection_rate(policy: Policy, theta, sims: int, reps: int,
-                                 alpha: float, seed: int) -> RateEstimate:
-    """Rejection rate of the randomization test over independent simulated
-    trials, with a normal-approximation 95% half-width.  The observed
-    trials use the same burn-in mechanism as the re-randomizations.
-
-    Trial ``i`` reads stream ``i``: ``2n`` trial draws, then its
-    ``reps * n`` re-randomization keys.  Trials are stepped in chunks of
-    about ``RERANDOMIZED_ROWS`` re-randomized rows."""
+def randomization_rejection_rate(policy: Policy, theta, sims: int, alpha: float,
+                                 seed: int) -> RateEstimate:
+    """Rejection rate of the exact randomization test over independent
+    simulated trials, with a normal-approximation 95% half-width.  Trial
+    ``i`` reads stream ``i`` and has a permuted burn-in block, like the
+    test; trials are tested in chunks of ``DP_TRIALS``."""
     check_alpha(alpha)
-    if sims < 100 or reps < 100:
-        raise ValueError("need at least 100 simulations and re-randomizations")
-    n = policy.n
+    if sims < 100:
+        raise ValueError("need at least 100 simulations")
     lookup = _EpochLookup(policy)
-    chunk = max(1, RERANDOMIZED_ROWS // reps)
     rejections = 0
-    for start in range(0, sims, chunk):
-        m = min(chunk, sims - start)
-        u = _stream_uniforms(seed, start, m, (2 + reps) * n)
-        arms, outcomes, _ = _simulate_batch(policy, theta, u[:, :2 * n], lookup,
-                                            burn_in_blocks=True)
-        keys = u[:, 2 * n:].reshape(m, reps, n)
-        p = _rerandomized_p_values(policy, arms, outcomes, keys, lookup)
+    for start in range(0, sims, DP_TRIALS):
+        u = _stream_uniforms(seed, start, min(DP_TRIALS, sims - start), 2 * policy.n)
+        arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
+        p = _randomization_p_values(policy, arms, outcomes, lookup)
         rejections += int(np.count_nonzero(p <= alpha))
     est = rejections / sims
     half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
-    return RateEstimate(est, float(half), sims, reps, RngSeed(seed))
+    return RateEstimate(est, float(half), sims, seed)

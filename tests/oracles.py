@@ -5,8 +5,7 @@ tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
 replaced them (:func:`posterior_log_probs_ref`, :func:`push_ref`,
-:func:`pull_ref`, :func:`forward_g_log_ref`,
-:func:`randomization_rejection_rate_ref`), which walk the package's
+:func:`pull_ref`, :func:`forward_g_log_ref`), which walk the package's
 layers, and the helpers at the end that only the tests call
 (:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
 :func:`permuted_block_sequence`, :func:`simulate_trial`), thin wrappers
@@ -577,7 +576,8 @@ def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):
         if t < 2 * b:
             arm = burn_in[:, t]
         else:
-            arm = (keys[:, t] >= lookup.lookup(t, s_c, s_d, n_c)).astype(np.int8)
+            lay, q, _ = lookup.arm_probs(t)
+            arm = (keys[:, t] >= q[lay.indices(s_c, s_d, n_c)]).astype(np.int8)
         y = outcome_at(t, arm)
         arms[:, t] = arm
         is_c = arm == 0
@@ -587,27 +587,22 @@ def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):
     return arms
 
 
-def _trial_ref(policy, theta, rng, lookup, burn_in_blocks):
-    """Arms and outcomes of one trial from the next ``2n`` draws of
-    ``rng``: ``n`` allocation keys, then ``n`` outcome draws."""
+def simulate_trial_ref(policy, theta, seed, stream, burn_in_blocks=False):
+    """``(arms, outcomes)`` of the trial on stream ``stream``, stepped
+    alone from the first ``2n`` draws of a fresh ``make_rng(seed,
+    stream)``: ``n`` allocation keys, then ``n`` outcome draws."""
+    from rarexact.montecarlo import _EpochLookup, make_rng
+
     n = policy.n
     tc, td = theta
-    u = rng.random(2 * n)[None, :]
+    u = make_rng(seed, stream).random(2 * n)[None, :]
     draws = u[:, n:]
     arms = _trial_arms_ref(
         policy, u[:, :n],
         lambda t, arm: np.where(arm == 0, draws[:, t] < tc, draws[:, t] < td),
-        lookup, burn_in_blocks,
+        _EpochLookup(policy), burn_in_blocks,
     )
     return arms[0], np.where(arms == 0, draws < tc, draws < td).astype(np.int8)[0]
-
-
-def simulate_trial_ref(policy, theta, seed, stream):
-    """``(arms, outcomes)`` of the trial on stream ``stream``, stepped
-    alone from a fresh ``make_rng(seed, stream)``."""
-    from rarexact.montecarlo import _EpochLookup, make_rng
-
-    return _trial_ref(policy, theta, make_rng(seed, stream), _EpochLookup(policy), False)
 
 
 def _abs_wald_ref(arms, outcomes):
@@ -618,33 +613,67 @@ def _abs_wald_ref(arms, outcomes):
     return np.abs(wald_statistics(s_c, s_d, n_c, arms.shape[-1] - n_c))
 
 
-def randomization_p_value_ref(policy, arms, outcomes, keys, lookup):
-    """Randomization p-value of one observed trial, re-randomized with the
-    ``(reps, n)`` key rows ``keys`` over its fixed outcomes."""
-    stats = _abs_wald_ref(
-        _trial_arms_ref(policy, keys, lambda t, arm: outcomes[t], lookup, True), outcomes
-    )
-    return (1 + np.count_nonzero(stats >= _abs_wald_ref(arms, outcomes))) / (keys.shape[0] + 1.0)
+def allocation_paths_enum(policy, outcomes):
+    """Every arm sequence the design can make while ``outcomes`` stay fixed
+    in participant order, as ``(arms, probability)`` pairs.  Each permuted
+    balanced block (the ``2b`` burn-in, and every block of equal
+    allocation) takes each of its ``C(L, ceil(L/2))`` arrangements with
+    equal probability; each later epoch branches on
+    ``policy.control_prob`` of the state reached, dropping branches of
+    probability zero."""
+    from rarexact.montecarlo import EA_BLOCK, _block_plan
+    from rarexact.policies import EqualAllocation
+    from rarexact.states import TrialState
+
+    n, b = policy.n, policy.burn_in
+    y = [int(v) for v in outcomes]
+    if isinstance(policy, EqualAllocation):
+        plan = _block_plan(n, b, EA_BLOCK)
+    else:
+        plan = [2 * b] if b else []
+    prefixes = [((), 1.0)]
+    for length in plan:
+        half = (length + 1) // 2
+        blocks = [tuple(0 if i in ctrl else 1 for i in range(length))
+                  for ctrl in itertools.combinations(range(length), half)]
+        prefixes = [(arms + block, prob / len(blocks))
+                    for arms, prob in prefixes for block in blocks]
+
+    @functools.lru_cache(maxsize=None)
+    def control_prob(s_c, s_d, n_c, n_d):
+        return policy.control_prob(TrialState(s_c, s_d, n_c, n_d))
+
+    paths = []
+
+    def walk(arms, prob, s_c, s_d, n_c):
+        t = len(arms)
+        if t == n:
+            paths.append((arms, prob))
+            return
+        q = control_prob(s_c, s_d, n_c, t - n_c)
+        if q > 0:
+            walk(arms + (0,), prob * q, s_c + y[t], s_d, n_c + 1)
+        if q < 1:
+            walk(arms + (1,), prob * (1.0 - q), s_c, s_d + y[t], n_c)
+
+    for arms, prob in prefixes:
+        n_c = arms.count(0)
+        s_c = sum(y[i] for i, arm in enumerate(arms) if arm == 0)
+        walk(arms, prob, s_c, sum(y[:len(arms)]) - s_c, n_c)
+    return paths
 
 
-def randomization_rejection_rate_ref(policy, theta, sims, reps, alpha, seed):
-    """The randomization-test rejection rate one trial at a time: trial
-    ``i`` draws its ``2n`` trial uniforms and then its ``(reps, n)``
-    re-randomization keys from a fresh ``make_rng(seed, i)``.  This is the
-    loop that the chunked ``randomization_rejection_rate`` replaced."""
-    from rarexact.montecarlo import RateEstimate, RngSeed, _EpochLookup, make_rng
-
-    lookup = _EpochLookup(policy)
-    rejections = 0
-    for i in range(sims):
-        rng = make_rng(seed, i)
-        arms, outcomes = _trial_ref(policy, theta, rng, lookup, True)
-        keys = rng.random((reps, policy.n))
-        p = randomization_p_value_ref(policy, arms, outcomes, keys, lookup)
-        rejections += bool(p <= alpha)
-    est = rejections / sims
-    half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
-    return RateEstimate(est, float(half), sims, reps, RngSeed(seed))
+def randomization_p_value_enum(policy, arms, outcomes):
+    """Exact randomization p-value of one observed trial by enumeration:
+    the summed probability of the arm sequences of
+    :func:`allocation_paths_enum` whose ``|Wald|`` is at least the
+    observed one, ties included."""
+    paths = allocation_paths_enum(policy, outcomes)
+    seqs = np.array([a for a, _ in paths], dtype=np.int8)
+    y = np.asarray(outcomes, dtype=np.int8)
+    stats = _abs_wald_ref(seqs, np.broadcast_to(y, seqs.shape))
+    t_obs = _abs_wald_ref(np.asarray(arms, dtype=np.int8), y)
+    return math.fsum(prob for (_, prob), stat in zip(paths, stats) if stat >= t_obs)
 
 
 # ---------------------------------------------------------------------------

@@ -33,9 +33,9 @@ ENTRY_POINTS = {
     "boschloo_rule": lambda a: boschloo_rule(TABLE, a),
     "AsymptoticRule": AsymptoticRule,
     "CmdpSpec": lambda a: CmdpSpec(n=8, burn_in=1, alpha=a),
-    "randomization_test": lambda a: randomization_test(HISTORY, POLICY, 100, a, seed=2),
+    "randomization_test": lambda a: randomization_test(HISTORY, POLICY, a),
     "randomization_rejection_rate": lambda a: randomization_rejection_rate(
-        POLICY, (0.4, 0.6), 100, 100, a, seed=2),
+        POLICY, (0.4, 0.6), 100, a, seed=2),
 }
 
 

@@ -174,16 +174,20 @@ def test_cli_cmdp_solve_and_table_policy(tmp_path):
 
 def test_cli_mc_randtest(tmp_path):
     out = str(tmp_path / "mc.csv")
-    cfg = _cfg(
-        tmp_path, "mc.json", n=10, burn_in=1, policy="EqualAllocation",
-        sims=120, reps=120, seed=7,
-        theta_grid={"kind": "list", "values": [[0.5, 0.5]]},
-    )
+    common = dict(n=10, burn_in=1, policy="EqualAllocation", sims=120, seed=7,
+                  theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    cfg = _cfg(tmp_path, "mc.json", **common)
     assert main(["mc", "randtest", "--config", cfg, "--out", out]) == 0
     lines = Path(out).read_text().splitlines()
-    assert lines[1].split(",")[:4] == ["theta_c", "theta_d", "estimate", "half_width"]
+    assert lines[1].split(",") == [
+        "theta_c", "theta_d", "estimate", "half_width", "sims", "seed", "generator"]
     est = float(lines[2].split(",")[2])
     assert 0.0 <= est <= 0.25
+    # the test is exact: a Monte Carlo 'reps' left in a config changes nothing
+    old = str(tmp_path / "mc-reps.csv")
+    cfg = _cfg(tmp_path, "mc-reps.json", **common, reps=1000)
+    assert main(["mc", "randtest", "--config", cfg, "--out", old]) == 0
+    assert Path(old).read_text().splitlines()[1:] == lines[1:]
 
 
 def test_cli_paths(tmp_path):

@@ -208,6 +208,31 @@ def test_forward_rejects_bad_policy_probabilities():
             forward_g(bad)
 
 
+def test_sweep_checks_user_policies_per_layer_and_tables_once(monkeypatch):
+    # a PolicyTable's probabilities are its p and codes, which __post_init__
+    # validated; every other policy is checked on every swept layer
+    import rarexact.engine as engine
+
+    checked = []
+    real = engine._check_arm_probs
+
+    def spy(q, q1, t):
+        checked.append(t)
+        real(q, q1, t)
+
+    monkeypatch.setattr(engine, "_check_arm_probs", spy)
+    n, b = 8, 1
+    codes = tuple(
+        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
+        else (np.arange(layer(t, b).size) % 3).astype(np.int8)
+        for t in range(n)
+    )
+    forward_g(PolicyTable(n, b, 0.9, codes))
+    assert checked == []
+    forward_g(DbcdNeyman(n, b))
+    assert checked == list(range(2 * b, n))
+
+
 @st.composite
 def _symmetric_designs(draw):
     # DBCD is undefined on an empty arm, so its burn-in is at least one;

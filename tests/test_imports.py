@@ -65,7 +65,7 @@ def configs(tmp_path_factory):
         "cmdp solve": _write(d, "cmdp.json", n=10, burn_in=1, max_iters=3,
                              null_grid=[0.25, 0.5],
                              rectangles=[[0.0, 0.25, 0.5, 1.0], [0.75, 1.0, 0.25, 0.5]]),
-        "mc randtest": _write(d, "mc.json", **dict(TINY, policy="dbcd"), sims=100, reps=100),
+        "mc randtest": _write(d, "mc.json", **dict(TINY, policy="dbcd"), sims=100),
         "paths": _write(d, "paths.json", **TINY, path_sims=3),
         "out": str(d / "out"),
     }

@@ -1,12 +1,17 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import chisquare
 
 from rarexact import (
     BayesianRar,
     DbcdNeyman,
     EqualAllocation,
+    PolicyTable,
     TemperedDbcdNeyman,
+    TrialHistory,
     TrialState,
     forward_g,
     layer,
@@ -14,21 +19,33 @@ from rarexact import (
     randomization_test,
     simulate_terminals,
 )
+from rarexact import montecarlo
 from rarexact.montecarlo import (
-    RERANDOMIZED_ROWS,
     _EpochLookup,
+    _randomization_p_values,
+    _simulate_batch,
     _stream_uniforms,
     make_rng,
     simulate_trials,
 )
 
 from oracles import (
+    allocation_paths_enum,
     permuted_block_sequence,
-    randomization_p_value_ref,
-    randomization_rejection_rate_ref,
+    randomization_p_value_enum,
     simulate_trial,
     simulate_trial_ref,
 )
+
+
+def _random_table(n, b, p, seed):
+    """A ``PolicyTable`` with uniformly drawn action codes."""
+    rng = np.random.default_rng(seed)
+    return PolicyTable(n, b, p, tuple(
+        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
+        else rng.integers(0, 3, layer(t, b).size).astype(np.int8)
+        for t in range(n)
+    ))
 
 
 def test_simulate_certain_outcomes():
@@ -159,76 +176,139 @@ def test_randomization_test_degenerate_outcomes():
     pol = EqualAllocation(20, 2)
     hist = simulate_trial(pol, (0.0, 0.0), seed=5)
     assert np.all(hist.outcomes == 0)
-    reject, p = randomization_test(hist, pol, reps=200, alpha=0.05, seed=6)
+    reject, p = randomization_test(hist, pol, alpha=0.05)
     assert p == 1.0 and not reject
 
 
 @pytest.mark.parametrize("policy_cls", [EqualAllocation, DbcdNeyman])
 def test_randomization_test_smallest_p_value(policy_cls):
-    # with theta = (0, 1) the observed |T| is infinite; a re-randomization
-    # ties it only by reproducing (or mirroring) the observed arms, which
-    # none of these 200 does, so p sits at its floor 1/(reps+1), not below
-    pol = policy_cls(20, 2)
+    # with theta = (0, 1) the observed |T| is infinite; an allocation ties
+    # it only by reproducing (or mirroring) the observed arms, so p is the
+    # probability of those arms, and not below it
+    pol = policy_cls(12, 2)
     hist = simulate_trial(pol, (0.0, 1.0), seed=5)
-    reject, p = randomization_test(hist, pol, reps=200, alpha=0.05, seed=6)
-    assert p == 1 / 201 and reject
+    reject, p = randomization_test(hist, pol, alpha=0.05)
+    paths = dict(allocation_paths_enum(pol, hist.outcomes))
+    assert paths[tuple(hist.arms.tolist())] <= p < 0.05 and reject
+    assert p == pytest.approx(randomization_p_value_enum(pol, hist.arms, hist.outcomes),
+                              rel=0.0, abs=1e-14)
 
 
-@pytest.mark.parametrize("policy", [DbcdNeyman(16, 2), EqualAllocation(16, 2)])
+@pytest.mark.parametrize("policy", [
+    DbcdNeyman(12, 2), EqualAllocation(12, 2), EqualAllocation(11, 0), EqualAllocation(12, 1),
+    TemperedDbcdNeyman(10, 1), BayesianRar(10, 1), _random_table(10, 1, 0.9, seed=3),
+])
 def test_randomization_test_matches_reference(policy):
+    # observed trials with the alternating burn-in, and with a permuted one
+    # as in randomization_rejection_rate; the enumeration sums the
+    # probabilities of every arrangement and arm sequence
     lookup = _EpochLookup(policy)
-    for stream in range(3):
-        hist = simulate_trial(policy, (0.2, 0.7), seed=4, stream=stream)
-        reject, p = randomization_test(hist, policy, reps=150, alpha=0.1, seed=9, stream=stream)
-        keys = make_rng(9, stream).random((150, policy.n))
-        assert p == randomization_p_value_ref(policy, hist.arms, hist.outcomes, keys, lookup)
-        assert reject == (p <= 0.1) and type(reject) is bool
+    u = _stream_uniforms(4, 0, 3, 2 * policy.n)
+    for burn_in_blocks in (False, True):
+        arms, outcomes, _ = _simulate_batch(policy, (0.2, 0.7), u, lookup, burn_in_blocks)
+        p_rows = _randomization_p_values(policy, arms, outcomes, lookup)
+        for i, (a, y) in enumerate(zip(arms, outcomes)):
+            reject, p = randomization_test(TrialHistory(a, y), policy, alpha=0.1)
+            assert p == p_rows[i]
+            assert p == pytest.approx(randomization_p_value_enum(policy, a, y), rel=0.0, abs=1e-14)
+            assert reject == (p <= 0.1) and type(reject) is bool
 
 
-def test_randomization_test_requires_reps():
-    pol = EqualAllocation(10, 1)
-    hist = simulate_trial(pol, (0.5, 0.5), seed=1)
-    with pytest.raises(ValueError):
-        randomization_test(hist, pol, reps=50, alpha=0.05, seed=1)
+def test_randomization_grid_indexes_inside_each_layer():
+    # the p-value recursion reads q at every (n_c, s_c) of its grid, n_c in
+    # b .. t - b and s_c in 0 .. t - b, with s_d = S_t - s_c for any S_t in
+    # 0 .. t; states off the layer hold no mass but must index inside it
+    for b in range(7):
+        for t in range(max(2 * b, 1), 80):
+            lay = layer(t, b)
+            n_c = np.arange(b, t - b + 1)[:, None, None]
+            s_c = np.arange(t - b + 1)[None, :, None]
+            idx = lay.indices(s_c, np.arange(t + 1) - s_c, n_c)
+            assert 0 <= idx.min() and idx.max() < lay.size
+
+
+@st.composite
+def _designs(draw):
+    kind = draw(st.sampled_from(
+        [EqualAllocation, DbcdNeyman, TemperedDbcdNeyman, BayesianRar, PolicyTable]))
+    # an adaptive design needs both arms non-empty for the Wald statistic
+    b = draw(st.integers(0 if kind is EqualAllocation else 1, 3))
+    n = draw(st.integers(max(2 * b, 2), 12 if kind is EqualAllocation else 10))
+    if kind is PolicyTable:
+        p = draw(st.sampled_from([0.5, 0.8, 0.95, 1.0]))
+        return _random_table(n, b, p, draw(st.integers(0, 2**32 - 1)))
+    return kind(n, b)
+
+
+@settings(max_examples=60, deadline=None)
+@given(policy=_designs(), data=st.data())
+def test_exact_randomization_test_keeps_its_level(policy, data):
+    # given the outcomes, P(p <= alpha) over the design's allocations, each
+    # enumerated with its probability, is at most alpha
+    y = np.array(data.draw(st.lists(st.integers(0, 1), min_size=policy.n, max_size=policy.n)),
+                 dtype=np.int8)
+    paths = allocation_paths_enum(policy, y)
+    arms = np.array([a for a, _ in paths], dtype=np.int8)
+    probs = np.array([prob for _, prob in paths])
+    assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
+    p = _randomization_p_values(policy, arms, np.tile(y, (len(paths), 1)), _EpochLookup(policy))
+    for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
+        assert math.fsum(probs[p <= alpha]) <= alpha + 1e-12
 
 
 def test_randomization_ratetest_reproducible():
     pol = DbcdNeyman(16, 2)
-    a = randomization_rejection_rate(pol, (0.4, 0.8), sims=120, reps=120, alpha=0.05, seed=42)
-    b = randomization_rejection_rate(pol, (0.4, 0.8), sims=120, reps=120, alpha=0.05, seed=42)
+    a = randomization_rejection_rate(pol, (0.4, 0.8), sims=120, alpha=0.05, seed=42)
+    b = randomization_rejection_rate(pol, (0.4, 0.8), sims=120, alpha=0.05, seed=42)
     assert a == b
     assert a.half_width == pytest.approx(
         1.96 * np.sqrt(a.estimate * (1 - a.estimate) / 120), abs=1e-12
     )
 
 
-@pytest.mark.parametrize("reps", [100, 1000])
+# 100 is the fewest trials the rate accepts, 1000 the CLI's default
+@pytest.mark.parametrize("sims", [100, 1000])
 @pytest.mark.parametrize("policy", [
     DbcdNeyman(12, 2), TemperedDbcdNeyman(12, 2), BayesianRar(10, 1), EqualAllocation(12, 1),
 ])
-def test_chunked_rejection_rate_matches_per_trial_loop(policy, reps):
-    sims = 107
-    assert sims % max(1, RERANDOMIZED_ROWS // reps) != 0
-    got = randomization_rejection_rate(policy, (0.2, 0.8), sims, reps, alpha=0.2, seed=-3)
-    ref = randomization_rejection_rate_ref(policy, (0.2, 0.8), sims, reps, alpha=0.2, seed=-3)
-    assert got == ref
-    assert 0 < ref.estimate < 1
+def test_chunked_rejection_rate_matches_per_trial_loop(policy, sims, monkeypatch):
+    theta, alpha, seed = (0.2, 0.8), 0.2, -3
+    lookup = _EpochLookup(policy)
+    u = _stream_uniforms(seed, 0, sims, 2 * policy.n)
+    arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
+    # the observed trials are those stepped one at a time from their streams
+    for i in range(0, sims, 9):
+        ref_arms, ref_outcomes = simulate_trial_ref(policy, theta, seed, i, burn_in_blocks=True)
+        assert np.array_equal(arms[i], ref_arms) and np.array_equal(outcomes[i], ref_outcomes)
+    # p-values bit for bit the same in chunks of 1, 7 and all trials
+    p = _randomization_p_values(policy, arms, outcomes, lookup)
+    for chunk in (1, 7):
+        parts = [_randomization_p_values(policy, arms[i:i + chunk], outcomes[i:i + chunk], lookup)
+                 for i in range(0, sims, chunk)]
+        assert np.array_equal(np.concatenate(parts), p)
+    rates = {randomization_rejection_rate(policy, theta, sims, alpha=alpha, seed=seed)}
+    for chunk in (7, sims):
+        monkeypatch.setattr(montecarlo, "DP_TRIALS", chunk)
+        rates.add(randomization_rejection_rate(policy, theta, sims, alpha=alpha, seed=seed))
+    (rate,) = rates
+    assert rate.estimate == np.count_nonzero(p <= alpha) / sims
+    assert 0 < rate.estimate < 1
 
 
 def test_randomization_null_within_ci():
     pol = EqualAllocation(20, 2)
-    est = randomization_rejection_rate(pol, (0.4, 0.4), sims=400, reps=199, alpha=0.05, seed=2024)
+    est = randomization_rejection_rate(pol, (0.4, 0.4), sims=400, alpha=0.05, seed=2024)
     assert abs(est.estimate - 0.05) <= max(est.half_width, 0.03)
 
 
 def test_exchangeability_of_rerandomized_statistics():
-    # under the null the observed statistic is exchangeable with the
-    # re-randomization draws: its p-value is approximately uniform
+    # under the null the observed statistic is exchangeable with those of
+    # the design's other allocations: its exact p-value is about uniform
     pol = DbcdNeyman(20, 2)
     pvals = []
     for i in range(300):
         hist = simulate_trial(pol, (0.5, 0.5), seed=99, stream=i)
-        _, p = randomization_test(hist, pol, reps=199, alpha=0.05, seed=99, stream=10_000 + i)
+        _, p = randomization_test(hist, pol, alpha=0.05)
         pvals.append(p)
     # coarse uniformity check on quartiles
     qs = np.quantile(pvals, [0.25, 0.5, 0.75])
