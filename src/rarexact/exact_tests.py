@@ -8,6 +8,13 @@ rejection masses.  Every rule therefore ships with a *certificate*: a
 sound upper bound on the null supremum obtained from the coefficient
 bound, tightened by midpoint subdivision when needed, together with a
 grid/line-search lower bound.
+
+The conditional rule and the Boschloo statistic read the same quantity,
+the stratum mass on Wald statistics at least (or at most) as extreme as a
+state's own, from one kernel (:func:`_stratum_tails`).  It sums each
+stratum from each end, never subtracting running totals, so every tail
+carries the relative accuracy of its own terms: a tail of mass 1e-30 is
+not lost to the rounding of the stratum's other mass.
 """
 
 from __future__ import annotations
@@ -183,14 +190,39 @@ def region_coefficients(table: PathWeightTable, reject: np.ndarray) -> np.ndarra
 # tie-group machinery
 
 
-def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """Start positions of maximal runs of equal key values."""
-    if sorted_keys.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    change = np.empty(sorted_keys.size, dtype=bool)
-    change[0] = True
-    change[1:] = sorted_keys[1:] != sorted_keys[:-1]
+def _group_starts(*sorted_keys: np.ndarray) -> np.ndarray:
+    """Start positions of maximal runs of equal key tuples."""
+    change = np.zeros(sorted_keys[0].size, dtype=bool)
+    change[:1] = True
+    for keys in sorted_keys:
+        change[1:] |= keys[1:] != keys[:-1]
     return np.flatnonzero(change)
+
+
+def _stratum_tails(key, w, s, n) -> tuple[np.ndarray, np.ndarray]:
+    """Per state, the mass of its stratum on keys at least and at most its
+    own, its whole tie group included.
+
+    States are sorted once by stratum and descending key, and each stratum
+    slice is summed from both ends.
+    """
+    order = np.lexsort((-key, s))
+    ks = key[order]
+    ws = w[order]
+    ss = s[order]
+    down = np.empty_like(ws)    # running mass from the stratum's largest key
+    up = np.empty_like(ws)      # running mass from its smallest key
+    bounds = np.searchsorted(ss, np.arange(n + 2))
+    for beg, stop in zip(bounds[:-1], bounds[1:]):
+        np.cumsum(ws[beg:stop], out=down[beg:stop])
+        up[beg:stop] = np.cumsum(ws[beg:stop][::-1])[::-1]
+    first = _group_starts(ks, ss)
+    sizes = np.diff(first, append=ks.size)
+    at_least = np.empty_like(ws)
+    at_most = np.empty_like(ws)
+    at_least[order] = np.repeat(down[first + sizes - 1], sizes)
+    at_most[order] = np.repeat(up[first], sizes)
+    return at_least, at_most
 
 
 def _grow_prefix(keys, w, s, n, level):
@@ -246,10 +278,11 @@ def _grow_prefix(keys, w, s, n, level):
 # rules
 
 
-def _tail_reject(t, crit, closed, side):
-    if side == "upper":
-        return (t >= crit) if closed else (t > crit)
-    return (t <= crit) if closed else (t < crit)
+def _two_tail_reject(t, upper, upper_closed, lower, lower_closed) -> np.ndarray:
+    """Statistics beyond either critical value, each bound inclusive where
+    its tail is closed."""
+    return (np.where(upper_closed, t >= upper, t > upper)
+            | np.where(lower_closed, t <= lower, t < lower))
 
 
 @dataclass
@@ -268,11 +301,8 @@ class ConditionalRule:
     kind = "conditional"
 
     def reject(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        up = self.upper[s]
-        lo = self.lower[s]
-        rej_up = np.where(self.upper_closed[s], t >= up, t > up)
-        rej_lo = np.where(self.lower_closed[s], t <= lo, t < lo)
-        return rej_up | rej_lo
+        return _two_tail_reject(t, self.upper[s], self.upper_closed[s],
+                                self.lower[s], self.lower_closed[s])
 
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
         return self.reject(table.wald_statistics(), table.successes())
@@ -296,10 +326,8 @@ class UnconditionalRule:
     kind = "unconditional"
 
     def reject(self, t: np.ndarray, s=None) -> np.ndarray:
-        return (
-            _tail_reject(t, self.upper, self.upper_closed, "upper")
-            | _tail_reject(t, self.lower, self.lower_closed, "lower")
-        )
+        return _two_tail_reject(t, self.upper, self.upper_closed,
+                                self.lower, self.lower_closed)
 
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
         return self.reject(table.wald_statistics())
@@ -351,39 +379,17 @@ def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
     level = alpha / 2.0
     slack = level * MASS_SLACK_REL + MASS_SLACK_ABS
 
+    at_least, at_most = _stratum_tails(t_stat, w, s, n)
+    live = (np.bincount(s, weights=w, minlength=n + 1) > 0.0)[s]
+    rej_up = live & (at_least <= level + slack)
+    rej_lo = live & (at_most <= level + slack)
+    # massless strata, and tails that reject nothing, keep the sentinels
     upper = np.full(n + 1, np.inf)
-    upper_closed = np.zeros(n + 1, dtype=bool)
+    np.minimum.at(upper, s[rej_up], t_stat[rej_up])
     lower = np.full(n + 1, -np.inf)
-    lower_closed = np.zeros(n + 1, dtype=bool)
-
-    order = np.lexsort((-t_stat, s))
-    ts = t_stat[order]
-    ws = w[order]
-    ss = s[order]
-    stratum_starts = np.searchsorted(ss, np.arange(n + 2))
-    for sp in range(n + 1):
-        beg, stop = stratum_starts[sp], stratum_starts[sp + 1]
-        if beg == stop or np.sum(ws[beg:stop]) == 0.0:
-            continue  # empty stratum keeps its sentinels
-        tv = ts[beg:stop]
-        wv = ws[beg:stop]
-        for side in ("upper", "lower"):
-            vals = tv if side == "upper" else tv[::-1]
-            mass = wv if side == "upper" else wv[::-1]
-            starts = _group_starts(vals)
-            ends = np.append(starts[1:], vals.size)
-            cums = np.cumsum(mass)[ends - 1]
-            ok = cums <= level + slack
-            k = int(np.argmin(ok)) if not ok.all() else starts.size
-            if k == 0:
-                continue
-            crit = float(vals[ends[k - 1] - 1])
-            if side == "upper":
-                upper[sp] = crit
-                upper_closed[sp] = True
-            else:
-                lower[sp] = crit
-                lower_closed[sp] = True
+    np.maximum.at(lower, s[rej_lo], t_stat[rej_lo])
+    upper_closed = np.bincount(s[rej_up], minlength=n + 1) > 0
+    lower_closed = np.bincount(s[rej_lo], minlength=n + 1) > 0
 
     rule = ConditionalRule(alpha, n, upper, upper_closed, lower, lower_closed)
     rule.certificate = certify_region(
@@ -421,30 +427,13 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
 
 def boschloo_statistic(table: PathWeightTable) -> np.ndarray:
     """Conditional p-value of the two-sided Wald test given the total
-    successes: the stratum mass of statistics at least as extreme."""
+    successes: the stratum mass of ``|T|`` at least as large, ties included.
+    Each p-value is a forward sum of its own stratum's terms, so it is
+    accurate relative to its size, and a state of positive mass never
+    has p = 0."""
     _require_burn_in(table)
-    n = table.n
-    abs_t = np.abs(table.wald_statistics())
     w, s = conditional_masses(table)
-
-    order = np.lexsort((-abs_t, s))
-    av = abs_t[order]
-    wv = w[order]
-    sv = s[order]
-    cs = np.cumsum(wv)
-    # the mass of all lower strata: the cumsum just before each stratum
-    stratum_starts = np.searchsorted(sv, np.arange(n + 1))
-    rel = cs - np.concatenate(([0.0], cs))[stratum_starts[sv]]
-
-    new_group = np.empty(av.size, dtype=bool)
-    new_group[0] = True
-    new_group[1:] = (av[1:] != av[:-1]) | (sv[1:] != sv[:-1])
-    gid = np.cumsum(new_group) - 1
-    last_of_group = np.flatnonzero(np.append(new_group[1:], True))
-    inclusive = rel[last_of_group]
-    out = np.empty(av.size)
-    out[order] = inclusive[gid]
-    return out
+    return _stratum_tails(np.abs(table.wald_statistics()), w, s, table.n)[0]
 
 
 def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:

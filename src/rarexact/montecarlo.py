@@ -74,7 +74,6 @@ class TrialHistory:
 
     arms: np.ndarray = field(repr=False)
     outcomes: np.ndarray = field(repr=False)
-    burn_in: int = 0
 
     @property
     def n(self) -> int:
@@ -204,7 +203,7 @@ def simulate_trials(policy: Policy, theta, seed: int, start: int,
     its own stream, so it does not depend on ``start`` or ``count``."""
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
     arms, outcomes, _ = _simulate_batch(policy, theta, u, _EpochLookup(policy))
-    return [TrialHistory(a, y, policy.burn_in) for a, y in zip(arms, outcomes)]
+    return [TrialHistory(a, y) for a, y in zip(arms, outcomes)]
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int = 20_000):

@@ -4,8 +4,12 @@ of an epoch layer at once (:meth:`Policy.layer_arm_probs`).  Built-in
 designs and CMDP policy tables serve the same linear pair ``(q, 1 - q)``.
 
 Every policy is defined for epochs ``t >= 2b``; the first ``2b``
-participants are always allocated by the canonical alternating burn-in,
-which the engine and simulator handle directly.
+participants form a balanced burn-in, ``b`` per arm, which the engine and
+simulator handle directly.  The exact sweeps need only its counts.
+Simulated trials alternate the arms, except that the randomization test
+(:func:`~rarexact.montecarlo.randomization_test`) takes the burn-in to be
+one permuted balanced block, and its rejection rate simulates one.
+Permuted-block equal allocation uses its block plan throughout.
 """
 
 from __future__ import annotations

@@ -313,6 +313,17 @@ def boschloo_statistic_ref(weights, n):
     return out
 
 
+def stratum_tail_fsum(key, w, s):
+    """Per state, the ``math.fsum`` of the weights of its stratum on keys
+    at least its own: the correctly rounded tail mass, ties included."""
+    out = np.empty(key.size)
+    for sp in np.unique(s):
+        idx = np.flatnonzero(s == sp)
+        for i in idx:
+            out[i] = math.fsum(w[idx[key[idx] >= key[i]]])
+    return out
+
+
 def backward_value_ref(reward_fn, n, b, actions):
     """Optimal value by direct recursion over the history tree (never
     collapsing to sufficient statistics)."""

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from rarexact.exact_tests import (
     _grid_basis,
     _pmf_matrix,
     _poly_value,
+    _stratum_tails,
     conditional_masses,
     region_coefficients,
 )
@@ -35,6 +37,7 @@ from oracles import (
     enumerate_path_weights,
     fisher_two_sided_ref,
     null_sup_dense,
+    stratum_tail_fsum,
     unconditional_rule_ref,
     wald_ref,
 )
@@ -70,17 +73,22 @@ def test_conditional_mass_sums_to_one_per_stratum(brar8):
 
 
 def test_conditional_rule_matches_bruteforce(brar8, brar8_ref):
-    rule = conditional_rule(brar8, ALPHA)
-    ref = conditional_rule_ref(brar8_ref, 8, ALPHA)
-    for sp, (lo, up) in ref.items():
-        if up is None:
-            assert rule.upper[sp] == np.inf and not rule.upper_closed[sp]
-        else:
-            assert rule.upper[sp] == pytest.approx(up, abs=1e-12)
-        if lo is None:
-            assert rule.lower[sp] == -np.inf and not rule.lower_closed[sp]
-        else:
-            assert rule.lower[sp] == pytest.approx(lo, abs=1e-12)
+    # closed-form equal allocation: heavy ties, and zero-mass blocks
+    # (unbalanced splits) inside strata of positive mass
+    ea8 = equal_allocation_g(8, b=1)
+    ea8_ref = {st: math.exp(g) for st, g in zip(_state_tuples(ea8), ea8.log_g)}
+    for table, weights in ((brar8, brar8_ref), (ea8, ea8_ref)):
+        rule = conditional_rule(table, ALPHA)
+        ref = conditional_rule_ref(weights, 8, ALPHA)
+        for sp, (lo, up) in ref.items():
+            if up is None:
+                assert rule.upper[sp] == np.inf and not rule.upper_closed[sp]
+            else:
+                assert rule.upper[sp] == pytest.approx(up, abs=1e-12)
+            if lo is None:
+                assert rule.lower[sp] == -np.inf and not rule.lower_closed[sp]
+            else:
+                assert rule.lower[sp] == pytest.approx(lo, abs=1e-12)
 
 
 def test_conditional_rule_zero_stratum_cannot_reject(brar8):
@@ -88,6 +96,18 @@ def test_conditional_rule_zero_stratum_cannot_reject(brar8):
     # every state with zero successes shares the degenerate statistic
     assert rule.upper[0] == np.inf and not rule.upper_closed[0]
     assert rule.lower[0] == -np.inf and not rule.lower_closed[0]
+
+
+def test_conditional_rule_skips_strata_without_mass():
+    # every tail of a massless stratum is 0, yet it must reject nothing
+    table = equal_allocation_g(8, b=1)
+    s = table.successes()
+    table = replace(table, log_g=np.where(s == 4, -np.inf, table.log_g))
+    rule = conditional_rule(table, ALPHA)
+    assert rule.upper[4] == np.inf and not rule.upper_closed[4]
+    assert rule.lower[4] == -np.inf and not rule.lower_closed[4]
+    assert not rule.reject_table(table)[s == 4].any()
+    assert rule.upper_closed.any()     # other strata still reject
 
 
 def test_conditional_rule_per_stratum_size(brar8):
@@ -224,6 +244,22 @@ def test_boschloo_statistic_matches_double_loop(brar8, brar8_ref):
     for st, got in zip(states, stat):
         if st in ref:
             assert got == pytest.approx(ref[st], abs=1e-12)
+
+
+@pytest.mark.parametrize("policy", [BayesianRar(40, 1), DbcdNeyman(40, 2)])
+def test_boschloo_statistic_is_relatively_accurate(policy):
+    # p-values far below the stratum's total mass keep their own digits;
+    # the conditional rule's lower tails come from the same kernel
+    table = forward_g(policy)
+    t = table.wald_statistics()
+    w, s = conditional_masses(table)
+    for got, want in (
+        (boschloo_statistic(table), stratum_tail_fsum(np.abs(t), w, s)),
+        (_stratum_tails(t, w, s, table.n)[1], stratum_tail_fsum(-t, w, s)),
+    ):
+        pos = want > 0.0
+        rel = np.max(np.abs(got[pos] - want[pos]) / want[pos])
+        assert rel <= 1e-12, rel
 
 
 def test_boschloo_statistic_extremes(brar8):
