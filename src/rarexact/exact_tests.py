@@ -51,6 +51,13 @@ def _grid_basis(n: int) -> tuple[np.ndarray, np.ndarray]:
     return theta, _pmf_matrix(n, theta)
 
 
+def _grid_values(coeffs: np.ndarray) -> np.ndarray:
+    """The polynomial with Bernstein ``coeffs`` on the certification grid
+    of :func:`_grid_basis`; every grid value is formed here, so callers
+    compare values rounded the same way."""
+    return np.einsum("ij,j->i", _grid_basis(coeffs.size - 1)[1], coeffs)
+
+
 def _pmf_matrix(n: int, theta: np.ndarray) -> np.ndarray:
     """Binomial pmf rows at ``theta``, with ``0 * ln 0 = 0`` (unit rows at
     ``theta`` in ``{0, 1}``)."""
@@ -140,8 +147,8 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
     if upper <= level + CERT_TOL:
         return RegionCertificate(level, True, upper, float(np.max(coeffs[[0, -1]])))
 
-    theta, basis = _grid_basis(n)
-    values = np.einsum("ij,j->i", basis, coeffs)
+    theta, _ = _grid_basis(n)
+    values = _grid_values(coeffs)
     jbest = int(np.argmax(values))
     lower = float(values[jbest])
     if lower <= level:

@@ -1,18 +1,19 @@
 """Trial simulation and the exact randomization-based Wald test.
 
-All randomness comes from counter-based generators keyed by a master
-seed and a stream index, so results are bit-reproducible for a fixed
-seed on any worker partition.  Trial ``i`` of a run reads stream ``i``:
-its first ``n`` draws are allocation keys and the next ``n`` are outcome
-draws, ``2n`` draws in all.  Permuted-block allocations turn their keys
-into arrangements by sorting.
+All randomness comes from one counter-based generator per run, keyed by
+its master seed, so results are bit-reproducible for a fixed seed on any
+worker partition.  The run's sequence is split by counter range: with
+``B = ceil(2n / 4)`` Philox blocks of four words per trial, trial ``i``
+reads words ``[4Bi, 4Bi + 2n)``, its first ``n`` words allocation keys
+and the next ``n`` outcome draws.  Permuted-block allocations turn their
+keys into arrangements by sorting.
 
 Trials are stepped together, many rows at a time, along the edges of
 :class:`~rarexact.states.Transition`, like the exact sweeps; allocation
 probabilities are the control side ``q`` of the policy's
 :meth:`~rarexact.policies.Policy.layer_arm_probs`, looked up per layer
 by :meth:`~rarexact.states.Layer.indices`.  Every row depends only on its
-own stream, so results do not depend on how the trials are chunked.
+own words, so results do not depend on how the trials are chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
 p-value (:func:`randomization_test`).
@@ -30,42 +31,32 @@ from .policies import EqualAllocation, Policy
 from .states import TrialState, layer as make_layer
 from .wald import wald_statistics
 
-GENERATOR_ID = "philox4x64-numpy"
+GENERATOR_ID = "philox4x64-numpy-counter-blocks"
 EA_BLOCK = 10
 # Trials whose p-values randomization_rejection_rate computes together: at
-# n = 50 each holds up to 39 x 45 states, about 0.5 MB per array a chunk.
+# n = 50 each holds at most 39 x 45 states, and only the success counts up
+# to the chunk's largest are kept; at most 0.45 MB per array a chunk.
 DP_TRIALS = 32
 
 
-def _key(seed: int, stream: int) -> np.ndarray:
-    return np.array([seed % 2**64, stream % 2**64], dtype=np.uint64)
-
-
-def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=_key(seed, stream)))
+def make_rng(seed: int) -> np.random.Generator:
+    """The run's generator: Philox keyed by ``seed`` modulo 2**64, at
+    counter 0."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64)))
 
 
 def _stream_uniforms(seed: int, start: int, m: int, count: int) -> np.ndarray:
-    """The first ``count`` uniforms of streams ``start .. start + m - 1`` as
-    an ``(m, count)`` array; row ``i`` equals
-    ``make_rng(seed, start + i).random(count)`` bit for bit.
+    """The ``count`` uniforms of trials ``start .. start + m - 1`` as an
+    ``(m, count)`` view; trial ``i`` owns the ``B = ceil(count / 4)``
+    Philox blocks from block ``iB`` of ``make_rng(seed)``'s sequence.
 
-    Philox is counter-based: a stream is its key and a zero counter.  So
-    one generator is re-keyed per stream rather than a new ``Philox``
-    built, whose constructor draws OS entropy even when given a key.
+    Philox is counter-based, so one generator moved to block ``start * B``
+    fills every row in one call; its 256-bit counter does not wrap.
     """
-    rng = make_rng(seed, start)
-    bits = rng.bit_generator
-    # a fresh state: counter 0, empty buffer (buffer_pos 4, has_uint32 0)
-    state = bits.state
-    keys = np.repeat(_key(seed, start)[None, :], m, axis=0)
-    keys[:, 1] += np.arange(m, dtype=np.uint64)  # wraps modulo 2**64 like the stream
-    out = np.empty((m, count))
-    for i in range(m):
-        state["state"]["key"] = keys[i]
-        bits.state = state
-        rng.random(out=out[i])
-    return out
+    blocks = -(-count // 4)
+    rng = make_rng(seed)
+    rng.bit_generator.advance(start * blocks)
+    return rng.random((m, 4 * blocks))[:, :count]
 
 
 @dataclass
@@ -197,25 +188,28 @@ def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
 
 def simulate_trials(policy: Policy, theta, seed: int, start: int,
                     count: int) -> list[TrialHistory]:
-    """Trials on streams ``start .. start + count - 1``, stepped together:
-    alternating burn-in (permuted blocks for equal allocation), then
-    policy-randomized arms and Bernoulli outcomes.  Each trial reads only
-    its own stream, so it does not depend on ``start`` or ``count``."""
+    """Trials ``start .. start + count - 1`` of the run keyed by ``seed``,
+    stepped together: alternating burn-in (permuted blocks for equal
+    allocation), then policy-randomized arms and Bernoulli outcomes.  Each
+    trial reads only its own words of the run's sequence, so it does not
+    depend on ``start`` or ``count``."""
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
     arms, outcomes, _ = _simulate_batch(policy, theta, u, _EpochLookup(policy))
     return [TrialHistory(a, y) for a, y in zip(arms, outcomes)]
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int = 20_000):
-    """Terminal states of ``sims`` independent trials, one substream per
-    trial; returns ``(s_c, s_d, n_c)`` arrays."""
+    """Terminal states of trials ``0 .. sims - 1`` of the run keyed by
+    ``seed``, the same as :func:`simulate_trials` gives them, stepped
+    ``batch`` at a time; returns ``(s_c, s_d, n_c)`` arrays."""
+    n, (tc, td) = policy.n, theta
     lookup = _EpochLookup(policy)
     out = np.empty((3, sims), dtype=np.int64)
     for start in range(0, sims, batch):
         stop = min(start + batch, sims)
-        u = _stream_uniforms(seed, start, stop - start, 2 * policy.n)
-        _, _, counts = _simulate_batch(policy, theta, u, lookup)
-        out[:, start:stop] = counts
+        u = _stream_uniforms(seed, start, stop - start, 2 * n)
+        draws = u[:, n:]
+        _, out[:, start:stop] = _allocate(policy, u[:, :n], draws < tc, draws < td, lookup, False)
     return tuple(out)
 
 
@@ -225,19 +219,23 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
     outcomes (see :func:`randomization_test`).  Given the outcomes, the
     successes ``S_t`` before epoch ``t`` are known, so the allocation is a
     Markov chain on ``(n_c, s_c)``, ``s_d = S_t - s_c``.  Its law is an
-    ``(m, K, lo + K)`` array over ``n_c = lo .. lo + K - 1`` and ``s_c``;
-    states off the layer hold no mass.  Each permuted balanced block (the
-    burn-in, all of equal allocation) of ``L`` with ``c = ceil(L / 2)``
-    controls adds ``c`` to ``n_c`` and a ``Hypergeom(L, S_block, c)`` count
-    to ``s_c``; each later epoch moves ``q`` of a state's mass to ``(n_c +
-    1, s_c + y_t)`` and keeps ``q1``.  Shapes depend on ``t`` alone and
-    the work is elementwise per row, so rows do not affect each other."""
+    ``(m, K, J)`` array over ``n_c = lo .. lo + K - 1`` and ``s_c = 0 ..
+    J - 1``, where ``J - 1`` is at most the chunk's largest ``S_t``, since
+    ``s_c <= S_t``; states off the layer hold no mass.  Each permuted
+    balanced block (the burn-in, all of equal allocation) of ``L`` with
+    ``c = ceil(L / 2)`` controls adds ``c`` to ``n_c`` and a
+    ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later epoch moves
+    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``q1``.
+    The work is elementwise per row and the final sum runs in a fixed
+    order, so rows do not affect each other."""
     n, b = policy.n, policy.burn_in
     m = outcomes.shape[0]
     s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
     t_obs = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
     succ = np.zeros((m, n + 1), dtype=np.int64)
     np.cumsum(outcomes, axis=1, out=succ[:, 1:])
+    reach = succ.max(axis=0) + 1
+    y = outcomes.astype(np.float64)
 
     w, lo, pos = np.ones((m, 1, 1)), 0, 0
     for length in _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK):
@@ -251,24 +249,35 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
         w, lo, pos = out, lo + c, pos + length
     for t in range(pos, n):
         lay, q, q1 = lookup.arm_probs(t)
+        w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
         s_c = np.arange(cols)
-        # off-layer states hold no mass, and their indices stay in the layer
-        idx = lay.indices(s_c, succ[:, t, None, None] - s_c, np.arange(lo, lo + rows)[:, None])
+        # s_d = S_t - s_c enters the index linearly; off-layer states hold
+        # no mass, and their indices stay in the layer
+        idx = lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None]) + succ[:, t, None, None]
         out = np.zeros((m, rows + 1, cols + 1))
         np.multiply(w, q1[idx], out=out[:, :rows, :cols])
         w *= q[idx]
-        y_t = outcomes[:, t, None, None]
-        out[:, 1:, 1:] += w * y_t
-        out[:, 1:, :cols] += w * (1 - y_t)
+        moved = w * y[:, t, None, None]
+        w -= moved
+        out[:, 1:, 1:] += moved
+        out[:, 1:, :cols] += w
         w = out
 
+    w = w[:, :, :reach[n]]
     rows, cols = w.shape[1:]
     n_c = np.arange(lo, lo + rows)[:, None]
     s_c = np.minimum(np.arange(cols), n_c)
     s_d = np.clip(succ[:, n, None, None] - s_c, 0, n - n_c)
     extreme = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c)) >= t_obs[:, None, None]
-    return np.where(extreme, w, 0.0).reshape(m, -1).sum(axis=1)
+    mass = np.where(extreme, w, 0.0)
+    # summed one n_c, then one s_c at a time: the columns above a row's own
+    # S_n add exact zeros, so its p-value does not depend on the width
+    # its chunk mates set
+    p = np.zeros(m)
+    for column in np.add.accumulate(mass, axis=1)[:, -1].T:
+        p += column
+    return p
 
 
 def randomization_test(observed: TrialHistory, policy: Policy, alpha: float):
@@ -300,10 +309,11 @@ class RateEstimate:
 
 def randomization_rejection_rate(policy: Policy, theta, sims: int, alpha: float,
                                  seed: int) -> RateEstimate:
-    """Rejection rate of the exact randomization test over independent
-    simulated trials, with a normal-approximation 95% half-width.  Trial
-    ``i`` reads stream ``i`` and has a permuted burn-in block, like the
-    test; trials are tested in chunks of ``DP_TRIALS``."""
+    """Rejection rate of the exact randomization test over trials ``0 ..
+    sims - 1`` of the run keyed by ``seed``, with a normal-approximation
+    95% half-width.  Each trial reads its own words of the run's sequence
+    (see :func:`simulate_trials`) and has a permuted burn-in block, like
+    the test; trials are tested in chunks of ``DP_TRIALS``."""
     check_alpha(alpha)
     if sims < 100:
         raise ValueError("need at least 100 simulations")

@@ -599,14 +599,18 @@ def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):
 
 
 def simulate_trial_ref(policy, theta, seed, stream, burn_in_blocks=False):
-    """``(arms, outcomes)`` of the trial on stream ``stream``, stepped
-    alone from the first ``2n`` draws of a fresh ``make_rng(seed,
-    stream)``: ``n`` allocation keys, then ``n`` outcome draws."""
-    from rarexact.montecarlo import _EpochLookup, make_rng
+    """``(arms, outcomes)`` of trial ``stream`` of the run keyed by
+    ``seed``, stepped alone from its ``2n`` words: ``n`` allocation keys,
+    then ``n`` outcome draws.  The trial owns ``B = ceil(2n / 4)`` Philox
+    blocks from block ``stream * B``, read by a generator built there."""
+    from rarexact.montecarlo import _EpochLookup
 
     n = policy.n
     tc, td = theta
-    u = make_rng(seed, stream).random(2 * n)[None, :]
+    blocks = -(-2 * n // 4)
+    bits = np.random.Philox(key=np.array([seed % 2**64, 0], dtype=np.uint64),
+                            counter=stream * blocks)
+    u = np.random.Generator(bits).random(2 * n)[None, :]
     draws = u[:, n:]
     arms = _trial_arms_ref(
         policy, u[:, :n],

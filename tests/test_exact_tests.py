@@ -23,6 +23,7 @@ from rarexact.exact_tests import (
     CERT_TOL,
     _golden_max,
     _grid_basis,
+    _grid_values,
     _pmf_matrix,
     _poly_value,
     _stratum_tails,
@@ -206,11 +207,11 @@ def test_golden_section_reaches_the_dense_grid_maximum(policy):
 @settings(max_examples=60, deadline=None)
 @given(coeffs=st.integers(1, 30).flatmap(
     lambda n: st.lists(st.floats(0.0, 1.0), min_size=n + 1, max_size=n + 1)))
+@example(coeffs=[0.078125] * 4 + [0.75, 0.078125])  # BLAS and einsum grid values one ulp apart
 def test_line_search_bracket_never_inverts(coeffs):
     # a level at the grid maximum always runs the line search
     c = np.array(coeffs)
-    _, basis = _grid_basis(c.size - 1)
-    grid_max = float(np.max(basis @ c))
+    grid_max = float(np.max(_grid_values(c)))
     cert = certify_region(c, grid_max)
     assert cert.lower_bound <= cert.certified_upper
     if c.max() > grid_max + CERT_TOL:   # not settled by the coefficient bound
