@@ -4,14 +4,17 @@ terminal layer, and evaluation of parameter-dependent expectations.
 For every terminal state the coefficient ``g`` collects the
 allocation-path probabilities leading to it; multiplying by the per-arm
 outcome likelihood and summing gives any exact operating characteristic.
-The sweep keeps two rolling layers and steps with
-:meth:`~rarexact.states.Transition.push` (see
-:class:`~rarexact.states.Transition` for the fixed edge order that keeps
-results bit-stable).  It works in the linear domain on the fair-coin path
-probability ``p = g * 2**-t`` of each state, which lies in ``[0, 1]`` and
-sums to one over a layer: each epoch takes the policy's linear arm
-probabilities ``(q, 1 - q)`` and halves them, an exact scaling.  The
-terminal table stores ``log g = log p + n ln 2``.
+The sweep allocates its layer-sized arrays once, at the size of the
+terminal layer -- two weight buffers that take turns as source and
+destination, and the arm pair the policy fills
+(:meth:`~rarexact.policies.Policy.fill_arm_probs`) -- and steps with
+:meth:`~rarexact.states.Transition.push`, which writes into the idle
+buffer (see :class:`~rarexact.states.Transition` for the fixed edge order
+that keeps results bit-stable).  It works in the linear domain on the
+fair-coin path probability ``p = g * 2**-t`` of each state, which lies in
+``[0, 1]`` and sums to one over a layer: each epoch takes the policy's
+linear arm probabilities ``(q, 1 - q)`` and halves them, an exact
+scaling.  The terminal table stores ``log g = log p + n ln 2``.
 
 Evaluation is batched over success-rate points.  Within a block of fixed
 group sizes ``(n_c, n_d)`` the likelihood is a product of two binomial
@@ -80,12 +83,13 @@ def _burn_in_table(b: int) -> np.ndarray:
     return np.add.outer(lb, lb).ravel()
 
 
-def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int) -> None:
+def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int, scratch: np.ndarray) -> None:
     """Raise ``ValueError`` naming epoch ``t`` unless ``q`` and ``q1`` are
-    probabilities in ``[0, 1]`` (so not NaN) that sum to one per state."""
+    probabilities in ``[0, 1]`` (so not NaN) that sum to one per state;
+    the sum is formed in ``scratch``, of the same size."""
     lo = np.minimum(q.min(), q1.min())
     hi = np.maximum(q.max(), q1.max())
-    s = q + q1
+    s = np.add(q, q1, out=scratch)
     s -= 1.0
     gap = max(s.max(), -s.min())    # NaN in s makes it NaN, which fails
     if not (lo >= 0.0 and hi <= 1.0 and gap <= ARM_SUM_TOL):
@@ -102,7 +106,7 @@ def forward_g(policy: Policy) -> PathWeightTable:
     arm and both outcome branches receiving the full arm mass (outcome
     likelihoods enter later, through the evaluation weights).  The weights
     carried are fair-coin path probabilities: the policy's
-    :meth:`~rarexact.policies.Policy.layer_arm_probs` are checked (a
+    :meth:`~rarexact.policies.Policy.fill_arm_probs` are checked (a
     :class:`~rarexact.policies.PolicyTable` once, when it is made) and halved
     in place.  A state whose fair-coin probability underflows to
     zero gets ``log g = -inf``; :meth:`~rarexact.states.Transition.push`
@@ -121,26 +125,47 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
     epoch ``2b`` up to ``n - 1`` in order.  :func:`forward_g` makes each
     one as it goes; a caller that sweeps many policies over one horizon
     passes the same held transitions every time, so they gather through
-    their plans (see :class:`~rarexact.states.Transition`)."""
+    their plans (see :class:`~rarexact.states.Transition`).
+
+    Layers only grow, so the sweep allocates its layer-sized arrays once,
+    sized to the terminal layer: two weight buffers, which take turns as
+    source and destination, and the arm pair ``q``, ``q1``, which the
+    policy fills and the push overwrites with its products.  Each layer
+    uses a leading view of each.  The idle destination is the scratch of
+    the probability check, and of the final swap averaging; the terminal
+    weights become the table's ``log g`` in place.
+    """
     n, b = policy.n, policy.burn_in
-    cur = np.exp(_burn_in_table(b) - 2 * b * LN2)
+    lay = make_layer(n, b, n)
+    held, idle, q_buf, q1_buf = (np.empty(lay.size) for _ in range(4))
+    start = _burn_in_table(b)
+    cur = np.subtract(start, 2 * b * LN2, out=held[:start.size])
+    np.exp(cur, out=cur)
     # a table's probabilities are its p and codes, checked when it was made
     check = not isinstance(policy, PolicyTable)
     for step in steps:
-        q, q1 = policy.layer_arm_probs(step.src)
+        m = step.src.size
+        q, q1, dst = q_buf[:m], q1_buf[:m], idle[:step.dst.size]
+        policy.fill_arm_probs(step.src, q, q1)
         if check:
-            _check_arm_probs(q, q1, step.src.t)
+            _check_arm_probs(q, q1, step.src.t, dst[:m])
         q *= 0.5
         q1 *= 0.5
-        cur = step.push(cur, q, q1)
+        cur = step.push(cur, q, q1, dst)
+        held, idle = idle, held
+    # release the arm pair: building the swap permutation needs the room
+    q = q1 = q_buf = q1_buf = None
 
-    lay = make_layer(n, b, n)
     if policy.is_symmetric:
         # averaging with the arm-swapped image makes the table exactly
-        # swap-invariant, removing last-ulp asymmetry from the sweep
-        cur = 0.5 * (cur + cur[lay.swap_permutation()])
+        # swap-invariant, removing last-ulp asymmetry from the sweep; the
+        # permutation is in range, and mode "raise" would gather into a
+        # temporary
+        swapped = np.take(cur, lay.swap_permutation(), out=idle, mode="clip")
+        cur = np.add(cur, swapped, out=swapped)
+        cur *= 0.5
     with np.errstate(divide="ignore"):
-        log_g = np.log(cur)
+        log_g = np.log(cur, out=cur)
     log_g += n * LN2
     return PathWeightTable(lay, log_g, meta=policy.descriptor())
 

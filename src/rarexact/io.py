@@ -3,7 +3,10 @@
 Binary containers carry a JSON header (length-prefixed) followed by raw
 little-endian payloads in canonical state order; rule files are plain
 JSON.  Byte-identical reproduction across runs is part of the contract,
-so all floats are written with full round-trip precision.
+so all floats are written with full round-trip precision.  A rule file
+carries its ``format``; one without it, or with another, is refused
+rather than read under rules it was not built for, such as a Boschloo
+threshold whose tie groups moved.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from .states import layer as make_layer
 
 WEIGHT_MAGIC = b"RXGW1\n"
 POLICY_MAGIC = b"RXPT1\n"
+RULE_FORMAT = 1
 
 
 def _write_container(path, magic: bytes, header: dict, payload: bytes):
@@ -158,6 +162,10 @@ def _cert_from(d):
 
 
 def rule_to_dict(rule) -> dict:
+    return {"format": RULE_FORMAT, **_rule_fields(rule)}
+
+
+def _rule_fields(rule) -> dict:
     if isinstance(rule, ConditionalRule):
         return {
             "kind": rule.kind, "alpha": rule.alpha, "n": rule.n,
@@ -197,6 +205,14 @@ RULE_KEYS = {
 
 def rule_from_dict(d: dict):
     _require(d, ("kind", "alpha"), "rule")
+    if "format" not in d:
+        raise ValueError(
+            f"rule lacks the required key 'format' (format {RULE_FORMAT}): it was saved "
+            "by an older rarexact; rebuild the rule file with crit")
+    if not (_is_int(d["format"]) and d["format"] == RULE_FORMAT):
+        raise ValueError(
+            f"rule key 'format' = {d['format']!r} is not {RULE_FORMAT}; "
+            "rebuild the rule file with crit")
     alpha = d["alpha"]
     if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
         raise ValueError(f"alpha = {alpha!r} is not a number")

@@ -1,7 +1,10 @@
 """Allocation policies: the probabilities of assigning the next participant
 to the control arm and to the developmental arm, computed for every state
-of an epoch layer at once (:meth:`Policy.layer_arm_probs`).  Built-in
-designs and CMDP policy tables serve the same linear pair ``(q, 1 - q)``.
+of an epoch layer at once.  A policy writes them into two arrays its
+caller owns (:meth:`Policy.fill_arm_probs`), so the forward sweep reuses
+the same buffers on every layer; :meth:`Policy.layer_arm_probs` allocates
+the pair and fills it.  Built-in designs and CMDP policy tables serve the
+same linear pair ``(q, 1 - q)``.
 
 Every policy is defined for epochs ``t >= 2b``; the first ``2b``
 participants form a balanced burn-in, ``b`` per arm, which the engine and
@@ -58,7 +61,8 @@ def _dbcd_alloc(rho, r, gamma):
 
 @dataclass(frozen=True)
 class Policy:
-    """Base class; concrete policies implement :meth:`layer_arm_probs`, and
+    """Base class; concrete policies implement :meth:`fill_arm_probs`,
+    :meth:`layer_arm_probs` returns the pair in new arrays, and
     :meth:`control_prob` reads one state's entry of its control side."""
 
     n: int
@@ -76,13 +80,22 @@ class Policy:
         lay = make_layer(state.epoch, self.burn_in, self.n)
         return float(self.layer_arm_probs(lay)[0][lay.index(state)])
 
+    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
+        """Write into ``q`` and ``q1``, contiguous float64 arrays of
+        ``lay.size`` entries owned by the caller, the probabilities of
+        allocating the next participant to control and to the
+        developmental arm, for every state of ``lay`` in canonical order;
+        they sum to one per state.  Only called for epochs ``2b <= t <
+        n``.  The arrays hold no input: the forward sweep passes the same
+        buffers on every layer, and its push then overwrites them."""
+        raise NotImplementedError(f"{type(self).__name__} implements no fill_arm_probs")
+
     def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-        """``(q, q1)``: the probabilities of allocating the next participant
-        to control and to the developmental arm, for every state of ``lay``
-        in canonical order; they sum to one per state.  Only called for
-        epochs ``2b <= t < n``.  Each call returns two fresh arrays, which
-        the forward sweep scales in place."""
-        raise NotImplementedError
+        """``(q, q1)`` of :meth:`fill_arm_probs` in two new arrays."""
+        q = np.empty(lay.size)
+        q1 = np.empty(lay.size)
+        self.fill_arm_probs(lay, q, q1)
+        return q, q1
 
     def descriptor(self) -> dict:
         return {"kind": type(self).__name__, "n": self.n, "burn_in": self.burn_in}
@@ -95,8 +108,9 @@ class EqualAllocation(Policy):
 
     is_symmetric = True
 
-    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-        return np.full(lay.size, 0.5), np.full(lay.size, 0.5)
+    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
+        q.fill(0.5)
+        q1.fill(0.5)
 
 
 @dataclass(frozen=True)
@@ -114,12 +128,12 @@ class DbcdNeyman(Policy):
         if self.burn_in < 1:
             raise ValueError(f"DBCD needs a burn-in of at least 1 per arm, not {self.burn_in}")
 
-    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
         s_c, s_d, n_c, n_d = lay.arrays()
         tc, td = _shrunk_estimates(s_c, s_d, n_c, n_d)
         rho = neyman_target(tc, td)
-        q = np.clip(_dbcd_alloc(rho, n_c / lay.t, self.gamma), *DBCD_CLIP)
-        return q, 1.0 - q
+        np.clip(_dbcd_alloc(rho, n_c / lay.t, self.gamma), *DBCD_CLIP, out=q)
+        np.subtract(1.0, q, out=q1)
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), gamma=self.gamma)
@@ -132,19 +146,19 @@ class TemperedDbcdNeyman(DbcdNeyman):
 
     is_symmetric = True
 
-    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
-        q, _ = super().layer_arm_probs(lay)
+    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
+        super().fill_arm_probs(lay, q, q1)
         s_c, s_d, n_c, n_d = lay.arrays()
         tc, td = _shrunk_estimates(s_c, s_d, n_c, n_d)
         keep = ((q > 0.5) & (tc > td)) | ((q < 0.5) & (td > tc))
-        q = np.where(keep, q, 0.5)
-        return q, 1.0 - q
+        np.copyto(q, 0.5, where=~keep)
+        np.subtract(1.0, q, out=q1)
 
 
 # The BRAR tail runs on contiguous runs of a layer of at least this many
 # states, handed to _TAIL_WORKERS threads (one per further CPU of the
 # process's affinity) while the calling thread builds the next blocks.
-# Read by nothing but BayesianRar.layer_arm_probs; no option sets them.
+# Read by nothing but BayesianRar.fill_arm_probs; no option sets them.
 _TAIL_RUN = 1 << 14
 try:
     _TAIL_WORKERS = len(os.sched_getaffinity(0)) - 1
@@ -247,7 +261,7 @@ class BayesianRar(Policy):
 
     is_symmetric = True
 
-    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
         t = lay.t
         g = gammaln_table(2 * t + 8)
         e = self._exponent(t)
@@ -259,8 +273,6 @@ class BayesianRar(Policy):
         r = g[1:t + 2] + g[t + 2:1:-1] - g[t + 3]
         log_k = np.log(np.arange(1, t + 1))     # ln 1 .. ln t
         da = hank[:t] - log_k[:, None]          # step_a's h[k + s_d] - ln(k + 1)
-        q = np.empty(lay.size)                  # holds P until its tail has run
-        q1 = np.empty(lay.size)
         runs = []
         lo = 0
         for n_c, n_d, start, stop in lay.spans:
@@ -279,6 +291,7 @@ class BayesianRar(Policy):
             np.subtract(step, lb2, out=step)
             np.exp(inc, out=inc)
             np.add.accumulate(inc, axis=0, out=inc)
+            # q holds P until its tail has run
             np.copyto(q[start:stop].reshape(n_c + 1, n_d + 1), inc[::2])
             if stop - lo >= _TAIL_RUN:
                 run = (q[lo:stop], q1[lo:stop], e)
@@ -297,7 +310,6 @@ class BayesianRar(Policy):
                 started.append(future)
         for future in started:
             future.result()
-        return q, q1
 
 
 @dataclass(frozen=True)
@@ -334,13 +346,14 @@ class PolicyTable(Policy):
         probs.flags.writeable = False
         object.__setattr__(self, "_probs", probs)
 
-    def layer_arm_probs(self, lay: Layer) -> tuple[np.ndarray, np.ndarray]:
+    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
         if lay.b != self.burn_in:
             raise ValueError("layer burn-in does not match the table")
         if lay.t < 2 * self.burn_in:
             raise ValueError(f"epoch {lay.t} is inside the burn-in")
         codes = self.codes[lay.t]
-        return self._probs[codes], self._probs[::-1][codes]
+        np.take(self._probs, codes, out=q)
+        np.take(self._probs[::-1], codes, out=q1)
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), p=self.p)

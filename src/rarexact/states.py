@@ -304,19 +304,25 @@ class Transition:
             self._parents = tuple(parents)
         return self._parents
 
-    def push(self, w: np.ndarray, q: np.ndarray, q1: np.ndarray) -> np.ndarray:
-        """Weights on :attr:`dst`: each weight times the allocation
-        probability ``q`` (control) or ``q1`` (developmental) of an arm goes
-        to both outcome children of that arm.
+    def push(self, w: np.ndarray, q: np.ndarray, q1: np.ndarray,
+             out: np.ndarray) -> np.ndarray:
+        """Weights on :attr:`dst`, written into ``out`` (a contiguous array
+        of ``dst.size`` entries, sharing no memory with the inputs) and
+        returned: each weight times the allocation probability ``q``
+        (control) or ``q1`` (developmental) of an arm goes to both outcome
+        children of that arm.  ``q`` and ``q1`` are scratch: on return they
+        may hold the products.
 
         The products ``w * q`` and ``w * q1`` are formed once over the whole
-        layer; being elementwise, they are the very products a per-block
-        loop would form.  Each destination state then sums them in the
-        order of the class docstring: block by block into zeros, in place,
-        or through the gather plan, whose first term is the control-success
-        gather instead of a zero.  The two differ only where all four
-        terms are ``-0.0`` (the loop gives ``+0.0``), which needs a
-        negative-zero weight or probability; the sweep passes none.
+        layer, in place in ``q`` and ``q1`` (IEEE multiplication commutes,
+        so ``q * w`` has the bits of ``w * q``); being elementwise, they are
+        the very products a per-block loop would form.  Each destination
+        state then sums them in the order of the class docstring: block by
+        block into ``out``, zeroed in place first, which allocates nothing
+        layer-sized, or through the gather plan, whose first term is the
+        control-success gather instead of a zero.  The two differ only
+        where all four terms are ``-0.0`` (the loop gives ``+0.0``), which
+        needs a negative-zero weight or probability; the sweep passes none.
 
         The domain is linear.  The forward sweep passes fair-coin path
         probabilities and both arm probabilities already halved, the exact
@@ -330,6 +336,7 @@ class Transition:
         function bounded by one by at most ``2 * S * 2**(n - 1075)``.
         """
         if self._reused("push"):
+            # the plans point a missing parent at one zero after the products
             m = self.src.size
             to_c = np.empty(m + 1)
             to_d = np.empty(m + 1)
@@ -337,14 +344,16 @@ class Transition:
             np.multiply(w, q1, out=to_d[:m])
             to_c[m] = to_d[m] = 0.0
             cs, cf, ds, df = self._parent_plan()
-            nxt = to_c.take(cs)
-            nxt += to_c.take(cf)
-            nxt += to_d.take(ds)
-            nxt += to_d.take(df)
-            return nxt
-        nxt = np.zeros(self.dst.size)
-        to_c = w * q
-        to_d = w * q1
+            # the plan is in range by construction; mode "raise" would
+            # gather into a temporary and copy it to out
+            np.take(to_c, cs, out=out, mode="clip")
+            out += to_c.take(cf)
+            out += to_d.take(ds)
+            out += to_d.take(df)
+            return out
+        out.fill(0.0)
+        to_c = np.multiply(q, w, out=q)
+        to_d = np.multiply(q1, w, out=q1)
         dst = self.dst.spans
         # per source block: its span, then the starts d0 and c0 of its
         # developmental and control destination blocks
@@ -352,17 +361,17 @@ class Transition:
                 self.src.spans, dst, dst[1:]):
             m, row = stop - start, n_d + 1
             x = to_c[start:stop]
-            success = nxt[c0 + row:c0 + row + m]
+            success = out[c0 + row:c0 + row + m]
             np.add(success, x, out=success)
-            failure = nxt[c0:c0 + m]
+            failure = out[c0:c0 + m]
             np.add(failure, x, out=failure)
             x = to_d[start:stop].reshape(n_c + 1, row)
-            dd = nxt[d0:d0 + m + n_c + 1].reshape(n_c + 1, row + 1)
+            dd = out[d0:d0 + m + n_c + 1].reshape(n_c + 1, row + 1)
             success = dd[:, 1:]
             np.add(success, x, out=success)
             failure = dd[:, :-1]
             np.add(failure, x, out=failure)
-        return nxt
+        return out
 
     def pull(self, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """``(wc, wd)`` over :attr:`src`: ``wc[i]`` sums ``v`` over the two

@@ -5,9 +5,9 @@ tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
 replaced them (:func:`posterior_log_probs_ref`, :func:`push_ref`,
-:func:`pull_ref`, :func:`forward_g_log_ref`), which walk the package's
-layers, and the helpers at the end that only the tests call
-(:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
+:func:`pull_ref`, :func:`forward_g_alloc_ref`, :func:`forward_g_log_ref`),
+which walk the package's layers, and the helpers at the end that only
+the tests call (:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
 :func:`permuted_block_sequence`, :func:`simulate_trial`), thin wrappers
 over the package's kernels.
 """
@@ -511,6 +511,58 @@ def pull_ref(step, v):
         vd = v[dst.block_slice(n_c)].reshape(n_c + 1, n_d + 2)
         wd[sl] = (vd[:, 1:] + vd[:, :-1]).ravel()
     return wc, wd
+
+
+def _push_alloc_ref(step, w, q, q1):
+    """``Transition.push`` on its block-loop schedule as it was before it
+    wrote into a given destination: fresh whole-layer products ``w * q``
+    and ``w * q1`` added block by block into a fresh array of zeros."""
+    nxt = np.zeros(step.dst.size)
+    to_c = w * q
+    to_d = w * q1
+    dst = step.dst.spans
+    for (n_c, n_d, start, stop), (_, _, d0, _), (_, _, c0, _) in zip(
+            step.src.spans, dst, dst[1:]):
+        m, row = stop - start, n_d + 1
+        x = to_c[start:stop]
+        success = nxt[c0 + row:c0 + row + m]
+        np.add(success, x, out=success)
+        failure = nxt[c0:c0 + m]
+        np.add(failure, x, out=failure)
+        x = to_d[start:stop].reshape(n_c + 1, row)
+        dd = nxt[d0:d0 + m + n_c + 1].reshape(n_c + 1, row + 1)
+        success = dd[:, 1:]
+        np.add(success, x, out=success)
+        failure = dd[:, :-1]
+        np.add(failure, x, out=failure)
+    return nxt
+
+
+def forward_g_alloc_ref(policy):
+    """The linear-domain forward sweep as it was before it held its
+    buffers: every layer takes fresh arm probabilities from
+    ``policy.layer_arm_probs``, halves them and pushes into a fresh layer
+    (:func:`_push_alloc_ref`), and a symmetric policy's terminal weights
+    are averaged with their arm-swapped image in new arrays.  The held
+    sweep runs the same operations on the same operands, so the two agree
+    bit for bit."""
+    from rarexact.engine import LN2, PathWeightTable, _burn_in_table
+    from rarexact.states import Layer, Transition
+
+    n, b = policy.n, policy.burn_in
+    cur = np.exp(_burn_in_table(b) - 2 * b * LN2)
+    for t in range(2 * b, n):
+        q, q1 = policy.layer_arm_probs(Layer(t, b))
+        q *= 0.5
+        q1 *= 0.5
+        cur = _push_alloc_ref(Transition(t, b), cur, q, q1)
+    lay = Layer(n, b)
+    if policy.is_symmetric:
+        cur = 0.5 * (cur + cur[lay.swap_permutation()])
+    with np.errstate(divide="ignore"):
+        log_g = np.log(cur)
+    log_g += n * LN2
+    return PathWeightTable(lay, log_g, meta=policy.descriptor())
 
 
 def _log_push_ref(src, dst, log_w, log_q, log_1q):

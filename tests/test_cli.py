@@ -211,10 +211,14 @@ def test_rule_missing_a_required_key_is_rejected_naming_it():
              boschloo_rule(table, 0.05), AsymptoticRule(0.05)]
     for rule in rules:
         d = rule_to_dict(rule)
-        for key in ("kind", "alpha") + RULE_KEYS[d["kind"]]:
+        for key in ("kind", "alpha", "format") + RULE_KEYS[d["kind"]]:
             partial = {k: v for k, v in d.items() if k != key}
             with pytest.raises(ValueError, match=repr(key)):
                 rule_from_dict(partial)
+        # a file of another format, or of none, is rebuilt, not reinterpreted
+        for fmt in (0, 2, True, "1", None):
+            with pytest.raises(ValueError, match="'format'.*rebuild the rule file with crit"):
+                rule_from_dict(dict(d, format=fmt))
     d = rule_to_dict(rules[0])
     del d["certificate"]["lower_bound"]
     with pytest.raises(ValueError, match="'lower_bound'"):
@@ -249,12 +253,13 @@ def test_cli_exit_codes(tmp_path):
     rule_path = tmp_path / "cond_rule.json"
     cfg = _cfg(tmp_path, "crit_cond.json", n=10, burn_in=1, policy="DbcdNeyman", test="conditional")
     assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
-    rule = json.loads(rule_path.read_text())
-    del rule["upper"]
-    rule_path.write_text(json.dumps(rule))
+    saved = json.loads(rule_path.read_text())
+    assert saved["format"] == 1
     cfg = _cfg(tmp_path, "no_upper.json", n=10, burn_in=1, policy="DbcdNeyman",
                rule_path=str(rule_path), theta_grid=grid)
-    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    for key in ("upper", "format"):
+        rule_path.write_text(json.dumps({k: v for k, v in saved.items() if k != key}))
+        assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
     cfg = _cfg(tmp_path, "no_theta_c.json", n=10, burn_in=1, policy="EqualAllocation",
                theta_grid={"kind": "curves", "step": 0.1})
     assert main(["oc", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2

@@ -15,12 +15,14 @@ from rarexact import (
     forward_g,
     layer,
 )
-from rarexact.engine import LN2, TerminalFunctional, layer_log_likelihood
+from rarexact.engine import LN2, TerminalFunctional, _sweep, layer_log_likelihood
 from rarexact.policies import Policy, PolicyTable
+from rarexact.states import Transition
 
 from oracles import (
     enumerate_path_weights,
     expectation_ref,
+    forward_g_alloc_ref,
     forward_g_log_ref,
     log_likelihood_weight,
 )
@@ -36,8 +38,9 @@ class ConstantCoin(Policy):
     def control_prob(self, state):
         return self.q
 
-    def layer_arm_probs(self, lay):
-        return np.full(lay.size, self.q), np.full(lay.size, 1.0 - self.q)
+    def fill_arm_probs(self, lay, q, q1):
+        q.fill(self.q)
+        q1.fill(1.0 - self.q)
 
 
 def _table_as_dict(table):
@@ -188,20 +191,23 @@ def test_terminal_functional_handles_signed_functions():
 
 def test_forward_rejects_bad_policy_probabilities():
     class Bad(ConstantCoin):
-        def layer_arm_probs(self, lay):
-            return np.full(lay.size, 1.5), np.full(lay.size, np.nan)
+        def fill_arm_probs(self, lay, q, q1):
+            q.fill(1.5)
+            q1.fill(np.nan)
 
     with pytest.raises(ValueError):
         forward_g(Bad(3, 0, 1.5))
 
     class NanFailureArm(ConstantCoin):
-        def layer_arm_probs(self, lay):
-            return np.full(lay.size, self.q), np.full(lay.size, np.nan)
+        def fill_arm_probs(self, lay, q, q1):
+            q.fill(self.q)
+            q1.fill(np.nan)
 
     class ArmsNotComplementary(ConstantCoin):
         # q = 1 - q = 0.3: both arms in [0, 1] but summing to 0.6
-        def layer_arm_probs(self, lay):
-            return np.full(lay.size, self.q), np.full(lay.size, self.q)
+        def fill_arm_probs(self, lay, q, q1):
+            q.fill(self.q)
+            q1.fill(self.q)
 
     for bad in (NanFailureArm(5, 1, 0.3), ArmsNotComplementary(5, 1, 0.3)):
         with pytest.raises(ValueError, match="epoch 2"):
@@ -216,9 +222,9 @@ def test_sweep_checks_user_policies_per_layer_and_tables_once(monkeypatch):
     checked = []
     real = engine._check_arm_probs
 
-    def spy(q, q1, t):
+    def spy(q, q1, t, scratch):
         checked.append(t)
-        real(q, q1, t)
+        real(q, q1, t, scratch)
 
     monkeypatch.setattr(engine, "_check_arm_probs", spy)
     n, b = 8, 1
@@ -231,6 +237,75 @@ def test_sweep_checks_user_policies_per_layer_and_tables_once(monkeypatch):
     assert checked == []
     forward_g(DbcdNeyman(n, b))
     assert checked == list(range(2 * b, n))
+
+
+def test_policy_implementing_no_fill_method_fails_loudly():
+    class NoFill(Policy):
+        pass
+
+    class OnlyReturnsArrays(Policy):
+        # the pair returned from layer_arm_probs, with no fill_arm_probs
+        def layer_arm_probs(self, lay):
+            return np.full(lay.size, 0.5), np.full(lay.size, 0.5)
+
+    with pytest.raises(NotImplementedError, match="NoFill implements no fill_arm_probs"):
+        forward_g(NoFill(4, 1))
+    with pytest.raises(NotImplementedError, match="NoFill implements no fill_arm_probs"):
+        NoFill(4, 1).layer_arm_probs(layer(2, 1))
+    with pytest.raises(NotImplementedError, match="OnlyReturnsArrays implements no fill_arm_probs"):
+        forward_g(OnlyReturnsArrays(4, 1))
+
+
+@pytest.mark.parametrize("policy", [
+    pytest.param(DbcdNeyman(30, 2), id="dbcd-30-2"),
+    pytest.param(TemperedDbcdNeyman(30, 2), id="tempered-30-2"),
+    pytest.param(ConstantCoin(30, 2, 0.37), id="constant-coin-30-2"),
+    pytest.param(ConstantCoin(12, 0, 1e-300), id="constant-coin-underflow"),
+])
+def test_sweep_matches_the_allocating_sweep_bit_for_bit(policy):
+    assert np.array_equal(forward_g(policy).log_g, forward_g_alloc_ref(policy).log_g)
+
+
+def _random_table(n, b, p, seed):
+    rng = np.random.default_rng(seed)
+    codes = tuple(
+        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
+        else rng.integers(0, 3, layer(t, b).size).astype(np.int8)
+        for t in range(n)
+    )
+    return PolicyTable(n, b, p, codes)
+
+
+def test_table_sweep_matches_the_allocating_sweep_through_fresh_and_held_transitions():
+    # forward_g makes fresh transitions (the block loop); the CMDP solve
+    # holds them, so its first sweep loops over blocks, its second builds
+    # the gather plans and later ones reuse them
+    table = _random_table(40, 2, 0.9, seed=11)
+    want = forward_g_alloc_ref(table).log_g
+    assert np.array_equal(forward_g(table).log_g, want)
+    steps = [Transition(t, 2) for t in range(4, 40)]
+    for _ in range(3):
+        assert np.array_equal(_sweep(table, steps).log_g, want)
+    assert all(step._parents is not None for step in steps)
+
+
+def test_sweep_peak_memory_stays_within_six_terminal_layers():
+    # the sweep holds four arrays of the terminal layer's size; per-layer
+    # temporaries would add about two more at the largest layers.  The
+    # swap permutation is the terminal layer's, cached with it, and built
+    # first so that it is not counted.
+    import tracemalloc
+
+    policy = BayesianRar(100, 6)
+    terminal = layer(100, 6)
+    terminal.swap_permutation()
+    tracemalloc.start()
+    try:
+        forward_g(policy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * terminal.size * np.dtype(np.float64).itemsize
 
 
 @st.composite
@@ -269,13 +344,7 @@ def _sweep_designs(draw):
         return kind(n, b)
     # an arm of probability 2**-52 drives some states below the subnormals
     p = draw(st.floats(0.5, 1.0) | st.just(1.0 - 2.0**-52))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    codes = tuple(
-        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
-        else rng.integers(0, 3, layer(t, b).size).astype(np.int8)
-        for t in range(n)
-    )
-    return PolicyTable(n, b, p, codes)
+    return _random_table(n, b, p, draw(st.integers(0, 2**32 - 1)))
 
 
 @settings(max_examples=40, deadline=None)

@@ -15,7 +15,11 @@ from rarexact import (
     neyman_target,
     policies,
 )
-from oracles import posterior_log_probs_ref as _posterior_log_probs, prob_beta_greater
+from oracles import (
+    forward_g_alloc_ref,
+    posterior_log_probs_ref as _posterior_log_probs,
+    prob_beta_greater,
+)
 
 
 def test_neyman_target_symmetry_and_paper_values():
@@ -172,7 +176,12 @@ def brar_default_outputs():
     return _brar_outputs()
 
 
-@pytest.mark.parametrize("workers, run", [(0, 1 << 14), (1, 1 << 14), (2, 1 << 14), (3, 64), (2, 1)])
+# (_TAIL_WORKERS, _TAIL_RUN): inline, one to three workers, and runs of
+# one state up to the default
+_TAIL_SETTINGS = [(0, 1 << 14), (1, 1 << 14), (2, 1 << 14), (3, 64), (2, 1)]
+
+
+@pytest.mark.parametrize("workers, run", _TAIL_SETTINGS)
 def test_brar_outputs_do_not_depend_on_tail_workers_or_runs(monkeypatch, brar_default_outputs,
                                                             workers, run):
     # the tail is elementwise: any split of a layer over any number of
@@ -187,6 +196,22 @@ def test_brar_outputs_do_not_depend_on_tail_workers_or_runs(monkeypatch, brar_de
         sys.setswitchinterval(interval)
     for got, want in zip(outputs, brar_default_outputs, strict=True):
         assert np.array_equal(got, want)
+
+
+@pytest.fixture(scope="module")
+def brar_allocating_sweeps():
+    return [forward_g_alloc_ref(BayesianRar(n, b)).log_g for n, b in ((40, 3), (60, 2))]
+
+
+@pytest.mark.parametrize("workers, run", _TAIL_SETTINGS)
+def test_brar_sweep_matches_the_allocating_sweep_bit_for_bit(monkeypatch, brar_allocating_sweeps,
+                                                             workers, run):
+    # the block build and the tail write into the sweep's held buffers, in
+    # runs handed to the workers; the oracle allocates fresh arrays per layer
+    monkeypatch.setattr(policies, "_TAIL_WORKERS", workers)
+    monkeypatch.setattr(policies, "_TAIL_RUN", run)
+    for (n, b), want in zip(((40, 3), (60, 2)), brar_allocating_sweeps, strict=True):
+        assert np.array_equal(forward_g(BayesianRar(n, b)).log_g, want), (n, b)
 
 
 @pytest.mark.parametrize("policy_cls", [BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation])

@@ -132,7 +132,7 @@ def test_push_and_pull_are_adjoint(tb, seed):
         g = rng.uniform(0.0, 5.0, step.src.size) * (rng.random(step.src.size) < 0.8)
         v = rng.uniform(0.0, 1.0, step.dst.size)
         with np.errstate(divide="ignore"):
-            pushed = step.push(g, q, 1 - q)
+            pushed = step.push(g, q.copy(), 1 - q, np.empty(step.dst.size))
         wc, wd = step.pull(v)
         assert np.sum(pushed * v) == pytest.approx(np.sum(g * (q * wc + (1 - q) * wd)), rel=1e-12)
         assert np.array_equal(pushed, push_ref(step, g, q, 1 - q))
@@ -154,13 +154,17 @@ def _weights(rng, size):
 @given(tb=_transitions(), seed=st.integers(0, 2**32 - 1))
 def test_push_and_pull_match_the_per_block_oracle_bit_for_bit(tb, seed):
     # the first call of each method runs the block loop, the second builds
-    # the gather plan and the third reuses it
+    # the gather plan and the third reuses it; push writes every entry of
+    # the destination it is given, whatever it held
     step = Transition(*tb)
     rng = np.random.default_rng(seed)
     for _ in range(3):
         w, q, q1 = (_weights(rng, step.src.size) for _ in range(3))
         v = _weights(rng, step.dst.size)
-        assert np.array_equal(step.push(w, q, q1), push_ref(step, w, q, q1))
+        want = push_ref(step, w, q, q1)
+        out = np.full(step.dst.size, np.nan)
+        assert step.push(w, q, q1, out) is out
+        assert np.array_equal(out, want)
         for got, want in zip(step.pull(v), pull_ref(step, v)):
             assert np.array_equal(got, want)
 
@@ -168,7 +172,7 @@ def test_push_and_pull_match_the_per_block_oracle_bit_for_bit(tb, seed):
 def _uses(step, rng):
     w, q = (rng.uniform(0.0, 1.0, step.src.size) for _ in range(2))
     v = rng.uniform(0.0, 1.0, step.dst.size)
-    return step.push(w, q, 1 - q), *step.pull(v)
+    return step.push(w, q, 1 - q, np.empty(step.dst.size)), *step.pull(v)
 
 
 def test_gather_plan_is_built_on_reuse_and_only_within_the_cap():
@@ -190,7 +194,8 @@ def test_calls_on_one_transition_return_independent_arrays(t, b):
     rng = np.random.default_rng(3)
     w, q = (rng.uniform(0.0, 1.0, step.src.size) for _ in range(2))
     v = rng.uniform(0.0, 1.0, step.dst.size)
-    calls = [(step.push(w, q, 1 - q), *step.pull(v)) for _ in range(3)]
+    calls = [(step.push(w, q.copy(), 1 - q, np.empty(step.dst.size)), *step.pull(v))
+             for _ in range(3)]
     for out in calls[1:]:
         assert all(np.array_equal(a, b) for a, b in zip(out, calls[0]))
     arrays = [a for out in calls for a in out] + [w, q, v]
