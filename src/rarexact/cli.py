@@ -386,8 +386,8 @@ def _parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=0,
-            help="accepted and ignored: the BRAR posterior's worker threads follow the "
-                 "process's CPU affinity (taskset), and no output depends on either",
+            help="accepted and ignored: no output depends on the CPU count or the "
+                 "thread count",
         )
         sp.set_defaults(handler=handler)
     return parser

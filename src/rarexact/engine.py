@@ -132,7 +132,9 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
     source and destination, and the arm pair ``q``, ``q1``, which the
     policy fills and the push overwrites with its products.  Each layer
     uses a leading view of each.  The idle destination is the scratch of
-    the probability check, and of the final swap averaging; the terminal
+    the probability check.  For a symmetric policy it also takes the swap
+    average of the terminal weights: each block plus the transpose of its
+    mirror block, halved, which needs no index array.  The terminal
     weights become the table's ``log g`` in place.
     """
     n, b = policy.n, policy.burn_in
@@ -153,16 +155,16 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
         q1 *= 0.5
         cur = step.push(cur, q, q1, dst)
         held, idle = idle, held
-    # release the arm pair: building the swap permutation needs the room
-    q = q1 = q_buf = q1_buf = None
-
     if policy.is_symmetric:
         # averaging with the arm-swapped image makes the table exactly
-        # swap-invariant, removing last-ulp asymmetry from the sweep; the
-        # permutation is in range, and mode "raise" would gather into a
-        # temporary
-        swapped = np.take(cur, lay.swap_permutation(), out=idle, mode="clip")
-        cur = np.add(cur, swapped, out=swapped)
+        # swap-invariant, removing last-ulp asymmetry from the sweep: the
+        # mirror of block (n_c, n_d) is block (n_d, n_c), transposed
+        avg = idle[:lay.size]
+        for (n_c, n_d, start, stop), (_, _, m0, m1) in zip(lay.spans, lay.spans[::-1]):
+            shape = (n_c + 1, n_d + 1)
+            np.add(cur[start:stop].reshape(shape), cur[m0:m1].reshape(shape[::-1]).T,
+                   out=avg[start:stop].reshape(shape))
+        cur = avg
         cur *= 0.5
     with np.errstate(divide="ignore"):
         log_g = np.log(cur, out=cur)
@@ -222,18 +224,25 @@ def theta_array(thetas) -> np.ndarray:
     return th
 
 
-def _binomial_kernel(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+def _binomial_log_tables(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s ln theta, s ln(1 - theta))`` for ``s = 0..m``, one row per point,
+    with the convention ``0 * ln 0 = 0``."""
+    s = np.arange(m + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_t = np.where(s == 0, 0.0, s * np.log(theta)[:, None])
+        ln_1t = np.where(s == 0, 0.0, s * np.log1p(-theta)[:, None])
+    return ln_t, ln_1t
+
+
+def _binomial_kernel(tables: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``theta**s * (1 - theta)**(m - s)`` for ``s = 0..m``, each divided
     by its largest entry, and the natural log of those row maxima.
 
-    Built in log space with the convention ``0 * ln 0 = 0``, so the rows at
-    ``theta`` in ``{0, 1}`` are exact unit vectors.
+    Sliced from the log tables of :func:`_binomial_log_tables`, so the rows
+    at ``theta`` in ``{0, 1}`` are exact unit vectors.
     """
-    s = np.arange(m + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_t = np.log(theta)[:, None]
-        ln_1t = np.log1p(-theta)[:, None]
-        log_u = np.where(s == 0, 0.0, s * ln_t) + np.where(s == m, 0.0, (m - s) * ln_1t)
+    ln_t, ln_1t = tables
+    log_u = ln_t[:, :m + 1] + ln_1t[:, m::-1]
     row_max = log_u.max(axis=1)
     return np.exp(log_u - row_max[:, None]), row_max
 
@@ -298,9 +307,11 @@ class TerminalFunctional:
         """Per-block contributions, shape ``(blocks, points, k)``."""
         th = theta_array(thetas)
         out = np.zeros((len(self._blocks), th.shape[0], self.k))
+        tab_c = _binomial_log_tables(th[:, 0], self.layer.t)
+        tab_d = _binomial_log_tables(th[:, 1], self.layer.t)
         for j, (n_c, n_d, scale, e) in enumerate(self._blocks):
-            u_c, lc = _binomial_kernel(th[:, 0], n_c)
-            u_d, ld = _binomial_kernel(th[:, 1], n_d)
+            u_c, lc = _binomial_kernel(tab_c, n_c)
+            u_d, ld = _binomial_kernel(tab_d, n_d)
             prod = (u_c @ e).reshape(th.shape[0], self.k, n_d + 1)
             out[j] = (prod * u_d[:, None, :]).sum(axis=2) * np.exp(scale + lc + ld)[:, None]
         return out

@@ -232,16 +232,38 @@ def _stratum_tails(key, w, s, n) -> tuple[np.ndarray, np.ndarray]:
     return at_least, at_most
 
 
-def _grow_prefix(keys, w, s, n, level):
-    """Largest tie-group prefix (by ascending ``keys``) whose certified null
+def _reverse_groups(order: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """From the stable ascending sort ``order`` of ``keys``, the stable
+    ascending sort of ``-keys``: the tie groups in reverse order, each
+    group's own order kept.
+
+    The positions read from ``order`` rise by one inside a group and jump
+    at the start of each reversed group, so they are one ``cumsum`` of
+    steps; this keeps the temporaries few, as groups are nearly as many
+    as states.
+    """
+    size = order.size
+    starts = _group_starts(keys[order])
+    # group k lands at size - ends[k], right after group k + 1, which
+    # ended at ends[k + 1] - 1 (ends[k] is starts[k + 1], or size)
+    step = starts[:-1] - np.append(starts[2:], size)
+    step += 1
+    pos = np.ones(size, dtype=np.intp)
+    pos[size - starts[1:]] = step
+    pos[0] = starts[-1]
+    return order[np.cumsum(pos, out=pos)]
+
+
+def _grow_prefix(keys, order, w, s, n, level):
+    """Largest tie-group prefix, taking the states in the stable sort
+    ``order`` of ``keys`` (ascending or descending), whose certified null
     supremum stays at or below ``level``.
 
-    Returns ``(last_value, next_value, certificate)``: the largest key
-    inside the prefix and the smallest outside it (``None`` where there is
-    none); galloping plus binary search keeps the number of certifications
-    logarithmic in the group count.
+    Returns ``(last_value, next_value, certificate)``: the key of the
+    prefix's last state and of the first state after it (``None`` where
+    there is none); galloping plus binary search keeps the number of
+    certifications logarithmic in the group count.
     """
-    order = np.argsort(keys, kind="stable")
     ks = keys[order]
     ws = w[order]
     ss = s[order]
@@ -415,10 +437,14 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
     w, s = conditional_masses(table)
     level = alpha / 2.0
 
-    up_last, _, up_cert = _grow_prefix(-t_stat, w, s, n, level)
-    lo_last, _, lo_cert = _grow_prefix(t_stat, w, s, n, level)
+    order = np.argsort(t_stat, kind="stable")
+    lo_last, _, lo_cert = _grow_prefix(t_stat, order, w, s, n, level)
+    # one sort serves both tails: the stable sort of -t_stat, which the
+    # upper tail grows along, is this one with its tie groups reversed
+    order = _reverse_groups(order, t_stat)
+    up_last, _, up_cert = _grow_prefix(t_stat, order, w, s, n, level)
 
-    upper = -up_last if up_last is not None else np.inf
+    upper = up_last if up_last is not None else np.inf
     lower = lo_last if lo_last is not None else -np.inf
     rule = UnconditionalRule(
         alpha, n,
@@ -450,7 +476,7 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     check_alpha(alpha)
     stat = boschloo_statistic(table)
     w, s = conditional_masses(table)
-    last, nxt, cert = _grow_prefix(stat, w, s, table.n, alpha)
+    last, nxt, cert = _grow_prefix(stat, np.argsort(stat, kind="stable"), w, s, table.n, alpha)
     threshold = nxt if nxt is not None else np.inf
     rule = BoschlooRule(alpha, table.n, float(threshold), last, stat, cert)
     return rule

@@ -13,11 +13,13 @@ Simulated trials alternate the arms, except that the randomization test
 (:func:`~rarexact.montecarlo.randomization_test`) takes the burn-in to be
 one permuted balanced block, and its rejection rate simulates one.
 Permuted-block equal allocation uses its block plan throughout.
+
+Every policy computes on the calling thread: none starts a thread or
+reads the CPU count, so no result depends on either.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -156,22 +158,11 @@ class TemperedDbcdNeyman(DbcdNeyman):
 
 
 # The BRAR tail runs on contiguous runs of a layer of at least this many
-# states, handed to _TAIL_WORKERS threads (one per further CPU of the
-# process's affinity) while the calling thread builds the next blocks.
-# Read by nothing but BayesianRar.fill_arm_probs; no option sets them.
+# states, each as soon as its blocks are built: one pass over a whole
+# layer would allocate a layer-sized temporary for the sum on every
+# layer.  Read by nothing but BayesianRar.fill_arm_probs; no option sets
+# it.
 _TAIL_RUN = 1 << 14
-try:
-    _TAIL_WORKERS = len(os.sched_getaffinity(0)) - 1
-except AttributeError:          # no affinity call on this platform
-    _TAIL_WORKERS = (os.cpu_count() or 1) - 1
-
-
-@lru_cache(maxsize=1)
-def _tail_pool(workers: int):
-    # imported here: concurrent.futures pulls in logging, and most
-    # subcommands never reach a BRAR posterior
-    from concurrent.futures import ThreadPoolExecutor
-    return ThreadPoolExecutor(workers, thread_name_prefix="rarexact-brar-tail")
 
 
 @lru_cache(maxsize=8)
@@ -189,20 +180,19 @@ def _lbeta_rows(capacity: int) -> tuple:
 
 def _arm_tail(p: np.ndarray, c: np.ndarray, e: float) -> None:
     """Turn the posterior ``P`` held in ``p`` into the allocation pair, in
-    place: ``p`` becomes ``q`` and ``c`` becomes ``q1``.  Elementwise, so
-    any split of a layer into runs gives the same bits; the ufuncs release
-    the GIL, and ``errstate`` is per thread, so it is set here."""
+    place: ``p`` becomes ``q = P**e / s`` and ``c`` becomes ``q1 = (1 -
+    P)**e / s``, with ``s = P**e + (1 - P)**e``.  For ``P >= 1/2`` the
+    difference ``1 - P`` is exact (Sterbenz); below, it is rounded once,
+    to within half an ulp.  One of ``P`` and ``1 - P`` is at least
+    ``1/2``, so ``s`` is too.  Elementwise, so any split of a layer into
+    runs gives the same bits."""
     np.clip(p, 0.0, 1.0, out=p)
-    with np.errstate(divide="ignore"):
-        np.log1p(np.negative(p, out=c), out=c)
-        np.log(p, out=p)
-    p *= e
-    c *= e
-    m = np.logaddexp(p, c)
-    np.subtract(p, m, out=p)
-    np.subtract(c, m, out=c)
-    np.exp(p, out=p)
-    np.exp(c, out=c)
+    np.subtract(1.0, p, out=c)
+    np.power(p, e, out=p)
+    np.power(c, e, out=c)
+    s = p + c
+    p /= s
+    c /= s
 
 
 @dataclass(frozen=True)
@@ -224,9 +214,9 @@ class BayesianRar(Policy):
     in-place ``add.accumulate`` down its columns gives ``P`` in its even
     rows.  It adds in sequence along the axis, like ``cumsum``, so each
     even row is formed by the very additions of the recurrence, in its
-    order, and the design is bit-stable.  With ``a = e ln P`` and ``c = e
-    ln(1 - P)`` for the exponent ``e``, and ``m = logaddexp(a, c)``, the
-    allocation pair is ``(exp(a - m), exp(c - m))``.
+    order, and the design is bit-stable.  For the exponent ``e`` the
+    allocation pair is ``(P**e, (1 - P)**e)`` divided by its sum
+    (:func:`_arm_tail`).
 
     Every ``lbeta`` is read from tables with slices, without an integer
     gather.  ``lbeta(j + 1, n + 1 - j)`` depends on ``n`` alone; its rows
@@ -248,12 +238,10 @@ class BayesianRar(Policy):
     recurrence, so the result is bit for bit that of a per-state
     evaluation.
 
-    The tail from ``P`` to the pair (:func:`_arm_tail`) is elementwise and
-    releases the GIL, so it runs on contiguous runs of the layer, handed to
-    worker threads as soon as enough blocks are built while this thread
-    builds on.  Each state's value depends on its own ``P`` alone, so the
-    result is the same bits for any split into runs and any number of
-    workers, including none.
+    The tail from ``P`` to the pair runs on contiguous runs of about
+    ``2**14`` states of the layer, each as soon as its blocks are built,
+    on the calling thread.  Each state's value depends on its own ``P``
+    alone, so the result is the same bits for any split into runs.
     """
 
     def _exponent(self, epoch: int) -> float:
@@ -273,43 +261,27 @@ class BayesianRar(Policy):
         r = g[1:t + 2] + g[t + 2:1:-1] - g[t + 3]
         log_k = np.log(np.arange(1, t + 1))     # ln 1 .. ln t
         da = hank[:t] - log_k[:, None]          # step_a's h[k + s_d] - ln(k + 1)
-        runs = []
         lo = 0
         for n_c, n_d, start, stop in lay.spans:
-            lb2 = lbeta_rows[n_d]               # lbeta(a2, b2) along a row
             lb1 = lbeta_rows[n_c][:, None]      # lbeta(k + 1, n_c + 1 - k) down a column
             inc = np.empty((2 * n_c + 1, n_d + 1))
-            np.subtract(r[:n_d + 1], lb2, out=inc[0])
+            inc[0] = r[:n_d + 1]
             # step_a: a1 = k + 1, b1 = n_c - k + 1
-            step = inc[1::2]
-            np.subtract(da[:n_c, :n_d + 1], lb1[:-1], out=step)
-            np.subtract(step, lb2, out=step)
+            np.subtract(da[:n_c, :n_d + 1], lb1[:-1], out=inc[1::2])
             # step_b: a1 = k + 2, b1 = n_c - k
             step = inc[2::2]
             np.subtract(hank[1:n_c + 1, :n_d + 1], log_k[:n_c][::-1, None], out=step)
             np.subtract(step, lb1[1:], out=step)
-            np.subtract(step, lb2, out=step)
+            # every row's last operand is lb2 = lbeta(a2, b2) along the row
+            np.subtract(inc, lbeta_rows[n_d], out=inc)
             np.exp(inc, out=inc)
             np.add.accumulate(inc, axis=0, out=inc)
             # q holds P until its tail has run
             np.copyto(q[start:stop].reshape(n_c + 1, n_d + 1), inc[::2])
             if stop - lo >= _TAIL_RUN:
-                run = (q[lo:stop], q1[lo:stop], e)
-                if _TAIL_WORKERS == 0:
-                    _arm_tail(*run)
-                else:
-                    runs.append((_tail_pool(_TAIL_WORKERS).submit(_arm_tail, *run), run))
+                _arm_tail(q[lo:stop], q1[lo:stop], e)
                 lo = stop
         _arm_tail(q[lo:], q1[lo:], e)
-        # take back the runs no worker has started, then wait for the rest
-        started = []
-        for future, run in runs:
-            if future.cancel():
-                _arm_tail(*run)
-            else:
-                started.append(future)
-        for future in started:
-            future.result()
 
 
 @dataclass(frozen=True)
@@ -342,6 +314,7 @@ class PolicyTable(Policy):
                 lo, hi, allowed = 0, 2, "codes 0, 1 and 2"
             if not lo <= codes.min() <= codes.max() <= hi:
                 raise ValueError(f"epoch {t} may hold only {allowed}")
+            codes.setflags(write=False)     # validated: they stay so
         probs = np.array([1.0 - self.p, 0.5, self.p])
         probs.flags.writeable = False
         object.__setattr__(self, "_probs", probs)
@@ -352,8 +325,10 @@ class PolicyTable(Policy):
         if lay.t < 2 * self.burn_in:
             raise ValueError(f"epoch {lay.t} is inside the burn-in")
         codes = self.codes[lay.t]
-        np.take(self._probs, codes, out=q)
-        np.take(self._probs[::-1], codes, out=q1)
+        # the codes are frozen in range 0..2; mode "raise" would gather
+        # into a temporary and copy it to out
+        np.take(self._probs, codes, out=q, mode="clip")
+        np.take(self._probs[::-1], codes, out=q1, mode="clip")
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), p=self.p)

@@ -4,9 +4,11 @@ Everything here works on plain dicts keyed by ``(s_c, s_d, n_c, n_d)``
 tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
-replaced them (:func:`posterior_log_probs_ref`, :func:`push_ref`,
-:func:`pull_ref`, :func:`forward_g_alloc_ref`, :func:`forward_g_log_ref`),
-which walk the package's layers, and the helpers at the end that only
+replaced them (:func:`posterior_probs_ref`, :func:`arm_tail_logaddexp_ref`,
+:func:`push_ref`, :func:`pull_ref`, :func:`forward_g_alloc_ref`,
+:func:`forward_g_log_ref`, :func:`grow_prefix_two_sorts_ref`,
+:func:`block_values_ref`), which walk the package's layers or call its
+kernels, and the helpers at the end that only
 the tests call (:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
 :func:`permuted_block_sequence`, :func:`simulate_trial`), thin wrappers
 over the package's kernels.
@@ -407,9 +409,9 @@ def fisher_two_sided_ref(s_c, s_d, half, alpha):
     return upper <= a2 or lower <= a2
 
 
-def posterior_log_probs_ref(lay):
-    """``(ln P, ln(1 - P))`` with ``P = P(theta_C > theta_D | state)`` under
-    uniform priors, for every state of a layer.
+def posterior_probs_ref(lay):
+    """``P = P(theta_C > theta_D | state)`` under uniform priors, clipped to
+    ``[0, 1]``, for every state of a layer.
 
     Starting from the closed form for zero control successes, rows are
     filled by the exact two-term recurrence that moves one control success
@@ -461,8 +463,19 @@ def posterior_log_probs_ref(lay):
     np.clip(p, 0.0, 1.0, out=p)
     out_p = np.empty(lay.size)
     out_p[order] = p
+    return out_p
+
+
+def arm_tail_logaddexp_ref(p, e):
+    """The BRAR allocation pair ``(q, q1)`` from the posterior ``p`` in log
+    space, as the tail did before the power form: ``a = e ln P``, ``c = e
+    ln(1 - P)`` by ``log1p``, ``m = logaddexp(a, c)``, and ``(exp(a - m),
+    exp(c - m))``."""
     with np.errstate(divide="ignore"):
-        return np.log(out_p), np.log1p(-out_p)
+        a = e * np.log(p)
+        c = e * np.log1p(-p)
+    m = np.logaddexp(a, c)
+    return np.exp(a - m), np.exp(c - m)
 
 
 def _uniform_table(spec):
@@ -613,6 +626,44 @@ def forward_g_log_ref(policy):
         cur = out
     return PathWeightTable(lay, cur, meta=policy.descriptor())
 
+
+def grow_prefix_two_sorts_ref(t_stat, w, s, n, level):
+    """Both tails of the unconditional rule's growth, ``(upper, lower)``,
+    each from its own stable ``argsort``: of ``-t_stat`` for the upper
+    tail and of ``t_stat`` for the lower, as before they shared one
+    sort."""
+    from rarexact.exact_tests import _grow_prefix
+
+    return tuple(_grow_prefix(key, np.argsort(key, kind="stable"), w, s, n, level)
+                 for key in (-t_stat, t_stat))
+
+
+def binomial_kernel_ref(theta, m):
+    """Rows ``theta**s * (1 - theta)**(m - s)`` for ``s = 0..m``, each divided
+    by its largest entry, and the log row maxima, built for one size from
+    ``ln theta`` and ``ln(1 - theta)``, with ``0 * ln 0 = 0``."""
+    s = np.arange(m + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_t = np.log(theta)[:, None]
+        ln_1t = np.log1p(-theta)[:, None]
+        log_u = np.where(s == 0, 0.0, s * ln_t) + np.where(s == m, 0.0, (m - s) * ln_1t)
+    row_max = log_u.max(axis=1)
+    return np.exp(log_u - row_max[:, None]), row_max
+
+
+def block_values_ref(fn, thetas):
+    """``TerminalFunctional.block_values`` with both binomial kernels of
+    every block built afresh by :func:`binomial_kernel_ref`."""
+    from rarexact.engine import theta_array
+
+    th = theta_array(thetas)
+    out = np.zeros((len(fn._blocks), th.shape[0], fn.k))
+    for j, (n_c, n_d, scale, e) in enumerate(fn._blocks):
+        u_c, lc = binomial_kernel_ref(th[:, 0], n_c)
+        u_d, ld = binomial_kernel_ref(th[:, 1], n_d)
+        prod = (u_c @ e).reshape(th.shape[0], fn.k, n_d + 1)
+        out[j] = (prod * u_d[:, None, :]).sum(axis=2) * np.exp(scale + lc + ld)[:, None]
+    return out
 
 
 def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):

@@ -429,8 +429,9 @@ def test_cli_oc_independent_of_thread_counts(tmp_path):
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
 def test_cli_brar_design_independent_of_cpu_affinity(tmp_path):
-    # one CPU runs the BRAR tail inline, more hand it to worker threads; at
-    # n = 60 the last 15 layers exceed one hand-off run
+    # no code reads the CPU count any more; this guards that no output
+    # comes to depend on it.  At n = 60 the last 15 layers span more than
+    # one 2**14-state run of the BRAR tail
     import rarexact
 
     cfg = _cfg(tmp_path, "design.json", n=60, burn_in=2, policy="brar")

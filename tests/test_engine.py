@@ -17,9 +17,10 @@ from rarexact import (
 )
 from rarexact.engine import LN2, TerminalFunctional, _sweep, layer_log_likelihood
 from rarexact.policies import Policy, PolicyTable
-from rarexact.states import Transition
+from rarexact.states import Transition, _cached_layer
 
 from oracles import (
+    block_values_ref,
     enumerate_path_weights,
     expectation_ref,
     forward_g_alloc_ref,
@@ -292,13 +293,12 @@ def test_table_sweep_matches_the_allocating_sweep_through_fresh_and_held_transit
 def test_sweep_peak_memory_stays_within_six_terminal_layers():
     # the sweep holds four arrays of the terminal layer's size; per-layer
     # temporaries would add about two more at the largest layers.  The
-    # swap permutation is the terminal layer's, cached with it, and built
-    # first so that it is not counted.
+    # swap average reads the mirror blocks in place, so nothing else of
+    # the terminal layer's size is built.
     import tracemalloc
 
     policy = BayesianRar(100, 6)
     terminal = layer(100, 6)
-    terminal.swap_permutation()
     tracemalloc.start()
     try:
         forward_g(policy)
@@ -306,6 +306,15 @@ def test_sweep_peak_memory_stays_within_six_terminal_layers():
     finally:
         tracemalloc.stop()
     assert peak <= 6 * terminal.size * np.dtype(np.float64).itemsize
+
+
+def test_sweep_builds_no_per_state_arrays_of_the_terminal_layer():
+    # the swap average works block by block, so the cached terminal layer
+    # keeps neither its (s_c, s_d, n_c, n_d) arrays nor a swap permutation
+    _cached_layer.cache_clear()
+    forward_g(BayesianRar(40, 3))
+    terminal = layer(40, 3)
+    assert terminal._arrays is None and terminal._swap_perm is None
 
 
 @st.composite
@@ -373,6 +382,20 @@ def test_linear_sweep_matches_log_domain_oracle(policy, thetas):
     got = TerminalFunctional(f, table).values(points)
     want = TerminalFunctional(f, ref).values(points)
     np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("policy", [BayesianRar(30, 2), DbcdNeyman(25, 1)], ids=["brar", "dbcd"])
+def test_block_values_match_per_block_kernels_bit_for_bit(policy):
+    # each block slices its kernels from the grid's s ln(theta) and
+    # s ln(1 - theta) tables; the oracle builds them per block, and the
+    # grid holds both ends of [0, 1] on each arm
+    table = forward_g(policy)
+    s_c, s_d, n_c, _ = table.layer.arrays()
+    f = np.column_stack([np.ones(table.layer.size), n_c / policy.n, s_c > s_d])
+    ends = [0.0, 1.0, 1e-300, 0.5, 0.3, 1.0 - 2.0**-52]
+    points = [(a, c) for a in ends for c in ends]
+    for fn in (TerminalFunctional(f, table), TerminalFunctional(f[:, 1], table)):
+        assert np.array_equal(fn.block_values(points), block_values_ref(fn, points))
 
 
 def test_underflow_drops_only_negligible_states():

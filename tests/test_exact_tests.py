@@ -23,6 +23,8 @@ from rarexact.exact_tests import (
     CERT_TOL,
     _golden_max,
     _grid_basis,
+    _grow_prefix,
+    _reverse_groups,
     _grid_values,
     _pmf_matrix,
     _poly_value,
@@ -37,6 +39,7 @@ from oracles import (
     conditional_rule_ref,
     enumerate_path_weights,
     fisher_two_sided_ref,
+    grow_prefix_two_sorts_ref,
     null_sup_dense,
     stratum_tail_fsum,
     unconditional_rule_ref,
@@ -226,6 +229,27 @@ def test_unconditional_rule_matches_bruteforce(brar8, brar8_ref):
     assert rule.upper_certificate.certified_upper <= ALPHA / 2 + 1e-10
     assert rule.lower_certificate.certified_upper <= ALPHA / 2 + 1e-10
     assert rule.certificate.certified_upper <= ALPHA + 1e-10
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_shared_sort_grows_the_tails_of_two_sorts(brar8, data):
+    # keys from a handful of values, signed zeros and infinities, so most
+    # states tie; each tail's mass is summed in its sort's order, so the
+    # shared order must keep every tie group's order
+    w, s = conditional_masses(brar8)
+    values = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.5, -np.inf, np.inf])
+    keys = np.array(data.draw(st.lists(values, min_size=w.size, max_size=w.size)))
+    level = data.draw(st.sampled_from([0.0, 0.01, 0.025, 0.2, 0.5]))
+    lo_order = np.argsort(keys, kind="stable")
+    up_order = _reverse_groups(lo_order, keys)
+    assert np.array_equal(up_order, np.argsort(-keys, kind="stable"))
+    (up_last, up_next, up_cert), lo = grow_prefix_two_sorts_ref(keys, w, s, brar8.n, level)
+    # the upper tail reads keys, not their negatives, in its order
+    want = (None if up_last is None else -up_last, None if up_next is None else -up_next, up_cert), lo
+    shared = (_grow_prefix(keys, up_order, w, s, brar8.n, level),
+              _grow_prefix(keys, lo_order, w, s, brar8.n, level))
+    assert repr(shared) == repr(want)
 
 
 def test_unconditional_rule_on_second_policy():
