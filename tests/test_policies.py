@@ -1,4 +1,6 @@
+import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -191,17 +193,36 @@ def brar_default_outputs():
     return _brar_outputs()
 
 
-# _TAIL_RUN: runs of one state up to the default
-_TAIL_RUNS = [1 << 14, 64, 1]
+# (workers, _TAIL_RUN): threads that call the policy at once (0: the
+# test's own thread alone), and runs of one state up to the default
+_TAIL_SETTINGS = [(0, 1 << 14), (1, 1 << 14), (2, 1 << 14), (3, 64), (2, 1)]
 
 
-@pytest.mark.parametrize("run", _TAIL_RUNS)
-def test_brar_outputs_do_not_depend_on_tail_runs(monkeypatch, brar_default_outputs, run):
-    # the tail is elementwise: any split of a layer into runs gives the
-    # bits of the default
+def _on_threads(fn, workers):
+    """``fn()`` on the calling thread, or once on each of ``workers``
+    threads started together, handing the GIL over often."""
+    if workers == 0:
+        return [fn()]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            futures = [pool.submit(fn) for _ in range(workers)]
+            return [f.result() for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+
+
+@pytest.mark.parametrize("workers, run", _TAIL_SETTINGS)
+def test_brar_outputs_do_not_depend_on_tail_workers_or_runs(monkeypatch, brar_default_outputs,
+                                                            workers, run):
+    # the tail is elementwise and runs on its caller's thread: any split of
+    # a layer into runs, on any number of threads at once, gives the bits
+    # of the default
     monkeypatch.setattr(policies, "_TAIL_RUN", run)
-    for got, want in zip(_brar_outputs(), brar_default_outputs, strict=True):
-        assert np.array_equal(got, want)
+    for outputs in _on_threads(_brar_outputs, workers):
+        for got, want in zip(outputs, brar_default_outputs, strict=True):
+            assert np.array_equal(got, want)
 
 
 @pytest.fixture(scope="module")
@@ -209,14 +230,17 @@ def brar_allocating_sweeps():
     return [forward_g_alloc_ref(BayesianRar(n, b)).log_g for n, b in ((40, 3), (60, 2))]
 
 
-@pytest.mark.parametrize("run", _TAIL_RUNS)
+@pytest.mark.parametrize("workers, run", _TAIL_SETTINGS)
 def test_brar_sweep_matches_the_allocating_sweep_bit_for_bit(monkeypatch, brar_allocating_sweeps,
-                                                             run):
+                                                             workers, run):
     # the block build and the tail write into the sweep's held buffers, run
-    # by run; the oracle allocates fresh arrays per layer
+    # by run, on any number of threads at once; the oracle allocates fresh
+    # arrays per layer
     monkeypatch.setattr(policies, "_TAIL_RUN", run)
-    for (n, b), want in zip(((40, 3), (60, 2)), brar_allocating_sweeps, strict=True):
-        assert np.array_equal(forward_g(BayesianRar(n, b)).log_g, want), (n, b)
+    sweeps = lambda: [forward_g(BayesianRar(n, b)).log_g for n, b in ((40, 3), (60, 2))]
+    for got in _on_threads(sweeps, workers):
+        for (n, b), g, want in zip(((40, 3), (60, 2)), got, brar_allocating_sweeps, strict=True):
+            assert np.array_equal(g, want), (n, b)
 
 
 def test_brar_sweep_starts_no_thread():
