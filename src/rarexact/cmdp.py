@@ -27,7 +27,7 @@ from typing import ClassVar
 import numpy as np
 
 from .engine import PathWeightTable, _burn_in_table, _sweep, forward_g, layer_log_likelihood
-from .numerics import check_alpha, gammaln_table
+from .numerics import binomial_log_terms, check_alpha, gammaln_table
 from .policies import PolicyTable
 from .states import Layer, Transition, layer as make_layer
 from .wald import asymptotic_reject_array, layer_wald_statistics
@@ -96,10 +96,8 @@ def _binomial_tails(x: float, size: int) -> tuple[np.ndarray, np.ndarray]:
     g = gammaln_table(size + 1)
     inside = k <= m
     m_k = np.where(inside, m - k, 0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_s = np.where(k == 0, 0.0, k * np.log(x))
-        ln_f = np.where(m_k == 0, 0.0, m_k * np.log1p(-x))
-    pmf = np.where(inside, np.exp(g[m + 1] - g[k + 1] - g[m_k + 1] + ln_s + ln_f), 0.0)
+    ln_s, ln_f = binomial_log_terms(x, size - 1)
+    pmf = np.where(inside, np.exp(g[m + 1] - g[k + 1] - g[m_k + 1] + ln_s + ln_f[m_k]), 0.0)
     upper = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
     lower = np.zeros_like(pmf)
     np.cumsum(pmf[:, :-1], axis=1, out=lower[:, 1:])

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import log_binom, logsumexp_fixed
+from .numerics import binomial_log_terms, log_binom, logsumexp_fixed
 from .policies import EqualAllocation, Policy, PolicyTable
 from .states import Layer, Transition, layer as make_layer
 from .wald import layer_wald_statistics
@@ -181,31 +181,20 @@ def equal_allocation_g(n: int, b: int = 0) -> PathWeightTable:
         raise ValueError("burn-in exceeds the balanced group size")
     lay = make_layer(n, b, n)
     log_g = np.full(lay.size, -np.inf)
-    half = n // 2
-    lb = log_binom(half, np.arange(half + 1))
-    log_g[lay.block_slice(half)] = np.add.outer(lb, lb).ravel()
+    log_g[lay.block_slice(n // 2)] = _burn_in_table(n // 2)
     return PathWeightTable(lay, log_g, meta={"kind": "EqualAllocation", "n": n, "burn_in": b})
-
-
-def _count_log_prob(count: np.ndarray, prob: float) -> np.ndarray | float:
-    """``count * ln(prob)`` with the convention ``0 * ln 0 = 0``."""
-    if prob == 0.0:
-        return np.where(count == 0, 0.0, -np.inf)
-    return count * np.log(prob)
 
 
 def layer_log_likelihood(lay: Layer, theta: tuple[float, float]) -> np.ndarray:
     """Log outcome likelihood of every state of a layer at ``theta``: each
     success on arm ``a`` contributes ``ln(theta_a)`` and each failure
-    ``ln(1 - theta_a)``, with ``0 * ln 0 = 0``."""
+    ``ln(1 - theta_a)``, with ``0 * ln 0 = 0``; the terms are gathered from
+    :func:`~rarexact.numerics.binomial_log_terms`."""
     tc, td = theta
+    ln_c, ln_1c = binomial_log_terms(tc, lay.t)
+    ln_d, ln_1d = binomial_log_terms(td, lay.t)
     s_c, s_d, n_c, n_d = lay.arrays()
-    return (
-        _count_log_prob(s_c, tc)
-        + _count_log_prob(n_c - s_c, 1.0 - tc)
-        + _count_log_prob(s_d, td)
-        + _count_log_prob(n_d - s_d, 1.0 - td)
-    )
+    return ln_c[s_c] + ln_1c[n_c - s_c] + ln_d[s_d] + ln_1d[n_d - s_d]
 
 
 def theta_array(thetas) -> np.ndarray:
@@ -224,22 +213,13 @@ def theta_array(thetas) -> np.ndarray:
     return th
 
 
-def _binomial_log_tables(theta: np.ndarray, m: int) -> tuple[np.ndarray, np.ndarray]:
-    """``(s ln theta, s ln(1 - theta))`` for ``s = 0..m``, one row per point,
-    with the convention ``0 * ln 0 = 0``."""
-    s = np.arange(m + 1, dtype=np.float64)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_t = np.where(s == 0, 0.0, s * np.log(theta)[:, None])
-        ln_1t = np.where(s == 0, 0.0, s * np.log1p(-theta)[:, None])
-    return ln_t, ln_1t
-
-
 def _binomial_kernel(tables: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:
     """Rows ``theta**s * (1 - theta)**(m - s)`` for ``s = 0..m``, each divided
     by its largest entry, and the natural log of those row maxima.
 
-    Sliced from the log tables of :func:`_binomial_log_tables`, so the rows
-    at ``theta`` in ``{0, 1}`` are exact unit vectors.
+    Sliced from the log tables of
+    :func:`~rarexact.numerics.binomial_log_terms`, so the rows at ``theta``
+    in ``{0, 1}`` are exact unit vectors.
     """
     ln_t, ln_1t = tables
     log_u = ln_t[:, :m + 1] + ln_1t[:, m::-1]
@@ -307,8 +287,8 @@ class TerminalFunctional:
         """Per-block contributions, shape ``(blocks, points, k)``."""
         th = theta_array(thetas)
         out = np.zeros((len(self._blocks), th.shape[0], self.k))
-        tab_c = _binomial_log_tables(th[:, 0], self.layer.t)
-        tab_d = _binomial_log_tables(th[:, 1], self.layer.t)
+        tab_c = binomial_log_terms(th[:, 0], self.layer.t)
+        tab_d = binomial_log_terms(th[:, 1], self.layer.t)
         for j, (n_c, n_d, scale, e) in enumerate(self._blocks):
             u_c, lc = _binomial_kernel(tab_c, n_c)
             u_d, ld = _binomial_kernel(tab_d, n_d)

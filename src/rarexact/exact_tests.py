@@ -27,7 +27,7 @@ from functools import lru_cache
 import numpy as np
 
 from .engine import PathWeightTable
-from .numerics import check_alpha, log_binom
+from .numerics import binomial_log_terms, check_alpha, log_binom
 
 CERT_TOL = 1e-10
 # relative + absolute slack when comparing accumulated tie-group masses to a
@@ -61,12 +61,8 @@ def _grid_values(coeffs: np.ndarray) -> np.ndarray:
 def _pmf_matrix(n: int, theta: np.ndarray) -> np.ndarray:
     """Binomial pmf rows at ``theta``, with ``0 * ln 0 = 0`` (unit rows at
     ``theta`` in ``{0, 1}``)."""
-    s = np.arange(n + 1)
-    th = theta[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ln_s = np.where(s == 0, 0.0, s * np.log(th))
-        ln_f = np.where(s == n, 0.0, (n - s) * np.log1p(-th))
-    return np.exp(log_binom(n, s) + ln_s + ln_f)
+    ln_s, ln_f = binomial_log_terms(theta, n)
+    return np.exp(log_binom(n, np.arange(n + 1)) + ln_s + ln_f[:, ::-1])
 
 
 @lru_cache(maxsize=8)
@@ -189,8 +185,13 @@ def conditional_masses(table: PathWeightTable) -> tuple[np.ndarray, np.ndarray]:
 def region_coefficients(table: PathWeightTable, reject: np.ndarray) -> np.ndarray:
     """Bernstein coefficients (stratum-wise conditional rejection masses)
     of a rejection region."""
-    w, s = conditional_masses(table)
-    return np.bincount(s[reject], weights=w[reject], minlength=table.n + 1)
+    return _region_coefficients(*conditional_masses(table), reject, table.n)
+
+
+def _region_coefficients(w, s, reject, n) -> np.ndarray:
+    """:func:`region_coefficients` from the masses ``w`` and strata ``s``
+    of :func:`conditional_masses`."""
+    return np.bincount(s[reject], weights=w[reject], minlength=n + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +423,7 @@ def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
 
     rule = ConditionalRule(alpha, n, upper, upper_closed, lower, lower_closed)
     rule.certificate = certify_region(
-        region_coefficients(table, rule.reject(t_stat, s)), alpha
+        _region_coefficients(w, s, rule.reject(t_stat, s), n), alpha
     )
     return rule
 
@@ -453,7 +454,7 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
         up_cert, lo_cert,
     )
     rule.certificate = certify_region(
-        region_coefficients(table, rule.reject(t_stat)), alpha
+        _region_coefficients(w, s, rule.reject(t_stat), n), alpha
     )
     return rule
 
@@ -465,7 +466,12 @@ def boschloo_statistic(table: PathWeightTable) -> np.ndarray:
     accurate relative to its size, and a state of positive mass never
     has p = 0."""
     _require_burn_in(table)
-    w, s = conditional_masses(table)
+    return _boschloo_statistic(table, *conditional_masses(table))
+
+
+def _boschloo_statistic(table: PathWeightTable, w, s) -> np.ndarray:
+    """:func:`boschloo_statistic` from the masses ``w`` and strata ``s`` of
+    :func:`conditional_masses`."""
     return _stratum_tails(np.abs(table.wald_statistics()), w, s, table.n)[0]
 
 
@@ -474,8 +480,9 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     conditional p-value statistic, rejecting small values, at full level
     ``alpha``."""
     check_alpha(alpha)
-    stat = boschloo_statistic(table)
+    _require_burn_in(table)
     w, s = conditional_masses(table)
+    stat = _boschloo_statistic(table, w, s)
     last, nxt, cert = _grow_prefix(stat, np.argsort(stat, kind="stable"), w, s, table.n, alpha)
     threshold = nxt if nxt is not None else np.inf
     rule = BoschlooRule(alpha, table.n, float(threshold), last, stat, cert)

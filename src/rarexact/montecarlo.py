@@ -28,7 +28,7 @@ import numpy as np
 
 from .numerics import check_alpha
 from .policies import EqualAllocation, Policy
-from .states import TrialState, layer as make_layer
+from .states import layer as make_layer
 from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy-counter-blocks"
@@ -69,10 +69,6 @@ class TrialHistory:
     @property
     def n(self) -> int:
         return self.arms.size
-
-    def terminal_state(self) -> TrialState:
-        s_c, s_d, n_c = map(int, _terminal_counts(self.arms, self.outcomes, self.outcomes))
-        return TrialState(s_c, s_d, n_c, self.n - n_c)
 
     def control_proportion_path(self) -> np.ndarray:
         """Running proportion of participants allocated to control."""
@@ -152,24 +148,26 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
         arms = _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
         return arms, _terminal_counts(arms, y_c, y_d)
 
-    # epoch-major arms: each epoch writes one contiguous row
+    # epoch-major arms and copies of the inputs: each epoch reads and
+    # writes contiguous rows
     m = keys.shape[0]
     arms = np.empty((n, m), dtype=np.int8)
     if burn_in_blocks and b:
         arms[:2 * b] = _arms_from_keys(keys[:, :2 * b], [2 * b]).T
     else:
         arms[:2 * b] = _balanced_pattern(2 * b)[:, None]
+    keys, y_c, y_d = (np.ascontiguousarray(a.T) for a in (keys, y_c, y_d))
     s_c, s_d, n_c = np.zeros((3, m), dtype=np.int64)
     for t in range(n):
         if t < 2 * b:
             is_c = arms[t] == 0
         else:
             lay, q, _ = lookup.arm_probs(t)
-            is_c = keys[:, t] < q[lay.indices(s_c, s_d, n_c)]
+            is_c = keys[t] < q[lay.indices(s_c, s_d, n_c)]
             arms[t] = ~is_c
         n_c += is_c
-        s_c += is_c & y_c[:, t]
-        s_d += ~is_c & y_d[:, t]
+        s_c += is_c & y_c[t]
+        s_d += ~is_c & y_d[t]
     return arms.T, (s_c, s_d, n_c)
 
 

@@ -14,7 +14,7 @@ a few test levels, so no special-function library is imported.
 routine, evaluated one scalar at a time with ``math.log``, and every
 entry is bit-identical to Cephes (the tests check this on
 ``[0, 2·10**5)``).  That identity is load-bearing: the table feeds the
-BRAR posterior, whose ``log(1 - P)`` tail magnifies a one-ulp change in
+BRAR posterior, whose tail ``(1 - P)**e`` magnifies a one-ulp change in
 it into a patient-benefit shift of up to 1.4e-7, and design artifacts
 are compared byte for byte.  ``math.lgamma`` (up to 4 ulp away) and a
 vectorized ``np.log`` (not correctly rounded everywhere) both break it.
@@ -84,6 +84,24 @@ def log_binom(n, k):
     k = np.asarray(k)
     g = gammaln_table(int(np.max(n)) + 2)
     return g[n + 1] - g[k + 1] - g[n - k + 1]
+
+
+def binomial_log_terms(theta, m: int) -> tuple[np.ndarray, np.ndarray]:
+    """``(s ln theta, s ln(1 - theta))`` for ``s = 0..m``, along a last axis
+    added to ``theta``, with ``0 * ln 0 = 0``: at ``theta`` in ``{0, 1}``
+    the entries are exact zeros and ``-inf``.
+
+    The one place the binomial likelihood ``theta**s * (1 - theta)**(m - s)``
+    gets its log terms; its readers slice, reverse or gather them.
+    ``ln(1 - theta)`` is ``log1p(-theta)``, within an ulp, where
+    ``log(1 - theta)`` first rounds ``1 - theta`` (6 ulp off at
+    ``theta = 0.05``)."""
+    theta = np.asarray(theta, dtype=np.float64)
+    s = np.arange(m + 1, dtype=np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_t = np.where(s == 0, 0.0, s * np.log(theta)[..., None])
+        ln_1t = np.where(s == 0, 0.0, s * np.log1p(-theta)[..., None])
+    return ln_t, ln_1t
 
 
 def normal_quantile(p: float) -> float:

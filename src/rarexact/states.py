@@ -107,7 +107,6 @@ class Layer:
         self.spans, self.offsets = _block_layout(self.n_c_min, self.n_c_max, t)
         self.size = self.spans[-1][3]
         self._arrays = None
-        self._swap_perm = None
 
     def __repr__(self):
         return f"Layer(t={self.t}, b={self.b}, size={self.size})"
@@ -170,19 +169,6 @@ class Layer:
             n_d = np.full(self.size, self.t, dtype=np.int32) - n_c
             self._arrays = (s_c, s_d, n_c, n_d)
         return self._arrays
-
-    def swap_permutation(self) -> np.ndarray:
-        """Permutation ``p`` with ``p[i]`` the index of the arm-swapped state.
-
-        Only defined when the layer is closed under swapping (always true
-        for ``t >= 2b``, and for even ``t`` below the burn-in).
-        """
-        if self._swap_perm is None:
-            if self.t < 2 * self.b and self.t % 2 == 1:
-                raise ValueError("burn-in layer at odd epoch is not swap-closed")
-            s_c, s_d, n_c, n_d = self.arrays()
-            self._swap_perm = np.asarray(self.indices(s_d, s_c, n_d), dtype=np.int64)
-        return self._swap_perm
 
 
 # Largest source layer whose transition builds a gather plan when reused:

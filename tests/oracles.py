@@ -7,11 +7,12 @@ the retired vectorized kernels kept as references for the ones that
 replaced them (:func:`posterior_probs_ref`, :func:`arm_tail_logaddexp_ref`,
 :func:`push_ref`, :func:`pull_ref`, :func:`forward_g_alloc_ref`,
 :func:`forward_g_log_ref`, :func:`grow_prefix_two_sorts_ref`,
-:func:`block_values_ref`), which walk the package's layers or call its
-kernels, and the helpers at the end that only
+:func:`block_values_ref`, :func:`layer_log_likelihood_ref`,
+:func:`pmf_matrix_ref`, :func:`binomial_tails_ref`), which walk the
+package's layers or call its kernels, and the helpers at the end that only
 the tests call (:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
-:func:`permuted_block_sequence`, :func:`simulate_trial`), thin wrappers
-over the package's kernels.
+:func:`permuted_block_sequence`, :func:`simulate_trial`,
+:func:`swap_permutation`), thin wrappers over the package's kernels.
 """
 
 from __future__ import annotations
@@ -118,6 +119,53 @@ def log_likelihood_weight(x, theta):
         + _log_count_prob(x.s_d, td)
         + _log_count_prob(x.n_d - x.s_d, 1.0 - td)
     )
+
+
+def layer_log_likelihood_ref(lay, theta):
+    """``layer_log_likelihood`` as it was before the shared binomial log
+    terms: ``count * ln(prob)`` per arm and outcome, the failures through
+    ``log(1 - theta)``."""
+    tc, td = theta
+    s_c, s_d, n_c, n_d = lay.arrays()
+    return (
+        _log_count_prob(s_c, tc)
+        + _log_count_prob(n_c - s_c, 1.0 - tc)
+        + _log_count_prob(s_d, td)
+        + _log_count_prob(n_d - s_d, 1.0 - td)
+    )
+
+
+def pmf_matrix_ref(n, theta):
+    """Binomial pmf rows at ``theta`` with their own log terms, as
+    ``exact_tests._pmf_matrix`` formed them before the shared kernel."""
+    from rarexact.numerics import log_binom
+
+    s = np.arange(n + 1)
+    th = theta[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_s = np.where(s == 0, 0.0, s * np.log(th))
+        ln_f = np.where(s == n, 0.0, (n - s) * np.log1p(-th))
+    return np.exp(log_binom(n, s) + ln_s + ln_f)
+
+
+def binomial_tails_ref(x, size):
+    """``cmdp._binomial_tails`` with its own log terms, as it was before
+    the shared kernel."""
+    from rarexact.numerics import gammaln_table
+
+    m = np.arange(size)[:, None]
+    k = np.arange(size)[None, :]
+    g = gammaln_table(size + 1)
+    inside = k <= m
+    m_k = np.where(inside, m - k, 0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ln_s = np.where(k == 0, 0.0, k * np.log(x))
+        ln_f = np.where(m_k == 0, 0.0, m_k * np.log1p(-x))
+    pmf = np.where(inside, np.exp(g[m + 1] - g[k + 1] - g[m_k + 1] + ln_s + ln_f), 0.0)
+    upper = np.cumsum(pmf[:, ::-1], axis=1)[:, ::-1]
+    lower = np.zeros_like(pmf)
+    np.cumsum(pmf[:, :-1], axis=1, out=lower[:, 1:])
+    return upper, lower
 
 
 def _log_beta(a, b):
@@ -571,7 +619,7 @@ def forward_g_alloc_ref(policy):
         cur = _push_alloc_ref(Transition(t, b), cur, q, q1)
     lay = Layer(n, b)
     if policy.is_symmetric:
-        cur = 0.5 * (cur + cur[lay.swap_permutation()])
+        cur = 0.5 * (cur + cur[swap_permutation(lay)])
     with np.errstate(divide="ignore"):
         log_g = np.log(cur)
     log_g += n * LN2
@@ -617,7 +665,7 @@ def forward_g_log_ref(policy):
         cur = _log_push_ref(src, Layer(t + 1, b), cur, log_q, log_1q)
     lay = Layer(n, b)
     if policy.is_symmetric:
-        other = cur[lay.swap_permutation()]
+        other = cur[swap_permutation(lay)]
         hi = np.maximum(cur, other)
         lo = np.minimum(cur, other)
         out = np.full_like(cur, -np.inf)
@@ -855,6 +903,28 @@ def permuted_block_sequence(n, block, seed_or_rng):
         raise ValueError("block size must be even")
     rng = seed_or_rng if isinstance(seed_or_rng, np.random.Generator) else make_rng(seed_or_rng)
     return _arms_from_keys(rng.random(n), _block_plan(n, 0, block))
+
+
+def swap_permutation(lay):
+    """Permutation ``p`` with ``p[i]`` the index of the arm-swapped image of
+    state ``i``; the layer must be closed under swapping (any ``t >= 2b``,
+    and even ``t`` below the burn-in)."""
+    if lay.t < 2 * lay.b and lay.t % 2 == 1:
+        raise ValueError("burn-in layer at odd epoch is not swap-closed")
+    s_c, s_d, n_c, n_d = lay.arrays()
+    return np.asarray(lay.indices(s_d, s_c, n_d), dtype=np.int64)
+
+
+def terminal_state_ref(hist):
+    """Terminal ``TrialState`` of a ``TrialHistory``, counted one
+    participant at a time."""
+    from rarexact.states import TrialState
+
+    succ, size = [0, 0], [0, 0]
+    for arm, y in zip(hist.arms.tolist(), hist.outcomes.tolist()):
+        succ[arm] += y
+        size[arm] += 1
+    return TrialState(succ[0], succ[1], size[0], size[1])
 
 
 def simulate_trial(policy, theta, seed, stream=0):

@@ -19,13 +19,14 @@ from rarexact import (
     measure_log_weights,
     solve_cmdp,
 )
-from rarexact.cmdp import SECTION4_INTERVALS, _interval_masses
+from rarexact.cmdp import SECTION4_INTERVALS, _binomial_tails, _interval_masses
 from rarexact.policies import PolicyTable
 
 from oracles import (
     _uniform_table,
     backward_policy_ref,
     backward_value_ref,
+    binomial_tails_ref,
     enumerate_path_weights,
     evaluate_backward,
     interval_mass_ref,
@@ -74,6 +75,13 @@ def test_rectangle_interval_masses_match_mpmath():
             for s in range(n + 1):
                 want = interval_mass_ref(s, n, lo, hi)
                 assert abs(got[n, s] - want) <= 1e-12 * want, (lo, hi, s, n)
+
+
+@pytest.mark.parametrize("size", [1, 2, 52, 152])
+def test_binomial_tails_are_bit_identical_to_their_own_log_terms(size):
+    for x in (0.0, 0.05, 0.1, 0.25, 0.5, 0.75, 1.0):
+        for got, want in zip(_binomial_tails(x, size), binomial_tails_ref(x, size)):
+            assert np.array_equal(got, want)
 
 
 def test_measures_are_probability_measures():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -25,7 +26,9 @@ from oracles import (
     expectation_ref,
     forward_g_alloc_ref,
     forward_g_log_ref,
+    layer_log_likelihood_ref,
     log_likelihood_weight,
+    swap_permutation,
 )
 
 
@@ -99,7 +102,7 @@ def test_normalization_at_fair_coin():
 
 def test_symmetric_policy_yields_exactly_symmetric_table():
     table = forward_g(BayesianRar(15, 1))
-    perm = table.layer.swap_permutation()
+    perm = swap_permutation(table.layer)
     assert np.array_equal(table.log_g, table.log_g[perm])
 
 
@@ -149,6 +152,26 @@ def test_layer_log_likelihood_matches_scalar():
             assert vec[i] == pytest.approx(
                 log_likelihood_weight(lay.state(i), theta), abs=1e-12
             ) or (vec[i] == log_likelihood_weight(lay.state(i), theta))
+
+
+def test_layer_log_likelihood_matches_the_log_of_one_minus_theta_form():
+    # failures now enter through log1p(-theta) where the old form took
+    # log(1 - theta); on the n = 50 terminal layer they agree to 2e-15
+    # relative on the null grid, each arm at each point, and exactly at
+    # theta in {0, 1}
+    lay = layer(50, 6)
+    grid = np.arange(21) / 20
+    for theta in itertools.product(grid, grid):
+        got = layer_log_likelihood(lay, theta)
+        want = layer_log_likelihood_ref(lay, theta)
+        assert np.array_equal(got == 0, want == 0)
+        assert np.array_equal(np.isneginf(got), np.isneginf(want))
+        live = np.isfinite(want)
+        assert np.all(np.abs(got[live] - want[live]) <= 2e-15 * np.abs(want[live]))
+    for theta in [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]:
+        got = layer_log_likelihood(lay, theta)
+        assert np.array_equal(got, layer_log_likelihood_ref(lay, theta))
+        assert set(np.unique(got)) == {0.0, -np.inf}
 
 
 def test_oc_value_total_probability():
@@ -314,7 +337,7 @@ def test_sweep_builds_no_per_state_arrays_of_the_terminal_layer():
     _cached_layer.cache_clear()
     forward_g(BayesianRar(40, 3))
     terminal = layer(40, 3)
-    assert terminal._arrays is None and terminal._swap_perm is None
+    assert terminal._arrays is None
 
 
 @st.composite
@@ -334,7 +357,7 @@ def _symmetric_designs(draw):
 def test_sweep_is_normalized_and_exactly_swap_invariant(policy):
     table = forward_g(policy)
     assert table.normalization_error() <= 1e-12
-    perm = table.layer.swap_permutation()
+    perm = swap_permutation(table.layer)
     assert np.array_equal(table.log_g[perm], table.log_g)
 
 

@@ -41,6 +41,7 @@ from oracles import (
     fisher_two_sided_ref,
     grow_prefix_two_sorts_ref,
     null_sup_dense,
+    pmf_matrix_ref,
     stratum_tail_fsum,
     unconditional_rule_ref,
     wald_ref,
@@ -376,3 +377,11 @@ def test_certified_rules_keep_their_level_on_the_null_grid(policy, alpha):
         size = profile(table, rule, nulls).rejection_rates.max()
         assert size <= alpha + 2 * CERT_TOL, (build.__name__, size)
         assert size <= rule.certificate.certified_upper + 1e-15, (build.__name__, size)
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 50, 150, 300])
+def test_pmf_matrix_is_bit_identical_to_its_own_log_terms(n):
+    theta = np.array([0.0, 1.0, 1e-300, 1.0 - 1e-16, 0.3])
+    if n:
+        theta = np.concatenate([_grid_basis(n)[0], theta])
+    assert np.array_equal(_pmf_matrix(n, theta), pmf_matrix_ref(n, theta))

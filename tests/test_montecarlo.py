@@ -35,6 +35,7 @@ from oracles import (
     randomization_p_value_enum,
     simulate_trial,
     simulate_trial_ref,
+    terminal_state_ref,
 )
 
 
@@ -51,7 +52,7 @@ def _random_table(n, b, p, seed):
 def test_simulate_certain_outcomes():
     hist = simulate_trial(BayesianRar(12, 2), (1.0, 1.0), seed=1)
     assert np.all(hist.outcomes == 1)
-    st = hist.terminal_state()
+    st = terminal_state_ref(hist)
     assert st.successes == 12
     # alternating burn-in, control first
     assert hist.arms[:4].tolist() == [0, 1, 0, 1]
@@ -61,7 +62,7 @@ def test_simulate_equal_allocation_balance():
     pol = EqualAllocation(50, 6)
     for seed in range(5):
         hist = simulate_trial(pol, (0.4, 0.7), seed=seed)
-        st = hist.terminal_state()
+        st = terminal_state_ref(hist)
         assert st.n_c == st.n_d == 25
 
 
@@ -109,7 +110,7 @@ def test_reproducibility_and_substreams():
     # batch simulation's per-trial substreams match the scalar path
     s_c, s_d, n_c = simulate_terminals(pol, (0.4, 0.6), sims=8, seed=17)
     for i in range(8):
-        st = simulate_trial(pol, (0.4, 0.6), seed=17, stream=i).terminal_state()
+        st = terminal_state_ref(simulate_trial(pol, (0.4, 0.6), seed=17, stream=i))
         assert (st.s_c, st.s_d, st.n_c) == (s_c[i], s_d[i], n_c[i])
 
 

@@ -9,6 +9,7 @@ from scipy.special import gammaln, ndtri
 from scipy.stats import beta as beta_dist
 
 from rarexact.numerics import (
+    binomial_log_terms,
     gammaln_table,
     log_binom,
     logsumexp_fixed,
@@ -140,3 +141,21 @@ def test_log_binom_matches_math_comb():
     for n in (0, 1, 7, 30):
         for k in range(n + 1):
             assert log_binom(n, k) == pytest.approx(math.log(math.comb(n, k)), abs=1e-11)
+
+
+def test_binomial_log_terms_failure_log_within_an_ulp_of_mpmath():
+    # ln(1 - theta) through log(1 - theta) is 6 ulp off at theta = 0.05:
+    # the rounding of 1 - theta is magnified by 1 / theta
+    theta = 0.05
+    ln_t, ln_1t = binomial_log_terms(theta, 3)
+    with mpmath.workprec(200):
+        exact = mpmath.log(1 - mpmath.mpf(theta))
+        assert abs(mpmath.mpf(ln_1t[1]) - exact) <= np.spacing(abs(float(exact)))
+    assert ln_t[0] == ln_1t[0] == 0.0
+    assert np.array_equal(ln_1t, np.arange(4) * ln_1t[1])
+
+
+def test_binomial_log_terms_take_zero_log_zero_as_zero():
+    ln_t, ln_1t = binomial_log_terms(np.array([0.0, 1.0]), 2)
+    assert np.array_equal(ln_t, [[0.0, -np.inf, -np.inf], [0.0, 0.0, 0.0]])
+    assert np.array_equal(ln_1t, [[0.0, 0.0, 0.0], [0.0, -np.inf, -np.inf]])

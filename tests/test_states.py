@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 from rarexact import TrialState, layer
 from rarexact.states import Layer, Transition
 
-from oracles import enumerate_layer_states, pull_ref, push_ref
+from oracles import enumerate_layer_states, pull_ref, push_ref, swap_permutation
 
 
 def test_initial_layer_has_single_state():
@@ -82,7 +82,7 @@ def test_arrays_consistent_with_state():
 
 def test_swap_permutation_is_involution():
     lay = layer(10, 2)
-    perm = lay.swap_permutation()
+    perm = swap_permutation(lay)
     assert np.array_equal(perm[perm], np.arange(lay.size))
     i = lay.index(TrialState(2, 1, 4, 6))
     assert lay.state(perm[i]) == TrialState(1, 2, 6, 4)
