@@ -175,7 +175,10 @@ class CmdpSpec:
     The dual solver runs at most ``max_iters`` iterations.  ``tol`` is a
     fixed constant, not a setting: it is both the slack the solver
     accepts on the bounds when no iterate meets them exactly and the
-    duality gap at which it stops early (see :func:`solve_cmdp`)."""
+    duality gap at which it stops early (see :func:`solve_cmdp`).  So a
+    result marked feasible may exceed a bound by up to ``tol``, such as a
+    pointwise type-I error of 0.040135 against a bound of 0.04; the
+    audit's ``max_violation`` is the number to read."""
 
     n: int
     burn_in: int
@@ -360,7 +363,9 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     Returns the strictly feasible iterate with the largest objective; if
     there is none, the iterate within ``tol`` of the bounds with the
     largest objective; if there is none either, the least-violating
-    iterate, flagged infeasible.  The reward is row 0 of the integrands
+    iterate, flagged infeasible.  ``feasible`` is therefore true for an
+    iterate up to ``tol`` over a bound; ``audit.max_violation(spec)``
+    says by how much.  The reward is row 0 of the integrands
     (:class:`_AuditContext`) minus ``lam`` times the constraint rows; the
     constraint values are the same rows' expectations under the maximizer.
     """

@@ -19,6 +19,7 @@ not lost to the rounding of the stratum's other mass.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -262,46 +263,32 @@ def _grow_prefix(keys, order, w, s, n, level):
 
     Returns ``(last_value, next_value, certificate)``: the key of the
     prefix's last state and of the first state after it (``None`` where
-    there is none); galloping plus binary search keeps the number of
-    certifications logarithmic in the group count.
+    there is none).  Acceptance is monotone in the number of groups: each
+    further group adds non-negative masses to the Bernstein coefficients,
+    so the null rejection polynomial only grows.  One bisection over the
+    group count therefore finds the boundary with a logarithmic number of
+    certifications; the empty prefix, all of whose coefficients are zero,
+    is always accepted.
     """
     ks = keys[order]
     ws = w[order]
     ss = s[order]
-    starts = _group_starts(ks)
-    ends = np.append(starts[1:], ks.size)
-    n_groups = starts.size
+    stops = np.append(_group_starts(ks), ks.size)   # stops[k]: end of the first k groups
+    certs = {}
 
-    def accepted(k_groups: int) -> RegionCertificate:
-        stop = int(ends[k_groups - 1]) if k_groups else 0
-        coeffs = np.bincount(ss[:stop], weights=ws[:stop], minlength=n + 1)
-        return certify_region(coeffs, level)
+    def certificate(k: int) -> RegionCertificate:
+        if k not in certs:
+            stop = stops[k]
+            coeffs = np.bincount(ss[:stop], weights=ws[:stop], minlength=n + 1)
+            certs[k] = certify_region(coeffs, level)
+        return certs[k]
 
-    # gallop out to the first failing group count
-    lo, hi = 0, 1
-    cert_lo = accepted(0)
-    while hi <= n_groups:
-        cert = accepted(hi)
-        if cert.accepted:
-            lo, cert_lo = hi, cert
-            hi *= 2
-        else:
-            break
-    else:
-        hi = n_groups + 1
-    hi = min(hi, n_groups + 1)
-    # invariant: lo accepted, hi rejected (or past the end)
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        cert = accepted(mid)
-        if cert.accepted:
-            lo, cert_lo = mid, cert
-        else:
-            hi = mid
-    end = int(ends[lo - 1]) if lo else 0
-    last = float(ks[end - 1]) if lo else None
+    k = bisect.bisect_left(range(stops.size), True,
+                           key=lambda k: not certificate(k).accepted) - 1
+    end = stops[k]
+    last = float(ks[end - 1]) if k else None
     nxt = float(ks[end]) if end < ks.size else None
-    return last, nxt, cert_lo
+    return last, nxt, certificate(k)
 
 
 # ---------------------------------------------------------------------------
@@ -330,12 +317,11 @@ class ConditionalRule:
 
     kind = "conditional"
 
-    def reject(self, t: np.ndarray, s: np.ndarray) -> np.ndarray:
-        return _two_tail_reject(t, self.upper[s], self.upper_closed[s],
-                                self.lower[s], self.lower_closed[s])
-
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        return self.reject(table.wald_statistics(), table.successes())
+        _require_horizon(self.n, table)
+        s = table.successes()
+        return _two_tail_reject(table.wald_statistics(), self.upper[s], self.upper_closed[s],
+                                self.lower[s], self.lower_closed[s])
 
 
 @dataclass
@@ -355,41 +341,36 @@ class UnconditionalRule:
 
     kind = "unconditional"
 
-    def reject(self, t: np.ndarray, s=None) -> np.ndarray:
-        return _two_tail_reject(t, self.upper, self.upper_closed,
-                                self.lower, self.lower_closed)
-
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        return self.reject(table.wald_statistics())
+        _require_horizon(self.n, table)
+        return _two_tail_reject(table.wald_statistics(), self.upper, self.upper_closed,
+                                self.lower, self.lower_closed)
 
 
 @dataclass
 class BoschlooRule:
     """One-sided unconditional rule on the conditional p-value statistic:
-    reject when the p-value falls strictly below ``threshold``."""
+    reject when the p-value, recomputed from the table, falls strictly
+    below ``threshold``."""
 
     alpha: float
     n: int
     threshold: float            # smallest excluded statistic value
     largest_included: float | None
-    stat: np.ndarray | None = field(repr=False, default=None)  # canonical order
     certificate: RegionCertificate | None = None
 
     kind = "boschloo"
 
-    def reject(self, stat: np.ndarray | None = None, s=None) -> np.ndarray:
-        stat = self.stat if stat is None else stat
-        if stat is None:
-            raise ValueError("rule has no statistic table; use reject_table")
-        return stat < self.threshold
-
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        stat = self.stat
-        if stat is None:
-            stat = boschloo_statistic(table)
-        elif table.log_g.size != stat.size:
-            raise ValueError("table does not match the rule's layer")
-        return self.reject(stat)
+        _require_horizon(self.n, table)
+        return boschloo_statistic(table) < self.threshold
+
+
+def _require_horizon(n: int, table: PathWeightTable):
+    """A rule's critical values and certificate hold only for designs of
+    its own horizon."""
+    if table.n != n:
+        raise ValueError(f"the rule was built for horizon n = {n}, the design has n = {table.n}")
 
 
 def _require_burn_in(table: PathWeightTable):
@@ -422,9 +403,8 @@ def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
     lower_closed = np.bincount(s[rej_lo], minlength=n + 1) > 0
 
     rule = ConditionalRule(alpha, n, upper, upper_closed, lower, lower_closed)
-    rule.certificate = certify_region(
-        _region_coefficients(w, s, rule.reject(t_stat, s), n), alpha
-    )
+    reject = rule.reject_table(table)
+    rule.certificate = certify_region(_region_coefficients(w, s, reject, n), alpha)
     return rule
 
 
@@ -453,9 +433,8 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
         float(lower), lo_last is not None,
         up_cert, lo_cert,
     )
-    rule.certificate = certify_region(
-        _region_coefficients(w, s, rule.reject(t_stat), n), alpha
-    )
+    reject = rule.reject_table(table)
+    rule.certificate = certify_region(_region_coefficients(w, s, reject, n), alpha)
     return rule
 
 
@@ -485,5 +464,4 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     stat = _boschloo_statistic(table, w, s)
     last, nxt, cert = _grow_prefix(stat, np.argsort(stat, kind="stable"), w, s, table.n, alpha)
     threshold = nxt if nxt is not None else np.inf
-    rule = BoschlooRule(alpha, table.n, float(threshold), last, stat, cert)
-    return rule
+    return BoschlooRule(alpha, table.n, float(threshold), last, cert)

@@ -241,7 +241,7 @@ def rule_from_dict(d: dict):
     if kind == "boschloo":
         return BoschlooRule(
             d["alpha"], d["n"], d["threshold"], d.get("largest_included"),
-            stat=None, certificate=_cert_from(d.get("certificate")),
+            _cert_from(d.get("certificate")),
         )
     return AsymptoticRule(d["alpha"])
 

@@ -41,11 +41,8 @@ class AsymptoticRule:
     def z(self) -> float:
         return normal_quantile(1.0 - self.alpha / 2.0)
 
-    def reject(self, t: np.ndarray, s=None) -> np.ndarray:
-        return asymptotic_reject_array(t, self.alpha)
-
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        return self.reject(table.wald_statistics())
+        return asymptotic_reject_array(table.wald_statistics(), self.alpha)
 
 
 def _evaluate(table: PathWeightTable, reject: np.ndarray,
@@ -88,7 +85,6 @@ class OcProfile:
     thetas: list = field(repr=False)
     rejection_rates: np.ndarray = field(repr=False)
     patient_benefits: np.ndarray = field(repr=False)
-    meta: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.thetas)
@@ -102,9 +98,7 @@ def profile(table: PathWeightTable, rule, thetas) -> OcProfile:
     if not thetas:
         raise ValueError("empty evaluation grid")
     rates, bene = _evaluate(table, rule.reject_table(table), theta_array(thetas))
-    info = {"test": getattr(rule, "kind", "unknown"), "alpha": getattr(rule, "alpha", None)}
-    info.update(table.meta if isinstance(table.meta, dict) else {})
-    return OcProfile(thetas, rates, bene, info)
+    return OcProfile(thetas, rates, bene)
 
 
 def null_diagonal(points: int = 99) -> list[tuple[float, float]]:

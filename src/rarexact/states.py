@@ -158,16 +158,18 @@ class Layer:
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Per-state ``(s_c, s_d, n_c, n_d)`` arrays in canonical order."""
         if self._arrays is None:
-            s_c = np.empty(self.size, dtype=np.int32)
-            s_d = np.empty(self.size, dtype=np.int32)
-            n_c = np.empty(self.size, dtype=np.int32)
-            for nc, nd, sl in self.blocks():
-                m = (nc + 1) * (nd + 1)
-                s_c[sl] = np.repeat(np.arange(nc + 1, dtype=np.int32), nd + 1)
-                s_d[sl] = np.tile(np.arange(nd + 1, dtype=np.int32), nc + 1)
-                n_c[sl] = nc
-            n_d = np.full(self.size, self.t, dtype=np.int32) - n_c
-            self._arrays = (s_c, s_d, n_c, n_d)
+            # whole-layer repeats, not a loop over blocks: block n_c is
+            # n_c + 1 rows s_c = 0..n_c of n_d + 1 states s_d = 0..n_d
+            nc = np.arange(self.n_c_min, self.n_c_max + 1, dtype=np.int32)
+            rows, width = nc + 1, self.t - nc + 1
+            row_len = np.repeat(width, rows)
+            s_c = np.arange(row_len.size, dtype=np.int32)
+            s_c -= np.repeat(np.cumsum(rows, dtype=np.int32) - rows, rows)
+            s_c = np.repeat(s_c, row_len)
+            s_d = np.arange(self.size, dtype=np.int32)
+            s_d -= np.repeat(np.cumsum(row_len, dtype=np.int32) - row_len, row_len)
+            n_c = np.repeat(nc, rows * width)
+            self._arrays = (s_c, s_d, n_c, self.t - n_c)
         return self._arrays
 
 
@@ -237,8 +239,8 @@ class Transition:
     every layer where the gathers do not clearly win, and spares the
     memory of larger plans.
 
-    The two layers are built for this step only, not taken from the
-    :func:`layer` cache, so a sweep holds just the layers it is on.
+    The two layers are built for this step only, so a sweep holds just
+    the layers it is on.
     """
 
     def __init__(self, t: int, b: int):
@@ -383,20 +385,17 @@ class Transition:
         return wc, wd
 
 
-@lru_cache(maxsize=64)
-def _cached_layer(t: int, b: int) -> Layer:
-    return Layer(t, b)
-
-
 def layer(t: int, b: int, n: int | None = None) -> Layer:
     """The layer of admissible states at epoch ``t`` under burn-in ``b``.
 
     ``n`` is the trial horizon and, when given, is only used to validate
-    the request (``t <= n`` and ``2b <= n``).
+    the request (``t <= n`` and ``2b <= n``).  Each call builds a new
+    layer, which costs no array work (the block spans are cached); its
+    per-state arrays live as long as the caller keeps it.
     """
     if n is not None:
         if t > n:
             raise ValueError(f"epoch {t} exceeds horizon {n}")
         if 2 * b > n:
             raise ValueError(f"burn-in {b} infeasible for horizon {n}")
-    return _cached_layer(t, b)
+    return Layer(t, b)

@@ -686,6 +686,25 @@ def grow_prefix_two_sorts_ref(t_stat, w, s, n, level):
                  for key in (-t_stat, t_stat))
 
 
+def grow_prefix_linear_ref(keys, w, s, n, level):
+    """``_grow_prefix`` along the stable ascending sort of ``keys`` by a
+    linear scan: every tie-group count, from none to all, is certified,
+    and the largest accepted count is kept, whether or not a smaller one
+    failed."""
+    from rarexact.exact_tests import certify_region
+
+    order = np.argsort(keys, kind="stable")
+    ks, ws, ss = keys[order], w[order], s[order]
+    stops = [0] + [i for i in range(1, ks.size) if ks[i] != ks[i - 1]] + [ks.size]
+    certs = [certify_region(np.bincount(ss[:stop], weights=ws[:stop], minlength=n + 1), level)
+             for stop in stops]
+    k = max(i for i, cert in enumerate(certs) if cert.accepted)
+    end = stops[k]
+    last = float(ks[end - 1]) if k else None
+    nxt = float(ks[end]) if end < ks.size else None
+    return last, nxt, certs[k]
+
+
 def binomial_kernel_ref(theta, m):
     """Rows ``theta**s * (1 - theta)**(m - s)`` for ``s = 0..m``, each divided
     by its largest entry, and the log row maxima, built for one size from

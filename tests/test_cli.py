@@ -284,6 +284,21 @@ def test_cli_exit_codes(tmp_path):
         assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 2
 
 
+@pytest.mark.parametrize("kind", ["conditional", "unconditional", "boschloo"])
+def test_cli_exit_codes_for_a_rule_of_another_horizon(tmp_path, kind):
+    # 2: a rule certified for n = 20 is refused for a design of n = 30
+    rule_path, design_path = tmp_path / "rule20.json", tmp_path / "design30.rxgw"
+    cfg = _cfg(tmp_path, "crit20.json", n=20, burn_in=2, policy="DbcdNeyman", test=kind)
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    cfg = _cfg(tmp_path, "design30.json", n=30, burn_in=2, policy="DbcdNeyman")
+    assert main(["design", "--config", cfg, "--out", str(design_path)]) == 0
+    cfg = _cfg(tmp_path, "oc30.json", n=30, burn_in=2, rule_path=str(rule_path),
+               design_path=str(design_path), baseline_design_path=str(design_path),
+               theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    for command in ("oc", "power-diff"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+
+
 @pytest.mark.parametrize("command, key, bad", [
     pytest.param(["paths"], "theta_grid", {"theta_grid": "null-diagonal"}, id="theta_grid"),
     pytest.param(["design"], "policy", {"policy": ["brar"]}, id="policy"),

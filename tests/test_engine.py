@@ -18,7 +18,7 @@ from rarexact import (
 )
 from rarexact.engine import LN2, TerminalFunctional, _sweep, layer_log_likelihood
 from rarexact.policies import Policy, PolicyTable
-from rarexact.states import Transition, _cached_layer
+from rarexact.states import Layer, Transition
 
 from oracles import (
     block_values_ref,
@@ -331,13 +331,14 @@ def test_sweep_peak_memory_stays_within_six_terminal_layers():
     assert peak <= 6 * terminal.size * np.dtype(np.float64).itemsize
 
 
-def test_sweep_builds_no_per_state_arrays_of_the_terminal_layer():
-    # the swap average works block by block, so the cached terminal layer
-    # keeps neither its (s_c, s_d, n_c, n_d) arrays nor a swap permutation
-    _cached_layer.cache_clear()
+def test_sweep_builds_no_per_state_arrays_of_the_terminal_layer(monkeypatch):
+    # the swap average works block by block, so the sweep builds no
+    # layer's (s_c, s_d, n_c, n_d) arrays, the terminal layer's included
+    built = []
+    arrays = Layer.arrays
+    monkeypatch.setattr(Layer, "arrays", lambda lay: built.append(lay.t) or arrays(lay))
     forward_g(BayesianRar(40, 3))
-    terminal = layer(40, 3)
-    assert terminal._arrays is None
+    assert built == []
 
 
 @st.composite

@@ -19,6 +19,7 @@ from rarexact import (
     profile,
     unconditional_rule,
 )
+from rarexact import exact_tests
 from rarexact.exact_tests import (
     CERT_TOL,
     _golden_max,
@@ -39,6 +40,7 @@ from oracles import (
     conditional_rule_ref,
     enumerate_path_weights,
     fisher_two_sided_ref,
+    grow_prefix_linear_ref,
     grow_prefix_two_sorts_ref,
     null_sup_dense,
     pmf_matrix_ref,
@@ -377,6 +379,34 @@ def test_certified_rules_keep_their_level_on_the_null_grid(policy, alpha):
         size = profile(table, rule, nulls).rejection_rates.max()
         assert size <= alpha + 2 * CERT_TOL, (build.__name__, size)
         assert size <= rule.certificate.certified_upper + 1e-15, (build.__name__, size)
+
+
+@settings(max_examples=100, deadline=None)
+@given(policy=_small_adaptive_designs(), level=st.floats(1e-4, 0.5),
+       key=st.sampled_from(["t", "-t", "boschloo"]))
+def test_grow_prefix_bisection_matches_the_linear_scan(policy, level, key):
+    # the largest accepted count over all counts is the one bisection
+    # finds only if acceptance is monotone in the prefix
+    table = forward_g(policy)
+    w, s = conditional_masses(table)
+    t = table.wald_statistics()
+    keys = {"t": t, "-t": -t, "boschloo": boschloo_statistic(table)}[key]
+    got = _grow_prefix(keys, np.argsort(keys, kind="stable"), w, s, table.n, level)
+    assert got == grow_prefix_linear_ref(keys, w, s, table.n, level)
+
+
+def test_grow_prefix_certifies_logarithmically_many_prefixes(monkeypatch):
+    table = forward_g(BayesianRar(40, 2))
+    w, s = conditional_masses(table)
+    t = table.wald_statistics()
+    groups = np.unique(t).size
+    calls = []
+    certify = exact_tests.certify_region
+    monkeypatch.setattr(exact_tests, "certify_region",
+                        lambda c, level: calls.append(level) or certify(c, level))
+    _grow_prefix(t, np.argsort(t, kind="stable"), w, s, table.n, ALPHA / 2)
+    # bisection over groups + 1 counts, plus at most one final certification
+    assert 0 < len(calls) <= (groups + 1).bit_length() + 1
 
 
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 12, 50, 150, 300])

@@ -21,14 +21,12 @@ from rarexact import (
     rejection_rate,
     unconditional_rule,
 )
+from rarexact.wald import asymptotic_reject_array
 
 from oracles import enumerate_path_weights, expectation_ref, log_domain_expectation_ref, wald_ref
 
 
 class _NothingRule:
-    kind = "nothing"
-    alpha = None
-
     def reject_table(self, table):
         return np.zeros(table.layer.size, dtype=bool)
 
@@ -105,7 +103,10 @@ def test_asymptotic_rule_threshold():
     rule = AsymptoticRule(0.05)
     assert rule.z == pytest.approx(1.959964, abs=1e-6)
     t = np.array([1.9599, 1.9600, -2.5])
-    assert rule.reject(t).tolist() == [False, True, True]
+    assert asymptotic_reject_array(t, rule.alpha).tolist() == [False, True, True]
+    table = forward_g(DbcdNeyman(12, 2))
+    assert np.array_equal(rule.reject_table(table),
+                          asymptotic_reject_array(table.wald_statistics(), rule.alpha))
 
 
 BAD_THETAS = [(float("nan"), 0.5), (0.5, float("nan")), (-0.1, 0.5), (0.5, 1.5),

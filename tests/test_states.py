@@ -73,11 +73,15 @@ def test_index_rejects_inadmissible():
 
 
 def test_arrays_consistent_with_state():
-    lay = layer(9, 2)
-    s_c, s_d, n_c, n_d = lay.arrays()
-    for i in range(lay.size):
-        st = lay.state(i)
-        assert (st.s_c, st.s_d, st.n_c, st.n_d) == (s_c[i], s_d[i], n_c[i], n_d[i])
+    # burn-in layers (t < 2b) hold one block
+    for t, b in [(9, 2), (0, 0), (1, 0), (3, 2), (30, 6)]:
+        lay = layer(t, b)
+        arrays = lay.arrays()
+        assert [a.dtype for a in arrays] == [np.int32] * 4
+        s_c, s_d, n_c, n_d = arrays
+        for i in range(lay.size):
+            st = lay.state(i)
+            assert (st.s_c, st.s_d, st.n_c, st.n_d) == (s_c[i], s_d[i], n_c[i], n_d[i])
 
 
 def test_swap_permutation_is_involution():
@@ -88,9 +92,10 @@ def test_swap_permutation_is_involution():
     assert lay.state(perm[i]) == TrialState(1, 2, 6, 4)
 
 
-def test_layers_are_cached_and_immutable():
-    assert layer(7, 1) is layer(7, 1)
-    assert Layer(7, 1) == layer(7, 1)
+def test_layers_are_equal_by_epoch_and_burn_in():
+    assert layer(7, 1) == Layer(7, 1)
+    assert hash(layer(7, 1)) == hash(Layer(7, 1))
+    assert layer(7, 1) != layer(7, 2)
 
 
 def test_indices_agree_with_index():
