@@ -5,7 +5,10 @@ pointwise, and (optionally) patient-benefit constraints.
 The Lagrangian is maximized by a backward recursion over the state
 layers, one :meth:`~rarexact.states.Transition.pull` per layer (outcome
 likelihoods live entirely in the terminal reward, so both outcome branches
-carry weight one), and the multipliers follow a projected subgradient with
+carry weight one).  Its maximizer is a
+:class:`~rarexact.policies.PolicyTable` holding, for each adaptive epoch
+``2b .. n - 1``, the control probability ``1 - p``, ``1/2`` or ``p`` of
+every state.  The multipliers follow a projected subgradient with
 per-coordinate AdaGrad steps until a duality-gap certificate or the
 iteration limit stops the loop (:func:`solve_cmdp`).  The objective and
 every constraint value are expectations of one row of a terminal integrand
@@ -266,7 +269,9 @@ class CmdpResult:
 
 def lagrangian_backward(reward: np.ndarray, spec: CmdpSpec) -> tuple[PolicyTable, float]:
     """Maximize the expected terminal reward over the restricted action set
-    by backward recursion; ties prefer 1/2, then the low action."""
+    by backward recursion; ties prefer 1/2, then the low action.  Returns
+    the maximizing table, whose control probabilities at epochs ``2b .. n
+    - 1`` are each ``1 - p``, ``1/2`` or ``p``, and its value."""
     b = spec.burn_in
     return _backward(reward, spec, (Transition(t, b) for t in range(spec.n - 1, 2 * b - 1, -1)))
 
@@ -283,10 +288,10 @@ def _backward(reward: np.ndarray, spec: CmdpSpec, steps) -> tuple[PolicyTable, f
     if not np.all(np.isfinite(reward)):
         raise ValueError("terminal reward must be finite on the layer")
 
-    codes: list[np.ndarray | None] = [None] * n
+    probs: list[np.ndarray | None] = [None] * (n - 2 * b)
+    high_low = np.array([hi, lo])   # taken at False and True
     v = np.asarray(reward, dtype=np.float64)
     for step in steps:
-        t = step.src.t
         wc, wd = step.pull(v)
         v_lo = lo * wc + (1.0 - lo) * wd
         v_hi = hi * wc + (1.0 - hi) * wd
@@ -294,14 +299,12 @@ def _backward(reward: np.ndarray, spec: CmdpSpec, steps) -> tuple[PolicyTable, f
         v_mid *= 0.5
         v = np.maximum(v_lo, v_hi)
         np.maximum(v, v_mid, out=v)
-        # 2 where the low action is short of the best, then 1/2 wins ties
-        codes[t] = (v_lo != v).view(np.int8) * np.int8(2)
-        codes[t][v_mid == v] = 1
-    for t in range(min(2 * b, n)):
-        codes[t] = np.full(make_layer(t, b, n).size, PolicyTable.BURN_IN_CODE, dtype=np.int8)
+        # p where the low action is short of the best, then 1/2 wins ties
+        q = probs[step.src.t - 2 * b] = high_low.take(v_lo == v)
+        q[v_mid == v] = 0.5
 
     value = float(np.sum(np.exp(_burn_in_table(b)) * v))
-    return PolicyTable(n, b, spec.p, tuple(codes)), value
+    return PolicyTable(n, b, spec.p, tuple(probs)), value
 
 
 # ---------------------------------------------------------------------------

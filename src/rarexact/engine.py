@@ -143,7 +143,7 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
     start = _burn_in_table(b)
     cur = np.subtract(start, 2 * b * LN2, out=held[:start.size])
     np.exp(cur, out=cur)
-    # a table's probabilities are its p and codes, checked when it was made
+    # a table's probabilities were checked once, when it was made
     check = not isinstance(policy, PolicyTable)
     for step in steps:
         m = step.src.size

@@ -7,6 +7,10 @@ so all floats are written with full round-trip precision.  A rule file
 carries its ``format``; one without it, or with another, is refused
 rather than read under rules it was not built for, such as a Boschloo
 threshold whose tie groups moved.
+
+A policy table (``RXPT2``) has the header keys ``n``, ``burn_in``, ``p``
+and ``sizes``, the layer sizes of epochs ``2b .. n - 1``, and then their
+control probabilities as float64.  ``RXPT1`` (action codes) is refused.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .policies import PolicyTable
 from .states import layer as make_layer
 
 WEIGHT_MAGIC = b"RXGW1\n"
-POLICY_MAGIC = b"RXPT1\n"
+POLICY_MAGIC = b"RXPT2\n"
 RULE_FORMAT = 1
 
 
@@ -73,7 +77,10 @@ _SIZES = (
 
 def _read_container(path, magic: bytes) -> tuple[dict, bytes]:
     with open(path, "rb") as fh:
-        if fh.read(len(magic)) != magic:
+        head = fh.read(len(magic))
+        if head == b"RXPT1\n":
+            raise ValueError(f"{path}: a retired RXPT1 policy table; re-run `cmdp solve`")
+        if head != magic:
             raise ValueError(f"{path}: not a {magic!r} container")
         prefix = fh.read(8)
         if len(prefix) != 8:
@@ -116,12 +123,11 @@ def write_policy_table(path, table: PolicyTable, extra: dict | None = None):
         "n": table.n,
         "burn_in": table.burn_in,
         "p": table.p,
-        "codes": {"-1": "burn-in", "0": "1-p", "1": "1/2", "2": "p"},
-        "sizes": [int(c.size) for c in table.codes],
+        "sizes": [int(q.size) for q in table.probs],
     }
     if extra:
         header["extra"] = extra
-    payload = b"".join(np.ascontiguousarray(c, dtype=np.int8).tobytes() for c in table.codes)
+    payload = b"".join(np.ascontiguousarray(q, dtype="<f8").tobytes() for q in table.probs)
     _write_container(path, POLICY_MAGIC, header, payload)
 
 
@@ -130,17 +136,15 @@ def read_policy_table(path) -> PolicyTable:
     _require(header, ("n", "burn_in", "p", "sizes"), f"{path} header")
     _require_types(header, {"n": _INT, "burn_in": _INT, "p": _NUMBER, "sizes": _SIZES},
                    f"{path} header")
-    raw = np.frombuffer(payload, dtype=np.int8)
     total = sum(header["sizes"])
-    if raw.size != total:
-        raise ValueError(
-            f"{path}: payload holds {raw.size} codes, the header's sizes sum to {total}")
-    codes = []
-    pos = 0
-    for size in header["sizes"]:
-        codes.append(raw[pos:pos + size].copy())
-        pos += size
-    return PolicyTable(header["n"], header["burn_in"], header["p"], tuple(codes))
+    if len(payload) != 8 * total:
+        raise ValueError(f"{path}: payload holds {len(payload)} bytes, not 8 for each of "
+                         f"the {total} states of 'sizes'")
+    # views of one buffer: per-epoch copies would double the transient memory
+    raw = np.frombuffer(payload, dtype="<f8").astype(np.float64, copy=False)
+    bounds = np.cumsum([0] + header["sizes"]).tolist()
+    probs = tuple(raw[lo:hi] for lo, hi in zip(bounds, bounds[1:]))
+    return PolicyTable(header["n"], header["burn_in"], header["p"], probs)
 
 
 def _cert_dict(cert: RegionCertificate | None):
@@ -222,6 +226,11 @@ def rule_from_dict(d: dict):
         raise ValueError(f"unknown rule kind {kind!r}")
     _require(d, RULE_KEYS[kind], f"{kind} rule")
     if kind == "conditional":
+        _require_types(d, {"n": _INT}, "conditional rule")
+        for key in RULE_KEYS[kind][1:]:
+            if not (isinstance(d[key], list) and len(d[key]) == d["n"] + 1):
+                raise ValueError(f"conditional rule key {key!r} must hold n + 1 = {d['n'] + 1} "
+                                 "entries, one per success count")
         return ConditionalRule(
             d["alpha"], d["n"],
             np.asarray(d["upper"], dtype=np.float64),

@@ -3,8 +3,10 @@ to the control arm and to the developmental arm, computed for every state
 of an epoch layer at once.  A policy writes them into two arrays its
 caller owns (:meth:`Policy.fill_arm_probs`), so the forward sweep reuses
 the same buffers on every layer; :meth:`Policy.layer_arm_probs` allocates
-the pair and fills it.  Built-in designs and CMDP policy tables serve the
-same linear pair ``(q, 1 - q)``.
+the pair and fills it.  Every policy serves the same linear pair ``(q, 1 -
+q)``: a built-in design computes it from each state's counts, and a CMDP
+policy table (:class:`PolicyTable`) copies the control probabilities it
+stores for each adaptive epoch.
 
 Every policy is defined for epochs ``t >= 2b``; the first ``2b``
 participants form a balanced burn-in, ``b`` per arm, which the engine and
@@ -75,8 +77,6 @@ class Policy:
     def control_prob(self, state: TrialState) -> float:
         """Allocation probability of one state past the burn-in and before
         the horizon."""
-        if state.epoch < 2 * self.burn_in:
-            raise ValueError("states inside the burn-in are allocated canonically")
         if state.epoch >= self.n:
             raise ValueError(f"epoch {state.epoch} allocates no one: the horizon is {self.n}")
         lay = make_layer(state.epoch, self.burn_in, self.n)
@@ -286,49 +286,39 @@ class BayesianRar(Policy):
 
 @dataclass(frozen=True)
 class PolicyTable(Policy):
-    """An optimized design as dense per-layer action codes.
+    """An optimized design as dense per-layer control probabilities.
 
-    Codes: ``0 -> 1 - p``, ``1 -> 1/2``, ``2 -> p`` (the control
-    probability); layers before the end of the burn-in carry the sentinel
-    ``-1``.  The developmental probability of code ``k`` is the control
-    probability of code ``2 - k``: the probability triple read backwards.
+    ``probs[t - 2b]`` holds the control probability ``q`` of every state of
+    epoch ``t`` in canonical order, for epochs ``2b .. n - 1``; the
+    developmental one is ``1 - q``.  Each lies in ``[1 - p, p]``, the
+    CMDP's action constraint.  The solver writes only ``1 - p``, ``1/2``
+    and ``p``, for which ``1 - q`` is exact (Sterbenz, ``p >= 1/2``).  The
+    arrays are checked once, when the table is made, and stay read-only.
     """
 
     p: float
-    codes: tuple = field(repr=False)  # one int8 array per epoch 0 .. n-1
-
-    BURN_IN_CODE = -1
+    probs: tuple = field(repr=False)  # one float64 array per epoch 2b .. n-1
 
     def __post_init__(self):
         if not 0.5 <= self.p <= 1.0:
             raise ValueError("maximum randomized allocation rate must lie in [0.5, 1]")
-        if len(self.codes) != self.n:
-            raise ValueError("need one code array per epoch 0 .. n-1")
-        for t, codes in enumerate(self.codes):
-            size = make_layer(t, self.burn_in, self.n).size
-            if codes.size != size:
-                raise ValueError(f"epoch {t} holds {codes.size} codes for {size} states")
-            if t < 2 * self.burn_in:
-                lo, hi, allowed = self.BURN_IN_CODE, self.BURN_IN_CODE, "the burn-in code -1"
-            else:
-                lo, hi, allowed = 0, 2, "codes 0, 1 and 2"
-            if not lo <= codes.min() <= codes.max() <= hi:
-                raise ValueError(f"epoch {t} may hold only {allowed}")
-            codes.setflags(write=False)     # validated: they stay so
-        probs = np.array([1.0 - self.p, 0.5, self.p])
-        probs.flags.writeable = False
-        object.__setattr__(self, "_probs", probs)
+        b, lo = self.burn_in, 1.0 - self.p
+        if len(self.probs) != self.n - 2 * b:
+            raise ValueError(f"need one probability array per epoch {2 * b} .. {self.n - 1}")
+        for t, q in enumerate(self.probs, 2 * b):
+            size = make_layer(t, b, self.n).size
+            if not (isinstance(q, np.ndarray) and q.dtype == np.float64 and q.shape == (size,)):
+                raise ValueError(f"epoch {t} needs {size} float64 probabilities")
+            # NaN fails both comparisons
+            if not (lo <= q.min() and q.max() <= self.p):
+                raise ValueError(f"epoch {t} holds a probability outside [1 - p, p]")
+            q.setflags(write=False)     # validated: they stay so
 
     def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
-        if lay.b != self.burn_in:
-            raise ValueError("layer burn-in does not match the table")
-        if lay.t < 2 * self.burn_in:
-            raise ValueError(f"epoch {lay.t} is inside the burn-in")
-        codes = self.codes[lay.t]
-        # the codes are frozen in range 0..2; mode "raise" would gather
-        # into a temporary and copy it to out
-        np.take(self._probs, codes, out=q, mode="clip")
-        np.take(self._probs[::-1], codes, out=q1, mode="clip")
+        if lay.b != self.burn_in or lay.t >= self.n:
+            raise ValueError(f"{lay!r} is not a layer of the table's epochs 2b .. n - 1")
+        np.copyto(q, self.probs[lay.t - 2 * self.burn_in])
+        np.subtract(1.0, q, out=q1)
 
     def descriptor(self) -> dict:
         return dict(super().descriptor(), p=self.p)
@@ -338,5 +328,5 @@ class PolicyTable(Policy):
             return NotImplemented
         return (
             (self.n, self.burn_in, self.p) == (other.n, other.burn_in, other.p)
-            and all(np.array_equal(a, b) for a, b in zip(self.codes, other.codes))
+            and all(np.array_equal(a, b) for a, b in zip(self.probs, other.probs))
         )

@@ -78,14 +78,11 @@ def _block_layout(n_c_min: int, n_c_max: int, t: int) -> tuple[tuple, np.ndarray
 
 
 class Layer:
-    """Dense index over the states reachable at epoch ``t`` given a burn-in
-    of ``b`` participants per arm.
-
-    For ``t >= 2b`` the admissible control group sizes are ``b .. t - b``.
-    For ``t < 2b`` the layer holds only the states reachable under the
-    canonical alternating burn-in (control first), i.e. a single control
-    group size ``ceil(t / 2)``.  Only layers with ``t >= 2b`` are part of
-    the public contract.
+    """Dense index over the states reachable at epoch ``t >= 2b`` given a
+    burn-in of ``b`` participants per arm: the admissible control group
+    sizes are ``b .. t - b``.  No layer exists inside the burn-in: the
+    sweeps start at epoch ``2b`` from its counts, and simulated trials
+    allocate the burn-in by their own pattern.
 
     :attr:`spans` holds ``(n_c, n_d, start, stop)`` of each block in
     canonical order, and :attr:`offsets` (read-only) the block starts
@@ -97,13 +94,12 @@ class Layer:
     def __init__(self, t: int, b: int):
         if t < 0 or b < 0:
             raise ValueError("epoch and burn-in must be nonnegative")
+        if t < 2 * b:
+            raise ValueError(f"epoch {t} lies inside the burn-in of {b} per arm: it has no layer")
         self.t = t
         self.b = b
-        if t >= 2 * b:
-            self.n_c_min = b
-            self.n_c_max = t - b
-        else:
-            self.n_c_min = self.n_c_max = (t + 1) // 2
+        self.n_c_min = b
+        self.n_c_max = t - b
         self.spans, self.offsets = _block_layout(self.n_c_min, self.n_c_max, t)
         self.size = self.spans[-1][3]
         self._arrays = None
@@ -244,8 +240,6 @@ class Transition:
     """
 
     def __init__(self, t: int, b: int):
-        if t < 2 * b:
-            raise ValueError(f"transition from epoch {t} lies inside the burn-in of {b} per arm")
         self.src = Layer(t, b)
         self.dst = Layer(t + 1, b)
         self._called = set()
@@ -386,16 +380,14 @@ class Transition:
 
 
 def layer(t: int, b: int, n: int | None = None) -> Layer:
-    """The layer of admissible states at epoch ``t`` under burn-in ``b``.
+    """The layer of admissible states at epoch ``t >= 2b`` under burn-in
+    ``b`` (:class:`Layer`).
 
     ``n`` is the trial horizon and, when given, is only used to validate
-    the request (``t <= n`` and ``2b <= n``).  Each call builds a new
-    layer, which costs no array work (the block spans are cached); its
-    per-state arrays live as long as the caller keeps it.
+    the request (``t <= n``, so with ``2b <= t`` also ``2b <= n``).  Each
+    call builds a new layer, which costs no array work (the block spans
+    are cached); its per-state arrays live as long as the caller keeps it.
     """
-    if n is not None:
-        if t > n:
-            raise ValueError(f"epoch {t} exceeds horizon {n}")
-        if 2 * b > n:
-            raise ValueError(f"burn-in {b} infeasible for horizon {n}")
+    if n is not None and t > n:
+        raise ValueError(f"epoch {t} exceeds horizon {n}")
     return Layer(t, b)

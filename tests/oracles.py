@@ -5,12 +5,14 @@ tuples and enumerates histories or candidate rules directly, touching
 none of the package's indexing or sweep machinery.  The exceptions are
 the retired vectorized kernels kept as references for the ones that
 replaced them (:func:`posterior_probs_ref`, :func:`arm_tail_logaddexp_ref`,
-:func:`push_ref`, :func:`pull_ref`, :func:`forward_g_alloc_ref`,
-:func:`forward_g_log_ref`, :func:`grow_prefix_two_sorts_ref`,
-:func:`block_values_ref`, :func:`layer_log_likelihood_ref`,
-:func:`pmf_matrix_ref`, :func:`binomial_tails_ref`), which walk the
-package's layers or call its kernels, and the helpers at the end that only
-the tests call (:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
+:func:`code_gather_policy_ref`, :func:`push_ref`, :func:`pull_ref`,
+:func:`forward_g_alloc_ref`, :func:`forward_g_log_ref`,
+:func:`grow_prefix_two_sorts_ref`, :func:`block_values_ref`,
+:func:`layer_log_likelihood_ref`, :func:`pmf_matrix_ref`,
+:func:`binomial_tails_ref`), which walk the package's layers or call its
+kernels, and the helpers that only the tests call
+(:func:`random_codes`, :func:`table_from_codes`,
+:func:`evaluate_backward`, :func:`bernstein_tail_sup`,
 :func:`permuted_block_sequence`, :func:`simulate_trial`,
 :func:`swap_permutation`), thin wrappers over the package's kernels.
 """
@@ -75,14 +77,15 @@ def enumerate_path_weights(prob_fn, n, b):
 
 
 def enumerate_layer_states(t, b):
-    """All admissible states at epoch ``t``: brute force over histories of
-    length ``t`` (alternating burn-in) collapsed to their statistics."""
+    """All admissible states at epoch ``t >= 2b``: brute force over
+    histories of length ``t`` (alternating burn-in) collapsed to their
+    statistics."""
     seen = set()
     for arms in itertools.product("CD", repeat=t):
-        if any(arms[u] != ("C" if u % 2 == 0 else "D") for u in range(min(2 * b, t))):
+        if any(arms[u] != ("C" if u % 2 == 0 else "D") for u in range(2 * b)):
             continue
         n_c = arms.count("C")
-        if t >= 2 * b and not (b <= n_c <= t - b):
+        if not (b <= n_c <= t - b):
             continue
         for outcomes in itertools.product((0, 1), repeat=t):
             s_c = sum(o for a, o in zip(arms, outcomes) if a == "C")
@@ -527,15 +530,50 @@ def arm_tail_logaddexp_ref(p, e):
 
 
 def _uniform_table(spec):
-    """The all-1/2 CMDP policy table of ``spec`` (burn-in codes first)."""
+    """The all-1/2 CMDP policy table of ``spec``."""
     from rarexact.policies import PolicyTable
     from rarexact.states import layer
 
-    codes = []
-    for t in range(spec.n):
-        fill = PolicyTable.BURN_IN_CODE if t < 2 * spec.burn_in else 1
-        codes.append(np.full(layer(t, spec.burn_in, spec.n).size, fill, dtype=np.int8))
-    return PolicyTable(spec.n, spec.burn_in, spec.p, tuple(codes))
+    b = spec.burn_in
+    probs = tuple(np.full(layer(t, b, spec.n).size, 0.5) for t in range(2 * b, spec.n))
+    return PolicyTable(spec.n, b, spec.p, probs)
+
+
+def random_codes(n, b, rng):
+    """Uniformly drawn int8 action codes 0, 1, 2 (``1 - p``, ``1/2``,
+    ``p``) for every state of epochs ``2b .. n - 1``."""
+    from rarexact.states import layer
+
+    return [rng.integers(0, 3, layer(t, b).size).astype(np.int8) for t in range(2 * b, n)]
+
+
+def table_from_codes(n, b, p, codes):
+    """The ``PolicyTable`` whose control probabilities are the action codes
+    ``codes`` (one array per epoch ``2b .. n - 1``) read through the
+    triple ``(1 - p, 1/2, p)``."""
+    from rarexact.policies import PolicyTable
+
+    triple = np.array([1.0 - p, 0.5, p])
+    return PolicyTable(n, b, p, tuple(triple[c] for c in codes))
+
+
+def code_gather_policy_ref(n, b, p, codes):
+    """A policy that fills its arm pair from int8 action codes (one array
+    per epoch ``2b .. n - 1``) by the gathers of the code tables that the
+    float ``PolicyTable`` replaced: ``q`` from the triple ``(1 - p, 1/2,
+    p)`` and ``q1`` from the same triple read backwards.  A table of the
+    same actions sweeps to the same bits."""
+    from rarexact.policies import Policy
+
+    triple = np.array([1.0 - p, 0.5, p])
+
+    class CodeGatherTable(Policy):
+        def fill_arm_probs(self, lay, q, q1):
+            c = codes[lay.t - 2 * b]
+            np.take(triple, c, out=q, mode="clip")
+            np.take(triple[::-1], c, out=q1, mode="clip")
+
+    return CodeGatherTable(n, b)
 
 
 def push_ref(step, w, q, q1):
@@ -926,10 +964,7 @@ def permuted_block_sequence(n, block, seed_or_rng):
 
 def swap_permutation(lay):
     """Permutation ``p`` with ``p[i]`` the index of the arm-swapped image of
-    state ``i``; the layer must be closed under swapping (any ``t >= 2b``,
-    and even ``t`` below the burn-in)."""
-    if lay.t < 2 * lay.b and lay.t % 2 == 1:
-        raise ValueError("burn-in layer at odd epoch is not swap-closed")
+    state ``i``; every layer (``t >= 2b``) is closed under swapping."""
     s_c, s_d, n_c, n_d = lay.arrays()
     return np.asarray(lay.indices(s_d, s_c, n_d), dtype=np.int64)
 

@@ -85,6 +85,11 @@ def test_policy_table_round_trip(tmp_path):
     write_policy_table(path, res.table)
     back = read_policy_table(path)
     assert back == res.table
+    # RXPT2: the layer sizes of epochs 2b .. n - 1, then float64 probabilities
+    header, payload = _read_container(path, POLICY_MAGIC)
+    assert POLICY_MAGIC == b"RXPT2\n"
+    assert header["sizes"] == [layer(t, 1).size for t in range(2, 8)]
+    assert payload == b"".join(q.astype("<f8").tobytes() for q in res.table.probs)
 
 
 def test_cli_design_oc_round_trip(tmp_path):
@@ -321,7 +326,7 @@ def test_cli_malformed_config_shape_exits_2_naming_the_key(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize("tamper, message", [
-    pytest.param("code 5", "may hold only", id="code-5"),
+    pytest.param("code 5", "outside [1 - p, p]", id="code-5"),
     pytest.param("no sizes", "'sizes'", id="no-sizes"),
     pytest.param("short payload", "payload holds", id="short-payload"),
     pytest.param("other horizon", "the configuration has n = 8", id="other-horizon"),
@@ -334,7 +339,8 @@ def test_cli_malformed_policy_file_exits_2(tmp_path, capsys, tamper, message):
     write_policy_table(path, table)
     header, payload = _read_container(path, POLICY_MAGIC)
     if tamper == "code 5":
-        payload = payload[:-1] + bytes([5])
+        # the last state's control probability becomes 5.0
+        payload = payload[:-8] + np.float64(5.0).astype("<f8").tobytes()
     elif tamper == "no sizes":
         del header["sizes"]
     elif tamper == "short payload":
@@ -348,6 +354,34 @@ def test_cli_malformed_policy_file_exits_2(tmp_path, capsys, tamper, message):
                policy={"kind": "table", "table_path": str(path)})
     assert main(["design", "--config", cfg, "--out", str(tmp_path / "design.bin")]) == 2
     assert message in capsys.readouterr().err
+
+
+def test_retired_code_table_container_is_refused(tmp_path, capsys):
+    # an RXPT1 file held int8 action codes; it is rewritten by a new solve,
+    # never read as probabilities
+    path = tmp_path / "policy.rxpt"
+    path.write_bytes(b"RXPT1\n")
+    with pytest.raises(ValueError, match="retired RXPT1 policy table; re-run `cmdp solve`"):
+        read_policy_table(path)
+    cfg = _cfg(tmp_path, "design.json", n=6, burn_in=1,
+               policy={"kind": "table", "table_path": str(path)})
+    assert main(["design", "--config", cfg, "--out", str(tmp_path / "design.bin")]) == 2
+    assert "re-run `cmdp solve`" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["upper", "upper_closed", "lower", "lower_closed"])
+def test_cli_truncated_conditional_rule_exits_2_naming_the_key(tmp_path, capsys, key):
+    # one critical value per success count 0 .. n; a short list would index
+    # past its end
+    rule_path = tmp_path / "rule.json"
+    cfg = _cfg(tmp_path, "crit.json", n=10, burn_in=1, policy="DbcdNeyman", test="conditional")
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    saved = json.loads(rule_path.read_text())
+    rule_path.write_text(json.dumps(dict(saved, **{key: saved[key][:-1]})))
+    cfg = _cfg(tmp_path, "oc.json", n=10, burn_in=1, policy="DbcdNeyman",
+               rule_path=str(rule_path), theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 2
+    assert f"key '{key}' must hold n + 1 = 11 entries" in capsys.readouterr().err
 
 
 def test_cli_weight_header_without_n_exits_2(tmp_path, capsys):

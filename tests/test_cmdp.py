@@ -20,19 +20,21 @@ from rarexact import (
     solve_cmdp,
 )
 from rarexact.cmdp import SECTION4_INTERVALS, _binomial_tails, _interval_masses
-from rarexact.policies import PolicyTable
 
 from oracles import (
     _uniform_table,
     backward_policy_ref,
     backward_value_ref,
     binomial_tails_ref,
+    code_gather_policy_ref,
     enumerate_path_weights,
     evaluate_backward,
     interval_mass_ref,
     lagrangian_backward_ref,
     measure_log_weight,
     policy_value_ref,
+    random_codes,
+    table_from_codes,
     wald_ref,
 )
 
@@ -119,8 +121,8 @@ def test_backward_trivial_rewards():
     lay = layer(6, 1)
     table, value = lagrangian_backward(np.zeros(lay.size), spec)
     assert value == 0.0
-    for t in range(2, 6):
-        assert np.all(table.codes[t] == 1)   # ties prefer 1/2
+    for q in table.probs:
+        assert np.all(q == 0.5)   # ties prefer 1/2
     # a probability-measure reward integrates to one under any policy
     reward = np.exp(measure_log_weights(lay, NullUniform()))
     _, value = lagrangian_backward(reward, spec)
@@ -159,9 +161,10 @@ def test_backward_codes_and_values_match_nested_where_with_ties(n, b, p):
         table, value = lagrangian_backward(reward, spec)
         want_codes, want_value = lagrangian_backward_ref(reward, spec)
         assert value == want_value
+        triple = np.array([1.0 - p, 0.5, p])
         for t, want in want_codes.items():
-            assert table.codes[t].dtype == np.int8
-            assert np.array_equal(table.codes[t], want), t
+            assert table.probs[t - 2 * b].dtype == np.float64
+            assert np.array_equal(table.probs[t - 2 * b], triple[want]), t
         assert set(np.unique(np.concatenate(list(want_codes.values())))) == reached
 
 
@@ -183,14 +186,7 @@ def test_fixed_policy_value_matches_history_tree():
     lay = layer(6, 1)
     rng = np.random.default_rng(11)
     reward = rng.normal(size=lay.size)
-    codes = []
-    for t in range(6):
-        lsize = layer(t, 1).size
-        if t < 2:
-            codes.append(np.full(lsize, -1, dtype=np.int8))
-        else:
-            codes.append(rng.integers(0, 3, size=lsize).astype(np.int8))
-    table = PolicyTable(6, 1, 0.95, tuple(codes))
+    table = table_from_codes(6, 1, 0.95, random_codes(6, 1, rng))
 
     def prob_fn(state):
         t = state[2] + state[3]
@@ -223,10 +219,7 @@ def test_audit_matches_history_enumeration_oracle():
     rects = (Rectangle(0.05, 0.1, 0.5, 0.75), Rectangle(0.5, 0.75, 0.1, 0.25))
     spec = CmdpSpec(n=6, burn_in=1, null_grid=(0.25, 0.5), rectangles=rects)
     rng = np.random.default_rng(3)
-    codes = [np.full(layer(t, 1).size, PolicyTable.BURN_IN_CODE if t < 2 else 0, dtype=np.int8)
-             for t in range(6)]
-    codes[2:] = [rng.integers(0, 3, size=c.size).astype(np.int8) for c in codes[2:]]
-    table = PolicyTable(6, 1, 0.95, tuple(codes))
+    table = table_from_codes(6, 1, 0.95, random_codes(6, 1, rng))
 
     def prob_fn(state):
         t = state[2] + state[3]
@@ -394,3 +387,17 @@ def test_solve_is_bit_identical_with_and_without_gather_plans(monkeypatch):
     assert gathered.audit.objective == looped.audit.objective
     assert gathered.dual.history == looped.dual.history
     assert gathered.feasible == looped.feasible
+
+
+def test_solved_table_audits_like_its_code_gather_rebuild_bit_for_bit():
+    # the solve audits its float table through held transitions; the same
+    # actions as int8 codes, filled by the code gather of the retired code
+    # tables and swept through fresh transitions, give the same bits
+    spec = CmdpSpec(n=12, burn_in=1, rectangles=(Rectangle(0.1, 0.25, 0.5, 0.75),),
+                    max_iters=15)
+    res = solve_cmdp(spec)
+    codes = [np.select([q == 1.0 - spec.p, q == 0.5], [0, 1], 2) for q in res.table.probs]
+    assert {0, 2} <= set(np.unique(np.concatenate(codes)).tolist())
+    rebuilt = audit_policy(code_gather_policy_ref(spec.n, spec.burn_in, spec.p, codes), spec)
+    assert rebuilt.values == res.audit.values
+    assert rebuilt.objective == res.audit.objective

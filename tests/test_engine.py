@@ -22,13 +22,16 @@ from rarexact.states import Layer, Transition
 
 from oracles import (
     block_values_ref,
+    code_gather_policy_ref,
     enumerate_path_weights,
     expectation_ref,
     forward_g_alloc_ref,
     forward_g_log_ref,
     layer_log_likelihood_ref,
     log_likelihood_weight,
+    random_codes,
     swap_permutation,
+    table_from_codes,
 )
 
 
@@ -239,8 +242,8 @@ def test_forward_rejects_bad_policy_probabilities():
 
 
 def test_sweep_checks_user_policies_per_layer_and_tables_once(monkeypatch):
-    # a PolicyTable's probabilities are its p and codes, which __post_init__
-    # validated; every other policy is checked on every swept layer
+    # a PolicyTable's probabilities were validated by __post_init__; every
+    # other policy is checked on every swept layer
     import rarexact.engine as engine
 
     checked = []
@@ -252,12 +255,8 @@ def test_sweep_checks_user_policies_per_layer_and_tables_once(monkeypatch):
 
     monkeypatch.setattr(engine, "_check_arm_probs", spy)
     n, b = 8, 1
-    codes = tuple(
-        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
-        else (np.arange(layer(t, b).size) % 3).astype(np.int8)
-        for t in range(n)
-    )
-    forward_g(PolicyTable(n, b, 0.9, codes))
+    codes = [np.arange(layer(t, b).size) % 3 for t in range(2 * b, n)]
+    forward_g(table_from_codes(n, b, 0.9, codes))
     assert checked == []
     forward_g(DbcdNeyman(n, b))
     assert checked == list(range(2 * b, n))
@@ -291,13 +290,18 @@ def test_sweep_matches_the_allocating_sweep_bit_for_bit(policy):
 
 
 def _random_table(n, b, p, seed):
-    rng = np.random.default_rng(seed)
-    codes = tuple(
-        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
-        else rng.integers(0, 3, layer(t, b).size).astype(np.int8)
-        for t in range(n)
-    )
-    return PolicyTable(n, b, p, codes)
+    return table_from_codes(n, b, p, random_codes(n, b, np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("p", [0.5, 0.75, 0.95, 1.0])
+@pytest.mark.parametrize("n, b", [(9, 0), (20, 2), (40, 6)])
+def test_float_table_sweeps_like_the_code_gather_bit_for_bit(n, b, p):
+    # q1 = 1 - q of the stored float is the gather's reversed triple, bit
+    # for bit, since 1 - (1 - p) == p for p in [1/2, 1]
+    for seed in range(3):
+        codes = random_codes(n, b, np.random.default_rng(seed))
+        got = forward_g(table_from_codes(n, b, p, codes)).log_g
+        assert np.array_equal(got, forward_g(code_gather_policy_ref(n, b, p, codes)).log_g)
 
 
 def test_table_sweep_matches_the_allocating_sweep_through_fresh_and_held_transitions():

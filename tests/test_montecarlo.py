@@ -32,21 +32,18 @@ from rarexact.montecarlo import (
 from oracles import (
     allocation_paths_enum,
     permuted_block_sequence,
+    random_codes,
     randomization_p_value_enum,
     simulate_trial,
     simulate_trial_ref,
+    table_from_codes,
     terminal_state_ref,
 )
 
 
 def _random_table(n, b, p, seed):
-    """A ``PolicyTable`` with uniformly drawn action codes."""
-    rng = np.random.default_rng(seed)
-    return PolicyTable(n, b, p, tuple(
-        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
-        else rng.integers(0, 3, layer(t, b).size).astype(np.int8)
-        for t in range(n)
-    ))
+    """A ``PolicyTable`` with uniformly drawn actions."""
+    return table_from_codes(n, b, p, random_codes(n, b, np.random.default_rng(seed)))
 
 
 def test_simulate_certain_outcomes():

@@ -23,6 +23,7 @@ from oracles import (
     posterior_probs_ref,
     prob_beta_greater,
     swap_permutation,
+    table_from_codes,
 )
 
 
@@ -263,12 +264,8 @@ def test_swap_antisymmetry_of_allocation(policy_cls):
 
 def test_layer_probs_match_scalar_dispatch():
     n, b = 10, 1
-    codes = tuple(
-        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE, dtype=np.int8) if t < 2 * b
-        else (np.arange(layer(t, b).size) % 3).astype(np.int8)
-        for t in range(n)
-    )
-    table_policy = PolicyTable(n, b, 0.9, codes)
+    table_policy = table_from_codes(n, b, 0.9, [np.arange(layer(t, b).size) % 3
+                                                 for t in range(2 * b, n)])
     for pol in (BayesianRar(n, b), DbcdNeyman(n, b), TemperedDbcdNeyman(n, b),
                 EqualAllocation(n, b), table_policy):
         for t in range(2 * b, n):
@@ -283,55 +280,58 @@ def test_layer_probs_match_scalar_dispatch():
 
 def test_policy_table_lookup_and_validation():
     n, b, p = 4, 1, 0.95
-    codes = []
-    for t in range(n):
-        size = layer(t, b).size
-        fill = PolicyTable.BURN_IN_CODE if t < 2 * b else 1
-        codes.append(np.full(size, fill, dtype=np.int8))
-    codes[2] = np.array([0, 1, 2, 1], dtype=np.int8)
-    pol = PolicyTable(n, b, p, tuple(codes))
+    probs = [np.array([1.0 - p, 0.5, p, 0.5]), np.full(layer(3, b).size, 0.5)]
+    pol = PolicyTable(n, b, p, tuple(probs))
     lay = layer(2, b)
-    assert pol.layer_arm_probs(lay)[0] == pytest.approx([0.05, 0.5, 0.95, 0.5], abs=1e-12)
-    assert pol.control_prob(lay.state(2)) == pytest.approx(0.95)
+    q, q1 = pol.layer_arm_probs(lay)
+    assert q.tolist() == [1.0 - p, 0.5, p, 0.5]
+    assert q1.tolist() == [p, 0.5, 1.0 - p, 0.5]
+    assert pol.control_prob(lay.state(2)) == 0.95
+    with pytest.raises(ValueError, match="burn-in"):
+        pol.layer_arm_probs(layer(1, b))
+    for other in (layer(n, b), layer(2, 0)):
+        with pytest.raises(ValueError, match="not a layer of the table"):
+            pol.layer_arm_probs(other)
     with pytest.raises(ValueError):
-        pol.layer_arm_probs(layer(1, b))   # burn-in sentinel
-    with pytest.raises(ValueError):
-        PolicyTable(n, b, 0.3, tuple(codes))
+        PolicyTable(n, b, 0.3, tuple(probs))
     with pytest.raises(ValueError):
         pol.control_prob(TrialState(0, 0, 1, 0))
 
 
-def test_policy_table_codes_are_read_only():
-    # validated once, so gathers may skip the bounds check: a table's codes
-    # cannot be changed after it is made
+def test_policy_table_probs_are_read_only():
+    # validated once, so the sweep skips its per-layer check: a table's
+    # probabilities cannot be changed after it is made
     n, b = 5, 1
-    codes = [np.full(layer(t, b).size, -1 if t < 2 * b else 1, dtype=np.int8) for t in range(n)]
-    table = PolicyTable(n, b, 0.9, tuple(codes))
-    for arr in (codes[3], table.codes[3]):
+    probs = [np.full(layer(t, b).size, 0.5) for t in range(2 * b, n)]
+    table = PolicyTable(n, b, 0.9, tuple(probs))
+    for arr in (probs[1], table.probs[1]):
         with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 7
+            arr[0] = 0.7
 
 
-def test_policy_table_refuses_malformed_codes():
-    # one array per layer, -1 throughout the burn-in, 0..2 after it
-    n, b = 5, 1
-    good = [np.full(layer(t, b).size, -1 if t < 2 * b else 1, dtype=np.int8) for t in range(n)]
-    PolicyTable(n, b, 0.9, tuple(good))
-    bad = [(3, good[3][:-1]), (1, np.zeros_like(good[1])),
-           (2, np.full_like(good[2], PolicyTable.BURN_IN_CODE)), (4, np.full_like(good[4], 3))]
-    for t, codes in bad:
+def test_policy_table_refuses_malformed_probs():
+    # one float64 array per epoch 2b .. n - 1, of the layer's size, with
+    # every value in [1 - p, p]; NaN is in no interval
+    n, b, p = 5, 1, 0.9
+    good = [np.full(layer(t, b).size, 0.5) for t in range(2 * b, n)]
+    PolicyTable(n, b, p, tuple(good))
+    PolicyTable(n, b, p, tuple(np.full_like(q, x) for q, x in zip(good, (1.0 - p, p, 0.7))))
+    for t, q in [(3, good[1][:-1]), (4, np.full(good[2].size + 1, 0.5)),
+                 (2, good[0].astype(np.float32)), (2, np.ones(good[0].size, dtype=np.int8)),
+                 (3, np.full_like(good[1], 0.95)), (4, np.full_like(good[2], 0.05)),
+                 (2, np.full_like(good[0], np.nan))]:
         with pytest.raises(ValueError, match=f"epoch {t}"):
-            PolicyTable(n, b, 0.9, tuple(good[:t] + [codes] + good[t + 1:]))
+            PolicyTable(n, b, p, tuple(good[:t - 2] + [q] + good[t - 1:]))
+    for count in (good[:-1], good + [good[-1]], [np.full(1, 0.5), np.full(4, 0.5)] + good):
+        with pytest.raises(ValueError, match="one probability array per epoch 2 .. 4"):
+            PolicyTable(n, b, p, tuple(count))
 
 
 def test_control_prob_refuses_the_terminal_epoch():
     # nobody is allocated at t = n: no probability exists there
     n, b = 4, 1
-    codes = tuple(
-        np.full(layer(t, b).size, PolicyTable.BURN_IN_CODE if t < 2 * b else 1, dtype=np.int8)
-        for t in range(n)
-    )
-    table_policy = PolicyTable(n, b, 0.95, codes)
+    table_policy = PolicyTable(n, b, 0.95, tuple(
+        np.full(layer(t, b).size, 0.5) for t in range(2 * b, n)))
     for pol in (BayesianRar(n, b), table_policy):
         with pytest.raises(ValueError, match="horizon"):
             pol.control_prob(TrialState(1, 1, 2, 2))

@@ -29,7 +29,7 @@ def test_balanced_burn_in_layer_size():
 
 @pytest.mark.parametrize("n,b", [(4, 0), (5, 1), (6, 1), (7, 2), (8, 2)])
 def test_layer_states_match_exhaustive_history_enumeration(n, b):
-    for t in range(0, n + 1):
+    for t in range(2 * b, n + 1):
         lay = layer(t, b)
         got = {(s.s_c, s.s_d, s.n_c, s.n_d) for s in map(lay.state, range(lay.size))}
         assert got == enumerate_layer_states(t, b)
@@ -73,8 +73,8 @@ def test_index_rejects_inadmissible():
 
 
 def test_arrays_consistent_with_state():
-    # burn-in layers (t < 2b) hold one block
-    for t, b in [(9, 2), (0, 0), (1, 0), (3, 2), (30, 6)]:
+    # the layer at t = 2b holds one block
+    for t, b in [(9, 2), (0, 0), (1, 0), (4, 2), (30, 6)]:
         lay = layer(t, b)
         arrays = lay.arrays()
         assert [a.dtype for a in arrays] == [np.int32] * 4
@@ -100,13 +100,23 @@ def test_layers_are_equal_by_epoch_and_burn_in():
 
 def test_indices_agree_with_index():
     for b in range(4):
-        for t in range(21):
+        for t in range(2 * b, 21):
             lay = Layer(t, b)
             states = [lay.state(i) for i in range(lay.size)]
             s_c, s_d, n_c = (np.array([getattr(x, f) for x in states]) for f in ("s_c", "s_d", "n_c"))
             expected = [lay.index(x) for x in states]
             assert np.array_equal(lay.indices(s_c, s_d, n_c), expected)
             assert np.array_equal(lay.indices(*lay.arrays()[:3]), np.arange(lay.size))
+
+
+@pytest.mark.parametrize("t, b", [(0, 1), (3, 2), (7, 4), (11, 6)])
+def test_no_layer_exists_inside_the_burn_in(t, b):
+    # the sweeps start at epoch 2b and simulation allocates the burn-in by
+    # its own pattern, so nothing needs a layer below it
+    with pytest.raises(ValueError, match=f"epoch {t} lies inside the burn-in of {b} per arm"):
+        Layer(t, b)
+    with pytest.raises(ValueError, match="burn-in"):
+        layer(t, b, 2 * b)
 
 
 def test_transition_rejects_burn_in_epochs():
@@ -208,9 +218,9 @@ def test_calls_on_one_transition_return_independent_arrays(t, b):
         assert not any(np.shares_memory(a, b) for b in arrays[i + 1:])
 
 
-@pytest.mark.parametrize("t, b", [(7, 4), (9, 4), (20, 3), (5, 0), (0, 0)])
+@pytest.mark.parametrize("t, b", [(8, 4), (9, 4), (20, 3), (5, 0), (0, 0)])
 def test_offsets_are_read_only_and_follow_the_block_sizes(t, b):
-    # t < 2b (a single burn-in block), t >= 2b, and no burn-in
+    # t = 2b (a single block), t > 2b, and no burn-in
     lay = Layer(t, b)
     n_c = np.arange(lay.n_c_min, lay.n_c_max + 1)
     expected = np.concatenate(([0], np.cumsum((n_c + 1) * (t - n_c + 1))))
