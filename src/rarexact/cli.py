@@ -7,8 +7,9 @@ byte-identically for a fixed configuration and seed.
 
 Exit codes: 0 ok, 2 configuration error, 3 infeasible problem, 4 numeric
 guard, 5 I/O error.  An exact rule read through ``rule_path`` holds only
-for its own horizon: ``oc`` and ``power-diff`` with a design of another
-horizon exit 2.
+for the design it was built for, which its file names by digest: ``oc``
+and ``power-diff`` with a design of another horizon, or of the same
+horizon but other path weights, exit 2.
 """
 
 from __future__ import annotations

@@ -366,9 +366,12 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     Returns the strictly feasible iterate with the largest objective; if
     there is none, the iterate within ``tol`` of the bounds with the
     largest objective; if there is none either, the least-violating
-    iterate, flagged infeasible.  ``feasible`` is therefore true for an
-    iterate up to ``tol`` over a bound; ``audit.max_violation(spec)``
-    says by how much.  The reward is row 0 of the integrands
+    iterate, flagged infeasible.  One running best holds it: each iterate
+    is ranked by ``(strictly feasible, within tol, objective if within
+    tol else -worst violation)`` and replaces the best only on a strictly
+    greater rank, so the first of tied iterates is kept.  ``feasible`` is
+    therefore true for an iterate up to ``tol`` over a bound;
+    ``audit.max_violation(spec)`` says by how much.  The reward is row 0 of the integrands
     (:class:`_AuditContext`) minus ``lam`` times the constraint rows; the
     constraint values are the same rows' expectations under the maximizer.
     """
@@ -383,9 +386,7 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     grad_sq = np.zeros(len(names))
     history = []
     min_dual = np.inf
-    best_strict = None    # (objective, table, audit) with violations <= 0
-    best_tol = None       # the same within the tolerance
-    least_violating = None
+    best = None    # (rank, table, audit)
 
     for k in range(1, spec.max_iters + 1):
         reward = base.copy()
@@ -403,20 +404,17 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
              "max_violation": worst, "dual_value": dual_value,
              "multipliers": dict(zip(names, lam.tolist()))}
         )
-        if least_violating is None or worst < least_violating[0]:
-            least_violating = (worst, table, audit)
-        if worst <= 0.0 and (best_strict is None or audit.objective > best_strict[0]):
-            best_strict = (audit.objective, table, audit)
-        if worst <= spec.tol and (best_tol is None or audit.objective > best_tol[0]):
-            best_tol = (audit.objective, table, audit)
-        if best_strict is not None and best_strict[0] >= min_dual - spec.tol:
+        within = worst <= spec.tol
+        rank = (worst <= 0.0, within, audit.objective if within else -worst)
+        if best is None or rank > best[0]:
+            best = (rank, table, audit)
+        strict, _, objective = best[0]
+        if strict and objective >= min_dual - spec.tol:
             break
         grad_sq += v * v
         step = np.divide(v, np.sqrt(grad_sq), out=np.zeros_like(v), where=grad_sq > 0.0)
         lam = np.maximum(0.0, lam + step)
 
     dual = DualState(dict(zip(names, lam.tolist())), history)
-    best = best_strict or best_tol
-    feasible = best is not None
-    _, table, audit = best if feasible else least_violating
+    (_, feasible, _), table, audit = best
     return CmdpResult(table, audit, dual, feasible, len(history))

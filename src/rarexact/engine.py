@@ -33,6 +33,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# sha256 from the lean builtin module, as the random module takes sha512:
+# hashlib loads OpenSSL, which adds 3.6 MB to a command's peak RSS
+try:
+    from _sha2 import sha256            # Python >= 3.12
+except ImportError:
+    try:
+        from _sha256 import sha256      # Python < 3.12
+    except ImportError:
+        from hashlib import sha256
+
 from .numerics import binomial_log_terms, log_binom, logsumexp_fixed
 from .policies import EqualAllocation, Policy, PolicyTable
 from .states import Layer, Transition, layer as make_layer
@@ -52,6 +62,8 @@ class PathWeightTable:
     meta: dict = field(default_factory=dict)
 
     _wald: np.ndarray | None = field(default=None, repr=False, compare=False)
+    # not an init field, so dataclasses.replace of log_g hashes afresh
+    _digest: str | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -65,6 +77,14 @@ class PathWeightTable:
         """Deviation of ``sum(g) * 2**-n`` from one (zero for any policy)."""
         total = logsumexp_fixed(self.log_g)
         return abs(np.exp(total - self.n * LN2) - 1.0)
+
+    def digest(self) -> str:
+        """sha256 hex digest of ``log_g`` as little-endian float64: the
+        design an exact rule's level was certified for."""
+        if self._digest is None:
+            le = np.ascontiguousarray(self.log_g, dtype="<f8")
+            self._digest = sha256(le).hexdigest()
+        return self._digest
 
     def wald_statistics(self) -> np.ndarray:
         if self._wald is None:

@@ -7,7 +7,9 @@ whose Bernstein-basis coefficients are the stratum-wise conditional
 rejection masses.  Every rule therefore ships with a *certificate*: a
 sound upper bound on the null supremum obtained from the coefficient
 bound, tightened by midpoint subdivision when needed, together with a
-grid/line-search lower bound.
+grid/line-search lower bound.  The certificate holds for one design
+only, so a rule also records its design's digest
+(:meth:`~rarexact.engine.PathWeightTable.digest`) and refuses any other.
 
 The conditional rule and the Boschloo statistic read the same quantity,
 the stratum mass on Wald statistics at least (or at most) as extreme as a
@@ -305,10 +307,11 @@ def _two_tail_reject(t, upper, upper_closed, lower, lower_closed) -> np.ndarray:
 @dataclass
 class ConditionalRule:
     """Per-stratum two-sided critical values at level ``alpha`` (each tail
-    ``alpha/2`` within its stratum)."""
+    ``alpha/2`` within its stratum), one entry per success count."""
 
     alpha: float
     n: int
+    design: str
     upper: np.ndarray = field(repr=False)
     upper_closed: np.ndarray = field(repr=False)
     lower: np.ndarray = field(repr=False)
@@ -317,8 +320,14 @@ class ConditionalRule:
 
     kind = "conditional"
 
+    def __post_init__(self):
+        self.upper = np.asarray(self.upper, dtype=np.float64)
+        self.upper_closed = np.asarray(self.upper_closed, dtype=bool)
+        self.lower = np.asarray(self.lower, dtype=np.float64)
+        self.lower_closed = np.asarray(self.lower_closed, dtype=bool)
+
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        _require_horizon(self.n, table)
+        _require_design(self, table)
         s = table.successes()
         return _two_tail_reject(table.wald_statistics(), self.upper[s], self.upper_closed[s],
                                 self.lower[s], self.lower_closed[s])
@@ -331,6 +340,7 @@ class UnconditionalRule:
 
     alpha: float
     n: int
+    design: str
     upper: float
     upper_closed: bool
     lower: float
@@ -342,7 +352,7 @@ class UnconditionalRule:
     kind = "unconditional"
 
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        _require_horizon(self.n, table)
+        _require_design(self, table)
         return _two_tail_reject(table.wald_statistics(), self.upper, self.upper_closed,
                                 self.lower, self.lower_closed)
 
@@ -355,6 +365,7 @@ class BoschlooRule:
 
     alpha: float
     n: int
+    design: str
     threshold: float            # smallest excluded statistic value
     largest_included: float | None
     certificate: RegionCertificate | None = None
@@ -362,15 +373,19 @@ class BoschlooRule:
     kind = "boschloo"
 
     def reject_table(self, table: PathWeightTable) -> np.ndarray:
-        _require_horizon(self.n, table)
+        _require_design(self, table)
         return boschloo_statistic(table) < self.threshold
 
 
-def _require_horizon(n: int, table: PathWeightTable):
-    """A rule's critical values and certificate hold only for designs of
-    its own horizon."""
-    if table.n != n:
-        raise ValueError(f"the rule was built for horizon n = {n}, the design has n = {table.n}")
+def _require_design(rule, table: PathWeightTable):
+    """A rule's critical values and certificate hold only for the design
+    they were built for: its horizon, then its :meth:`~PathWeightTable.digest`."""
+    if table.n != rule.n:
+        raise ValueError(f"the rule was built for horizon n = {rule.n}, "
+                         f"the design has n = {table.n}")
+    if table.digest() != rule.design:
+        raise ValueError(f"the rule was built for design {rule.design!s:.8}, "
+                         f"not for this design {table.digest():.8}")
 
 
 def _require_burn_in(table: PathWeightTable):
@@ -402,7 +417,7 @@ def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
     upper_closed = np.bincount(s[rej_up], minlength=n + 1) > 0
     lower_closed = np.bincount(s[rej_lo], minlength=n + 1) > 0
 
-    rule = ConditionalRule(alpha, n, upper, upper_closed, lower, lower_closed)
+    rule = ConditionalRule(alpha, n, table.digest(), upper, upper_closed, lower, lower_closed)
     reject = rule.reject_table(table)
     rule.certificate = certify_region(_region_coefficients(w, s, reject, n), alpha)
     return rule
@@ -428,7 +443,7 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
     upper = up_last if up_last is not None else np.inf
     lower = lo_last if lo_last is not None else -np.inf
     rule = UnconditionalRule(
-        alpha, n,
+        alpha, n, table.digest(),
         float(upper), up_last is not None,
         float(lower), lo_last is not None,
         up_cert, lo_cert,
@@ -464,4 +479,4 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     stat = _boschloo_statistic(table, w, s)
     last, nxt, cert = _grow_prefix(stat, np.argsort(stat, kind="stable"), w, s, table.n, alpha)
     threshold = nxt if nxt is not None else np.inf
-    return BoschlooRule(alpha, table.n, float(threshold), last, cert)
+    return BoschlooRule(alpha, table.n, table.digest(), float(threshold), last, cert)

@@ -3,10 +3,16 @@
 Binary containers carry a JSON header (length-prefixed) followed by raw
 little-endian payloads in canonical state order; rule files are plain
 JSON.  Byte-identical reproduction across runs is part of the contract,
-so all floats are written with full round-trip precision.  A rule file
-carries its ``format``; one without it, or with another, is refused
-rather than read under rules it was not built for, such as a Boschloo
-threshold whose tie groups moved.
+so all floats are written with full round-trip precision.
+
+A rule file (format 2) holds ``format``, ``kind`` and the fields of the
+rule's dataclass, which are the single statement of its keys: arrays as
+lists and certificates as objects.  An exact rule's ``design`` is the
+digest of the design it was built and certified for
+(:meth:`~rarexact.engine.PathWeightTable.digest`); the rule refuses any
+other.  A file without ``format``, or with another, is refused rather
+than read under rules it was not built for, such as a format-1 rule that
+names no design.
 
 A policy table (``RXPT2``) has the header keys ``n``, ``burn_in``, ``p``
 and ``sizes``, the layer sizes of epochs ``2b .. n - 1``, and then their
@@ -17,6 +23,7 @@ from __future__ import annotations
 
 import json
 import struct
+from dataclasses import MISSING, asdict, fields
 
 import numpy as np
 
@@ -34,7 +41,7 @@ from .states import layer as make_layer
 
 WEIGHT_MAGIC = b"RXGW1\n"
 POLICY_MAGIC = b"RXPT2\n"
-RULE_FORMAT = 1
+RULE_FORMAT = 2
 
 
 def _write_container(path, magic: bytes, header: dict, payload: bytes):
@@ -147,64 +154,38 @@ def read_policy_table(path) -> PolicyTable:
     return PolicyTable(header["n"], header["burn_in"], header["p"], probs)
 
 
-def _cert_dict(cert: RegionCertificate | None):
-    if cert is None:
-        return None
-    return {
-        "level": cert.level,
-        "accepted": cert.accepted,
-        "certified_upper": cert.certified_upper,
-        "lower_bound": cert.lower_bound,
-    }
+RULES = {cls.kind: cls
+         for cls in (ConditionalRule, UnconditionalRule, BoschlooRule, AsymptoticRule)}
+# the keys each rule kind needs besides "kind" and "format": its fields
+# without a default
+RULE_KEYS = {kind: tuple(f.name for f in fields(cls) if f.default is MISSING)
+             for kind, cls in RULES.items()}
+_CERT_KEYS = tuple(f.name for f in fields(RegionCertificate))
 
 
-def _cert_from(d):
-    if d is None:
-        return None
-    _require(d, ("level", "accepted", "certified_upper", "lower_bound"), "certificate")
-    return RegionCertificate(d["level"], d["accepted"], d["certified_upper"], d["lower_bound"])
+def _to_json(value):
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, RegionCertificate):
+        return asdict(value)
+    return value
 
 
 def rule_to_dict(rule) -> dict:
-    return {"format": RULE_FORMAT, **_rule_fields(rule)}
+    """``format``, ``kind`` and every field of ``rule``."""
+    if RULES.get(getattr(rule, "kind", None)) is not type(rule):
+        raise TypeError(f"cannot serialize rule {rule!r}")
+    return {"format": RULE_FORMAT, "kind": rule.kind,
+            **{f.name: _to_json(getattr(rule, f.name)) for f in fields(rule)}}
 
 
-def _rule_fields(rule) -> dict:
-    if isinstance(rule, ConditionalRule):
-        return {
-            "kind": rule.kind, "alpha": rule.alpha, "n": rule.n,
-            "upper": rule.upper.tolist(), "upper_closed": rule.upper_closed.tolist(),
-            "lower": rule.lower.tolist(), "lower_closed": rule.lower_closed.tolist(),
-            "certificate": _cert_dict(rule.certificate),
-        }
-    if isinstance(rule, UnconditionalRule):
-        return {
-            "kind": rule.kind, "alpha": rule.alpha, "n": rule.n,
-            "upper": rule.upper, "upper_closed": rule.upper_closed,
-            "lower": rule.lower, "lower_closed": rule.lower_closed,
-            "certificate": _cert_dict(rule.certificate),
-            "upper_certificate": _cert_dict(rule.upper_certificate),
-            "lower_certificate": _cert_dict(rule.lower_certificate),
-        }
-    if isinstance(rule, BoschlooRule):
-        return {
-            "kind": rule.kind, "alpha": rule.alpha, "n": rule.n,
-            "threshold": rule.threshold, "largest_included": rule.largest_included,
-            "certificate": _cert_dict(rule.certificate),
-        }
-    if isinstance(rule, AsymptoticRule):
-        return {"kind": rule.kind, "alpha": rule.alpha}
-    raise TypeError(f"cannot serialize rule {rule!r}")
-
-
-# keys each rule kind needs besides "kind" and "alpha"; certificates and
-# Boschloo's "largest_included" are optional
-RULE_KEYS = {
-    "conditional": ("n", "upper", "upper_closed", "lower", "lower_closed"),
-    "unconditional": ("n", "upper", "upper_closed", "lower", "lower_closed"),
-    "boschloo": ("n", "threshold"),
-    "asymptotic": (),
-}
+def _from_json(key: str, value):
+    """A rule field read back; the fields named ``*certificate`` hold a
+    :class:`RegionCertificate` or ``None``."""
+    if key.endswith("certificate") and value is not None:
+        _require(value, _CERT_KEYS, "certificate")
+        return RegionCertificate(**{k: value[k] for k in _CERT_KEYS})
+    return value
 
 
 def rule_from_dict(d: dict):
@@ -222,37 +203,17 @@ def rule_from_dict(d: dict):
         raise ValueError(f"alpha = {alpha!r} is not a number")
     check_alpha(alpha)
     kind = d["kind"]
-    if not isinstance(kind, str) or kind not in RULE_KEYS:
+    if not isinstance(kind, str) or kind not in RULES:
         raise ValueError(f"unknown rule kind {kind!r}")
     _require(d, RULE_KEYS[kind], f"{kind} rule")
     if kind == "conditional":
         _require_types(d, {"n": _INT}, "conditional rule")
-        for key in RULE_KEYS[kind][1:]:
+        for key in ("upper", "upper_closed", "lower", "lower_closed"):
             if not (isinstance(d[key], list) and len(d[key]) == d["n"] + 1):
                 raise ValueError(f"conditional rule key {key!r} must hold n + 1 = {d['n'] + 1} "
                                  "entries, one per success count")
-        return ConditionalRule(
-            d["alpha"], d["n"],
-            np.asarray(d["upper"], dtype=np.float64),
-            np.asarray(d["upper_closed"], dtype=bool),
-            np.asarray(d["lower"], dtype=np.float64),
-            np.asarray(d["lower_closed"], dtype=bool),
-            _cert_from(d.get("certificate")),
-        )
-    if kind == "unconditional":
-        return UnconditionalRule(
-            d["alpha"], d["n"], d["upper"], d["upper_closed"],
-            d["lower"], d["lower_closed"],
-            _cert_from(d.get("upper_certificate")),
-            _cert_from(d.get("lower_certificate")),
-            _cert_from(d.get("certificate")),
-        )
-    if kind == "boschloo":
-        return BoschlooRule(
-            d["alpha"], d["n"], d["threshold"], d.get("largest_included"),
-            _cert_from(d.get("certificate")),
-        )
-    return AsymptoticRule(d["alpha"])
+    cls = RULES[kind]
+    return cls(**{f.name: _from_json(f.name, d[f.name]) for f in fields(cls) if f.name in d})
 
 
 def write_rule(path, rule):

@@ -8,12 +8,13 @@ reads words ``[4Bi, 4Bi + 2n)``, its first ``n`` words allocation keys
 and the next ``n`` outcome draws.  Permuted-block allocations turn their
 keys into arrangements by sorting.
 
-Trials are stepped together, many rows at a time, along the edges of
-:class:`~rarexact.states.Transition`, like the exact sweeps; allocation
-probabilities are the control side ``q`` of the policy's
-:meth:`~rarexact.policies.Policy.layer_arm_probs`, looked up per layer
-by :meth:`~rarexact.states.Layer.indices`.  Every row depends only on its
-own words, so results do not depend on how the trials are chunked.
+Trials are stepped together, many rows at a time: each row carries its
+counts ``(s_c, s_d, n_c)``, and at each epoch its allocation probability
+is the control side ``q`` of the policy's
+:meth:`~rarexact.policies.Policy.layer_arm_probs`, looked up at the
+row's state by :meth:`~rarexact.states.Layer.indices`.  Every row
+depends only on its own words, so results do not depend on how the
+trials are chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
 p-value (:func:`randomization_test`).
@@ -37,6 +38,9 @@ EA_BLOCK = 10
 # n = 50 each holds at most 39 x 45 states, and only the success counts up
 # to the chunk's largest are kept; at most 0.45 MB per array a chunk.
 DP_TRIALS = 32
+# Trials simulate_terminals steps together: 20,000 rows of 2n uniforms is
+# 16 MB at n = 50.
+SIM_BATCH = 20_000
 
 
 def make_rng(seed: int) -> np.random.Generator:
@@ -196,15 +200,15 @@ def simulate_trials(policy: Policy, theta, seed: int, start: int,
     return [TrialHistory(a, y) for a, y in zip(arms, outcomes)]
 
 
-def simulate_terminals(policy: Policy, theta, sims: int, seed: int, batch: int = 20_000):
+def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
     """Terminal states of trials ``0 .. sims - 1`` of the run keyed by
     ``seed``, the same as :func:`simulate_trials` gives them, stepped
-    ``batch`` at a time; returns ``(s_c, s_d, n_c)`` arrays."""
+    ``SIM_BATCH`` at a time; returns ``(s_c, s_d, n_c)`` arrays."""
     n, (tc, td) = policy.n, theta
     lookup = _EpochLookup(policy)
     out = np.empty((3, sims), dtype=np.int64)
-    for start in range(0, sims, batch):
-        stop = min(start + batch, sims)
+    for start in range(0, sims, SIM_BATCH):
+        stop = min(start + SIM_BATCH, sims)
         u = _stream_uniforms(seed, start, stop - start, 2 * n)
         draws = u[:, n:]
         _, out[:, start:stop] = _allocate(policy, u[:, :n], draws < tc, draws < td, lookup, False)

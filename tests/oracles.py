@@ -8,6 +8,7 @@ replaced them (:func:`posterior_probs_ref`, :func:`arm_tail_logaddexp_ref`,
 :func:`code_gather_policy_ref`, :func:`push_ref`, :func:`pull_ref`,
 :func:`forward_g_alloc_ref`, :func:`forward_g_log_ref`,
 :func:`grow_prefix_two_sorts_ref`, :func:`block_values_ref`,
+:func:`rule_to_dict_ref`, :func:`solve_choice_ref`,
 :func:`layer_log_likelihood_ref`, :func:`pmf_matrix_ref`,
 :func:`binomial_tails_ref`), which walk the package's layers or call its
 kernels, and the helpers that only the tests call
@@ -743,6 +744,41 @@ def grow_prefix_linear_ref(keys, w, s, n, level):
     return last, nxt, certs[k]
 
 
+def _cert_dict_ref(cert):
+    if cert is None:
+        return None
+    return {"level": cert.level, "accepted": cert.accepted,
+            "certified_upper": cert.certified_upper, "lower_bound": cert.lower_bound}
+
+
+def rule_to_dict_ref(rule):
+    """A rule file's dict as written by format 1, one hand-kept branch per
+    rule kind, before the rule dataclasses' fields stated it."""
+    from rarexact.exact_tests import BoschlooRule, ConditionalRule, UnconditionalRule
+    from rarexact.operating import AsymptoticRule
+
+    head = {"format": 1, "kind": rule.kind, "alpha": rule.alpha}
+    if isinstance(rule, ConditionalRule):
+        return {**head, "n": rule.n,
+                "upper": rule.upper.tolist(), "upper_closed": rule.upper_closed.tolist(),
+                "lower": rule.lower.tolist(), "lower_closed": rule.lower_closed.tolist(),
+                "certificate": _cert_dict_ref(rule.certificate)}
+    if isinstance(rule, UnconditionalRule):
+        return {**head, "n": rule.n,
+                "upper": rule.upper, "upper_closed": rule.upper_closed,
+                "lower": rule.lower, "lower_closed": rule.lower_closed,
+                "certificate": _cert_dict_ref(rule.certificate),
+                "upper_certificate": _cert_dict_ref(rule.upper_certificate),
+                "lower_certificate": _cert_dict_ref(rule.lower_certificate)}
+    if isinstance(rule, BoschlooRule):
+        return {**head, "n": rule.n,
+                "threshold": rule.threshold, "largest_included": rule.largest_included,
+                "certificate": _cert_dict_ref(rule.certificate)}
+    if isinstance(rule, AsymptoticRule):
+        return head
+    raise TypeError(f"cannot serialize rule {rule!r}")
+
+
 def binomial_kernel_ref(theta, m):
     """Rows ``theta**s * (1 - theta)**(m - s)`` for ``s = 0..m``, each divided
     by its largest entry, and the log row maxima, built for one size from
@@ -917,6 +953,27 @@ def evaluate_backward(table, reward, spec):
         q = table.layer_arm_probs(layer(t, b))[0]
         v = q * wc + (1.0 - q) * wd
     return float(np.sum(np.exp(_burn_in_table(b)) * v))
+
+
+def solve_choice_ref(history, tol):
+    """``(index, feasible)`` of the iterate ``solve_cmdp`` returns, from its
+    dual history, by the three candidates it kept before one ranked best:
+    the strictly feasible iterate of largest objective, else the one within
+    ``tol`` of largest objective, else the least violating; the first of
+    ties each time."""
+    best_strict = best_tol = least = None
+    for i, h in enumerate(history):
+        obj, worst = h["objective"], h["max_violation"]
+        if least is None or worst < history[least]["max_violation"]:
+            least = i
+        if worst <= 0.0 and (best_strict is None or obj > history[best_strict]["objective"]):
+            best_strict = i
+        if worst <= tol and (best_tol is None or obj > history[best_tol]["objective"]):
+            best_tol = i
+    for i in (best_strict, best_tol):
+        if i is not None:
+            return i, True
+    return least, False
 
 
 def lagrangian_backward_ref(reward, spec):

@@ -23,8 +23,11 @@ from rarexact.io import (
     write_weight_table,
 )
 from rarexact import (
+    AsymptoticRule,
     BayesianRar,
     CmdpSpec,
+    DbcdNeyman,
+    TemperedDbcdNeyman,
     conditional_rule,
     boschloo_rule,
     equal_allocation_g,
@@ -34,6 +37,8 @@ from rarexact import (
     solve_cmdp,
     unconditional_rule,
 )
+
+from oracles import rule_to_dict_ref
 
 
 def _cfg(tmp_path, name, **kw):
@@ -76,6 +81,43 @@ def test_rule_round_trip_identical_decisions(tmp_path):
         back = read_rule(path)
         assert np.array_equal(back.reject_table(table), rule.reject_table(table))
         assert rule_to_dict(back) == rule_to_dict(rule)
+
+
+@pytest.mark.parametrize("policy", [BayesianRar(12, 1), DbcdNeyman(14, 2),
+                                    TemperedDbcdNeyman(12, 1)], ids=repr)
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.2])
+def test_rule_fields_write_the_format_1_keys_plus_the_design(policy, alpha):
+    table = forward_g(policy)
+    for rule in (conditional_rule(table, alpha), unconditional_rule(table, alpha),
+                 boschloo_rule(table, alpha), AsymptoticRule(alpha)):
+        d, ref = rule_to_dict(rule), rule_to_dict_ref(rule)
+        differ = {k for k in d.keys() | ref.keys() if d.get(k) != ref.get(k)}
+        assert differ == ({"format"} if rule.kind == "asymptotic" else {"format", "design"})
+        assert d["format"] == 2 and d.get("design", table.digest()) == table.digest()
+        # read back from the file's text: the same dict and decisions, bit for bit
+        back = rule_from_dict(json.loads(json.dumps(d)))
+        assert type(back) is type(rule) and rule_to_dict(back) == d
+        assert np.array_equal(back.reject_table(table), rule.reject_table(table))
+
+
+def test_cli_oc_refuses_a_rule_of_another_design_of_the_same_horizon(tmp_path, capsys):
+    # 2: a conditional rule built for DbcdNeyman(20, 2) is refused on
+    # BayesianRar(20, 1), although its per-stratum lists fit any n = 20
+    rule_path, design_path = tmp_path / "rule.json", tmp_path / "brar20.rxgw"
+    cfg = _cfg(tmp_path, "crit.json", n=20, burn_in=2, policy="DbcdNeyman", test="conditional")
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    cfg = _cfg(tmp_path, "design.json", n=20, burn_in=1, policy="BayesianRar")
+    assert main(["design", "--config", cfg, "--out", str(design_path)]) == 0
+    built_for = json.loads(rule_path.read_text())["design"]
+    given = read_weight_table(design_path).digest()
+    cfg = _cfg(tmp_path, "oc.json", n=20, burn_in=1, rule_path=str(rule_path),
+               design_path=str(design_path), baseline_design_path=str(design_path),
+               theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    for command in ("oc", "power-diff"):
+        capsys.readouterr()
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert built_for[:8] in err and given[:8] in err
 
 
 def test_policy_table_round_trip(tmp_path):
@@ -220,8 +262,9 @@ def test_rule_missing_a_required_key_is_rejected_naming_it():
             partial = {k: v for k, v in d.items() if k != key}
             with pytest.raises(ValueError, match=repr(key)):
                 rule_from_dict(partial)
-        # a file of another format, or of none, is rebuilt, not reinterpreted
-        for fmt in (0, 2, True, "1", None):
+        # a file of another format, or of none, is rebuilt, not reinterpreted;
+        # format 1 named no design
+        for fmt in (0, 1, 3, True, "2", None):
             with pytest.raises(ValueError, match="'format'.*rebuild the rule file with crit"):
                 rule_from_dict(dict(d, format=fmt))
     d = rule_to_dict(rules[0])
@@ -259,7 +302,7 @@ def test_cli_exit_codes(tmp_path):
     cfg = _cfg(tmp_path, "crit_cond.json", n=10, burn_in=1, policy="DbcdNeyman", test="conditional")
     assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
     saved = json.loads(rule_path.read_text())
-    assert saved["format"] == 1
+    assert saved["format"] == 2
     cfg = _cfg(tmp_path, "no_upper.json", n=10, burn_in=1, policy="DbcdNeyman",
                rule_path=str(rule_path), theta_grid=grid)
     for key in ("upper", "format"):

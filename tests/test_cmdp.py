@@ -34,6 +34,7 @@ from oracles import (
     measure_log_weight,
     policy_value_ref,
     random_codes,
+    solve_choice_ref,
     table_from_codes,
     wald_ref,
 )
@@ -350,6 +351,21 @@ def test_solve_prefers_strictly_feasible_iterates_and_certifies_early_stops(spec
     if res.iterations < spec.max_iters:
         assert strict
         assert res.audit.objective >= min(h["dual_value"] for h in history) - spec.tol
+
+
+@pytest.mark.parametrize("spec", [
+    CmdpSpec(n=8, burn_in=1, null_grid=(0.0, 0.25, 0.5, 0.75, 1.0), max_iters=60),
+    CmdpSpec(n=8, burn_in=1, max_iters=40, alpha_point=0.03),
+    CmdpSpec(n=6, burn_in=1, alpha_avg=1.0, alpha_point=0.04, null_grid=(0.1,), max_iters=60),
+    CmdpSpec(n=8, burn_in=1, null_grid=(), alpha_avg=1.0, max_iters=3),
+    CmdpSpec(n=8, burn_in=1, alpha_point=0.0005, max_iters=5),
+])
+def test_solve_returns_the_iterate_of_the_three_candidate_choice(spec):
+    res = solve_cmdp(spec)
+    i, feasible = solve_choice_ref(res.dual.history, spec.tol)
+    assert res.feasible == feasible
+    assert res.audit.objective == res.dual.history[i]["objective"]
+    assert res.audit.max_violation(spec) == res.dual.history[i]["max_violation"]
 
 
 @pytest.mark.parametrize("kw, match", [

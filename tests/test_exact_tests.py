@@ -415,3 +415,28 @@ def test_pmf_matrix_is_bit_identical_to_its_own_log_terms(n):
     if n:
         theta = np.concatenate([_grid_basis(n)[0], theta])
     assert np.array_equal(_pmf_matrix(n, theta), pmf_matrix_ref(n, theta))
+
+
+def test_design_digest_is_the_sha256_of_little_endian_log_g():
+    import hashlib
+
+    table = forward_g(BayesianRar(12, 1))
+    want = hashlib.sha256(table.log_g.astype("<f8").tobytes()).hexdigest()
+    assert table.digest() == want
+    # one changed bit is another design
+    other = table.log_g.copy()
+    other[0] = np.nextafter(other[0], np.inf)
+    assert replace(table, log_g=other).digest() != want
+
+
+@pytest.mark.parametrize("build", [conditional_rule, unconditional_rule, boschloo_rule])
+def test_rules_refuse_another_design_naming_both_digests(build):
+    table = forward_g(DbcdNeyman(20, 2))
+    rule = build(table, ALPHA)
+    assert rule.design == table.digest()
+    other = forward_g(BayesianRar(20, 1))
+    with pytest.raises(ValueError, match=f"design {table.digest()[:8]}.*{other.digest()[:8]}"):
+        rule.reject_table(other)
+    # a design of another horizon keeps the horizon message
+    with pytest.raises(ValueError, match="horizon n = 20, the design has n = 22"):
+        rule.reject_table(forward_g(DbcdNeyman(22, 2)))

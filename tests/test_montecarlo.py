@@ -142,10 +142,12 @@ def test_batched_trials_match_per_trial_loop(policy):
         assert hist.arms.dtype == arms.dtype and hist.outcomes.dtype == outcomes.dtype
 
 
-def test_batch_chunking_invariance():
+def test_batch_chunking_invariance(monkeypatch):
     pol = BayesianRar(10, 1)
-    a = simulate_terminals(pol, (0.3, 0.7), sims=50, seed=3, batch=7)
-    b = simulate_terminals(pol, (0.3, 0.7), sims=50, seed=3, batch=50)
+    monkeypatch.setattr(montecarlo, "SIM_BATCH", 7)
+    a = simulate_terminals(pol, (0.3, 0.7), sims=50, seed=3)
+    monkeypatch.setattr(montecarlo, "SIM_BATCH", 50)
+    b = simulate_terminals(pol, (0.3, 0.7), sims=50, seed=3)
     for x, y in zip(a, b):
         assert np.array_equal(x, y)
 
