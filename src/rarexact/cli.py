@@ -30,7 +30,7 @@ from .io import (
     write_rule,
     write_weight_table,
 )
-from .montecarlo import randomization_rejection_rate, simulate_trials
+from .montecarlo import randomization_rejection_rates, simulate_trials
 from .operating import AsymptoticRule, null_diagonal, power_curves, profile
 from .policies import (
     BayesianRar,
@@ -328,11 +328,10 @@ def _cmd_cmdp_solve(cfg: dict, out: str) -> int:
 def _cmd_mc_randtest(cfg: dict, out: str) -> int:
     policy = _policy_from_config(cfg)
     thetas = _thetas_from_config(cfg)
-    rows = []
-    for tc, td in thetas:
-        est = randomization_rejection_rate(policy, (tc, td), _integer(cfg, "sims"),
-                                           _number(cfg, "alpha"), _integer(cfg, "seed"))
-        rows.append((tc, td, est.estimate, est.half_width, est.sims, est.seed, est.generator))
+    estimates = randomization_rejection_rates(policy, thetas, _integer(cfg, "sims"),
+                                              _number(cfg, "alpha"), _integer(cfg, "seed"))
+    rows = [(tc, td, est.estimate, est.half_width, est.sims, est.seed, est.generator)
+            for (tc, td), est in zip(thetas, estimates)]
     _write_csv(
         out, ["theta_c", "theta_d", "estimate", "half_width", "sims", "seed", "generator"],
         rows, cfg,

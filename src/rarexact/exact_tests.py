@@ -26,11 +26,15 @@ import heapq
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .engine import PathWeightTable
 from .numerics import binomial_log_terms, check_alpha, log_binom
+
+if TYPE_CHECKING:   # annotations stay strings at run time; io reads them
+    import numpy.typing as npt
 
 CERT_TOL = 1e-10
 # relative + absolute slack when comparing accumulated tie-group masses to a
@@ -312,10 +316,10 @@ class ConditionalRule:
     alpha: float
     n: int
     design: str
-    upper: np.ndarray = field(repr=False)
-    upper_closed: np.ndarray = field(repr=False)
-    lower: np.ndarray = field(repr=False)
-    lower_closed: np.ndarray = field(repr=False)
+    upper: npt.NDArray[np.float64] = field(repr=False)
+    upper_closed: npt.NDArray[np.bool_] = field(repr=False)
+    lower: npt.NDArray[np.float64] = field(repr=False)
+    lower_closed: npt.NDArray[np.bool_] = field(repr=False)
     certificate: RegionCertificate | None = None
 
     kind = "conditional"

@@ -74,8 +74,21 @@ def _require_types(d: dict, checks: dict, what: str) -> None:
             raise ValueError(f"{what} key {key!r} = {d[key]!r} is not {kind}")
 
 
+def _is_number(value) -> bool:
+    return _is_int(value) or isinstance(value, float)
+
+
+def _or_null(check):
+    test, kind = check
+    return (lambda v: v is None or test(v), f"{kind} or null")
+
+
+def _list_of(test, kind: str):
+    return (lambda v: isinstance(v, list) and all(map(test, v)), f"a list of {kind}")
+
+
 _INT = (_is_int, "an integer")
-_NUMBER = (lambda v: _is_int(v) or isinstance(v, float), "a number")
+_NUMBER = (_is_number, "a number")
 _SIZES = (
     lambda v: isinstance(v, list) and all(_is_int(x) and x >= 0 for x in v),
     "a list of non-negative integers",
@@ -161,6 +174,29 @@ RULES = {cls.kind: cls
 RULE_KEYS = {kind: tuple(f.name for f in fields(cls) if f.default is MISSING)
              for kind, cls in RULES.items()}
 _CERT_KEYS = tuple(f.name for f in fields(RegionCertificate))
+_CERTIFICATE = (lambda v: isinstance(v, dict), "a certificate object")
+# the test of a rule or certificate field's JSON value, by the field's
+# annotation
+_FIELD_CHECKS = {
+    "int": _INT,
+    "float": _NUMBER,
+    "float | None": _or_null(_NUMBER),
+    "bool": (lambda v: isinstance(v, bool), "true or false"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "npt.NDArray[np.float64]": _list_of(_is_number, "numbers"),
+    "npt.NDArray[np.bool_]": _list_of(lambda v: isinstance(v, bool), "booleans"),
+    "RegionCertificate": _CERTIFICATE,
+    "RegionCertificate | None": _or_null(_CERTIFICATE),
+}
+
+_CHECKS_OF = {cls: {f.name: _FIELD_CHECKS[f.type] for f in fields(cls)}
+              for cls in (*RULES.values(), RegionCertificate)}
+
+
+def _require_fields(d: dict, cls, what: str) -> None:
+    """Raise ``ValueError`` naming the first field of dataclass ``cls``
+    present in ``d`` whose value does not fit the field's annotation."""
+    _require_types(d, {key: check for key, check in _CHECKS_OF[cls].items() if key in d}, what)
 
 
 def _to_json(value):
@@ -184,6 +220,7 @@ def _from_json(key: str, value):
     :class:`RegionCertificate` or ``None``."""
     if key.endswith("certificate") and value is not None:
         _require(value, _CERT_KEYS, "certificate")
+        _require_fields(value, RegionCertificate, "certificate")
         return RegionCertificate(**{k: value[k] for k in _CERT_KEYS})
     return value
 
@@ -199,20 +236,20 @@ def rule_from_dict(d: dict):
             f"rule key 'format' = {d['format']!r} is not {RULE_FORMAT}; "
             "rebuild the rule file with crit")
     alpha = d["alpha"]
-    if isinstance(alpha, bool) or not isinstance(alpha, (int, float)):
+    if not _is_number(alpha):
         raise ValueError(f"alpha = {alpha!r} is not a number")
     check_alpha(alpha)
     kind = d["kind"]
     if not isinstance(kind, str) or kind not in RULES:
         raise ValueError(f"unknown rule kind {kind!r}")
-    _require(d, RULE_KEYS[kind], f"{kind} rule")
-    if kind == "conditional":
-        _require_types(d, {"n": _INT}, "conditional rule")
-        for key in ("upper", "upper_closed", "lower", "lower_closed"):
-            if not (isinstance(d[key], list) and len(d[key]) == d["n"] + 1):
-                raise ValueError(f"conditional rule key {key!r} must hold n + 1 = {d['n'] + 1} "
-                                 "entries, one per success count")
     cls = RULES[kind]
+    _require(d, RULE_KEYS[kind], f"{kind} rule")
+    _require_fields(d, cls, f"{kind} rule")
+    # an array field holds one entry per success count
+    for f in fields(cls):
+        if f.type.startswith("npt.NDArray") and len(d[f.name]) != d["n"] + 1:
+            raise ValueError(f"{kind} rule key {f.name!r} must hold n + 1 = {d['n'] + 1} "
+                             "entries, one per success count")
     return cls(**{f.name: _from_json(f.name, d[f.name]) for f in fields(cls) if f.name in d})
 
 

@@ -17,7 +17,12 @@ depends only on its own words, so results do not depend on how the
 trials are chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
-p-value (:func:`randomization_test`).
+p-value (:func:`randomization_test`).  Its rejection rate simulates a batch
+of trials at once, stable-sorts it by total successes and runs the DP on
+``DP_TRIALS`` slices of that order, so chunk mates share a narrow ``(n_c,
+s_c)`` grid.  Each terminal state's ``|T|`` is read from one table over
+the terminal layer, built once per epoch lookup and shared by every
+``theta`` of :func:`randomization_rejection_rates`.
 """
 
 from __future__ import annotations
@@ -34,12 +39,14 @@ from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy-counter-blocks"
 EA_BLOCK = 10
-# Trials whose p-values randomization_rejection_rate computes together: at
-# n = 50 each holds at most 39 x 45 states, and only the success counts up
-# to the chunk's largest are kept; at most 0.45 MB per array a chunk.
+# Trials whose randomization p-values the DP computes together, taken in
+# the order of their total successes: at n = 50 each holds at most 39 x 45
+# states, and only the success counts up to the chunk's largest are kept;
+# at most 0.45 MB per array a chunk.
 DP_TRIALS = 32
-# Trials simulate_terminals steps together: 20,000 rows of 2n uniforms is
-# 16 MB at n = 50.
+# Trials simulate_terminals steps together, and randomization_rejection_rates
+# simulates before it tests them: 20,000 rows of 2n uniforms is 16 MB at
+# n = 50.
 SIM_BATCH = 20_000
 
 
@@ -125,11 +132,14 @@ class _EpochLookup:
     """Vectorized per-epoch allocation probabilities for a policy: the
     layer and the pair ``(q, q1)`` of its
     :meth:`~rarexact.policies.Policy.layer_arm_probs`, kept once per
-    epoch."""
+    epoch; for the randomization test also the index grids of its DP and
+    one ``|T|`` table over the terminal layer."""
 
     def __init__(self, policy: Policy):
         self.policy = policy
         self._cache: dict[int, tuple] = {}
+        self._grids: dict[tuple, np.ndarray] = {}
+        self._abs_wald = None
 
     def arm_probs(self, t: int) -> tuple:
         """``(layer, q, q1)`` at epoch ``t``."""
@@ -138,6 +148,29 @@ class _EpochLookup:
             lay = make_layer(t, self.policy.burn_in, self.policy.n)
             entry = self._cache[t] = (lay, *self.policy.layer_arm_probs(lay))
         return entry
+
+    def grid_indices(self, t: int, lo: int, rows: int, cols: int) -> np.ndarray:
+        """Layer-``t`` indices of ``(n_c, s_c, s_d = -s_c)`` over ``n_c = lo
+        .. lo + rows - 1`` and ``s_c = 0 .. cols - 1``, as a ``(rows,
+        cols)`` view; adding ``S_t`` gives those of ``s_d = S_t - s_c``.
+        Kept per ``(t, lo, rows)`` at the widest grid, ``s_c <= t - b``."""
+        base = self._grids.get((t, lo, rows))
+        if base is None:
+            b = self.policy.burn_in
+            s_c = np.arange(t - b + 1)
+            lay = make_layer(t, b, self.policy.n)
+            base = self._grids[t, lo, rows] = lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None])
+        return base[:, :cols]
+
+    def terminal_abs_wald(self) -> np.ndarray:
+        """``|T|`` of every terminal state, NaN where an arm is empty."""
+        if self._abs_wald is None:
+            n = self.policy.n
+            s_c, s_d, n_c, n_d = make_layer(n, self.policy.burn_in, n).arrays()
+            both = (n_c > 0) & (n_d > 0)
+            self._abs_wald = np.full(s_c.size, np.nan)
+            self._abs_wald[both] = np.abs(wald_statistics(s_c[both], s_d[both], n_c[both], n_d[both]))
+        return self._abs_wald
 
 
 def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray,
@@ -215,21 +248,22 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
     return tuple(out)
 
 
-def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
-                            lookup: _EpochLookup) -> np.ndarray:
+def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
+                    lookup: _EpochLookup) -> np.ndarray:
     """Exact randomization p-values of ``(m, n)`` rows of observed arms and
-    outcomes (see :func:`randomization_test`).  Given the outcomes, the
-    successes ``S_t`` before epoch ``t`` are known, so the allocation is a
-    Markov chain on ``(n_c, s_c)``, ``s_d = S_t - s_c``.  Its law is an
-    ``(m, K, J)`` array over ``n_c = lo .. lo + K - 1`` and ``s_c = 0 ..
-    J - 1``, where ``J - 1`` is at most the chunk's largest ``S_t``, since
-    ``s_c <= S_t``; states off the layer hold no mass.  Each permuted
-    balanced block (the burn-in, all of equal allocation) of ``L`` with
-    ``c = ceil(L / 2)`` controls adds ``c`` to ``n_c`` and a
-    ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later epoch moves
-    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``q1``.
-    The work is elementwise per row and the final sum runs in a fixed
-    order, so rows do not affect each other."""
+    outcomes, stepped together (see :func:`_randomization_p_values`).
+    Given the outcomes, the successes ``S_t`` before epoch ``t`` are known,
+    so the allocation is a Markov chain on ``(n_c, s_c)``, ``s_d = S_t -
+    s_c``.  Its law is an ``(m, K, J)`` array over ``n_c = lo .. lo + K -
+    1`` and ``s_c = 0 .. J - 1``, where ``J - 1`` is at most the rows'
+    largest ``S_t``, since ``s_c <= S_t``; states off the layer hold no
+    mass.  Each permuted balanced block (the burn-in, all of equal
+    allocation) of ``L`` with ``c = ceil(L / 2)`` controls adds ``c`` to
+    ``n_c`` and a ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later
+    epoch keeps ``q1`` of a state's mass and moves ``q`` of it to ``(n_c +
+    1, s_c + y_t)``.  Each terminal state's ``|T|`` is read from the
+    lookup's table.  The work is elementwise per row and the final sum runs
+    in a fixed order, so rows do not affect each other."""
     n, b = policy.n, policy.burn_in
     m = outcomes.shape[0]
     s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
@@ -237,7 +271,7 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
     succ = np.zeros((m, n + 1), dtype=np.int64)
     np.cumsum(outcomes, axis=1, out=succ[:, 1:])
     reach = succ.max(axis=0) + 1
-    y = outcomes.astype(np.float64)
+    rows_m = np.arange(m)
 
     w, lo, pos = np.ones((m, 1, 1)), 0, 0
     for length in _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK):
@@ -253,32 +287,49 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
         lay, q, q1 = lookup.arm_probs(t)
         w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
-        s_c = np.arange(cols)
         # s_d = S_t - s_c enters the index linearly; off-layer states hold
         # no mass, and their indices stay in the layer
-        idx = lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None]) + succ[:, t, None, None]
+        idx = lookup.grid_indices(t, lo, rows, cols) + succ[:, t, None, None]
         out = np.zeros((m, rows + 1, cols + 1))
-        np.multiply(w, q1[idx], out=out[:, :rows, :cols])
-        w *= q[idx]
-        moved = w * y[:, t, None, None]
-        w -= moved
-        out[:, 1:, 1:] += moved
-        out[:, 1:, :cols] += w
+        np.multiply(w, q1.take(idx), out=out[:, :rows, :cols])
+        w *= q.take(idx)
+        # the control mass moves to (n_c + 1, s_c + y_t): view out[:, 1:]
+        # as (m, 2, rows, cols), its column shifts 0 and 1 side by side, and
+        # add each row's mass at the shift of its own outcome
+        step = out.strides
+        shifted = np.ndarray((m, 2, rows, cols), buffer=out, offset=step[1],
+                             strides=(step[0], step[2], step[1], step[2]))
+        shifted[rows_m, outcomes[:, t]] += w
         w = out
 
     w = w[:, :, :reach[n]]
     rows, cols = w.shape[1:]
-    n_c = np.arange(lo, lo + rows)[:, None]
-    s_c = np.minimum(np.arange(cols), n_c)
-    s_d = np.clip(succ[:, n, None, None] - s_c, 0, n - n_c)
-    extreme = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c)) >= t_obs[:, None, None]
-    mass = np.where(extreme, w, 0.0)
+    if lo < 1 or lo + rows > n:
+        raise ValueError("Wald statistic requires both group sizes positive")
+    abs_t = lookup.terminal_abs_wald()
+    extreme = abs_t.take(lookup.grid_indices(n, lo, rows, cols) + succ[:, n, None, None])
+    mass = np.where(extreme >= t_obs[:, None, None], w, 0.0)
     # summed one n_c, then one s_c at a time: the columns above a row's own
     # S_n add exact zeros, so its p-value does not depend on the width
     # its chunk mates set
     p = np.zeros(m)
     for column in np.add.accumulate(mass, axis=1)[:, -1].T:
         p += column
+    return p
+
+
+def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
+                            lookup: _EpochLookup) -> np.ndarray:
+    """Exact randomization p-values of ``(m, n)`` rows of observed arms and
+    outcomes (see :func:`randomization_test`), in row order.  The rows are
+    stepped ``DP_TRIALS`` at a time in the stable order of their total
+    successes, so chunk mates share a narrow ``(n_c, s_c)`` grid; a row's
+    p-value does not depend on its chunk mates."""
+    order = np.argsort(outcomes.sum(axis=1), kind="stable")
+    p = np.empty(order.size)
+    for start in range(0, order.size, DP_TRIALS):
+        rows = order[start:start + DP_TRIALS]
+        p[rows] = _chunk_p_values(policy, arms[rows], outcomes[rows], lookup)
     return p
 
 
@@ -309,23 +360,35 @@ class RateEstimate:
     generator: str = GENERATOR_ID
 
 
-def randomization_rejection_rate(policy: Policy, theta, sims: int, alpha: float,
-                                 seed: int) -> RateEstimate:
-    """Rejection rate of the exact randomization test over trials ``0 ..
-    sims - 1`` of the run keyed by ``seed``, with a normal-approximation
-    95% half-width.  Each trial reads its own words of the run's sequence
-    (see :func:`simulate_trials`) and has a permuted burn-in block, like
-    the test; trials are tested in chunks of ``DP_TRIALS``."""
+def randomization_rejection_rates(policy: Policy, thetas, sims: int, alpha: float,
+                                  seed: int) -> list[RateEstimate]:
+    """Rejection rate of the exact randomization test at each ``theta`` of
+    ``thetas``, over trials ``0 .. sims - 1`` of the run keyed by ``seed``,
+    with a normal-approximation 95% half-width.  Each trial reads its own
+    words of the run's sequence (see :func:`simulate_trials`) and has a
+    permuted burn-in block, like the test.  The trials are simulated
+    ``SIM_BATCH`` at a time and tested in ``DP_TRIALS`` chunks of the batch
+    sorted by total successes (see :func:`_randomization_p_values`); every
+    ``theta`` shares one epoch lookup and its terminal ``|T|`` table."""
     check_alpha(alpha)
     if sims < 100:
         raise ValueError("need at least 100 simulations")
     lookup = _EpochLookup(policy)
-    rejections = 0
-    for start in range(0, sims, DP_TRIALS):
-        u = _stream_uniforms(seed, start, min(DP_TRIALS, sims - start), 2 * policy.n)
-        arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
-        p = _randomization_p_values(policy, arms, outcomes, lookup)
-        rejections += int(np.count_nonzero(p <= alpha))
-    est = rejections / sims
-    half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
-    return RateEstimate(est, float(half), sims, seed)
+    estimates = []
+    for theta in thetas:
+        rejections = 0
+        for start in range(0, sims, SIM_BATCH):
+            u = _stream_uniforms(seed, start, min(SIM_BATCH, sims - start), 2 * policy.n)
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
+            p = _randomization_p_values(policy, arms, outcomes, lookup)
+            rejections += int(np.count_nonzero(p <= alpha))
+        est = rejections / sims
+        half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
+        estimates.append(RateEstimate(est, float(half), sims, seed))
+    return estimates
+
+
+def randomization_rejection_rate(policy: Policy, theta, sims: int, alpha: float,
+                                 seed: int) -> RateEstimate:
+    """:func:`randomization_rejection_rates` at the one point ``theta``."""
+    return randomization_rejection_rates(policy, [theta], sims, alpha, seed)[0]

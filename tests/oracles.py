@@ -935,6 +935,78 @@ def randomization_p_value_enum(policy, arms, outcomes):
     return math.fsum(prob for (_, prob), stat in zip(paths, stats) if stat >= t_obs)
 
 
+def randomization_p_values_ref(policy, arms, outcomes, lookup):
+    """Exact randomization p-values of ``(m, n)`` rows of observed arms and
+    outcomes, all rows in one chunk in their given order, with ``|T|``
+    computed on the chunk's grid and the control mass moved by two adds.
+    Given the outcomes, the
+    successes ``S_t`` before epoch ``t`` are known, so the allocation is a
+    Markov chain on ``(n_c, s_c)``, ``s_d = S_t - s_c``.  Its law is an
+    ``(m, K, J)`` array over ``n_c = lo .. lo + K - 1`` and ``s_c = 0 ..
+    J - 1``, where ``J - 1`` is at most the chunk's largest ``S_t``, since
+    ``s_c <= S_t``; states off the layer hold no mass.  Each permuted
+    balanced block (the burn-in, all of equal allocation) of ``L`` with
+    ``c = ceil(L / 2)`` controls adds ``c`` to ``n_c`` and a
+    ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later epoch moves
+    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``q1``.
+    The work is elementwise per row and the final sum runs in a fixed
+    order, so rows do not affect each other."""
+    from rarexact.montecarlo import EA_BLOCK, _block_plan, _terminal_counts
+    from rarexact.policies import EqualAllocation
+    from rarexact.wald import wald_statistics
+
+    n, b = policy.n, policy.burn_in
+    m = outcomes.shape[0]
+    s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
+    t_obs = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
+    succ = np.zeros((m, n + 1), dtype=np.int64)
+    np.cumsum(outcomes, axis=1, out=succ[:, 1:])
+    reach = succ.max(axis=0) + 1
+    y = outcomes.astype(np.float64)
+
+    w, lo, pos = np.ones((m, 1, 1)), 0, 0
+    for length in _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK):
+        c = (length + 1) // 2
+        hyper = np.array([[math.comb(s, k) * math.comb(length - s, c - k) / math.comb(length, c)
+                           for k in range(c + 1)] for s in range(length + 1)])
+        hyper = hyper[succ[:, pos + length] - succ[:, pos]]
+        out = np.zeros(w.shape[:2] + (w.shape[2] + c,))
+        for k in range(c + 1):
+            out[:, :, k:k + w.shape[2]] += w * hyper[:, k, None, None]
+        w, lo, pos = out, lo + c, pos + length
+    for t in range(pos, n):
+        lay, q, q1 = lookup.arm_probs(t)
+        w = w[:, :, :reach[t]]
+        rows, cols = w.shape[1:]
+        s_c = np.arange(cols)
+        # s_d = S_t - s_c enters the index linearly; off-layer states hold
+        # no mass, and their indices stay in the layer
+        idx = lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None]) + succ[:, t, None, None]
+        out = np.zeros((m, rows + 1, cols + 1))
+        np.multiply(w, q1[idx], out=out[:, :rows, :cols])
+        w *= q[idx]
+        moved = w * y[:, t, None, None]
+        w -= moved
+        out[:, 1:, 1:] += moved
+        out[:, 1:, :cols] += w
+        w = out
+
+    w = w[:, :, :reach[n]]
+    rows, cols = w.shape[1:]
+    n_c = np.arange(lo, lo + rows)[:, None]
+    s_c = np.minimum(np.arange(cols), n_c)
+    s_d = np.clip(succ[:, n, None, None] - s_c, 0, n - n_c)
+    extreme = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c)) >= t_obs[:, None, None]
+    mass = np.where(extreme, w, 0.0)
+    # summed one n_c, then one s_c at a time: the columns above a row's own
+    # S_n add exact zeros, so its p-value does not depend on the width
+    # its chunk mates set
+    p = np.zeros(m)
+    for column in np.add.accumulate(mass, axis=1)[:, -1].T:
+        p += column
+    return p
+
+
 # ---------------------------------------------------------------------------
 # helpers only the tests call
 

@@ -267,9 +267,29 @@ def test_rule_missing_a_required_key_is_rejected_naming_it():
         for fmt in (0, 1, 3, True, "2", None):
             with pytest.raises(ValueError, match="'format'.*rebuild the rule file with crit"):
                 rule_from_dict(dict(d, format=fmt))
+    # a value of the wrong type for its field's annotation, per kind
+    wrong = {
+        "conditional": [("n", 10.0), ("design", None), ("upper", ["2.0"] * 11),
+                        ("upper_closed", [1] * 11), ("lower", 2.0), ("lower_closed", None)],
+        "unconditional": [("upper", "2.0"), ("upper_closed", 1), ("lower", [2.0]),
+                          ("lower_closed", "true"), ("upper_certificate", None),
+                          ("lower_certificate", [])],
+        "boschloo": [("n", True), ("threshold", [1]), ("threshold", "0.05"),
+                     ("largest_included", "0.04"), ("certificate", 0.05)],
+        "asymptotic": [("alpha", [0.05])],
+    }
+    for rule in rules:
+        d = rule_to_dict(rule)
+        for key, bad in wrong[d["kind"]]:
+            with pytest.raises(ValueError, match=f"{key!r}|alpha = "):
+                rule_from_dict(dict(d, **{key: bad}))
     d = rule_to_dict(rules[0])
     del d["certificate"]["lower_bound"]
     with pytest.raises(ValueError, match="'lower_bound'"):
+        rule_from_dict(d)
+    d = rule_to_dict(rules[0])
+    d["certificate"]["accepted"] = "yes"
+    with pytest.raises(ValueError, match="'accepted'"):
         rule_from_dict(d)
     for bad in ([], {"kind": ["conditional"], "alpha": 0.05}):
         with pytest.raises(ValueError):
@@ -425,6 +445,24 @@ def test_cli_truncated_conditional_rule_exits_2_naming_the_key(tmp_path, capsys,
                rule_path=str(rule_path), theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
     assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 2
     assert f"key '{key}' must hold n + 1 = 11 entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("test, key, bad", [
+    ("unconditional", "upper", "2.0"), ("boschloo", "threshold", [1]),
+    ("conditional", "lower_closed", [0] * 11),
+])
+def test_cli_rule_value_of_the_wrong_type_exits_2_naming_the_key(tmp_path, capsys, test, key,
+                                                                  bad):
+    # numpy would turn these into an error deep in oc (exit 1) or into a
+    # rule that runs on values nobody wrote
+    rule_path = tmp_path / "rule.json"
+    cfg = _cfg(tmp_path, "crit.json", n=10, burn_in=1, policy="DbcdNeyman", test=test)
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    rule_path.write_text(json.dumps(dict(json.loads(rule_path.read_text()), **{key: bad})))
+    cfg = _cfg(tmp_path, "oc.json", n=10, burn_in=1, policy="DbcdNeyman",
+               rule_path=str(rule_path), theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 2
+    assert f"{test} rule key {key!r} = {bad!r} is not" in capsys.readouterr().err
 
 
 def test_cli_weight_header_without_n_exits_2(tmp_path, capsys):

@@ -1,6 +1,9 @@
 """No command-line path loads scipy: importing the package, and every
-subcommand run on a tiny configuration, each in a fresh process."""
+subcommand run on a tiny configuration, each in a fresh process.  The
+package loads each exported name on first use, with its module's imports
+alone."""
 
+import importlib
 import json
 import os
 import subprocess
@@ -13,15 +16,40 @@ from rarexact.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
-# imports ``module``, runs the subcommand ``argv`` (if any) and reports
-# its exit code and every loaded scipy module
+# imports ``module`` and reads the names ``sys.argv[3]`` from it, runs the
+# subcommand ``argv`` (if any) and reports its exit code, every loaded
+# scipy module and every loaded rarexact module
 CHILD = """
 import importlib, json, sys
-importlib.import_module(sys.argv[1])
+module = importlib.import_module(sys.argv[1])
+for name in json.loads(sys.argv[3]):
+    getattr(module, name)
 argv = json.loads(sys.argv[2])
 code = importlib.import_module("rarexact.cli").main(argv) if argv else 0
-print(json.dumps({"code": code, "scipy": sorted(m for m in sys.modules if m.startswith("scipy"))}))
+print(json.dumps({"code": code,
+                  "scipy": sorted(m for m in sys.modules if m.startswith("scipy")),
+                  "rarexact": sorted(m for m in sys.modules if m.startswith("rarexact"))}))
 """
+
+# the names the package exported when it imported every module eagerly
+EXPORTED = [
+    "AltUniform", "AuditReport", "CmdpResult", "CmdpSpec", "NullUniform", "PointNull",
+    "Rectangle", "audit_policy", "default_rectangles", "lagrangian_backward",
+    "measure_log_weights", "solve_cmdp",
+    "PathWeightTable", "TerminalFunctional", "equal_allocation_g", "forward_g",
+    "layer_log_likelihood",
+    "BoschlooRule", "ConditionalRule", "RegionCertificate", "UnconditionalRule", "boschloo_rule",
+    "boschloo_statistic", "certify_region", "conditional_rule", "unconditional_rule",
+    "RateEstimate", "TrialHistory", "randomization_rejection_rate", "randomization_test",
+    "simulate_terminals",
+    "log_binom", "logsumexp_fixed", "normal_quantile",
+    "AsymptoticRule", "OcProfile", "null_diagonal", "patient_benefit", "power_curves", "profile",
+    "rejection_rate",
+    "BayesianRar", "DbcdNeyman", "EqualAllocation", "Policy", "PolicyTable",
+    "TemperedDbcdNeyman", "neyman_target",
+    "Layer", "TrialState", "layer",
+    "layer_wald_statistics", "wald_statistics",
+]
 
 TINY = {"n": 10, "burn_in": 1, "policy": "brar", "test": "unconditional",
         "theta_grid": {"kind": "list", "values": [[0.3, 0.3], [0.2, 0.7]]}}
@@ -71,14 +99,49 @@ def configs(tmp_path_factory):
     }
 
 
+def _child(module, argv=(), names=()):
+    """The report of ``CHILD`` run in a fresh process; the subcommand's
+    stderr comes along for the failure messages."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", CHILD, module, json.dumps(list(argv)),
+                           json.dumps(list(names))],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1]), proc.stderr
+
+
 @pytest.mark.parametrize("case", CASES)
 def test_no_cli_path_imports_scipy(case, configs):
     module, command, codes = CASES[case]
     argv = command + ["--config", configs[case], "--out", configs["out"]] if command else []
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", CHILD, module, json.dumps(argv)],
-                          env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["code"] in codes, proc.stderr
+    report, stderr = _child(module, argv)
+    assert report["code"] in codes, stderr
     assert report["scipy"] == []
+
+
+def test_importing_the_package_loads_no_module():
+    report, _ = _child("rarexact")
+    assert report["rarexact"] == ["rarexact"]
+
+
+def test_monte_carlo_names_load_only_the_monte_carlo_stack():
+    # perfbench/simulate.py's import: the policies and the Monte Carlo
+    # module, not the exact tests, the CMDP solver or the command line
+    report, _ = _child("rarexact", names=["DbcdNeyman", "simulate_terminals"])
+    loaded = {name.split(".")[1] for name in report["rarexact"] if "." in name}
+    assert {"montecarlo", "policies"} <= loaded
+    assert not loaded & {"cmdp", "exact_tests", "operating", "io", "engine", "cli"}
+
+
+def test_package_exports_every_name_from_its_module():
+    import rarexact
+
+    assert sorted(rarexact.__all__) == sorted(EXPORTED) and len(set(EXPORTED)) == len(EXPORTED)
+    assert set(EXPORTED) <= set(dir(rarexact))
+    for name in rarexact.__all__:
+        value = getattr(rarexact, name)
+        assert getattr(importlib.import_module(value.__module__), name) is value
+    with pytest.raises(AttributeError, match="no_such_name"):
+        getattr(rarexact, "no_such_name")
+    with pytest.raises(ImportError):
+        from rarexact import no_such_name  # noqa: F401

@@ -26,6 +26,7 @@ from rarexact.montecarlo import (
     _simulate_batch,
     _stream_uniforms,
     make_rng,
+    randomization_rejection_rates,
     simulate_trials,
 )
 
@@ -34,6 +35,7 @@ from oracles import (
     permuted_block_sequence,
     random_codes,
     randomization_p_value_enum,
+    randomization_p_values_ref,
     simulate_trial,
     simulate_trial_ref,
     table_from_codes,
@@ -220,6 +222,58 @@ def test_randomization_test_matches_reference(policy):
             assert p == p_rows[i]
             assert p == pytest.approx(randomization_p_value_enum(policy, a, y), rel=0.0, abs=1e-14)
             assert reject == (p <= 0.1) and type(reject) is bool
+
+
+ORACLE_POLICIES = [
+    EqualAllocation(11, 0), EqualAllocation(12, 1), DbcdNeyman(16, 2), TemperedDbcdNeyman(14, 1),
+    BayesianRar(14, 2), _random_table(14, 1, 0.9, seed=5),
+]
+
+
+@pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
+def test_sorted_chunks_and_terminal_table_match_the_chunk_oracle(policy, monkeypatch):
+    # the sorted DP_TRIALS chunks, the terminal |T| table and the shifted
+    # add give the p-values of the unsorted chunk DP bit for bit, with
+    # either burn-in pattern and in any trial order
+    monkeypatch.setattr(montecarlo, "DP_TRIALS", 5)
+    lookup = _EpochLookup(policy)
+    u = _stream_uniforms(9, 0, 60, 2 * policy.n)
+    order = np.random.default_rng(1).permutation(60)
+    for theta in ((0.3, 0.3), (0.2, 0.8)):
+        for burn_in_blocks in (False, True):
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks)
+            ref = randomization_p_values_ref(policy, arms, outcomes, lookup)
+            assert np.array_equal(_randomization_p_values(policy, arms, outcomes, lookup), ref)
+            shuffled = _randomization_p_values(policy, arms[order], outcomes[order], lookup)
+            assert np.array_equal(shuffled, ref[order])
+
+
+@pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
+def test_rejection_rates_count_the_chunk_oracle_rejections(policy, monkeypatch):
+    # one rate per theta over one shared lookup; each counts the trials
+    # whose oracle p-value is at most alpha, for every seed, whatever the
+    # simulation batch
+    thetas, sims, alpha = [(0.3, 0.3), (0.2, 0.8)], 100, 0.1
+    monkeypatch.setattr(montecarlo, "SIM_BATCH", 37)
+    for seed in (0, 7, -3):
+        rates = randomization_rejection_rates(policy, thetas, sims, alpha, seed)
+        for theta, rate in zip(thetas, rates):
+            lookup = _EpochLookup(policy)
+            u = _stream_uniforms(seed, 0, sims, 2 * policy.n)
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
+            p = randomization_p_values_ref(policy, arms, outcomes, lookup)
+            assert rate.estimate == np.count_nonzero(p <= alpha) / sims
+            assert rate == randomization_rejection_rate(policy, theta, sims, alpha, seed)
+
+
+def test_adaptive_design_without_burn_in_has_no_randomization_test():
+    # with no burn-in some allocation leaves an arm empty, where the Wald
+    # statistic is undefined; the |T| table holds NaN there and is not read
+    pol = BayesianRar(8, 0)
+    hist = simulate_trial(pol, (0.4, 0.6), seed=3)
+    assert 0 < np.count_nonzero(hist.arms == 0) < pol.n
+    with pytest.raises(ValueError, match="both group sizes positive"):
+        randomization_test(hist, pol, alpha=0.05)
 
 
 def test_randomization_grid_indexes_inside_each_layer():
