@@ -29,8 +29,8 @@ _EXPORTS = {
         "unconditional_rule",
     ),
     "montecarlo": (
-        "RateEstimate", "TrialHistory", "randomization_rejection_rate", "randomization_test",
-        "simulate_terminals",
+        "RateEstimate", "randomization_rejection_rate", "randomization_rejection_rates",
+        "randomization_test", "simulate_terminals",
     ),
     "numerics": ("log_binom", "logsumexp_fixed", "normal_quantile"),
     "operating": (

@@ -18,6 +18,8 @@ import argparse
 import json
 import sys
 
+import numpy as np
+
 from . import __version__
 from .cmdp import CmdpSpec, Rectangle, default_rectangles, solve_cmdp
 from .engine import forward_g
@@ -31,6 +33,7 @@ from .io import (
     write_weight_table,
 )
 from .montecarlo import randomization_rejection_rates, simulate_trials
+from .numerics import theta_array
 from .operating import AsymptoticRule, null_diagonal, power_curves, profile
 from .policies import (
     BayesianRar,
@@ -345,10 +348,11 @@ def _cmd_paths(cfg: dict, out: str) -> int:
     sims = _integer(cfg, "path_sims") if "path_sims" in cfg else _integer(cfg, "sims")
     seed = _integer(cfg, "seed")
     rows = []
-    for tc, td in thetas:
-        for i, hist in enumerate(simulate_trials(policy, (tc, td), seed, 0, sims)):
-            for t, prop in enumerate(hist.control_proportion_path(), start=1):
-                rows.append((tc, td, i, t, prop))
+    # checked whole first, so an error names the point's place in the grid
+    for tc, td in theta_array(thetas).tolist():
+        arms, _ = simulate_trials(policy, (tc, td), seed, 0, sims)
+        for i, path in enumerate(np.cumsum(arms == 0, axis=1) / np.arange(1, policy.n + 1)):
+            rows.extend((tc, td, i, t, prop) for t, prop in enumerate(path, start=1))
     _write_csv(out, ["theta_c", "theta_d", "sim", "t", "control_proportion"], rows, cfg)
     return EXIT_OK
 

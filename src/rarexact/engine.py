@@ -43,7 +43,7 @@ except ImportError:
     except ImportError:
         from hashlib import sha256
 
-from .numerics import binomial_log_terms, log_binom, logsumexp_fixed
+from .numerics import binomial_log_terms, log_binom, logsumexp_fixed, theta_array
 from .policies import EqualAllocation, Policy, PolicyTable
 from .states import Layer, Transition, layer as make_layer
 from .wald import layer_wald_statistics
@@ -215,22 +215,6 @@ def layer_log_likelihood(lay: Layer, theta: tuple[float, float]) -> np.ndarray:
     ln_d, ln_1d = binomial_log_terms(td, lay.t)
     s_c, s_d, n_c, n_d = lay.arrays()
     return ln_c[s_c] + ln_1c[n_c - s_c] + ln_d[s_d] + ln_1d[n_d - s_d]
-
-
-def theta_array(thetas) -> np.ndarray:
-    """Evaluation points as an ``(m, 2)`` float array of ``(theta_C,
-    theta_D)`` rows; raises ``ValueError`` naming the first point that is
-    NaN or outside ``[0, 1]``."""
-    th = np.asarray(thetas, dtype=np.float64)
-    if th.ndim != 2 or th.shape[1] != 2:
-        raise ValueError("evaluation points must be (theta_C, theta_D) pairs")
-    bad = ~((th >= 0.0) & (th <= 1.0))
-    if np.any(bad):
-        i = int(np.argmax(bad.any(axis=1)))
-        raise ValueError(
-            f"theta point {i} ({th[i, 0]!r}, {th[i, 1]!r}) is not in [0, 1] x [0, 1]"
-        )
-    return th
 
 
 def _binomial_kernel(tables: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -1,4 +1,7 @@
-"""Trial simulation and the exact randomization-based Wald test.
+"""Trial simulation and the exact randomization-based Wald test.  Trials
+are rows: arms (0 is control) and outcomes of ``m`` trials are two ``(m,
+n)`` int8 arrays, which :func:`simulate_trials` returns and
+:func:`randomization_test` takes.
 
 All randomness comes from one counter-based generator per run, keyed by
 its master seed, so results are bit-reproducible for a fixed seed on any
@@ -17,22 +20,23 @@ depends only on its own words, so results do not depend on how the
 trials are chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
-p-value (:func:`randomization_test`).  Its rejection rate simulates a batch
-of trials at once, stable-sorts it by total successes and runs the DP on
-``DP_TRIALS`` slices of that order, so chunk mates share a narrow ``(n_c,
-s_c)`` grid.  Each terminal state's ``|T|`` is read from one table over
-the terminal layer, built once per epoch lookup and shared by every
-``theta`` of :func:`randomization_rejection_rates`.
+p-values, all rows sharing one epoch lookup.  Its rejection rate
+simulates a batch of trials at once, stable-sorts it by total successes
+and runs the DP on ``DP_TRIALS`` slices of that order, so chunk mates
+share a narrow ``(n_c, s_c)`` grid.  Each terminal state's ``|T|`` is
+read from one table over the terminal layer, built once per epoch lookup
+and shared by every ``theta`` of :func:`randomization_rejection_rates`.
+Every entry point refuses a ``theta`` that is NaN or outside ``[0, 1]``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import check_alpha
+from .numerics import check_alpha, theta_array
 from .policies import EqualAllocation, Policy
 from .states import layer as make_layer
 from .wald import wald_statistics
@@ -68,22 +72,6 @@ def _stream_uniforms(seed: int, start: int, m: int, count: int) -> np.ndarray:
     rng = make_rng(seed)
     rng.bit_generator.advance(start * blocks)
     return rng.random((m, 4 * blocks))[:, :count]
-
-
-@dataclass
-class TrialHistory:
-    """Realized allocations and outcomes; arm 0 is control."""
-
-    arms: np.ndarray = field(repr=False)
-    outcomes: np.ndarray = field(repr=False)
-
-    @property
-    def n(self) -> int:
-        return self.arms.size
-
-    def control_proportion_path(self) -> np.ndarray:
-        """Running proportion of participants allocated to control."""
-        return np.cumsum(self.arms == 0) / np.arange(1, self.n + 1)
 
 
 def _terminal_counts(arms: np.ndarray, y_c: np.ndarray, y_d: np.ndarray):
@@ -212,32 +200,30 @@ def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
                     burn_in_blocks: bool = False):
     """Step the trials whose rows of ``u`` hold ``n`` allocation keys, then
     ``n`` outcome draws; returns arms, outcomes and terminal counts."""
-    n = policy.n
-    tc, td = theta
-    y_c = u[:, n:2 * n] < tc
-    y_d = u[:, n:2 * n] < td
+    n, (tc, td) = policy.n, theta
+    y_c, y_d = u[:, n:] < tc, u[:, n:] < td
     arms, counts = _allocate(policy, u[:, :n], y_c, y_d, lookup, burn_in_blocks)
-    outcomes = np.where(arms == 0, y_c, y_d).astype(np.int8)
-    return arms, outcomes, counts
+    return arms, np.where(arms == 0, y_c, y_d).astype(np.int8), counts
 
 
-def simulate_trials(policy: Policy, theta, seed: int, start: int,
-                    count: int) -> list[TrialHistory]:
+def simulate_trials(policy: Policy, theta, seed: int, start: int, count: int):
     """Trials ``start .. start + count - 1`` of the run keyed by ``seed``,
     stepped together: alternating burn-in (permuted blocks for equal
-    allocation), then policy-randomized arms and Bernoulli outcomes.  Each
-    trial reads only its own words of the run's sequence, so it does not
-    depend on ``start`` or ``count``."""
+    allocation), then policy-randomized arms and Bernoulli outcomes.
+    Returns ``(arms, outcomes)``, two ``(count, n)`` int8 arrays with one
+    trial per row.  Each trial reads only its own words of the run's
+    sequence, so it does not depend on ``start`` or ``count``."""
+    (theta,) = theta_array([theta])
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
     arms, outcomes, _ = _simulate_batch(policy, theta, u, _EpochLookup(policy))
-    return [TrialHistory(a, y) for a, y in zip(arms, outcomes)]
+    return arms, outcomes
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
     """Terminal states of trials ``0 .. sims - 1`` of the run keyed by
     ``seed``, the same as :func:`simulate_trials` gives them, stepped
     ``SIM_BATCH`` at a time; returns ``(s_c, s_d, n_c)`` arrays."""
-    n, (tc, td) = policy.n, theta
+    n, ((tc, td),) = policy.n, theta_array([theta])
     lookup = _EpochLookup(policy)
     out = np.empty((3, sims), dtype=np.int64)
     for start in range(0, sims, SIM_BATCH):
@@ -313,7 +299,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     # S_n add exact zeros, so its p-value does not depend on the width
     # its chunk mates set
     p = np.zeros(m)
-    for column in np.add.accumulate(mass, axis=1)[:, -1].T:
+    for column in sum(mass.transpose(1, 0, 2)).T:
         p += column
     return p
 
@@ -333,19 +319,28 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
     return p
 
 
-def randomization_test(observed: TrialHistory, policy: Policy, alpha: float):
-    """Exact two-sided randomization test; returns ``(reject, p)``.  With
-    the outcome sequence fixed in participant order, ``p = P(|T| >=
-    |t_obs|)`` over every allocation the design could have made, its
-    burn-in one permuted balanced block.  Ties count fully, so p = 1 when
-    all allocations tie (say, all outcomes zero), P(p <= alpha) <= alpha
-    given the outcomes, and designs with heavy ties, such as permuted-block
+def randomization_test(arms, outcomes, policy: Policy, alpha: float):
+    """Exact two-sided randomization test of each trial given as a row of
+    ``(m, n)`` arrays of 0/1 ``arms`` (0 is control) and ``outcomes``;
+    returns ``(reject, p)``, two arrays of length ``m``.  With a row's
+    outcome sequence fixed in participant order, ``p = P(|T| >= |t_obs|)``
+    over every allocation the design could have made, its burn-in one
+    permuted balanced block.  Ties count fully, so p = 1 when all
+    allocations tie (say, all outcomes zero), P(p <= alpha) <= alpha given
+    the outcomes, and designs with heavy ties, such as permuted-block
     equal allocation, are conservative.  An adaptive policy needs a burn-in
-    of at least one per arm, or some Wald statistic is undefined.
+    of at least one per arm, or some Wald statistic is undefined.  All rows
+    share one epoch lookup, and no row's p-value depends on the others.
     """
     check_alpha(alpha)
-    arms, outcomes = observed.arms[None, :], observed.outcomes[None, :]
-    p = float(_randomization_p_values(policy, arms, outcomes, _EpochLookup(policy))[0])
+    arms, outcomes = np.asarray(arms), np.asarray(outcomes)
+    if arms.ndim != 2 or arms.shape != outcomes.shape or arms.shape[1] != policy.n:
+        raise ValueError(f"arms {arms.shape} and outcomes {outcomes.shape} are not both "
+                         f"(m, {policy.n}) rows of trials")
+    if not (np.isin(arms, (0, 1)).all() and np.isin(outcomes, (0, 1)).all()):
+        raise ValueError("arms and outcomes must hold 0 or 1")
+    arms, outcomes = arms.astype(np.int8), outcomes.astype(np.int8)
+    p = _randomization_p_values(policy, arms, outcomes, _EpochLookup(policy))
     return p <= alpha, p
 
 
@@ -373,6 +368,7 @@ def randomization_rejection_rates(policy: Policy, thetas, sims: int, alpha: floa
     check_alpha(alpha)
     if sims < 100:
         raise ValueError("need at least 100 simulations")
+    thetas = theta_array(thetas)
     lookup = _EpochLookup(policy)
     estimates = []
     for theta in thetas:

@@ -118,6 +118,20 @@ def check_alpha(alpha: float, name: str = "alpha", bound: bool = False) -> None:
         raise ValueError(f"{name} = {alpha!r} is not in {'[0, 1]' if bound else '(0, 1)'}")
 
 
+def theta_array(thetas) -> np.ndarray:
+    """Evaluation points as an ``(m, 2)`` float array of ``(theta_C,
+    theta_D)`` rows; raises ``ValueError`` naming the first point that is
+    NaN or outside ``[0, 1]``."""
+    th = np.asarray(thetas, dtype=np.float64)
+    if th.ndim != 2 or th.shape[1] != 2:
+        raise ValueError("evaluation points must be (theta_C, theta_D) pairs")
+    bad = ~((th >= 0.0) & (th <= 1.0))
+    if np.any(bad):
+        i = int(np.argmax(bad.any(axis=1)))
+        raise ValueError(f"theta point {i} {tuple(th[i].tolist())} is not in [0, 1] x [0, 1]")
+    return th
+
+
 def logsumexp_fixed(values: np.ndarray) -> float:
     """Log-sum-exp reduced in the array's own (fixed) order.
 

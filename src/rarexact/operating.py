@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import PathWeightTable, TerminalFunctional, theta_array
-from .numerics import check_alpha, normal_quantile
+from .engine import PathWeightTable, TerminalFunctional
+from .numerics import check_alpha, normal_quantile, theta_array
 from .wald import asymptotic_reject_array
 
 

@@ -1098,20 +1098,22 @@ def swap_permutation(lay):
     return np.asarray(lay.indices(s_d, s_c, n_d), dtype=np.int64)
 
 
-def terminal_state_ref(hist):
-    """Terminal ``TrialState`` of a ``TrialHistory``, counted one
+def terminal_state_ref(arms, outcomes):
+    """Terminal ``TrialState`` of one trial's arms and outcomes, counted one
     participant at a time."""
     from rarexact.states import TrialState
 
     succ, size = [0, 0], [0, 0]
-    for arm, y in zip(hist.arms.tolist(), hist.outcomes.tolist()):
+    for arm, y in zip(arms.tolist(), outcomes.tolist()):
         succ[arm] += y
         size[arm] += 1
     return TrialState(succ[0], succ[1], size[0], size[1])
 
 
 def simulate_trial(policy, theta, seed, stream=0):
-    """The one trial on stream ``stream``, as a ``TrialHistory``."""
+    """``(arms, outcomes)`` of the one trial on stream ``stream``, as two
+    length-``n`` arrays."""
     from rarexact.montecarlo import simulate_trials
 
-    return simulate_trials(policy, theta, seed, stream, 1)[0]
+    arms, outcomes = simulate_trials(policy, theta, seed, stream, 1)
+    return arms[0], outcomes[0]

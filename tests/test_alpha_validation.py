@@ -17,15 +17,14 @@ from rarexact import (
 )
 from rarexact.cli import main
 from rarexact.io import read_rule, rule_to_dict, write_weight_table
-
-from oracles import simulate_trial
+from rarexact.montecarlo import simulate_trials
 
 BAD_LEVELS = [math.nan, -0.1, 0.0, 1.0, 1.5]
 BAD_BOUNDS = [math.nan, -0.1, 1.5]
 
 POLICY = DbcdNeyman(20, 2)
 TABLE = forward_g(POLICY)
-HISTORY = simulate_trial(POLICY, (0.4, 0.6), seed=1)
+ARMS, OUTCOMES = simulate_trials(POLICY, (0.4, 0.6), 1, 0, 1)
 
 ENTRY_POINTS = {
     "conditional_rule": lambda a: conditional_rule(TABLE, a),
@@ -33,7 +32,7 @@ ENTRY_POINTS = {
     "boschloo_rule": lambda a: boschloo_rule(TABLE, a),
     "AsymptoticRule": AsymptoticRule,
     "CmdpSpec": lambda a: CmdpSpec(n=8, burn_in=1, alpha=a),
-    "randomization_test": lambda a: randomization_test(HISTORY, POLICY, a),
+    "randomization_test": lambda a: randomization_test(ARMS, OUTCOMES, POLICY, a),
     "randomization_rejection_rate": lambda a: randomization_rejection_rate(
         POLICY, (0.4, 0.6), 100, a, seed=2),
 }

@@ -38,7 +38,7 @@ from rarexact import (
     unconditional_rule,
 )
 
-from oracles import rule_to_dict_ref
+from oracles import rule_to_dict_ref, simulate_trial_ref
 
 
 def _cfg(tmp_path, name, **kw):
@@ -246,7 +246,28 @@ def test_cli_paths(tmp_path):
     )
     assert main(["paths", "--config", cfg, "--out", out]) == 0
     lines = Path(out).read_text().splitlines()
-    assert len(lines) == 2 + 3 * 12
+    assert lines[1] == "theta_c,theta_d,sim,t,control_proportion"
+    rows = [line.split(",") for line in lines[2:]]
+    assert len(rows) == 3 * 12
+    # every row is the running control share of its trial, as the trial
+    # stepped alone gives it, in the CSV's 12 significant digits
+    policy = DbcdNeyman(12, 2)
+    for i in range(3):
+        arms, _ = simulate_trial_ref(policy, (0.5, 0.5), seed=5, stream=i)
+        share = np.cumsum(arms == 0) / np.arange(1, 13)
+        expected = [["0.5", "0.5", str(i), str(t + 1), format(share[t], ".12g")]
+                    for t in range(12)]
+        assert rows[12 * i:12 * (i + 1)] == expected
+
+
+@pytest.mark.parametrize("command", [["mc", "randtest"], ["paths"]])
+def test_cli_monte_carlo_refuses_theta_outside_the_unit_square(tmp_path, capsys, command):
+    for bad in ([1.5, 0.3], [-0.2, 0.7], [0.5, float("nan")]):
+        cfg = _cfg(tmp_path, "bad_theta.json", n=10, burn_in=1, policy="DbcdNeyman", sims=100,
+                   path_sims=2, theta_grid={"kind": "list", "values": [[0.5, 0.5], bad]})
+        assert main(command + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        assert "theta point 1" in capsys.readouterr().err
+        assert not (tmp_path / "x.csv").exists()
 
 
 def test_rule_missing_a_required_key_is_rejected_naming_it():

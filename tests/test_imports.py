@@ -31,7 +31,7 @@ print(json.dumps({"code": code,
                   "rarexact": sorted(m for m in sys.modules if m.startswith("rarexact"))}))
 """
 
-# the names the package exported when it imported every module eagerly
+# the names the package exports, one module at a time
 EXPORTED = [
     "AltUniform", "AuditReport", "CmdpResult", "CmdpSpec", "NullUniform", "PointNull",
     "Rectangle", "audit_policy", "default_rectangles", "lagrangian_backward",
@@ -40,8 +40,8 @@ EXPORTED = [
     "layer_log_likelihood",
     "BoschlooRule", "ConditionalRule", "RegionCertificate", "UnconditionalRule", "boschloo_rule",
     "boschloo_statistic", "certify_region", "conditional_rule", "unconditional_rule",
-    "RateEstimate", "TrialHistory", "randomization_rejection_rate", "randomization_test",
-    "simulate_terminals",
+    "RateEstimate", "randomization_rejection_rate", "randomization_rejection_rates",
+    "randomization_test", "simulate_terminals",
     "log_binom", "logsumexp_fixed", "normal_quantile",
     "AsymptoticRule", "OcProfile", "null_diagonal", "patient_benefit", "power_curves", "profile",
     "rejection_rate",

@@ -11,11 +11,11 @@ from rarexact import (
     EqualAllocation,
     PolicyTable,
     TemperedDbcdNeyman,
-    TrialHistory,
     TrialState,
     forward_g,
     layer,
     randomization_rejection_rate,
+    randomization_rejection_rates,
     randomization_test,
     simulate_terminals,
 )
@@ -26,7 +26,6 @@ from rarexact.montecarlo import (
     _simulate_batch,
     _stream_uniforms,
     make_rng,
-    randomization_rejection_rates,
     simulate_trials,
 )
 
@@ -49,29 +48,19 @@ def _random_table(n, b, p, seed):
 
 
 def test_simulate_certain_outcomes():
-    hist = simulate_trial(BayesianRar(12, 2), (1.0, 1.0), seed=1)
-    assert np.all(hist.outcomes == 1)
-    st = terminal_state_ref(hist)
+    arms, outcomes = simulate_trial(BayesianRar(12, 2), (1.0, 1.0), seed=1)
+    assert np.all(outcomes == 1)
+    st = terminal_state_ref(arms, outcomes)
     assert st.successes == 12
     # alternating burn-in, control first
-    assert hist.arms[:4].tolist() == [0, 1, 0, 1]
+    assert arms[:4].tolist() == [0, 1, 0, 1]
 
 
 def test_simulate_equal_allocation_balance():
     pol = EqualAllocation(50, 6)
     for seed in range(5):
-        hist = simulate_trial(pol, (0.4, 0.7), seed=seed)
-        st = terminal_state_ref(hist)
+        st = terminal_state_ref(*simulate_trial(pol, (0.4, 0.7), seed=seed))
         assert st.n_c == st.n_d == 25
-
-
-def test_control_proportion_path():
-    hist = simulate_trial(DbcdNeyman(20, 3), (0.5, 0.5), seed=9)
-    path = hist.control_proportion_path()
-    assert path.shape == (20,)
-    assert path[0] == 1.0          # first participant goes to control
-    n_c = np.cumsum(hist.arms == 0)
-    assert path[-1] == pytest.approx(n_c[-1] / 20)
 
 
 def test_permuted_blocks():
@@ -101,15 +90,15 @@ def test_permuted_block_arrangements_uniform():
 
 def test_reproducibility_and_substreams():
     pol = DbcdNeyman(20, 2)
-    a = simulate_trial(pol, (0.4, 0.6), seed=17, stream=5)
-    b = simulate_trial(pol, (0.4, 0.6), seed=17, stream=5)
-    assert np.array_equal(a.arms, b.arms) and np.array_equal(a.outcomes, b.outcomes)
-    c = simulate_trial(pol, (0.4, 0.6), seed=17, stream=6)
-    assert not (np.array_equal(a.arms, c.arms) and np.array_equal(a.outcomes, c.outcomes))
-    # batch simulation's per-trial substreams match the scalar path
+    a = np.stack(simulate_trial(pol, (0.4, 0.6), seed=17, stream=5))
+    b = np.stack(simulate_trial(pol, (0.4, 0.6), seed=17, stream=5))
+    assert np.array_equal(a, b)
+    c = np.stack(simulate_trial(pol, (0.4, 0.6), seed=17, stream=6))
+    assert not np.array_equal(a, c)
+    # batch simulation's per-trial substreams match the one-trial path
     s_c, s_d, n_c = simulate_terminals(pol, (0.4, 0.6), sims=8, seed=17)
     for i in range(8):
-        st = terminal_state_ref(simulate_trial(pol, (0.4, 0.6), seed=17, stream=i))
+        st = terminal_state_ref(*simulate_trial(pol, (0.4, 0.6), seed=17, stream=i))
         assert (st.s_c, st.s_d, st.n_c) == (s_c[i], s_d[i], n_c[i])
 
 
@@ -137,11 +126,25 @@ def test_stream_uniforms_match_fresh_generators(seed, start, m, count):
     DbcdNeyman(14, 2), TemperedDbcdNeyman(13, 1), BayesianRar(12, 2), EqualAllocation(23, 2),
 ])
 def test_batched_trials_match_per_trial_loop(policy):
-    hists = simulate_trials(policy, (0.3, 0.7), seed=8, start=5, count=40)
-    for i, hist in enumerate(hists):
-        arms, outcomes = simulate_trial_ref(policy, (0.3, 0.7), seed=8, stream=5 + i)
-        assert np.array_equal(hist.arms, arms) and np.array_equal(hist.outcomes, outcomes)
-        assert hist.arms.dtype == arms.dtype and hist.outcomes.dtype == outcomes.dtype
+    arms, outcomes = simulate_trials(policy, (0.3, 0.7), seed=8, start=5, count=40)
+    assert arms.shape == outcomes.shape == (40, policy.n)
+    assert arms.dtype == outcomes.dtype == np.int8
+    for i in range(40):
+        ref_arms, ref_outcomes = simulate_trial_ref(policy, (0.3, 0.7), seed=8, stream=5 + i)
+        assert np.array_equal(arms[i], ref_arms) and np.array_equal(outcomes[i], ref_outcomes)
+        assert ref_arms.dtype == ref_outcomes.dtype == np.int8
+
+
+@pytest.mark.parametrize("theta", [(math.nan, 0.5), (0.3, 2.0), (-0.2, 0.7)])
+@pytest.mark.parametrize("entry", [
+    lambda pol, theta: simulate_trials(pol, theta, 1, 0, 5),
+    lambda pol, theta: simulate_terminals(pol, theta, 5, 1),
+    lambda pol, theta: randomization_rejection_rates(pol, [(0.5, 0.5), theta], 100, 0.05, 1),
+    lambda pol, theta: randomization_rejection_rate(pol, theta, 100, 0.05, 1),
+], ids=["simulate_trials", "simulate_terminals", "rates", "rate"])
+def test_theta_outside_the_unit_square_is_refused(entry, theta):
+    with pytest.raises(ValueError, match=r"theta point \d .* is not in \[0, 1\]"):
+        entry(DbcdNeyman(10, 1), theta)
 
 
 def test_batch_chunking_invariance(monkeypatch):
@@ -184,10 +187,10 @@ def test_empirical_frequencies_match_exact_distribution():
 
 def test_randomization_test_degenerate_outcomes():
     pol = EqualAllocation(20, 2)
-    hist = simulate_trial(pol, (0.0, 0.0), seed=5)
-    assert np.all(hist.outcomes == 0)
-    reject, p = randomization_test(hist, pol, alpha=0.05)
-    assert p == 1.0 and not reject
+    arms, outcomes = simulate_trials(pol, (0.0, 0.0), 5, 0, 1)
+    assert np.all(outcomes == 0)
+    reject, p = randomization_test(arms, outcomes, pol, alpha=0.05)
+    assert p.tolist() == [1.0] and reject.tolist() == [False]
 
 
 @pytest.mark.parametrize("policy_cls", [EqualAllocation, DbcdNeyman])
@@ -196,12 +199,11 @@ def test_randomization_test_smallest_p_value(policy_cls):
     # it only by reproducing (or mirroring) the observed arms, so p is the
     # probability of those arms, and not below it
     pol = policy_cls(12, 2)
-    hist = simulate_trial(pol, (0.0, 1.0), seed=5)
-    reject, p = randomization_test(hist, pol, alpha=0.05)
-    paths = dict(allocation_paths_enum(pol, hist.outcomes))
-    assert paths[tuple(hist.arms.tolist())] <= p < 0.05 and reject
-    assert p == pytest.approx(randomization_p_value_enum(pol, hist.arms, hist.outcomes),
-                              rel=0.0, abs=1e-14)
+    arms, outcomes = simulate_trial(pol, (0.0, 1.0), seed=5)
+    (reject,), (p,) = randomization_test(arms[None], outcomes[None], pol, alpha=0.05)
+    paths = dict(allocation_paths_enum(pol, outcomes))
+    assert paths[tuple(arms.tolist())] <= p < 0.05 and reject
+    assert p == pytest.approx(randomization_p_value_enum(pol, arms, outcomes), rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("policy", [
@@ -216,12 +218,37 @@ def test_randomization_test_matches_reference(policy):
     u = _stream_uniforms(4, 0, 3, 2 * policy.n)
     for burn_in_blocks in (False, True):
         arms, outcomes, _ = _simulate_batch(policy, (0.2, 0.7), u, lookup, burn_in_blocks)
-        p_rows = _randomization_p_values(policy, arms, outcomes, lookup)
-        for i, (a, y) in enumerate(zip(arms, outcomes)):
-            reject, p = randomization_test(TrialHistory(a, y), policy, alpha=0.1)
-            assert p == p_rows[i]
-            assert p == pytest.approx(randomization_p_value_enum(policy, a, y), rel=0.0, abs=1e-14)
-            assert reject == (p <= 0.1) and type(reject) is bool
+        reject, p = randomization_test(arms, outcomes, policy, alpha=0.1)
+        assert np.array_equal(reject, p <= 0.1) and reject.dtype == bool
+        for a, y, p_row in zip(arms, outcomes, p):
+            assert p_row == pytest.approx(randomization_p_value_enum(policy, a, y),
+                                          rel=0.0, abs=1e-14)
+
+
+@pytest.mark.parametrize("policy", [DbcdNeyman(12, 2), EqualAllocation(12, 1)], ids=repr)
+def test_randomization_test_takes_rows_of_trials(policy):
+    # m rows at once give the bits of m one-row calls and of the DP itself,
+    # for arms and outcomes of any integer or bool dtype
+    arms, outcomes = simulate_trials(policy, (0.3, 0.7), 6, 0, 40)
+    reject, p = randomization_test(arms, outcomes, policy, alpha=0.2)
+    assert p.shape == reject.shape == (40,)
+    assert np.array_equal(p, _randomization_p_values(policy, arms, outcomes,
+                                                     _EpochLookup(policy)))
+    for i in range(40):
+        r_i, p_i = randomization_test(arms[i:i + 1], outcomes[i:i + 1], policy, alpha=0.2)
+        assert (r_i.tolist(), p_i.tolist()) == ([reject[i]], [p[i]])
+    _, p_wide = randomization_test(arms.astype(np.int64), outcomes.astype(bool), policy, 0.2)
+    assert np.array_equal(p_wide, p)
+    # rows of another length, 1-D trials, mismatched shapes and entries
+    # other than 0/1 are refused
+    bad_entries = arms.copy()
+    bad_entries[3, 5] = 2
+    for bad_arms, bad_outcomes in [
+        (arms[:, :-1], outcomes[:, :-1]), (arms[0], outcomes[0]), (arms[:5], outcomes[:4]),
+        (bad_entries, outcomes), (arms, outcomes * 0.5), (arms, np.where(outcomes, np.nan, 0)),
+    ]:
+        with pytest.raises(ValueError, match="rows of trials|0 or 1"):
+            randomization_test(bad_arms, bad_outcomes, policy, alpha=0.2)
 
 
 ORACLE_POLICIES = [
@@ -270,10 +297,10 @@ def test_adaptive_design_without_burn_in_has_no_randomization_test():
     # with no burn-in some allocation leaves an arm empty, where the Wald
     # statistic is undefined; the |T| table holds NaN there and is not read
     pol = BayesianRar(8, 0)
-    hist = simulate_trial(pol, (0.4, 0.6), seed=3)
-    assert 0 < np.count_nonzero(hist.arms == 0) < pol.n
+    arms, outcomes = simulate_trials(pol, (0.4, 0.6), 3, 0, 1)
+    assert 0 < np.count_nonzero(arms == 0) < pol.n
     with pytest.raises(ValueError, match="both group sizes positive"):
-        randomization_test(hist, pol, alpha=0.05)
+        randomization_test(arms, outcomes, pol, alpha=0.05)
 
 
 def test_randomization_grid_indexes_inside_each_layer():
@@ -371,11 +398,7 @@ def test_exchangeability_of_rerandomized_statistics():
     # under the null the observed statistic is exchangeable with those of
     # the design's other allocations: its exact p-value is about uniform
     pol = DbcdNeyman(20, 2)
-    pvals = []
-    for i in range(300):
-        hist = simulate_trial(pol, (0.5, 0.5), seed=99, stream=i)
-        _, p = randomization_test(hist, pol, alpha=0.05)
-        pvals.append(p)
+    _, pvals = randomization_test(*simulate_trials(pol, (0.5, 0.5), 99, 0, 300), pol, alpha=0.05)
     # coarse uniformity check on quartiles
     qs = np.quantile(pvals, [0.25, 0.5, 0.75])
     assert np.all(np.abs(qs - [0.25, 0.5, 0.75]) < 0.12)
