@@ -32,7 +32,7 @@ from .io import (
     write_rule,
     write_weight_table,
 )
-from .montecarlo import randomization_rejection_rates, simulate_trials
+from .montecarlo import randomization_rejection_rates, simulate_trials_at
 from .numerics import theta_array
 from .operating import AsymptoticRule, null_diagonal, power_curves, profile
 from .policies import (
@@ -349,8 +349,8 @@ def _cmd_paths(cfg: dict, out: str) -> int:
     seed = _integer(cfg, "seed")
     rows = []
     # checked whole first, so an error names the point's place in the grid
-    for tc, td in theta_array(thetas).tolist():
-        arms, _ = simulate_trials(policy, (tc, td), seed, 0, sims)
+    thetas = theta_array(thetas).tolist()
+    for (tc, td), (arms, _) in zip(thetas, simulate_trials_at(policy, thetas, seed, 0, sims)):
         for i, path in enumerate(np.cumsum(arms == 0, axis=1) / np.arange(1, policy.n + 1)):
             rows.extend((tc, td, i, t, prop) for t, prop in enumerate(path, start=1))
     _write_csv(out, ["theta_c", "theta_d", "sim", "t", "control_proportion"], rows, cfg)

@@ -10,9 +10,13 @@ carry weight one).  Its maximizer is a
 ``2b .. n - 1``, the control probability ``1 - p``, ``1/2`` or ``p`` of
 every state.  The multipliers follow a projected subgradient with
 per-coordinate AdaGrad steps until a duality-gap certificate or the
-iteration limit stops the loop (:func:`solve_cmdp`).  The objective and
-every constraint value are expectations of one row of a terminal integrand
-matrix under the forward path weights; the reward reads the same rows.
+iteration limit stops the loop (:func:`solve_cmdp`).
+
+The objective and the constraints are expectations under priors on
+``(theta_C, theta_D)``, held as per-arm kernel tables and evaluated by
+the operating characteristics' :class:`~rarexact.engine.TerminalFunctional`;
+the reward is formed block by block from the same tables
+(:class:`_AuditContext`).
 
 The solve holds its transitions, one per layer, for the whole loop: each
 is used by every backward recursion and every forward audit sweep, so
@@ -24,12 +28,11 @@ bits.  The plans are freed with the transitions when the solve returns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import ClassVar
 
 import numpy as np
 
-from .engine import PathWeightTable, _burn_in_table, _sweep, forward_g, layer_log_likelihood
+from .engine import PathWeightTable, TerminalFunctional, _burn_in_table, _sweep, forward_g
 from .numerics import binomial_log_terms, check_alpha, gammaln_table
 from .policies import PolicyTable
 from .states import Layer, Transition, layer as make_layer
@@ -122,48 +125,56 @@ def _interval_masses(lo: float, hi: float, size: int) -> np.ndarray:
     return np.maximum(np.where(u_hi <= 0.5, u_hi - u_lo, l_lo - l_hi), 0.0)
 
 
-@lru_cache(maxsize=32)
-def _interval_log_weights(lo: float, hi: float, size: int) -> np.ndarray:
-    """``W[n, s]``, for ``0 <= s <= n < size``: the log of the mean of
-    ``theta**s * (1 - theta)**(n - s)`` over ``theta`` in ``[lo, hi]``,
-    that is ``ln M[n, s] + ln B(s + 1, n - s + 1) - ln(hi - lo)`` with
-    the masses ``M`` of :func:`_interval_masses`."""
-    n = np.arange(size)[:, None]
-    s = np.arange(size)[None, :]
-    n_s = np.maximum(n - s, 0)
-    g = gammaln_table(size + 2)
-    with np.errstate(divide="ignore"):
-        w = (np.log(_interval_masses(lo, hi, size)) - np.log(hi - lo)
-             + (g[s + 1] + g[n_s + 1] - g[s + n_s + 2]))
-    w.setflags(write=False)
-    return w
+def _arm_kernel(prior, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """One arm's kernel table over group sizes ``m < size``: ``rows[m, s]``,
+    ``s <= m``, is the prior mean of ``theta**s * (1 - theta)**(m - s)``
+    over the row's largest one, whose log is ``log_scales[m]``.  The prior
+    is a point ``theta0`` or the uniform one on an interval ``(lo, hi)``
+    (the mass of :func:`_interval_masses` times the Beta function over the
+    length); ``None`` gives unit rows."""
+    if prior is None:
+        return np.ones((size, size)), np.zeros(size)
+    m, s = np.ogrid[:size, :size]
+    k = np.minimum(s, m)    # s, clipped to the row
+    if isinstance(prior, tuple):
+        g = gammaln_table(size + 2)
+        beta = np.exp(g[k + 1] + g[m - k + 1] - g[m + 2])
+        w = _interval_masses(*prior, size) * beta / (prior[1] - prior[0])
+    else:
+        ln_t, ln_1t = binomial_log_terms(prior, size - 1)
+        w = np.exp(ln_t[k] + ln_1t[m - k])
+    w = np.where(s <= m, w, 0.0)
+    top = w.max(axis=1)
+    return w / top[:, None], np.log(top)
+
+
+def _arm_priors(measure) -> tuple:
+    """The control and the developmental prior of ``measure``, as
+    :func:`_arm_kernel` takes them.  The null prior's weight ``B(S + 1, n -
+    S + 1)`` does not factor, so it gets unit rows (see
+    :class:`_AuditContext`)."""
+    if isinstance(measure, Rectangle):
+        return (measure.l_c, measure.u_c), (measure.l_d, measure.u_d)
+    if isinstance(measure, PointNull):
+        return measure.theta0, measure.theta0
+    if isinstance(measure, AltUniform):
+        return (0.0, 1.0), (0.0, 1.0)
+    if isinstance(measure, NullUniform):
+        return None, None
+    raise TypeError(f"unknown measure {measure!r}")
 
 
 def measure_log_weights(lay: Layer, measure) -> np.ndarray:
     """Log of the outcome likelihood of every state of a layer, integrated
-    over the prior ``measure`` on ``(theta_C, theta_D)``."""
+    over the prior ``measure`` on ``(theta_C, theta_D)``: gathered from its
+    kernel tables, or ``ln B(S + 1, t - S + 1)`` for the null prior."""
     s_c, s_d, n_c, n_d = lay.arrays()
-    g = gammaln_table(2 * lay.t + 8)
-
-    def lbeta(a, b):
-        return g[a] + g[b] - g[a + b]
-
-    if isinstance(measure, AltUniform):
-        return lbeta(s_c + 1, n_c - s_c + 1) + lbeta(s_d + 1, n_d - s_d + 1)
     if isinstance(measure, NullUniform):
-        s = s_c + s_d
-        return lbeta(s + 1, lay.t - s + 1)
-    if isinstance(measure, PointNull):
-        return layer_log_likelihood(lay, (measure.theta0, measure.theta0))
-    if isinstance(measure, Rectangle):
-        out = np.zeros(lay.size)
-        for (s_a, n_a, lo, hi) in (
-            (s_c, n_c, measure.l_c, measure.u_c),
-            (s_d, n_d, measure.l_d, measure.u_d),
-        ):
-            out += _interval_log_weights(lo, hi, lay.t + 1)[n_a, s_a]
-        return out
-    raise TypeError(f"unknown measure {measure!r}")
+        g = gammaln_table(lay.t + 3)
+        return g[s_c + s_d + 1] + g[lay.t - s_c - s_d + 1] - g[lay.t + 2]
+    (rows_c, log_c), (rows_d, log_d) = (_arm_kernel(p, lay.t + 1) for p in _arm_priors(measure))
+    with np.errstate(divide="ignore"):
+        return np.log(rows_c[n_c, s_c] * rows_d[n_d, s_d]) + (log_c[n_c] + log_d[n_d])
 
 
 # ---------------------------------------------------------------------------
@@ -311,30 +322,73 @@ def _backward(reward: np.ndarray, spec: CmdpSpec, steps) -> tuple[PolicyTable, f
 # audit and dual solver
 
 
+def _kernel_table(kernels: list):
+    """One arm's kernel table over many points, from each point's table:
+    group size ``m`` maps to the ``(points, m + 1)`` rows and ``(points,)``
+    log scales."""
+    rows = np.stack([r for r, _ in kernels], axis=1)
+    scales = np.stack([l for _, l in kernels], axis=1)
+    return lambda m: (rows[m, :, :m + 1], scales[m])
+
+
 class _AuditContext:
-    """The terminal integrands of one problem as the rows of one linear
-    ``(K + 1, size)`` matrix: row 0 is the objective, row ``1 + j`` is
-    constraint ``j`` of :meth:`CmdpSpec.constraints` in its order and sign.
-    Each row is the rejection indicator (for a rectangle, minus the superior
-    arm's share ``n_a / n``) times its measure's weight."""
+    """One problem's objective (point 0) and constraints (point ``1 + j``,
+    in :meth:`CmdpSpec.constraints` order and sign) as kernel points of a
+    :class:`~rarexact.engine.TerminalFunctional`, whose per-arm tables
+    take ``O(K n**2)`` numbers.  A point reads one of three functions: the
+    rejection indicator; one, whose block value, the block's mass, a
+    rectangle scales by minus the superior arm's share ``n_a / n`` as
+    :func:`~rarexact.operating.profile` does for the benefit; or the
+    indicator times the null prior's weight, under unit kernels."""
 
     def __init__(self, spec: CmdpSpec):
-        self.constraints = spec.constraints()
-        lay = make_layer(spec.n, spec.burn_in, spec.n)
+        self.n, self.constraints = spec.n, spec.constraints()
+        self.layer = lay = make_layer(spec.n, spec.burn_in, spec.n)
         rej = asymptotic_reject_array(layer_wald_statistics(lay), spec.alpha).astype(np.float64)
-        _, _, n_c, n_d = lay.arrays()
-        share = {"C": -n_c / spec.n, "D": -n_d / spec.n}
-        self.integrands = np.array([
-            (share[m.superior_arm] if isinstance(m, Rectangle) else rej)
-            * np.exp(measure_log_weights(lay, m))
-            for m in [AltUniform()] + [m for _, m, _ in self.constraints]
-        ])
+        null = rej * np.exp(measure_log_weights(lay, NullUniform()))
+        self.functions = np.column_stack([rej, np.ones_like(rej), null])
+        measures = [AltUniform()] + [m for _, m, _ in self.constraints]
+        priors = [_arm_priors(m) for m in measures]
+        kernels = {p: _arm_kernel(p, spec.n + 1) for p in set().union(*priors)}
+        self.kernels = tuple(_kernel_table([kernels[p[arm]] for p in priors]) for arm in (0, 1))
+        # the function each point reads: 0 the indicator, 1 one, 2 the null
+        self._column = np.array([isinstance(m, Rectangle) + 2 * isinstance(m, NullUniform)
+                                 for m in measures])
+        self._arm = np.array([isinstance(m, Rectangle) and m.superior_arm == "D"
+                              for m in measures], dtype=np.intp)
+        # per block, U_c.T and the rows of U_d times each point's scales and
+        # factor, split into those the indicator multiplies and the rest
+        split = np.array([self._column == 0, self._column == 1])[:, :, None]
+        self._blocks = []
+        for n_c, n_d, sl in lay.blocks():
+            (u_c, lc), (u_d, ld) = self.kernels[0](n_c), self.kernels[1](n_d)
+            scales = np.exp(lc + ld) * self._factors(np.array([n_c, n_d]))
+            self._blocks.append((sl, u_c.T, split * scales[:, None] * u_d,
+                                 rej[sl].reshape(n_c + 1, n_d + 1)))
+
+    def _factors(self, sizes: np.ndarray) -> np.ndarray:
+        """Each point's factor at group sizes ``(..., 2)``: 1, or minus a
+        rectangle's superior arm's share."""
+        return np.where(self._column == 1, -sizes[..., self._arm] / self.n, 1.0)
+
+    def reward(self, lam: np.ndarray) -> np.ndarray:
+        """The objective's integrand minus ``lam`` times the constraints'.
+        With ``c = (1, -lam)`` times each point's scales and factor, a
+        block's is ``rej * (U_c.T @ diag(c_rej) @ U_d) + U_c.T @
+        diag(c_mass) @ U_d``; the null prior's column is added last."""
+        c = np.concatenate(([1.0], -lam))[:, None]
+        out = np.empty(self.layer.size)
+        for sl, u_ct, u_d, rej in self._blocks:
+            x = u_ct @ (c * u_d)
+            out[sl] = (x[0] * rej + x[1]).ravel()
+        return out + c[self._column == 2].sum() * self.functions[:, 2]
 
     def audit(self, gt: PathWeightTable) -> AuditReport:
-        """Every row's expectation under ``gt`` in one reduction (``einsum``,
-        not BLAS, so the sums do not depend on the thread count)."""
-        top = float(gt.log_g.max())
-        totals = np.einsum("kj,j->k", self.integrands, np.exp(gt.log_g - top)) * np.exp(top)
+        """Every point's expectation under ``gt``: its function's block
+        values, times its factors, summed over the blocks in order."""
+        fn = TerminalFunctional(self.functions, gt)
+        v = fn.block_values(self.kernels)[:, np.arange(self._column.size), self._column]
+        totals = (v * self._factors(fn.group_sizes)).sum(axis=0)
         values = tuple(totals[1:].tolist())
         measures = [m for _, m, _ in self.constraints]
         pointwise = {m.theta0: v for m, v in zip(measures, values) if isinstance(m, PointNull)}
@@ -371,12 +425,12 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     tol else -worst violation)`` and replaces the best only on a strictly
     greater rank, so the first of tied iterates is kept.  ``feasible`` is
     therefore true for an iterate up to ``tol`` over a bound;
-    ``audit.max_violation(spec)`` says by how much.  The reward is row 0 of the integrands
-    (:class:`_AuditContext`) minus ``lam`` times the constraint rows; the
-    constraint values are the same rows' expectations under the maximizer.
+    ``audit.max_violation(spec)`` says by how much.  The reward is the
+    objective's integrand minus ``lam`` times the constraints', and the
+    constraint values are the constraints' expectations under the
+    maximizer, both from the same kernel tables (:class:`_AuditContext`).
     """
     ctx = _AuditContext(spec)
-    base, integrands = ctx.integrands[0], ctx.integrands[1:]
     # held for the whole loop: from its second use a transition gathers
     steps = [Transition(t, spec.burn_in) for t in range(2 * spec.burn_in, spec.n)]
     names = [name for name, _, _ in ctx.constraints]
@@ -389,11 +443,7 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     best = None    # (rank, table, audit)
 
     for k in range(1, spec.max_iters + 1):
-        reward = base.copy()
-        for lam_j, f_j in zip(lam, integrands):
-            if lam_j != 0.0:
-                reward -= lam_j * f_j
-        table, value = _backward(reward, spec, reversed(steps))
+        table, value = _backward(ctx.reward(lam), spec, reversed(steps))
         audit = ctx.audit(_sweep(table, steps))
         v = audit.violations(spec)
         worst = float(v.max())

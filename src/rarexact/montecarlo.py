@@ -206,17 +206,24 @@ def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
     return arms, np.where(arms == 0, y_c, y_d).astype(np.int8), counts
 
 
-def simulate_trials(policy: Policy, theta, seed: int, start: int, count: int):
-    """Trials ``start .. start + count - 1`` of the run keyed by ``seed``,
-    stepped together: alternating burn-in (permuted blocks for equal
-    allocation), then policy-randomized arms and Bernoulli outcomes.
-    Returns ``(arms, outcomes)``, two ``(count, n)`` int8 arrays with one
-    trial per row.  Each trial reads only its own words of the run's
-    sequence, so it does not depend on ``start`` or ``count``."""
-    (theta,) = theta_array([theta])
+def simulate_trials_at(policy: Policy, thetas, seed: int, start: int, count: int) -> list:
+    """Trials ``start .. start + count - 1`` of the run keyed by ``seed`` at
+    each ``theta`` of ``thetas``, stepped together: alternating burn-in
+    (permuted blocks for equal allocation), then policy-randomized arms and
+    Bernoulli outcomes.  Returns one ``(arms, outcomes)`` pair per
+    ``theta``, two ``(count, n)`` int8 arrays with one trial per row.
+    Each trial reads only its own words of the run's sequence, so it does
+    not depend on ``start`` or ``count``; every ``theta`` reads the same
+    words and shares one epoch lookup."""
+    thetas = theta_array(thetas)
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
-    arms, outcomes, _ = _simulate_batch(policy, theta, u, _EpochLookup(policy))
-    return arms, outcomes
+    lookup = _EpochLookup(policy)
+    return [_simulate_batch(policy, theta, u, lookup)[:2] for theta in thetas]
+
+
+def simulate_trials(policy: Policy, theta, seed: int, start: int, count: int):
+    """:func:`simulate_trials_at` at the one point ``theta``."""
+    return simulate_trials_at(policy, [theta], seed, start, count)[0]
 
 
 def simulate_terminals(policy: Policy, theta, sims: int, seed: int):

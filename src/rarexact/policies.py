@@ -330,3 +330,7 @@ class PolicyTable(Policy):
             (self.n, self.burn_in, self.p) == (other.n, other.burn_in, other.p)
             and all(np.array_equal(a, b) for a, b in zip(self.probs, other.probs))
         )
+
+    def __hash__(self):
+        # equal tables agree on these; the generated hash would hash arrays
+        return hash((self.n, self.burn_in, self.p))

@@ -10,8 +10,9 @@ replaced them (:func:`posterior_probs_ref`, :func:`arm_tail_logaddexp_ref`,
 :func:`grow_prefix_two_sorts_ref`, :func:`block_values_ref`,
 :func:`rule_to_dict_ref`, :func:`solve_choice_ref`,
 :func:`layer_log_likelihood_ref`, :func:`pmf_matrix_ref`,
-:func:`binomial_tails_ref`), which walk the package's layers or call its
-kernels, and the helpers that only the tests call
+:func:`binomial_tails_ref`, :class:`DenseAuditContext`,
+:func:`dense_measure_log_weights`), which walk the package's layers or call
+its kernels, and the helpers that only the tests call
 (:func:`random_codes`, :func:`table_from_codes`,
 :func:`evaluate_backward`, :func:`bernstein_tail_sup`,
 :func:`permuted_block_sequence`, :func:`simulate_trial`,
@@ -538,6 +539,83 @@ def _uniform_table(spec):
     b = spec.burn_in
     probs = tuple(np.full(layer(t, b, spec.n).size, 0.5) for t in range(2 * b, spec.n))
     return PolicyTable(spec.n, b, spec.p, probs)
+
+
+def dense_measure_log_weights(lay, measure):
+    """The retired ``cmdp.measure_log_weights``: the log weight of every
+    state of a layer under ``measure``, gathered state by state from
+    ``lbeta``, the binomial log terms, and the log of the rectangle masses
+    times the Beta normalizer over the interval length."""
+    from rarexact.cmdp import _interval_masses
+    from rarexact.engine import layer_log_likelihood
+    from rarexact.numerics import gammaln_table
+
+    s_c, s_d, n_c, n_d = lay.arrays()
+    g = gammaln_table(2 * lay.t + 8)
+
+    def lbeta(a, b):
+        return g[a] + g[b] - g[a + b]
+
+    kind = type(measure).__name__
+    if kind == "AltUniform":
+        return lbeta(s_c + 1, n_c - s_c + 1) + lbeta(s_d + 1, n_d - s_d + 1)
+    if kind == "NullUniform":
+        s = s_c + s_d
+        return lbeta(s + 1, lay.t - s + 1)
+    if kind == "PointNull":
+        return layer_log_likelihood(lay, (measure.theta0, measure.theta0))
+    if kind == "Rectangle":
+        out = np.zeros(lay.size)
+        size = lay.t + 1
+        m = np.arange(size)[:, None]
+        k = np.arange(size)[None, :]
+        lb = g[k + 1] + g[np.maximum(m - k, 0) + 1] - g[m + 2]
+        for s_a, n_a, lo, hi in ((s_c, n_c, measure.l_c, measure.u_c),
+                                 (s_d, n_d, measure.l_d, measure.u_d)):
+            with np.errstate(divide="ignore"):
+                w = np.log(_interval_masses(lo, hi, size)) - np.log(hi - lo) + lb
+            out += w[n_a, s_a]
+        return out
+    raise TypeError(f"unknown measure {measure!r}")
+
+
+class DenseAuditContext:
+    """The retired ``cmdp._AuditContext``: the terminal integrands of one
+    problem as the rows of one dense ``(K + 1, size)`` matrix.  Row 0 is
+    the objective, row ``1 + j`` constraint ``j`` of ``spec.constraints()``
+    in its order and sign; each is the rejection indicator (for a
+    rectangle, minus the superior arm's share ``n_a / n``) times its
+    measure's weight.  :meth:`reward` is row 0 minus ``lam`` times the
+    others, one axpy per nonzero multiplier."""
+
+    def __init__(self, spec):
+        from rarexact.cmdp import AltUniform, Rectangle
+        from rarexact.states import layer
+        from rarexact.wald import asymptotic_reject_array, layer_wald_statistics
+
+        self.constraints = spec.constraints()
+        lay = layer(spec.n, spec.burn_in, spec.n)
+        rej = asymptotic_reject_array(layer_wald_statistics(lay), spec.alpha).astype(np.float64)
+        _, _, n_c, n_d = lay.arrays()
+        share = {"C": -n_c / spec.n, "D": -n_d / spec.n}
+        self.integrands = np.array([
+            (share[m.superior_arm] if isinstance(m, Rectangle) else rej)
+            * np.exp(dense_measure_log_weights(lay, m))
+            for m in [AltUniform()] + [m for _, m, _ in self.constraints]
+        ])
+
+    def reward(self, lam):
+        out = self.integrands[0].copy()
+        for lam_j, f_j in zip(lam, self.integrands[1:]):
+            if lam_j != 0.0:
+                out -= lam_j * f_j
+        return out
+
+    def values(self, gt):
+        """Every row's expectation under the path weights ``gt``, objective
+        first, in one ``einsum`` reduction."""
+        top = float(gt.log_g.max())
+        return np.einsum("kj,j->k", self.integrands, np.exp(gt.log_g - top)) * np.exp(top)
 
 
 def random_codes(n, b, rng):

@@ -19,9 +19,10 @@ from rarexact import (
     measure_log_weights,
     solve_cmdp,
 )
-from rarexact.cmdp import SECTION4_INTERVALS, _binomial_tails, _interval_masses
+from rarexact.cmdp import SECTION4_INTERVALS, _AuditContext, _binomial_tails, _interval_masses
 
 from oracles import (
+    DenseAuditContext,
     _uniform_table,
     backward_policy_ref,
     backward_value_ref,
@@ -249,6 +250,38 @@ def test_audit_matches_history_enumeration_oracle():
     assert audit.benefits[0] != pytest.approx(audit.benefits[1], abs=1e-3)
 
 
+@pytest.mark.parametrize("spec", [
+    # every measure kind, null points at both ends, and rectangles that
+    # touch 0 and 1 on either arm
+    CmdpSpec(n=8, burn_in=1, null_grid=(0.0, 0.3, 1.0),
+             rectangles=(Rectangle(0.0, 0.4, 0.6, 1.0), Rectangle(0.75, 1.0, 0.0, 0.05))),
+    CmdpSpec(n=24, burn_in=2, rectangles=default_rectangles()),
+    CmdpSpec(n=50, burn_in=6, null_grid=(0.0, 0.05, 0.5, 0.95, 1.0),
+             rectangles=default_rectangles() + (Rectangle(0.0, 1.0 / 3.0, 0.5, 1.0),)),
+], ids=["n8", "n24-section4", "n50"])
+def test_kernel_audit_and_reward_match_the_dense_integrand_oracle(spec):
+    # the kernel tables sum in another order than the dense (K + 1) x
+    # states matrix, and each takes its log scales through exp: a reward
+    # entry may differ by 1e-13 of the sum of its terms' sizes, a value by
+    # 1e-13 of itself (measured: 7e-15 and 1.3e-14 at n = 50), and an
+    # exact zero stays zero
+    ctx, dense = _AuditContext(spec), DenseAuditContext(spec)
+    rng = np.random.default_rng(spec.n)
+    k = len(ctx.constraints)
+    lopsided = table_from_codes(spec.n, spec.burn_in, spec.p, random_codes(spec.n, spec.burn_in, rng))
+    for lam in (np.zeros(k), rng.exponential(2.0, k), rng.exponential(2.0, k) * (rng.random(k) < 0.5)):
+        got, want = ctx.reward(lam), dense.reward(lam)
+        sizes = np.abs(np.concatenate(([1.0], lam))) @ np.abs(dense.integrands)
+        assert np.all(np.abs(got - want) <= 1e-13 * sizes)
+        for table in (lagrangian_backward(got, spec)[0], lopsided):
+            gt = forward_g(table)
+            audit = ctx.audit(gt)
+            want_values = dense.values(gt)
+            values = np.array([audit.objective, *audit.values])
+            assert np.all(np.abs(values - want_values) <= 1e-13 * np.abs(want_values))
+            assert audit.pointwise[0.0] == 0.0
+
+
 def test_solve_unconstrained_dominates_uniform_policy():
     spec = CmdpSpec(n=8, burn_in=1, null_grid=(), alpha_avg=1.0, max_iters=3)
     res = solve_cmdp(spec)
@@ -272,7 +305,7 @@ def test_solve_tiny_matches_lambda_grid_oracle():
     res = solve_cmdp(spec)
 
     lay = layer(6, 1)
-    from rarexact.cmdp import _AuditContext
+    from oracles import DenseAuditContext as _AuditContext
 
     ctx = _AuditContext(spec)
     base_arr, cons_arr = ctx.integrands[0], ctx.integrands[2]

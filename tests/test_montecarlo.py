@@ -27,6 +27,7 @@ from rarexact.montecarlo import (
     _stream_uniforms,
     make_rng,
     simulate_trials,
+    simulate_trials_at,
 )
 
 from oracles import (
@@ -135,13 +136,28 @@ def test_batched_trials_match_per_trial_loop(policy):
         assert ref_arms.dtype == ref_outcomes.dtype == np.int8
 
 
+@pytest.mark.parametrize("policy", [DbcdNeyman(14, 2), BayesianRar(12, 2), EqualAllocation(12, 1)])
+def test_trials_at_a_theta_list_share_one_lookup_and_match_one_point_calls(policy, monkeypatch):
+    built = []
+    init = _EpochLookup.__init__
+    monkeypatch.setattr(_EpochLookup, "__init__", lambda self, pol: built.append(pol) or init(self, pol))
+    thetas = [(0.3, 0.7), (0.0, 1.0), (0.5, 0.5)]
+    trials = simulate_trials_at(policy, thetas, 4, 2, 30)
+    assert len(built) == 1 and len(trials) == len(thetas)
+    for theta, (arms, outcomes) in zip(thetas, trials):
+        want_arms, want_outcomes = simulate_trials(policy, theta, 4, 2, 30)
+        assert np.array_equal(arms, want_arms) and np.array_equal(outcomes, want_outcomes)
+        assert arms.dtype == outcomes.dtype == np.int8
+
+
 @pytest.mark.parametrize("theta", [(math.nan, 0.5), (0.3, 2.0), (-0.2, 0.7)])
 @pytest.mark.parametrize("entry", [
     lambda pol, theta: simulate_trials(pol, theta, 1, 0, 5),
     lambda pol, theta: simulate_terminals(pol, theta, 5, 1),
     lambda pol, theta: randomization_rejection_rates(pol, [(0.5, 0.5), theta], 100, 0.05, 1),
     lambda pol, theta: randomization_rejection_rate(pol, theta, 100, 0.05, 1),
-], ids=["simulate_trials", "simulate_terminals", "rates", "rate"])
+    lambda pol, theta: simulate_trials_at(pol, [(0.5, 0.5), theta], 1, 0, 5),
+], ids=["simulate_trials", "simulate_terminals", "rates", "rate", "trials_at"])
 def test_theta_outside_the_unit_square_is_refused(entry, theta):
     with pytest.raises(ValueError, match=r"theta point \d .* is not in \[0, 1\]"):
         entry(DbcdNeyman(10, 1), theta)

@@ -309,6 +309,21 @@ def test_policy_table_probs_are_read_only():
             arr[0] = 0.7
 
 
+def test_equal_policy_tables_hash_equal_and_key_a_dict():
+    # __eq__ compares the arrays; the hash reads (n, burn_in, p), on which
+    # equal tables agree
+    n, b, p = 5, 1, 0.9
+    probs = [np.full(layer(t, b).size, 0.5) for t in range(2 * b, n)]
+    table = PolicyTable(n, b, p, tuple(probs))
+    same = PolicyTable(n, b, p, tuple(q.copy() for q in probs))
+    other = PolicyTable(n, b, p, tuple(probs[:-1]) + (np.full_like(probs[-1], p),))
+    assert same == table and hash(same) == hash(table)
+    assert other != table
+    designs = {table: "uniform", other: "last epoch high"}
+    assert designs[same] == "uniform" and len(designs) == 2
+    assert len({table, same, other}) == 2
+
+
 def test_policy_table_refuses_malformed_probs():
     # one float64 array per epoch 2b .. n - 1, of the layer's size, with
     # every value in [1 - p, p]; NaN is in no interval
