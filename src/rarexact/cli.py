@@ -52,11 +52,11 @@ SECTION4_DEFAULTS = {
     "n": 50,
     "burn_in": 6,
     "alpha": 0.05,
-    "gamma": 2.0,
-    "p": 0.95,
-    "alpha_avg": 0.045,
-    "alpha_point": 0.05,
-    "null_grid": [i / 20 for i in range(21)],
+    "gamma": DbcdNeyman.gamma,
+    "p": CmdpSpec.p,
+    "alpha_avg": CmdpSpec.alpha_avg,
+    "alpha_point": CmdpSpec.alpha_point,
+    "null_grid": list(CmdpSpec.null_grid),
     "seed": 2024,
     "sims": 1000,
 }
@@ -295,7 +295,7 @@ def _cmdp_spec_from_config(cfg: dict) -> CmdpSpec:
         alpha_point=_number(cfg, "alpha_point"),
         null_grid=tuple(_numbers(cfg["null_grid"], "null_grid")),
         rectangles=rectangles,
-        max_iters=_integer(cfg, "max_iters", 400),
+        max_iters=_integer(cfg, "max_iters", CmdpSpec.max_iters),
     )
 
 

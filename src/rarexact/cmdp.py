@@ -13,10 +13,10 @@ per-coordinate AdaGrad steps until a duality-gap certificate or the
 iteration limit stops the loop (:func:`solve_cmdp`).
 
 The objective and the constraints are expectations under priors on
-``(theta_C, theta_D)``, held as per-arm kernel tables and evaluated by
-the operating characteristics' :class:`~rarexact.engine.TerminalFunctional`;
-the reward is formed block by block from the same tables
-(:class:`_AuditContext`).
+``(theta_C, theta_D)``.  Within a block of the terminal layer a prior's
+outcome weight is a product of per-arm kernel rows, so one set of
+per-block tables serves both uses: the reward contracts them over the
+priors, the audit over the block's states (:class:`_AuditContext`).
 
 The solve holds its transitions, one per layer, for the whole loop: each
 is used by every backward recursion and every forward audit sweep, so
@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import PathWeightTable, TerminalFunctional, _burn_in_table, _sweep, forward_g
+from .engine import PathWeightTable, _burn_in_table, _sweep, forward_g
 from .numerics import binomial_log_terms, check_alpha, gammaln_table
 from .policies import PolicyTable
 from .states import Layer, Transition, layer as make_layer
@@ -322,73 +322,71 @@ def _backward(reward: np.ndarray, spec: CmdpSpec, steps) -> tuple[PolicyTable, f
 # audit and dual solver
 
 
-def _kernel_table(kernels: list):
-    """One arm's kernel table over many points, from each point's table:
-    group size ``m`` maps to the ``(points, m + 1)`` rows and ``(points,)``
-    log scales."""
-    rows = np.stack([r for r, _ in kernels], axis=1)
-    scales = np.stack([l for _, l in kernels], axis=1)
-    return lambda m: (rows[m, :, :m + 1], scales[m])
-
-
 class _AuditContext:
     """One problem's objective (point 0) and constraints (point ``1 + j``,
-    in :meth:`CmdpSpec.constraints` order and sign) as kernel points of a
-    :class:`~rarexact.engine.TerminalFunctional`, whose per-arm tables
-    take ``O(K n**2)`` numbers.  A point reads one of three functions: the
-    rejection indicator; one, whose block value, the block's mass, a
-    rectangle scales by minus the superior arm's share ``n_a / n`` as
-    :func:`~rarexact.operating.profile` does for the benefit; or the
-    indicator times the null prior's weight, under unit kernels."""
+    in :meth:`CmdpSpec.constraints` order and sign) as per-block tables of
+    ``O(K n**2)`` numbers.  In block ``(n_c, n_d)`` a point's outcome
+    weight is a product of kernel rows (:func:`_arm_kernel`): ``U_c`` holds
+    every point's control rows, ``W`` its developmental rows times its row
+    scales and factor, split into the points that weight the rejection
+    indicator and the rectangles, which weight one by minus the superior
+    arm's share ``n_a / n``, as :func:`~rarexact.operating.profile` takes
+    the benefit.  The null prior's weight does not factor: its point reads
+    the dense column ``rej * B(S + 1, n - S + 1)``.  The reward contracts
+    the tables over the points, the audit over the states."""
 
     def __init__(self, spec: CmdpSpec):
-        self.n, self.constraints = spec.n, spec.constraints()
+        self.constraints = spec.constraints()
         self.layer = lay = make_layer(spec.n, spec.burn_in, spec.n)
         rej = asymptotic_reject_array(layer_wald_statistics(lay), spec.alpha).astype(np.float64)
-        null = rej * np.exp(measure_log_weights(lay, NullUniform()))
-        self.functions = np.column_stack([rej, np.ones_like(rej), null])
+        self.null_column = rej * np.exp(measure_log_weights(lay, NullUniform()))
         measures = [AltUniform()] + [m for _, m, _ in self.constraints]
         priors = [_arm_priors(m) for m in measures]
-        kernels = {p: _arm_kernel(p, spec.n + 1) for p in set().union(*priors)}
-        self.kernels = tuple(_kernel_table([kernels[p[arm]] for p in priors]) for arm in (0, 1))
-        # the function each point reads: 0 the indicator, 1 one, 2 the null
-        self._column = np.array([isinstance(m, Rectangle) + 2 * isinstance(m, NullUniform)
-                                 for m in measures])
-        self._arm = np.array([isinstance(m, Rectangle) and m.superior_arm == "D"
-                              for m in measures], dtype=np.intp)
-        # per block, U_c.T and the rows of U_d times each point's scales and
-        # factor, split into those the indicator multiplies and the rest
-        split = np.array([self._column == 0, self._column == 1])[:, :, None]
+        unique = list(dict.fromkeys(p for pair in priors for p in pair))
+        kernels = [_arm_kernel(p, spec.n + 1) for p in unique]
+        rows, logs = (np.stack(k, axis=1) for k in zip(*kernels))    # (size, unique, ...)
+        pick_c, pick_d = (np.array([unique.index(p[arm]) for p in priors]) for arm in (0, 1))
+        rect = np.array([isinstance(m, Rectangle) for m in measures])
+        self._null = np.array([isinstance(m, NullUniform) for m in measures])
+        arm = np.array([isinstance(m, Rectangle) and m.superior_arm == "D" for m in measures],
+                       dtype=np.intp)
+        split = np.array([~rect & ~self._null, rect])[:, :, None]
         self._blocks = []
         for n_c, n_d, sl in lay.blocks():
-            (u_c, lc), (u_d, ld) = self.kernels[0](n_c), self.kernels[1](n_d)
-            scales = np.exp(lc + ld) * self._factors(np.array([n_c, n_d]))
-            self._blocks.append((sl, u_c.T, split * scales[:, None] * u_d,
+            u_c, u_d = rows[n_c, pick_c, :n_c + 1], rows[n_d, pick_d, :n_d + 1]
+            factors = np.where(rect, -np.array([n_c, n_d])[arm] / spec.n, 1.0)
+            scales = np.exp(logs[n_c, pick_c] + logs[n_d, pick_d]) * factors
+            self._blocks.append((sl, u_c, split * scales[:, None] * u_d,
                                  rej[sl].reshape(n_c + 1, n_d + 1)))
-
-    def _factors(self, sizes: np.ndarray) -> np.ndarray:
-        """Each point's factor at group sizes ``(..., 2)``: 1, or minus a
-        rectangle's superior arm's share."""
-        return np.where(self._column == 1, -sizes[..., self._arm] / self.n, 1.0)
 
     def reward(self, lam: np.ndarray) -> np.ndarray:
         """The objective's integrand minus ``lam`` times the constraints'.
-        With ``c = (1, -lam)`` times each point's scales and factor, a
-        block's is ``rej * (U_c.T @ diag(c_rej) @ U_d) + U_c.T @
-        diag(c_mass) @ U_d``; the null prior's column is added last."""
+        With ``c = (1, -lam)``, a block's is ``rej * (U_c.T @ diag(c) @
+        W_rej) + U_c.T @ diag(c) @ W_rect``; the null column is added
+        last."""
         c = np.concatenate(([1.0], -lam))[:, None]
         out = np.empty(self.layer.size)
-        for sl, u_ct, u_d, rej in self._blocks:
-            x = u_ct @ (c * u_d)
+        for sl, u_c, w, rej in self._blocks:
+            x = u_c.T @ (c * w)
             out[sl] = (x[0] * rej + x[1]).ravel()
-        return out + c[self._column == 2].sum() * self.functions[:, 2]
+        return out + c[self._null].sum() * self.null_column
 
     def audit(self, gt: PathWeightTable) -> AuditReport:
-        """Every point's expectation under ``gt``: its function's block
-        values, times its factors, summed over the blocks in order."""
-        fn = TerminalFunctional(self.functions, gt)
-        v = fn.block_values(self.kernels)[:, np.arange(self._column.size), self._column]
-        totals = (v * self._factors(fn.group_sizes)).sum(axis=0)
+        """Every point's expectation under ``gt``: per reachable block, with
+        ``g`` the path weights over their largest one, ``U_c @ [g * rej |
+        g]`` times ``W``, summed and times that largest weight; the null
+        point adds its column's sum against the path weights."""
+        totals = np.zeros(self._null.size)
+        for sl, u_c, w, rej in self._blocks:
+            scale = gt.log_g[sl].max()
+            if scale == -np.inf:
+                continue
+            g = np.exp(gt.log_g[sl] - scale).reshape(rej.shape)
+            x = (u_c @ np.hstack((g * rej, g))).reshape(-1, 2, rej.shape[1])
+            totals += np.einsum("pkj,kpj->p", x, w) * np.exp(scale)
+        # not a BLAS dot, whose reduction OpenBLAS splits over its threads
+        top = gt.log_g.max()
+        totals[self._null] += (self.null_column * np.exp(gt.log_g - top)).sum() * np.exp(top)
         values = tuple(totals[1:].tolist())
         measures = [m for _, m, _ in self.constraints]
         pointwise = {m.theta0: v for m, v in zip(measures, values) if isinstance(m, PointNull)}
@@ -401,7 +399,9 @@ def audit_policy(table: PolicyTable, spec: CmdpSpec) -> AuditReport:
     embedded asymptotic Wald test."""
     if (table.n, table.burn_in) != (spec.n, spec.burn_in):
         raise ValueError("table horizon/burn-in mismatch")
-    return _AuditContext(spec).audit(forward_g(table))
+    # the sweep first, before freeing the context's stacks raises glibc's mmap threshold
+    gt = forward_g(table)
+    return _AuditContext(spec).audit(gt)
 
 
 def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
@@ -458,6 +458,8 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
         rank = (worst <= 0.0, within, audit.objective if within else -worst)
         if best is None or rank > best[0]:
             best = (rank, table, audit)
+        # not held, unless it is the best, while the next recursion runs
+        del table
         strict, _, objective = best[0]
         if strict and objective >= min_dual - spec.tol:
             break

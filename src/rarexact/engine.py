@@ -16,21 +16,20 @@ fair-coin path probability ``p = g * 2**-t`` of each state, which lies in
 linear arm probabilities ``(q, 1 - q)`` and halves them, an exact
 scaling.  The terminal table stores ``log g = log p + n ln 2``.
 
-Evaluation is batched over points.  Within a block of fixed group sizes
-``(n_c, n_d)`` a point's outcome weight is a product of two kernels, one
-per arm (binomial at a success-rate point), so an expectation over ``m``
-points is one ``(m, n_c + 1) @ (n_c + 1, n_d + 1)`` matrix product per
-block (:class:`TerminalFunctional`).  The product runs in linear space
-under two scalings -- the block's path weights by their largest entry,
-each kernel row by its largest entry -- whose logs are added back at the
-end, so a term is lost only if it is below about ``1e-308`` of its
-block's largest one.
+Evaluation is batched over success-rate points.  Within a block of fixed
+group sizes ``(n_c, n_d)`` the likelihood is a product of two binomial
+kernels, so an expectation over a grid of ``m`` points is one
+``(m, n_c + 1) @ (n_c + 1, n_d + 1)`` matrix product per block
+(:class:`TerminalFunctional`).  The product runs in linear space under
+two scalings -- the block's path weights by their largest entry, each
+kernel row by its largest entry -- whose logs are added back at the end,
+so a term is lost only if it is below about ``1e-308`` of its block's
+largest one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
@@ -232,30 +231,22 @@ def _binomial_kernel(tables: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.
     return np.exp(log_u - row_max[:, None]), row_max
 
 
-def binomial_kernels(thetas, t: int) -> tuple:
-    """The kernel tables of the points ``thetas`` (see
-    :class:`TerminalFunctional`), one per arm, up to group size ``t``."""
-    th = theta_array(thetas)
-    return tuple(partial(_binomial_kernel, binomial_log_terms(th[:, a], t)) for a in (0, 1))
-
-
 class TerminalFunctional:
     """Terminal functions multiplied by the path weights once, evaluated at
-    many points by one matrix product per ``(n_c, n_d)`` block.
+    many success-rate points by one matrix product per ``(n_c, n_d)`` block.
 
     ``f`` holds one function (shape ``(size,)``) or ``k`` functions side by
-    side (shape ``(size, k)``).  In a block a point's outcome weight factors
-    into a control and a developmental kernel, so for points ``1..m`` the
-    block's contribution is ``rowsum((U_c @ E) * U_d)``:
+    side (shape ``(size, k)``).  In a block the outcome likelihood factors
+    into a control and a developmental binomial kernel, so for the points
+    ``theta_1..theta_m`` the block's contribution is
+    ``rowsum((U_c @ E) * U_d)``:
 
     * ``E`` is the block of ``f * g`` arranged as ``(n_c + 1)`` rows of
       ``k * (n_d + 1)`` columns, in linear space after dividing ``g`` by
       the block's largest path weight;
-    * ``U_c[i, s]`` is point ``i``'s weight of ``s`` control successes,
-      ``theta_C**s * (1 - theta_C)**(n_c - s)`` at a success rate, and
-      ``U_d`` the same for the developmental arm, each row divided by its
-      own largest entry.  A kernel table maps a group size to these rows
-      and their log scales, as :func:`_binomial_kernel` returns them.
+    * ``U_c[i, s]`` is ``theta_C**s * (1 - theta_C)**(n_c - s)`` at point
+      ``i`` and ``U_d`` the same for the developmental arm, each row divided
+      by its own largest entry.
 
     The three log scales are added back at the end, in log space, so
     nothing overflows for any horizon.  A path weight is lost (flushed to
@@ -296,20 +287,23 @@ class TerminalFunctional:
         sizes = [(n_c, n_d) for n_c, n_d, _, _ in self._blocks]
         return np.array(sizes, dtype=np.int64).reshape(-1, 2)
 
-    def block_values(self, kernels) -> np.ndarray:
-        """Per-block contributions, shape ``(blocks, points, k)``, under the
-        control and developmental kernel tables ``kernels``."""
-        parts = []
-        for n_c, n_d, scale, e in self._blocks:
-            (u_c, lc), (u_d, ld) = kernels[0](n_c), kernels[1](n_d)
-            prod = (u_c @ e).reshape(lc.shape[0], self.k, n_d + 1)
-            parts.append((prod * u_d[:, None, :]).sum(axis=2) * np.exp(scale + lc + ld)[:, None])
-        return np.stack(parts)
+    def block_values(self, thetas) -> np.ndarray:
+        """Per-block contributions, shape ``(blocks, points, k)``."""
+        th = theta_array(thetas)
+        out = np.zeros((len(self._blocks), th.shape[0], self.k))
+        tab_c = binomial_log_terms(th[:, 0], self.layer.t)
+        tab_d = binomial_log_terms(th[:, 1], self.layer.t)
+        for j, (n_c, n_d, scale, e) in enumerate(self._blocks):
+            u_c, lc = _binomial_kernel(tab_c, n_c)
+            u_d, ld = _binomial_kernel(tab_d, n_d)
+            prod = (u_c @ e).reshape(th.shape[0], self.k, n_d + 1)
+            out[j] = (prod * u_d[:, None, :]).sum(axis=2) * np.exp(scale + lc + ld)[:, None]
+        return out
 
     def values(self, thetas) -> np.ndarray:
         """Expectations at every point: shape ``(points,)`` for one
         function, ``(points, k)`` for several."""
-        total = self.block_values(binomial_kernels(thetas, self.layer.t)).sum(axis=0)
+        total = self.block_values(thetas).sum(axis=0)
         return total[:, 0] if self._scalar else total
 
     def value(self, theta: tuple[float, float]) -> float:

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .engine import PathWeightTable, TerminalFunctional, binomial_kernels
+from .engine import PathWeightTable, TerminalFunctional
 from .numerics import check_alpha, normal_quantile, theta_array
 from .wald import asymptotic_reject_array
 
@@ -56,7 +56,7 @@ def _evaluate(table: PathWeightTable, reject: np.ndarray,
     """
     f = np.asarray(reject, dtype=np.float64)
     fn = TerminalFunctional(np.column_stack([f, np.ones_like(f)]), table)
-    per_block = fn.block_values(binomial_kernels(th, table.n))
+    per_block = fn.block_values(th)
     rates = per_block[:, :, 0].sum(axis=0)
     shares = fn.group_sizes / table.n
     superior = np.where(th[None, :, 0] > th[None, :, 1], shares[:, :1], shares[:, 1:])

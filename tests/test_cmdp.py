@@ -258,7 +258,10 @@ def test_audit_matches_history_enumeration_oracle():
     CmdpSpec(n=24, burn_in=2, rectangles=default_rectangles()),
     CmdpSpec(n=50, burn_in=6, null_grid=(0.0, 0.05, 0.5, 0.95, 1.0),
              rectangles=default_rectangles() + (Rectangle(0.0, 1.0 / 3.0, 0.5, 1.0),)),
-], ids=["n8", "n24-section4", "n50"])
+    # deterministic actions: the random-codes table leaves terminal blocks
+    # without mass, which the audit skips
+    CmdpSpec(n=12, burn_in=1, p=1.0, rectangles=default_rectangles()),
+], ids=["n8", "n24-section4", "n50", "n12-p1"])
 def test_kernel_audit_and_reward_match_the_dense_integrand_oracle(spec):
     # the kernel tables sum in another order than the dense (K + 1) x
     # states matrix, and each takes its log scales through exp: a reward
@@ -269,6 +272,9 @@ def test_kernel_audit_and_reward_match_the_dense_integrand_oracle(spec):
     rng = np.random.default_rng(spec.n)
     k = len(ctx.constraints)
     lopsided = table_from_codes(spec.n, spec.burn_in, spec.p, random_codes(spec.n, spec.burn_in, rng))
+    if spec.p == 1.0:
+        log_g = forward_g(lopsided).log_g
+        assert any(log_g[sl].max() == -np.inf for _, _, sl in ctx.layer.blocks())
     for lam in (np.zeros(k), rng.exponential(2.0, k), rng.exponential(2.0, k) * (rng.random(k) < 0.5)):
         got, want = ctx.reward(lam), dense.reward(lam)
         sizes = np.abs(np.concatenate(([1.0], lam))) @ np.abs(dense.integrands)

@@ -16,7 +16,7 @@ from rarexact import (
     forward_g,
     layer,
 )
-from rarexact.engine import LN2, TerminalFunctional, _sweep, binomial_kernels, layer_log_likelihood
+from rarexact.engine import LN2, TerminalFunctional, _sweep, layer_log_likelihood
 from rarexact.policies import Policy, PolicyTable
 from rarexact.states import Layer, Transition
 
@@ -423,7 +423,7 @@ def test_block_values_match_per_block_kernels_bit_for_bit(policy):
     ends = [0.0, 1.0, 1e-300, 0.5, 0.3, 1.0 - 2.0**-52]
     points = [(a, c) for a in ends for c in ends]
     for fn in (TerminalFunctional(f, table), TerminalFunctional(f[:, 1], table)):
-        got = fn.block_values(binomial_kernels(points, policy.n))
+        got = fn.block_values(points)
         assert np.array_equal(got, block_values_ref(fn, points))
 
 
