@@ -14,19 +14,22 @@ keys into arrangements by sorting.
 Trials are stepped together, many rows at a time: each row carries its
 counts ``(s_c, s_d, n_c)``, and at each epoch its allocation probability
 is the control side ``q`` of the policy's
-:meth:`~rarexact.policies.Policy.layer_arm_probs`, looked up at the
-row's state by :meth:`~rarexact.states.Layer.indices`.  Every row
-depends only on its own words, so results do not depend on how the
-trials are chunked.
+:meth:`~rarexact.policies.Policy.layer_arm_probs`, read at the row's
+state by :meth:`~rarexact.states.Layer.indices`.  Each entry point fills
+the ``(q, q1)`` arrays of every epoch once and passes them down; the
+layers they were filled on are dropped, and the index of a state is
+computed from a fresh layer, which holds no arrays.  Every row depends
+only on its own words, so results do not depend on how the trials are
+chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
-p-values, all rows sharing one epoch lookup.  Its rejection rate
-simulates a batch of trials at once, stable-sorts it by total successes
-and runs the DP on ``DP_TRIALS`` slices of that order, so chunk mates
-share a narrow ``(n_c, s_c)`` grid.  Each terminal state's ``|T|`` is
-read from one table over the terminal layer, built once per epoch lookup
-and shared by every ``theta`` of :func:`randomization_rejection_rates`.
-Every entry point refuses a ``theta`` that is NaN or outside ``[0, 1]``.
+p-values, all rows sharing those arrays.  Its rejection rate simulates a
+batch of trials at once, stable-sorts it by total successes and runs the
+DP on ``DP_TRIALS`` slices of that order, so chunk mates share a narrow
+``(n_c, s_c)`` grid.  Each terminal state's ``|T|`` is read from one
+table over the terminal layer, built once per call and shared by every
+``theta`` of :func:`randomization_rejection_rates`.  Every entry point
+refuses a ``theta`` that is NaN or outside ``[0, 1]``.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import numpy as np
 
 from .numerics import check_alpha, theta_array
 from .policies import EqualAllocation, Policy
-from .states import layer as make_layer
+from .states import Layer, layer as make_layer
 from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy-counter-blocks"
@@ -116,56 +119,41 @@ def _arms_from_keys(keys: np.ndarray, lengths: list[int]) -> np.ndarray:
     return arms
 
 
-class _EpochLookup:
-    """Vectorized per-epoch allocation probabilities for a policy: the
-    layer and the pair ``(q, q1)`` of its
-    :meth:`~rarexact.policies.Policy.layer_arm_probs`, kept once per
-    epoch; for the randomization test also the index grids of its DP and
-    one ``|T|`` table over the terminal layer."""
+def _epoch_probs(policy: Policy) -> list:
+    """``(q, q1)`` of :meth:`~rarexact.policies.Policy.layer_arm_probs` at
+    each epoch ``2b .. n - 1``, each filled on a layer that is then
+    dropped; none for equal allocation, which allocates by blocks."""
+    if isinstance(policy, EqualAllocation):
+        return []
+    b = policy.burn_in
+    return [policy.layer_arm_probs(make_layer(t, b)) for t in range(2 * b, policy.n)]
 
-    def __init__(self, policy: Policy):
-        self.policy = policy
-        self._cache: dict[int, tuple] = {}
-        self._grids: dict[tuple, np.ndarray] = {}
-        self._abs_wald = None
 
-    def arm_probs(self, t: int) -> tuple:
-        """``(layer, q, q1)`` at epoch ``t``."""
-        entry = self._cache.get(t)
-        if entry is None:
-            lay = make_layer(t, self.policy.burn_in, self.policy.n)
-            entry = self._cache[t] = (lay, *self.policy.layer_arm_probs(lay))
-        return entry
+def _terminal_abs_wald(policy: Policy) -> np.ndarray:
+    """``|T|`` of every terminal state, NaN where an arm is empty."""
+    n = policy.n
+    s_c, s_d, n_c, n_d = make_layer(n, policy.burn_in, n).arrays()
+    both = (n_c > 0) & (n_d > 0)
+    abs_t = np.full(s_c.size, np.nan)
+    abs_t[both] = np.abs(wald_statistics(s_c[both], s_d[both], n_c[both], n_d[both]))
+    return abs_t
 
-    def grid_indices(self, t: int, lo: int, rows: int, cols: int) -> np.ndarray:
-        """Layer-``t`` indices of ``(n_c, s_c, s_d = -s_c)`` over ``n_c = lo
-        .. lo + rows - 1`` and ``s_c = 0 .. cols - 1``, as a ``(rows,
-        cols)`` view; adding ``S_t`` gives those of ``s_d = S_t - s_c``.
-        Kept per ``(t, lo, rows)`` at the widest grid, ``s_c <= t - b``."""
-        base = self._grids.get((t, lo, rows))
-        if base is None:
-            b = self.policy.burn_in
-            s_c = np.arange(t - b + 1)
-            lay = make_layer(t, b, self.policy.n)
-            base = self._grids[t, lo, rows] = lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None])
-        return base[:, :cols]
 
-    def terminal_abs_wald(self) -> np.ndarray:
-        """``|T|`` of every terminal state, NaN where an arm is empty."""
-        if self._abs_wald is None:
-            n = self.policy.n
-            s_c, s_d, n_c, n_d = make_layer(n, self.policy.burn_in, n).arrays()
-            both = (n_c > 0) & (n_d > 0)
-            self._abs_wald = np.full(s_c.size, np.nan)
-            self._abs_wald[both] = np.abs(wald_statistics(s_c[both], s_d[both], n_c[both], n_d[both]))
-        return self._abs_wald
+def _grid_indices(lay: Layer, lo: int, rows: int, cols: int) -> np.ndarray:
+    """Indices in ``lay`` of ``(n_c, s_c, s_d = -s_c)`` over ``n_c = lo ..
+    lo + rows - 1`` and ``s_c = 0 .. cols - 1``, as a ``(rows, cols)``
+    array; adding ``S_t`` gives those of ``s_d = S_t - s_c``."""
+    s_c = np.arange(cols)
+    return lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None])
 
 
 def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray,
-              lookup: _EpochLookup, burn_in_blocks: bool):
+              probs: list, burn_in_blocks: bool):
     """Arms and terminal ``(s_c, s_d, n_c)`` of trials given as ``(m, n)``
     rows of allocation ``keys``; participant ``t`` responds ``y_c[:, t]``
-    on control and ``y_d[:, t]`` otherwise.  The burn-in is one permuted
+    on control and ``y_d[:, t]`` otherwise, and past the burn-in goes to
+    control where its key is below ``q`` of :func:`_epoch_probs`'s
+    ``probs`` at its row's state.  The burn-in is one permuted
     balanced block, or the canonical alternation; permuted-block equal
     allocation uses its block plan throughout."""
     n, b = policy.n, policy.burn_in
@@ -187,8 +175,8 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
         if t < 2 * b:
             is_c = arms[t] == 0
         else:
-            lay, q, _ = lookup.arm_probs(t)
-            is_c = keys[t] < q[lay.indices(s_c, s_d, n_c)]
+            q = probs[t - 2 * b][0]
+            is_c = keys[t] < q[make_layer(t, b).indices(s_c, s_d, n_c)]
             arms[t] = ~is_c
         n_c += is_c
         s_c += is_c & y_c[t]
@@ -196,13 +184,13 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
     return arms.T, (s_c, s_d, n_c)
 
 
-def _simulate_batch(policy: Policy, theta, u: np.ndarray, lookup: _EpochLookup,
+def _simulate_batch(policy: Policy, theta, u: np.ndarray, probs: list,
                     burn_in_blocks: bool = False):
     """Step the trials whose rows of ``u`` hold ``n`` allocation keys, then
     ``n`` outcome draws; returns arms, outcomes and terminal counts."""
     n, (tc, td) = policy.n, theta
     y_c, y_d = u[:, n:] < tc, u[:, n:] < td
-    arms, counts = _allocate(policy, u[:, :n], y_c, y_d, lookup, burn_in_blocks)
+    arms, counts = _allocate(policy, u[:, :n], y_c, y_d, probs, burn_in_blocks)
     return arms, np.where(arms == 0, y_c, y_d).astype(np.int8), counts
 
 
@@ -214,11 +202,11 @@ def simulate_trials_at(policy: Policy, thetas, seed: int, start: int, count: int
     ``theta``, two ``(count, n)`` int8 arrays with one trial per row.
     Each trial reads only its own words of the run's sequence, so it does
     not depend on ``start`` or ``count``; every ``theta`` reads the same
-    words and shares one epoch lookup."""
+    words and the allocation probabilities, computed once."""
     thetas = theta_array(thetas)
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
-    lookup = _EpochLookup(policy)
-    return [_simulate_batch(policy, theta, u, lookup)[:2] for theta in thetas]
+    probs = _epoch_probs(policy)
+    return [_simulate_batch(policy, theta, u, probs)[:2] for theta in thetas]
 
 
 def simulate_trials(policy: Policy, theta, seed: int, start: int, count: int):
@@ -231,18 +219,18 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
     ``seed``, the same as :func:`simulate_trials` gives them, stepped
     ``SIM_BATCH`` at a time; returns ``(s_c, s_d, n_c)`` arrays."""
     n, ((tc, td),) = policy.n, theta_array([theta])
-    lookup = _EpochLookup(policy)
+    probs = _epoch_probs(policy)
     out = np.empty((3, sims), dtype=np.int64)
     for start in range(0, sims, SIM_BATCH):
         stop = min(start + SIM_BATCH, sims)
         u = _stream_uniforms(seed, start, stop - start, 2 * n)
         draws = u[:, n:]
-        _, out[:, start:stop] = _allocate(policy, u[:, :n], draws < tc, draws < td, lookup, False)
+        _, out[:, start:stop] = _allocate(policy, u[:, :n], draws < tc, draws < td, probs, False)
     return tuple(out)
 
 
 def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
-                    lookup: _EpochLookup) -> np.ndarray:
+                    probs: list, abs_t: np.ndarray) -> np.ndarray:
     """Exact randomization p-values of ``(m, n)`` rows of observed arms and
     outcomes, stepped together (see :func:`_randomization_p_values`).
     Given the outcomes, the successes ``S_t`` before epoch ``t`` are known,
@@ -254,9 +242,11 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     allocation) of ``L`` with ``c = ceil(L / 2)`` controls adds ``c`` to
     ``n_c`` and a ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later
     epoch keeps ``q1`` of a state's mass and moves ``q`` of it to ``(n_c +
-    1, s_c + y_t)``.  Each terminal state's ``|T|`` is read from the
-    lookup's table.  The work is elementwise per row and the final sum runs
-    in a fixed order, so rows do not affect each other."""
+    1, s_c + y_t)``, with ``(q, q1)`` from :func:`_epoch_probs`'s
+    ``probs``.  Each terminal state's ``|T|`` is read from ``abs_t``, the
+    table of :func:`_terminal_abs_wald`.  The work is elementwise per row
+    and the final sum runs in a fixed order, so rows do not affect each
+    other."""
     n, b = policy.n, policy.burn_in
     m = outcomes.shape[0]
     s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
@@ -277,12 +267,12 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
             out[:, :, k:k + w.shape[2]] += w * hyper[:, k, None, None]
         w, lo, pos = out, lo + c, pos + length
     for t in range(pos, n):
-        lay, q, q1 = lookup.arm_probs(t)
+        q, q1 = probs[t - 2 * b]
         w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
         # s_d = S_t - s_c enters the index linearly; off-layer states hold
         # no mass, and their indices stay in the layer
-        idx = lookup.grid_indices(t, lo, rows, cols) + succ[:, t, None, None]
+        idx = _grid_indices(make_layer(t, b), lo, rows, cols) + succ[:, t, None, None]
         out = np.zeros((m, rows + 1, cols + 1))
         np.multiply(w, q1.take(idx), out=out[:, :rows, :cols])
         w *= q.take(idx)
@@ -299,8 +289,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     rows, cols = w.shape[1:]
     if lo < 1 or lo + rows > n:
         raise ValueError("Wald statistic requires both group sizes positive")
-    abs_t = lookup.terminal_abs_wald()
-    extreme = abs_t.take(lookup.grid_indices(n, lo, rows, cols) + succ[:, n, None, None])
+    extreme = abs_t.take(_grid_indices(make_layer(n, b), lo, rows, cols) + succ[:, n, None, None])
     mass = np.where(extreme >= t_obs[:, None, None], w, 0.0)
     # summed one n_c, then one s_c at a time: the columns above a row's own
     # S_n add exact zeros, so its p-value does not depend on the width
@@ -312,7 +301,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
 
 
 def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
-                            lookup: _EpochLookup) -> np.ndarray:
+                            probs: list, abs_t: np.ndarray) -> np.ndarray:
     """Exact randomization p-values of ``(m, n)`` rows of observed arms and
     outcomes (see :func:`randomization_test`), in row order.  The rows are
     stepped ``DP_TRIALS`` at a time in the stable order of their total
@@ -322,7 +311,7 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
     p = np.empty(order.size)
     for start in range(0, order.size, DP_TRIALS):
         rows = order[start:start + DP_TRIALS]
-        p[rows] = _chunk_p_values(policy, arms[rows], outcomes[rows], lookup)
+        p[rows] = _chunk_p_values(policy, arms[rows], outcomes[rows], probs, abs_t)
     return p
 
 
@@ -337,7 +326,8 @@ def randomization_test(arms, outcomes, policy: Policy, alpha: float):
     the outcomes, and designs with heavy ties, such as permuted-block
     equal allocation, are conservative.  An adaptive policy needs a burn-in
     of at least one per arm, or some Wald statistic is undefined.  All rows
-    share one epoch lookup, and no row's p-value depends on the others.
+    share one set of allocation probabilities and one terminal ``|T|``
+    table, and no row's p-value depends on the others.
     """
     check_alpha(alpha)
     arms, outcomes = np.asarray(arms), np.asarray(outcomes)
@@ -347,7 +337,8 @@ def randomization_test(arms, outcomes, policy: Policy, alpha: float):
     if not (np.isin(arms, (0, 1)).all() and np.isin(outcomes, (0, 1)).all()):
         raise ValueError("arms and outcomes must hold 0 or 1")
     arms, outcomes = arms.astype(np.int8), outcomes.astype(np.int8)
-    p = _randomization_p_values(policy, arms, outcomes, _EpochLookup(policy))
+    p = _randomization_p_values(policy, arms, outcomes, _epoch_probs(policy),
+                                _terminal_abs_wald(policy))
     return p <= alpha, p
 
 
@@ -370,25 +361,25 @@ def randomization_rejection_rates(policy: Policy, thetas, sims: int, alpha: floa
     words of the run's sequence (see :func:`simulate_trials`) and has a
     permuted burn-in block, like the test.  The trials are simulated
     ``SIM_BATCH`` at a time and tested in ``DP_TRIALS`` chunks of the batch
-    sorted by total successes (see :func:`_randomization_p_values`); every
-    ``theta`` shares one epoch lookup and its terminal ``|T|`` table."""
+    sorted by total successes (see :func:`_randomization_p_values`).  Each
+    batch's words are drawn once for every ``theta``, and every ``theta``
+    shares one set of allocation probabilities and one terminal ``|T|``
+    table."""
     check_alpha(alpha)
     if sims < 100:
         raise ValueError("need at least 100 simulations")
     thetas = theta_array(thetas)
-    lookup = _EpochLookup(policy)
-    estimates = []
-    for theta in thetas:
-        rejections = 0
-        for start in range(0, sims, SIM_BATCH):
-            u = _stream_uniforms(seed, start, min(SIM_BATCH, sims - start), 2 * policy.n)
-            arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
-            p = _randomization_p_values(policy, arms, outcomes, lookup)
-            rejections += int(np.count_nonzero(p <= alpha))
-        est = rejections / sims
-        half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
-        estimates.append(RateEstimate(est, float(half), sims, seed))
-    return estimates
+    probs, abs_t = _epoch_probs(policy), _terminal_abs_wald(policy)
+    rejections = np.zeros(len(thetas), dtype=np.int64)
+    for start in range(0, sims, SIM_BATCH):
+        u = _stream_uniforms(seed, start, min(SIM_BATCH, sims - start), 2 * policy.n)
+        for i, theta in enumerate(thetas):
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, probs, burn_in_blocks=True)
+            p = _randomization_p_values(policy, arms, outcomes, probs, abs_t)
+            rejections[i] += np.count_nonzero(p <= alpha)
+    est = rejections / sims
+    half = 1.96 * np.sqrt(est * (1.0 - est) / sims)
+    return [RateEstimate(float(e), float(h), sims, seed) for e, h in zip(est, half)]
 
 
 def randomization_rejection_rate(policy: Policy, theta, sims: int, alpha: float,

@@ -885,13 +885,15 @@ def block_values_ref(fn, thetas):
     return out
 
 
-def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):
+def _trial_arms_ref(policy, keys, outcome_at, burn_in_blocks):
     """Arms of rows of trials stepped one epoch at a time, the burn-in a
     permuted balanced block or the alternation, equal allocation in
     permuted blocks; ``outcome_at(t, arm)`` is participant ``t``'s
-    response."""
+    response.  Each epoch's ``q`` is the policy's own
+    ``layer_arm_probs``."""
     from rarexact.montecarlo import EA_BLOCK, _arms_from_keys, _balanced_pattern, _block_plan
     from rarexact.policies import EqualAllocation
+    from rarexact.states import layer
 
     n, b = policy.n, policy.burn_in
     if isinstance(policy, EqualAllocation):
@@ -909,7 +911,8 @@ def _trial_arms_ref(policy, keys, outcome_at, lookup, burn_in_blocks):
         if t < 2 * b:
             arm = burn_in[:, t]
         else:
-            lay, q, _ = lookup.arm_probs(t)
+            lay = layer(t, b)
+            q = policy.layer_arm_probs(lay)[0]
             arm = (keys[:, t] >= q[lay.indices(s_c, s_d, n_c)]).astype(np.int8)
         y = outcome_at(t, arm)
         arms[:, t] = arm
@@ -925,8 +928,6 @@ def simulate_trial_ref(policy, theta, seed, stream, burn_in_blocks=False):
     ``seed``, stepped alone from its ``2n`` words: ``n`` allocation keys,
     then ``n`` outcome draws.  The trial owns ``B = ceil(2n / 4)`` Philox
     blocks from block ``stream * B``, read by a generator built there."""
-    from rarexact.montecarlo import _EpochLookup
-
     n = policy.n
     tc, td = theta
     blocks = -(-2 * n // 4)
@@ -937,7 +938,7 @@ def simulate_trial_ref(policy, theta, seed, stream, burn_in_blocks=False):
     arms = _trial_arms_ref(
         policy, u[:, :n],
         lambda t, arm: np.where(arm == 0, draws[:, t] < tc, draws[:, t] < td),
-        _EpochLookup(policy), burn_in_blocks,
+        burn_in_blocks,
     )
     return arms[0], np.where(arms == 0, draws < tc, draws < td).astype(np.int8)[0]
 
@@ -1013,7 +1014,7 @@ def randomization_p_value_enum(policy, arms, outcomes):
     return math.fsum(prob for (_, prob), stat in zip(paths, stats) if stat >= t_obs)
 
 
-def randomization_p_values_ref(policy, arms, outcomes, lookup):
+def randomization_p_values_ref(policy, arms, outcomes):
     """Exact randomization p-values of ``(m, n)`` rows of observed arms and
     outcomes, all rows in one chunk in their given order, with ``|T|``
     computed on the chunk's grid and the control mass moved by two adds.
@@ -1026,11 +1027,13 @@ def randomization_p_values_ref(policy, arms, outcomes, lookup):
     balanced block (the burn-in, all of equal allocation) of ``L`` with
     ``c = ceil(L / 2)`` controls adds ``c`` to ``n_c`` and a
     ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later epoch moves
-    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``q1``.
+    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``q1``,
+    both from the policy's own ``layer_arm_probs``.
     The work is elementwise per row and the final sum runs in a fixed
     order, so rows do not affect each other."""
     from rarexact.montecarlo import EA_BLOCK, _block_plan, _terminal_counts
     from rarexact.policies import EqualAllocation
+    from rarexact.states import layer
     from rarexact.wald import wald_statistics
 
     n, b = policy.n, policy.burn_in
@@ -1053,7 +1056,8 @@ def randomization_p_values_ref(policy, arms, outcomes, lookup):
             out[:, :, k:k + w.shape[2]] += w * hyper[:, k, None, None]
         w, lo, pos = out, lo + c, pos + length
     for t in range(pos, n):
-        lay, q, q1 = lookup.arm_probs(t)
+        lay = layer(t, b)
+        q, q1 = policy.layer_arm_probs(lay)
         w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
         s_c = np.arange(cols)

@@ -601,22 +601,27 @@ def test_cli_brar_design_independent_of_cpu_affinity(tmp_path):
 def test_cli_cmdp_solve_independent_of_blas_threads(tmp_path):
     import rarexact
 
-    cfg = _cfg(tmp_path, "cmdp.json", n=24, burn_in=2, rectangles="section4-pairs", max_iters=15)
     src = str(Path(rarexact.__file__).resolve().parents[1])
-    outputs, codes = [], []
-    for blas_threads in ("1", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads, OMP_NUM_THREADS=blas_threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        out = tmp_path / f"policy_{blas_threads}.rxpt"
-        proc = subprocess.run(
-            [sys.executable, "-m", "rarexact.cli", "cmdp", "solve", "--config", cfg,
-             "--out", str(out)],
-            env=env, timeout=300,
-        )
-        codes.append(proc.returncode)
-        outputs.append((out.read_bytes(), Path(f"{out}.audit.json").read_bytes()))
-    assert codes[0] in (0, 3) and codes[1] == codes[0]
-    assert outputs[1] == outputs[0]
+    # at n = 24 no reduction is large enough for OpenBLAS to thread it; the
+    # Section-4 horizon's per-block products are
+    for n, burn_in, max_iters in [(24, 2, 15), (50, 6, 3)]:
+        cfg = _cfg(tmp_path, f"cmdp{n}.json", n=n, burn_in=burn_in,
+                   rectangles="section4-pairs", max_iters=max_iters)
+        outputs, codes = [], []
+        for blas_threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                       OMP_NUM_THREADS=blas_threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            out = tmp_path / f"policy{n}_{blas_threads}.rxpt"
+            proc = subprocess.run(
+                [sys.executable, "-m", "rarexact.cli", "cmdp", "solve", "--config", cfg,
+                 "--out", str(out)],
+                env=env, timeout=300,
+            )
+            codes.append(proc.returncode)
+            outputs.append((out.read_bytes(), Path(f"{out}.audit.json").read_bytes()))
+        assert codes[0] in (0, 3) and codes[1] == codes[0]
+        assert outputs[1] == outputs[0]
 
 
 def test_cli_every_subcommand_shares_the_common_options():

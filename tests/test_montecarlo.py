@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,10 +22,11 @@ from rarexact import (
 )
 from rarexact import montecarlo
 from rarexact.montecarlo import (
-    _EpochLookup,
+    _epoch_probs,
     _randomization_p_values,
     _simulate_batch,
     _stream_uniforms,
+    _terminal_abs_wald,
     make_rng,
     simulate_trials,
     simulate_trials_at,
@@ -139,8 +141,7 @@ def test_batched_trials_match_per_trial_loop(policy):
 @pytest.mark.parametrize("policy", [DbcdNeyman(14, 2), BayesianRar(12, 2), EqualAllocation(12, 1)])
 def test_trials_at_a_theta_list_share_one_lookup_and_match_one_point_calls(policy, monkeypatch):
     built = []
-    init = _EpochLookup.__init__
-    monkeypatch.setattr(_EpochLookup, "__init__", lambda self, pol: built.append(pol) or init(self, pol))
+    monkeypatch.setattr(montecarlo, "_epoch_probs", lambda pol: built.append(pol) or _epoch_probs(pol))
     thetas = [(0.3, 0.7), (0.0, 1.0), (0.5, 0.5)]
     trials = simulate_trials_at(policy, thetas, 4, 2, 30)
     assert len(built) == 1 and len(trials) == len(thetas)
@@ -230,10 +231,10 @@ def test_randomization_test_matches_reference(policy):
     # observed trials with the alternating burn-in, and with a permuted one
     # as in randomization_rejection_rate; the enumeration sums the
     # probabilities of every arrangement and arm sequence
-    lookup = _EpochLookup(policy)
+    probs = _epoch_probs(policy)
     u = _stream_uniforms(4, 0, 3, 2 * policy.n)
     for burn_in_blocks in (False, True):
-        arms, outcomes, _ = _simulate_batch(policy, (0.2, 0.7), u, lookup, burn_in_blocks)
+        arms, outcomes, _ = _simulate_batch(policy, (0.2, 0.7), u, probs, burn_in_blocks)
         reject, p = randomization_test(arms, outcomes, policy, alpha=0.1)
         assert np.array_equal(reject, p <= 0.1) and reject.dtype == bool
         for a, y, p_row in zip(arms, outcomes, p):
@@ -248,8 +249,8 @@ def test_randomization_test_takes_rows_of_trials(policy):
     arms, outcomes = simulate_trials(policy, (0.3, 0.7), 6, 0, 40)
     reject, p = randomization_test(arms, outcomes, policy, alpha=0.2)
     assert p.shape == reject.shape == (40,)
-    assert np.array_equal(p, _randomization_p_values(policy, arms, outcomes,
-                                                     _EpochLookup(policy)))
+    assert np.array_equal(p, _randomization_p_values(policy, arms, outcomes, _epoch_probs(policy),
+                                                     _terminal_abs_wald(policy)))
     for i in range(40):
         r_i, p_i = randomization_test(arms[i:i + 1], outcomes[i:i + 1], policy, alpha=0.2)
         assert (r_i.tolist(), p_i.tolist()) == ([reject[i]], [p[i]])
@@ -279,21 +280,22 @@ def test_sorted_chunks_and_terminal_table_match_the_chunk_oracle(policy, monkeyp
     # add give the p-values of the unsorted chunk DP bit for bit, with
     # either burn-in pattern and in any trial order
     monkeypatch.setattr(montecarlo, "DP_TRIALS", 5)
-    lookup = _EpochLookup(policy)
+    probs, abs_t = _epoch_probs(policy), _terminal_abs_wald(policy)
     u = _stream_uniforms(9, 0, 60, 2 * policy.n)
     order = np.random.default_rng(1).permutation(60)
     for theta in ((0.3, 0.3), (0.2, 0.8)):
         for burn_in_blocks in (False, True):
-            arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks)
-            ref = randomization_p_values_ref(policy, arms, outcomes, lookup)
-            assert np.array_equal(_randomization_p_values(policy, arms, outcomes, lookup), ref)
-            shuffled = _randomization_p_values(policy, arms[order], outcomes[order], lookup)
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, probs, burn_in_blocks)
+            ref = randomization_p_values_ref(policy, arms, outcomes)
+            assert np.array_equal(_randomization_p_values(policy, arms, outcomes, probs, abs_t),
+                                  ref)
+            shuffled = _randomization_p_values(policy, arms[order], outcomes[order], probs, abs_t)
             assert np.array_equal(shuffled, ref[order])
 
 
 @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
 def test_rejection_rates_count_the_chunk_oracle_rejections(policy, monkeypatch):
-    # one rate per theta over one shared lookup; each counts the trials
+    # one rate per theta over one set of shared arrays; each counts the trials
     # whose oracle p-value is at most alpha, for every seed, whatever the
     # simulation batch
     thetas, sims, alpha = [(0.3, 0.3), (0.2, 0.8)], 100, 0.1
@@ -301,12 +303,32 @@ def test_rejection_rates_count_the_chunk_oracle_rejections(policy, monkeypatch):
     for seed in (0, 7, -3):
         rates = randomization_rejection_rates(policy, thetas, sims, alpha, seed)
         for theta, rate in zip(thetas, rates):
-            lookup = _EpochLookup(policy)
             u = _stream_uniforms(seed, 0, sims, 2 * policy.n)
-            arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
-            p = randomization_p_values_ref(policy, arms, outcomes, lookup)
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, _epoch_probs(policy),
+                                                burn_in_blocks=True)
+            p = randomization_p_values_ref(policy, arms, outcomes)
             assert rate.estimate == np.count_nonzero(p <= alpha) / sims
             assert rate == randomization_rejection_rate(policy, theta, sims, alpha, seed)
+
+
+def test_rejection_rate_keeps_the_allocation_probabilities_and_no_layer_arrays():
+    # the run keeps (q, q1) of every epoch 2b .. n - 1, 16 B a state; the
+    # layers they were filled on, with their per-state arrays, and the DP's
+    # index grids are not held for the run
+    policy = DbcdNeyman(60, 2)
+    states = sum(layer(t, 2).size for t in range(4, 60))
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        randomization_rejection_rates(policy, [(0.3, 0.3), (0.3, 0.6)], 100, 0.05, 1)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak < 28 * states
 
 
 def test_adaptive_design_without_burn_in_has_no_randomization_test():
@@ -356,7 +378,8 @@ def test_exact_randomization_test_keeps_its_level(policy, data):
     arms = np.array([a for a, _ in paths], dtype=np.int8)
     probs = np.array([prob for _, prob in paths])
     assert math.fsum(probs) == pytest.approx(1.0, abs=1e-12)
-    p = _randomization_p_values(policy, arms, np.tile(y, (len(paths), 1)), _EpochLookup(policy))
+    p = _randomization_p_values(policy, arms, np.tile(y, (len(paths), 1)), _epoch_probs(policy),
+                                _terminal_abs_wald(policy))
     for alpha in (0.01, 0.05, 0.1, 0.2, 0.5):
         assert math.fsum(probs[p <= alpha]) <= alpha + 1e-12
 
@@ -378,17 +401,18 @@ def test_randomization_ratetest_reproducible():
 ])
 def test_chunked_rejection_rate_matches_per_trial_loop(policy, sims, monkeypatch):
     theta, alpha, seed = (0.2, 0.8), 0.2, -3
-    lookup = _EpochLookup(policy)
+    probs, abs_t = _epoch_probs(policy), _terminal_abs_wald(policy)
     u = _stream_uniforms(seed, 0, sims, 2 * policy.n)
-    arms, outcomes, _ = _simulate_batch(policy, theta, u, lookup, burn_in_blocks=True)
+    arms, outcomes, _ = _simulate_batch(policy, theta, u, probs, burn_in_blocks=True)
     # the observed trials are those stepped one at a time from their streams
     for i in range(0, sims, 9):
         ref_arms, ref_outcomes = simulate_trial_ref(policy, theta, seed, i, burn_in_blocks=True)
         assert np.array_equal(arms[i], ref_arms) and np.array_equal(outcomes[i], ref_outcomes)
     # p-values bit for bit the same in chunks of 1, 7 and all trials
-    p = _randomization_p_values(policy, arms, outcomes, lookup)
+    p = _randomization_p_values(policy, arms, outcomes, probs, abs_t)
     for chunk in (1, 7):
-        parts = [_randomization_p_values(policy, arms[i:i + chunk], outcomes[i:i + chunk], lookup)
+        parts = [_randomization_p_values(policy, arms[i:i + chunk], outcomes[i:i + chunk],
+                                         probs, abs_t)
                  for i in range(0, sims, chunk)]
         assert np.array_equal(np.concatenate(parts), p)
     rates = {randomization_rejection_rate(policy, theta, sims, alpha=alpha, seed=seed)}
