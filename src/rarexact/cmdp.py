@@ -167,14 +167,16 @@ def _arm_priors(measure) -> tuple:
 def measure_log_weights(lay: Layer, measure) -> np.ndarray:
     """Log of the outcome likelihood of every state of a layer, integrated
     over the prior ``measure`` on ``(theta_C, theta_D)``: gathered from its
-    kernel tables, or ``ln B(S + 1, t - S + 1)`` for the null prior."""
-    s_c, s_d, n_c, n_d = lay.arrays()
+    kernel tables, or ``ln B(S + 1, t - S + 1)`` for the null prior, block
+    by block."""
     if isinstance(measure, NullUniform):
         g = gammaln_table(lay.t + 3)
-        return g[s_c + s_d + 1] + g[lay.t - s_c - s_d + 1] - g[lay.t + 2]
+        return lay.tabulate(lambda s_c, s_d, n_c, n_d:
+                            g[s_c + s_d + 1] + g[lay.t - s_c - s_d + 1] - g[lay.t + 2])
     (rows_c, log_c), (rows_d, log_d) = (_arm_kernel(p, lay.t + 1) for p in _arm_priors(measure))
     with np.errstate(divide="ignore"):
-        return np.log(rows_c[n_c, s_c] * rows_d[n_d, s_d]) + (log_c[n_c] + log_d[n_d])
+        return lay.tabulate(lambda s_c, s_d, n_c, n_d:
+                            np.log(rows_c[n_c, s_c] * rows_d[n_d, s_d]) + (log_c[n_c] + log_d[n_d]))
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ class PathWeightTable:
         return self._wald
 
     def successes(self) -> np.ndarray:
-        s_c, s_d, _, _ = self.layer.arrays()
-        return s_c + s_d
+        """Total successes ``s_c + s_d`` of every state, int32."""
+        return self.layer.tabulate(lambda s_c, s_d, n_c, n_d: s_c + s_d, np.int32)
 
 
 def _burn_in_table(b: int) -> np.ndarray:
@@ -209,12 +209,12 @@ def layer_log_likelihood(lay: Layer, theta: tuple[float, float]) -> np.ndarray:
     """Log outcome likelihood of every state of a layer at ``theta``: each
     success on arm ``a`` contributes ``ln(theta_a)`` and each failure
     ``ln(1 - theta_a)``, with ``0 * ln 0 = 0``; the terms are gathered from
-    :func:`~rarexact.numerics.binomial_log_terms`."""
+    :func:`~rarexact.numerics.binomial_log_terms`, block by block."""
     tc, td = theta
     ln_c, ln_1c = binomial_log_terms(tc, lay.t)
     ln_d, ln_1d = binomial_log_terms(td, lay.t)
-    s_c, s_d, n_c, n_d = lay.arrays()
-    return ln_c[s_c] + ln_1c[n_c - s_c] + ln_d[s_d] + ln_1d[n_d - s_d]
+    return lay.tabulate(lambda s_c, s_d, n_c, n_d:
+                        ln_c[s_c] + ln_1c[n_c - s_c] + ln_d[s_d] + ln_1d[n_d - s_d])
 
 
 def _binomial_kernel(tables: tuple[np.ndarray, np.ndarray], m: int) -> tuple[np.ndarray, np.ndarray]:

@@ -65,11 +65,20 @@ def _grid_values(coeffs: np.ndarray) -> np.ndarray:
     return np.einsum("ij,j->i", _grid_basis(coeffs.size - 1)[1], coeffs)
 
 
+@lru_cache(maxsize=8)
+def _log_binom_row(n: int) -> np.ndarray:
+    """``ln C(n, k)`` for ``k = 0..n``, read-only: one build per horizon
+    for every pmf row, midpoint weight and stratum mass."""
+    row = log_binom(n, np.arange(n + 1))
+    row.flags.writeable = False
+    return row
+
+
 def _pmf_matrix(n: int, theta: np.ndarray) -> np.ndarray:
     """Binomial pmf rows at ``theta``, with ``0 * ln 0 = 0`` (unit rows at
     ``theta`` in ``{0, 1}``)."""
     ln_s, ln_f = binomial_log_terms(theta, n)
-    return np.exp(log_binom(n, np.arange(n + 1)) + ln_s + ln_f[:, ::-1])
+    return np.exp(_log_binom_row(n) + ln_s + ln_f[:, ::-1])
 
 
 @lru_cache(maxsize=8)
@@ -89,7 +98,7 @@ def _split_matrix(n: int) -> np.ndarray:
 
 @lru_cache(maxsize=8)
 def _midpoint_weights(n: int) -> np.ndarray:
-    return np.exp(log_binom(n, np.arange(n + 1)) - n * np.log(2.0))
+    return np.exp(_log_binom_row(n) - n * np.log(2.0))
 
 
 def _poly_value(coeffs: np.ndarray, theta: float) -> float:
@@ -183,10 +192,13 @@ def certify_region(coeffs: np.ndarray, level: float) -> RegionCertificate:
 
 def conditional_masses(table: PathWeightTable) -> tuple[np.ndarray, np.ndarray]:
     """Per-state stratum conditional probabilities ``g / C(n, s)`` and the
-    total-success stratum of every state."""
+    total-success stratum of every state; ``ln C(n, s)`` is read from the
+    horizon's row of ``n + 1`` entries, into the one layer-sized buffer
+    that becomes ``w``."""
     s = table.successes()
-    w = np.exp(table.log_g - log_binom(table.n, s))
-    return w, s
+    w = _log_binom_row(table.n).take(s)
+    np.subtract(table.log_g, w, out=w)
+    return np.exp(w, out=w), s
 
 
 def region_coefficients(table: PathWeightTable, reject: np.ndarray) -> np.ndarray:

@@ -28,7 +28,8 @@ batch of trials at once, stable-sorts it by total successes and runs the
 DP on ``DP_TRIALS`` slices of that order, so chunk mates share a narrow
 ``(n_c, s_c)`` grid.  Each terminal state's ``|T|`` is read from one
 table over the terminal layer, built once per call and shared by every
-``theta`` of :func:`randomization_rejection_rates`.  Every entry point
+``theta`` of :func:`randomization_rejection_rates`; the chunks of one
+batch slice their state indices from one set of per-epoch grids.  Every entry point
 refuses a ``theta`` that is NaN or outside ``[0, 1]``.
 """
 
@@ -130,13 +131,12 @@ def _epoch_probs(policy: Policy) -> list:
 
 
 def _terminal_abs_wald(policy: Policy) -> np.ndarray:
-    """``|T|`` of every terminal state, NaN where an arm is empty."""
-    n = policy.n
-    s_c, s_d, n_c, n_d = make_layer(n, policy.burn_in, n).arrays()
-    both = (n_c > 0) & (n_d > 0)
-    abs_t = np.full(s_c.size, np.nan)
-    abs_t[both] = np.abs(wald_statistics(s_c[both], s_d[both], n_c[both], n_d[both]))
-    return abs_t
+    """``|T|`` of every terminal state, NaN where an arm is empty, built
+    block by block."""
+    def abs_wald(s_c, s_d, n_c, n_d):
+        return np.abs(wald_statistics(s_c, s_d, n_c, n_d)) if n_c and n_d else np.nan
+
+    return make_layer(policy.n, policy.burn_in, policy.n).tabulate(abs_wald)
 
 
 def _grid_indices(lay: Layer, lo: int, rows: int, cols: int) -> np.ndarray:
@@ -145,6 +145,28 @@ def _grid_indices(lay: Layer, lo: int, rows: int, cols: int) -> np.ndarray:
     array; adding ``S_t`` gives those of ``s_d = S_t - s_c``."""
     s_c = np.arange(cols)
     return lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None])
+
+
+def _dp_blocks(policy: Policy) -> list[int]:
+    """Lengths of the permuted balanced blocks the DP of
+    :func:`_chunk_p_values` starts with: the burn-in, or every block of
+    equal allocation."""
+    n, b = policy.n, policy.burn_in
+    return _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK)
+
+
+def _dp_grids(policy: Policy, top: int) -> list[np.ndarray]:
+    """The index grids of :func:`_chunk_p_values`, one per epoch ``t`` from
+    the end ``pos`` of its blocks up to the terminal ``n``: the
+    :func:`_grid_indices` of layer ``t`` over the DP's ``t - pos + 1``
+    rows ``n_c = lo ..`` and ``min(t, top) + 1`` columns, the widest any
+    chunk of rows with at most ``top`` successes reaches.  Every chunk
+    slices its own column count from them.  O(n**3) int64 entries in all:
+    about 19 MB at ``n = 200``, ``b = 6``, ``top = n``."""
+    blocks = _dp_blocks(policy)
+    lo, pos = sum((length + 1) // 2 for length in blocks), sum(blocks)
+    return [_grid_indices(make_layer(t, policy.burn_in), lo, t - pos + 1, min(t, top) + 1)
+            for t in range(pos, policy.n + 1)]
 
 
 def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray,
@@ -230,7 +252,7 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
 
 
 def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
-                    probs: list, abs_t: np.ndarray) -> np.ndarray:
+                    probs: list, abs_t: np.ndarray, grids: list) -> np.ndarray:
     """Exact randomization p-values of ``(m, n)`` rows of observed arms and
     outcomes, stepped together (see :func:`_randomization_p_values`).
     Given the outcomes, the successes ``S_t`` before epoch ``t`` are known,
@@ -244,7 +266,8 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     epoch keeps ``q1`` of a state's mass and moves ``q`` of it to ``(n_c +
     1, s_c + y_t)``, with ``(q, q1)`` from :func:`_epoch_probs`'s
     ``probs``.  Each terminal state's ``|T|`` is read from ``abs_t``, the
-    table of :func:`_terminal_abs_wald`.  The work is elementwise per row
+    table of :func:`_terminal_abs_wald`, and the states' indices from
+    ``grids``, those of :func:`_dp_grids`.  The work is elementwise per row
     and the final sum runs in a fixed order, so rows do not affect each
     other."""
     n, b = policy.n, policy.burn_in
@@ -257,7 +280,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     rows_m = np.arange(m)
 
     w, lo, pos = np.ones((m, 1, 1)), 0, 0
-    for length in _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK):
+    for length in _dp_blocks(policy):
         c = (length + 1) // 2
         hyper = np.array([[math.comb(s, k) * math.comb(length - s, c - k) / math.comb(length, c)
                            for k in range(c + 1)] for s in range(length + 1)])
@@ -272,7 +295,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
         rows, cols = w.shape[1:]
         # s_d = S_t - s_c enters the index linearly; off-layer states hold
         # no mass, and their indices stay in the layer
-        idx = _grid_indices(make_layer(t, b), lo, rows, cols) + succ[:, t, None, None]
+        idx = grids[t - pos][:, :cols] + succ[:, t, None, None]
         out = np.zeros((m, rows + 1, cols + 1))
         np.multiply(w, q1.take(idx), out=out[:, :rows, :cols])
         w *= q.take(idx)
@@ -289,7 +312,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     rows, cols = w.shape[1:]
     if lo < 1 or lo + rows > n:
         raise ValueError("Wald statistic requires both group sizes positive")
-    extreme = abs_t.take(_grid_indices(make_layer(n, b), lo, rows, cols) + succ[:, n, None, None])
+    extreme = abs_t.take(grids[n - pos][:, :cols] + succ[:, n, None, None])
     mass = np.where(extreme >= t_obs[:, None, None], w, 0.0)
     # summed one n_c, then one s_c at a time: the columns above a row's own
     # S_n add exact zeros, so its p-value does not depend on the width
@@ -306,12 +329,16 @@ def _randomization_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarr
     outcomes (see :func:`randomization_test`), in row order.  The rows are
     stepped ``DP_TRIALS`` at a time in the stable order of their total
     successes, so chunk mates share a narrow ``(n_c, s_c)`` grid; a row's
-    p-value does not depend on its chunk mates."""
-    order = np.argsort(outcomes.sum(axis=1), kind="stable")
+    p-value does not depend on its chunk mates.  The chunks slice their
+    index grids from one set, built here for the rows' largest total
+    successes (:func:`_dp_grids`)."""
+    totals = outcomes.sum(axis=1)
+    order = np.argsort(totals, kind="stable")
+    grids = _dp_grids(policy, int(totals.max(initial=0)))
     p = np.empty(order.size)
     for start in range(0, order.size, DP_TRIALS):
         rows = order[start:start + DP_TRIALS]
-        p[rows] = _chunk_p_values(policy, arms[rows], outcomes[rows], probs, abs_t)
+        p[rows] = _chunk_p_values(policy, arms[rows], outcomes[rows], probs, abs_t, grids)
     return p
 
 

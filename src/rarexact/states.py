@@ -14,18 +14,13 @@ A layer is a run of ``(n_c, n_d)`` blocks, each a dense ``(n_c + 1,
 n_d + 1)`` grid of ``(s_c, s_d)`` stored row by row.  The block spans are
 computed once per ``(t, b)`` and cached as Python ints, so building a
 layer, or a :class:`Transition` between two, does no array work; the
-per-state arrays stay with each layer.  :class:`Transition` is the one
-kernel between consecutive layers: it forms its products over the whole
-layer and adds them, each destination state in a fixed order, so every
-result is bit-stable.  It has two schedules with the same bits: a loop
-over the blocks, and whole-layer gathers through an index plan.  A
-method of a transition builds its plan only on its second call, and only
-if the source layer holds at most ``2**15`` states; a one-shot sweep,
-which makes a fresh transition per layer, never builds one, since the
-build costs more than the one call it would serve.  Measured, the
-gathers win for a push up to about 60k source states and for a pull up
-to about 110k; at ``t = 100`` a gathered push takes 2.4-3.2 ms against
-2.1-2.3 ms for the loop (see :class:`Transition`).
+per-state arrays stay with each layer, and a per-state function is
+tabulated block by block (:meth:`Layer.tabulate`) without them.
+:class:`Transition` is the one kernel between consecutive layers: it
+forms its products over the whole layer and adds them, each destination
+state in a fixed order, so every result is bit-stable.  It has two
+schedules with the same bits, a loop over the blocks and whole-layer
+gathers through an index plan, chosen as :class:`Transition` describes.
 """
 
 from __future__ import annotations
@@ -151,8 +146,27 @@ class Layer:
         for n_c, n_d, start, stop in self.spans:
             yield n_c, n_d, slice(start, stop)
 
+    def block_counts(self):
+        """Yield ``(n_c, n_d, slice, s_c, s_d)`` per block in canonical
+        order, with the success counts as int32 views that broadcast to
+        the block's grid: ``s_c = 0..n_c`` down, ``s_d = 0..n_d`` across."""
+        counts = np.arange(self.t + 1, dtype=np.int32)
+        for n_c, n_d, start, stop in self.spans:
+            yield n_c, n_d, slice(start, stop), counts[:n_c + 1, None], counts[None, :n_d + 1]
+
+    def tabulate(self, f, dtype=np.float64) -> np.ndarray:
+        """``f(s_c, s_d, n_c, n_d)`` of every state, written block by block
+        from :meth:`block_counts`, so no per-state array is made; an
+        elementwise ``f`` gives the bits it gives on :meth:`arrays`."""
+        out = np.empty(self.size, dtype)
+        for n_c, n_d, sl, s_c, s_d in self.block_counts():
+            out[sl].reshape(n_c + 1, n_d + 1)[...] = f(s_c, s_d, n_c, n_d)
+        return out
+
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Per-state ``(s_c, s_d, n_c, n_d)`` arrays in canonical order."""
+        """Per-state ``(s_c, s_d, n_c, n_d)`` int32 arrays in canonical
+        order, 16 B a state, cached.  In the package only the DBCD fills
+        still build them; everything else uses :meth:`tabulate`."""
         if self._arrays is None:
             # whole-layer repeats, not a loop over blocks: block n_c is
             # n_c + 1 rows s_c = 0..n_c of n_d + 1 states s_d = 0..n_d

@@ -4,6 +4,8 @@ two-sided asymptotic test based on it.
 When both estimated rates sit on the boundary the statistic degenerates
 to ``sign(difference) * inf`` with ``0 * inf = 0``; the infinities are
 kept as native floats and order like any other value.
+:func:`wald_statistics` is the one formula; a layer's table evaluates it
+per block (:meth:`~rarexact.states.Layer.tabulate`).
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ from .states import Layer
 
 
 def wald_statistics(s_c, s_d, n_c, n_d) -> np.ndarray:
-    """Wald statistics ``(d - c) / se`` of states given as arrays, ``c`` and
-    ``d`` the per-arm success proportions and ``se`` their unpooled
-    standard error."""
+    """Wald statistics ``(d - c) / se`` of states given as arrays (or
+    scalars that broadcast against them), ``c`` and ``d`` the per-arm
+    success proportions and ``se`` their unpooled standard error."""
     if np.any(n_c == 0) or np.any(n_d == 0):
         raise ValueError("Wald statistic requires both group sizes positive")
     tc = s_c / n_c
@@ -32,10 +34,11 @@ def wald_statistics(s_c, s_d, n_c, n_d) -> np.ndarray:
 
 
 def layer_wald_statistics(lay: Layer) -> np.ndarray:
-    """:func:`wald_statistics` of every state of a layer (burn-in >= 1)."""
+    """:func:`wald_statistics` of every state of a layer (burn-in >= 1),
+    evaluated block by block."""
     if lay.n_c_min < 1 or lay.n_c_max > lay.t - 1:
         raise ValueError("layer contains states with an empty group")
-    return wald_statistics(*lay.arrays())
+    return lay.tabulate(wald_statistics)
 
 
 def asymptotic_reject_array(t: np.ndarray, alpha: float) -> np.ndarray:

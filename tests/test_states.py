@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rarexact import TrialState, layer
+from rarexact import (AsymptoticRule, BayesianRar, TrialState, boschloo_rule, conditional_rule,
+                      forward_g, layer, profile, randomization_test, unconditional_rule)
+from rarexact.cmdp import CmdpSpec, _AuditContext, default_rectangles
+from rarexact.montecarlo import simulate_trials
 from rarexact.states import Layer, Transition
 
 from oracles import enumerate_layer_states, pull_ref, push_ref, swap_permutation
@@ -231,3 +234,95 @@ def test_offsets_are_read_only_and_follow_the_block_sizes(t, b):
     assert not lay.offsets.flags.writeable
     with pytest.raises(ValueError):
         lay.offsets[0] = 1
+
+
+def _same_bits(got, want):
+    """Equal dtype, values (NaN where NaN) and, for floats, sign bits."""
+    if got.dtype != want.dtype or not np.array_equal(got, want, equal_nan=got.dtype.kind == "f"):
+        return False
+    return got.dtype.kind != "f" or np.array_equal(np.signbit(got), np.signbit(want))
+
+
+@pytest.mark.parametrize("n,b", [(12, 1), (31, 1), (40, 3), (60, 2), (150, 6)])
+def test_block_tables_equal_their_per_state_array_forms_bit_for_bit(n, b):
+    # every terminal-layer statistic tabulated per block against the same
+    # formula on the layer's (s_c, s_d, n_c, n_d) arrays
+    from rarexact import PathWeightTable
+    from rarexact.cmdp import (AltUniform, NullUniform, PointNull, Rectangle, _arm_kernel,
+                               _arm_priors, measure_log_weights)
+    from rarexact.engine import layer_log_likelihood
+    from rarexact.exact_tests import conditional_masses
+    from rarexact.montecarlo import _terminal_abs_wald
+    from rarexact.numerics import binomial_log_terms, gammaln_table, log_binom
+    from rarexact.wald import layer_wald_statistics, wald_statistics
+
+    lay = layer(n, b)
+    s_c, s_d, n_c, n_d = Layer(n, b).arrays()
+    assert _same_bits(layer_wald_statistics(lay), wald_statistics(s_c, s_d, n_c, n_d))
+
+    log_g = np.random.default_rng(n).normal(0.0, 30.0, lay.size)
+    log_g[::7] = -np.inf
+    table = PathWeightTable(lay, log_g)
+    s = s_c + s_d
+    assert _same_bits(table.successes(), s)
+    w, strata = conditional_masses(table)
+    assert _same_bits(strata, s)
+    assert _same_bits(w, np.exp(log_g - log_binom(n, s)))
+
+    for theta in [(0.3, 0.7), (0.0, 1.0), (1.0, 0.05)]:
+        ln_c, ln_1c = binomial_log_terms(theta[0], n)
+        ln_d, ln_1d = binomial_log_terms(theta[1], n)
+        want = ln_c[s_c] + ln_1c[n_c - s_c] + ln_d[s_d] + ln_1d[n_d - s_d]
+        assert _same_bits(layer_log_likelihood(lay, theta), want)
+
+    g = gammaln_table(n + 3)
+    want = g[s_c + s_d + 1] + g[n - s_c - s_d + 1] - g[n + 2]
+    assert _same_bits(measure_log_weights(lay, NullUniform()), want)
+    for measure in [AltUniform(), PointNull(0.3), PointNull(0.0), PointNull(1.0),
+                    Rectangle(0.0, 0.05, 0.5, 0.75)]:
+        (rows_c, log_c), (rows_d, log_d) = (_arm_kernel(p, n + 1) for p in _arm_priors(measure))
+        with np.errstate(divide="ignore"):
+            want = np.log(rows_c[n_c, s_c] * rows_d[n_d, s_d]) + (log_c[n_c] + log_d[n_d])
+        assert _same_bits(measure_log_weights(lay, measure), want)
+
+    # the Monte Carlo |T| table, also with empty arms (b = 0)
+    for burn_in in (b, 0):
+        s_c, s_d, n_c, n_d = Layer(n, burn_in).arrays()
+        both = (n_c > 0) & (n_d > 0)
+        want = np.full(s_c.size, np.nan)
+        want[both] = np.abs(wald_statistics(s_c[both], s_d[both], n_c[both], n_d[both]))
+        assert _same_bits(_terminal_abs_wald(BayesianRar(n, burn_in)), want)
+
+
+def _profiles(rule):
+    table = forward_g(BayesianRar(16, 1))
+    return profile(table, rule(table), [(0.3, 0.3), (0.2, 0.7)])
+
+
+def _randomization_test():
+    policy = BayesianRar(12, 1)
+    arms, outcomes = simulate_trials(policy, (0.4, 0.6), 3, 0, 20)
+    return randomization_test(arms, outcomes, policy, 0.05)
+
+
+_EXACT_PATHS = {
+    "conditional": lambda: conditional_rule(forward_g(BayesianRar(16, 1)), 0.05),
+    "unconditional": lambda: unconditional_rule(forward_g(BayesianRar(16, 1)), 0.05),
+    "boschloo": lambda: boschloo_rule(forward_g(BayesianRar(16, 1)), 0.05),
+    "profile": lambda: _profiles(lambda table: conditional_rule(table, 0.05)),
+    "profile-asymptotic": lambda: _profiles(lambda table: AsymptoticRule(0.05)),
+    "randomization": _randomization_test,
+    "audit": lambda: _AuditContext(CmdpSpec(n=12, burn_in=1, rectangles=default_rectangles())),
+}
+
+
+@pytest.mark.parametrize("case", list(_EXACT_PATHS))
+def test_exact_paths_build_no_per_state_arrays(monkeypatch, case):
+    # the terminal-layer statistics are tabulated block by block, so no
+    # exact rule, profile, randomization test or CMDP audit builds a
+    # layer's (s_c, s_d, n_c, n_d) arrays
+    built = []
+    arrays = Layer.arrays
+    monkeypatch.setattr(Layer, "arrays", lambda lay: built.append(lay.t) or arrays(lay))
+    _EXACT_PATHS[case]()
+    assert built == []

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -36,6 +37,24 @@ def test_layer_statistics_match_scalar():
 def test_layer_statistics_require_burn_in():
     with pytest.raises(ValueError):
         layer_wald_statistics(layer(6, 0))
+
+
+def test_layer_statistics_allocate_little_beyond_their_table():
+    # one formula per block: besides the 8 B a state of the result, only
+    # block-sized temporaries, no per-state index arrays
+    lay = layer(60, 2)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        layer_wald_statistics(lay)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert peak <= 2 * 8 * lay.size
 
 
 @pytest.mark.parametrize("t", [10, 25, 60])
