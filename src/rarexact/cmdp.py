@@ -204,8 +204,8 @@ class CmdpSpec:
     alpha_point: float = 0.05
     null_grid: tuple = tuple(i / 20 for i in range(21))
     rectangles: tuple = ()
-    benefit_floor: float = 0.5
     max_iters: int = 400
+    benefit_floor: ClassVar[float] = 0.5
     tol: ClassVar[float] = 5e-4
 
     def __post_init__(self):

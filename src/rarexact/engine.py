@@ -44,13 +44,11 @@ except ImportError:
         from hashlib import sha256
 
 from .numerics import binomial_log_terms, log_binom, logsumexp_fixed, theta_array
-from .policies import EqualAllocation, Policy, PolicyTable
+from .policies import EqualAllocation, Policy, PolicyTable, _check_arm_probs
 from .states import Layer, Transition, layer as make_layer
 from .wald import layer_wald_statistics
 
 LN2 = float(np.log(2.0))
-# how far from one the two arm probabilities of a state may sum
-ARM_SUM_TOL = 1e-12
 
 
 @dataclass
@@ -101,21 +99,6 @@ def _burn_in_table(b: int) -> np.ndarray:
     balanced burn-in is a product of binomial coefficients."""
     lb = log_binom(b, np.arange(b + 1))
     return np.add.outer(lb, lb).ravel()
-
-
-def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int, scratch: np.ndarray) -> None:
-    """Raise ``ValueError`` naming epoch ``t`` unless ``q`` and ``q1`` are
-    probabilities in ``[0, 1]`` (so not NaN) that sum to one per state;
-    the sum is formed in ``scratch``, of the same size."""
-    lo = np.minimum(q.min(), q1.min())
-    hi = np.maximum(q.max(), q1.max())
-    s = np.add(q, q1, out=scratch)
-    s -= 1.0
-    gap = max(s.max(), -s.min())    # NaN in s makes it NaN, which fails
-    if not (lo >= 0.0 and hi <= 1.0 and gap <= ARM_SUM_TOL):
-        raise ValueError(
-            f"policy probabilities at epoch {t} are not a pair (q, 1 - q) in [0, 1]"
-        )
 
 
 def forward_g(policy: Policy) -> PathWeightTable:

@@ -8,19 +8,22 @@ its master seed, so results are bit-reproducible for a fixed seed on any
 worker partition.  The run's sequence is split by counter range: with
 ``B = ceil(2n / 4)`` Philox blocks of four words per trial, trial ``i``
 reads words ``[4Bi, 4Bi + 2n)``, its first ``n`` words allocation keys
-and the next ``n`` outcome draws.  Permuted-block allocations turn their
-keys into arrangements by sorting.
+and the next ``n`` outcome draws.
 
+Every trial, simulated or tested, is one mechanism: its design's permuted
+balanced blocks (:func:`_design_blocks`: the burn-in of an adaptive
+policy, every block of equal allocation), whose keys become arrangements
+by sorting, then one policy-randomized epoch per participant left.
 Trials are stepped together, many rows at a time: each row carries its
 counts ``(s_c, s_d, n_c)``, and at each epoch its allocation probability
 is the control side ``q`` of the policy's
 :meth:`~rarexact.policies.Policy.layer_arm_probs`, read at the row's
 state by :meth:`~rarexact.states.Layer.indices`.  Each entry point fills
-the ``(q, q1)`` arrays of every epoch once and passes them down; the
-layers they were filled on are dropped, and the index of a state is
-computed from a fresh layer, which holds no arrays.  Every row depends
-only on its own words, so results do not depend on how the trials are
-chunked.
+and checks the ``(q, q1)`` arrays of every such epoch once and passes
+them down; the layers they were filled on are dropped, and the index of
+a state is computed from a fresh layer, which holds no arrays.  Every
+row depends only on its own words, so results do not depend on how the
+trials are chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
 p-values, all rows sharing those arrays.  Its rejection rate simulates a
@@ -41,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import check_alpha, theta_array
-from .policies import EqualAllocation, Policy
+from .policies import EqualAllocation, Policy, _check_arm_probs
 from .states import Layer, layer as make_layer
 from .wald import wald_statistics
 
@@ -122,12 +125,15 @@ def _arms_from_keys(keys: np.ndarray, lengths: list[int]) -> np.ndarray:
 
 def _epoch_probs(policy: Policy) -> list:
     """``(q, q1)`` of :meth:`~rarexact.policies.Policy.layer_arm_probs` at
-    each epoch ``2b .. n - 1``, each filled on a layer that is then
-    dropped; none for equal allocation, which allocates by blocks."""
-    if isinstance(policy, EqualAllocation):
-        return []
-    b = policy.burn_in
-    return [policy.layer_arm_probs(make_layer(t, b)) for t in range(2 * b, policy.n)]
+    each epoch from the end of :func:`_design_blocks` to ``n - 1``, each
+    filled on a layer that is then dropped and checked to be a pair in
+    ``[0, 1]``; none for equal allocation, which is blocks throughout."""
+    b, out = policy.burn_in, []
+    for t in range(sum(_design_blocks(policy)), policy.n):
+        q, q1 = policy.layer_arm_probs(make_layer(t, b))
+        _check_arm_probs(q, q1, t, np.empty_like(q))
+        out.append((q, q1))
+    return out
 
 
 def _terminal_abs_wald(policy: Policy) -> np.ndarray:
@@ -147,9 +153,10 @@ def _grid_indices(lay: Layer, lo: int, rows: int, cols: int) -> np.ndarray:
     return lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None])
 
 
-def _dp_blocks(policy: Policy) -> list[int]:
-    """Lengths of the permuted balanced blocks the DP of
-    :func:`_chunk_p_values` starts with: the burn-in, or every block of
+def _design_blocks(policy: Policy) -> list[int]:
+    """Lengths of the permuted balanced blocks every trial of ``policy``
+    starts with, which the simulation draws and the DP of
+    :func:`_chunk_p_values` re-randomizes: the burn-in, or every block of
     equal allocation."""
     n, b = policy.n, policy.burn_in
     return _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK)
@@ -163,64 +170,53 @@ def _dp_grids(policy: Policy, top: int) -> list[np.ndarray]:
     chunk of rows with at most ``top`` successes reaches.  Every chunk
     slices its own column count from them.  O(n**3) int64 entries in all:
     about 19 MB at ``n = 200``, ``b = 6``, ``top = n``."""
-    blocks = _dp_blocks(policy)
+    blocks = _design_blocks(policy)
     lo, pos = sum((length + 1) // 2 for length in blocks), sum(blocks)
     return [_grid_indices(make_layer(t, policy.burn_in), lo, t - pos + 1, min(t, top) + 1)
             for t in range(pos, policy.n + 1)]
 
 
 def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray,
-              probs: list, burn_in_blocks: bool):
+              probs: list):
     """Arms and terminal ``(s_c, s_d, n_c)`` of trials given as ``(m, n)``
     rows of allocation ``keys``; participant ``t`` responds ``y_c[:, t]``
-    on control and ``y_d[:, t]`` otherwise, and past the burn-in goes to
-    control where its key is below ``q`` of :func:`_epoch_probs`'s
-    ``probs`` at its row's state.  The burn-in is one permuted
-    balanced block, or the canonical alternation; permuted-block equal
-    allocation uses its block plan throughout."""
+    on control and ``y_d[:, t]`` otherwise.  The keys of the first ``pos``
+    participants become the permuted balanced blocks of
+    :func:`_design_blocks`; each later one goes to control where its key
+    is below ``q`` of ``probs[t - pos]`` (see :func:`_epoch_probs`) at its
+    row's state."""
     n, b = policy.n, policy.burn_in
-    if isinstance(policy, EqualAllocation):
-        arms = _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
-        return arms, _terminal_counts(arms, y_c, y_d)
-
+    blocks = _design_blocks(policy)
+    pos = sum(blocks)
     # epoch-major arms and copies of the inputs: each epoch reads and
     # writes contiguous rows
-    m = keys.shape[0]
-    arms = np.empty((n, m), dtype=np.int8)
-    if burn_in_blocks and b:
-        arms[:2 * b] = _arms_from_keys(keys[:, :2 * b], [2 * b]).T
-    else:
-        arms[:2 * b] = _balanced_pattern(2 * b)[:, None]
+    arms = np.empty((n, keys.shape[0]), dtype=np.int8)
+    arms[:pos] = _arms_from_keys(keys[:, :pos], blocks).T
     keys, y_c, y_d = (np.ascontiguousarray(a.T) for a in (keys, y_c, y_d))
-    s_c, s_d, n_c = np.zeros((3, m), dtype=np.int64)
-    for t in range(n):
-        if t < 2 * b:
-            is_c = arms[t] == 0
-        else:
-            q = probs[t - 2 * b][0]
-            is_c = keys[t] < q[make_layer(t, b).indices(s_c, s_d, n_c)]
-            arms[t] = ~is_c
+    s_c, s_d, n_c = _terminal_counts(arms[:pos].T, y_c[:pos].T, y_d[:pos].T)
+    for t in range(pos, n):
+        is_c = keys[t] < probs[t - pos][0][make_layer(t, b).indices(s_c, s_d, n_c)]
+        arms[t] = ~is_c
         n_c += is_c
         s_c += is_c & y_c[t]
         s_d += ~is_c & y_d[t]
     return arms.T, (s_c, s_d, n_c)
 
 
-def _simulate_batch(policy: Policy, theta, u: np.ndarray, probs: list,
-                    burn_in_blocks: bool = False):
+def _simulate_batch(policy: Policy, theta, u: np.ndarray, probs: list):
     """Step the trials whose rows of ``u`` hold ``n`` allocation keys, then
     ``n`` outcome draws; returns arms, outcomes and terminal counts."""
     n, (tc, td) = policy.n, theta
     y_c, y_d = u[:, n:] < tc, u[:, n:] < td
-    arms, counts = _allocate(policy, u[:, :n], y_c, y_d, probs, burn_in_blocks)
+    arms, counts = _allocate(policy, u[:, :n], y_c, y_d, probs)
     return arms, np.where(arms == 0, y_c, y_d).astype(np.int8), counts
 
 
 def simulate_trials_at(policy: Policy, thetas, seed: int, start: int, count: int) -> list:
     """Trials ``start .. start + count - 1`` of the run keyed by ``seed`` at
-    each ``theta`` of ``thetas``, stepped together: alternating burn-in
-    (permuted blocks for equal allocation), then policy-randomized arms and
-    Bernoulli outcomes.  Returns one ``(arms, outcomes)`` pair per
+    each ``theta`` of ``thetas``, stepped together: the design's permuted
+    balanced blocks, then policy-randomized arms, with Bernoulli outcomes;
+    the mechanism :func:`randomization_test` re-randomizes.  Returns one ``(arms, outcomes)`` pair per
     ``theta``, two ``(count, n)`` int8 arrays with one trial per row.
     Each trial reads only its own words of the run's sequence, so it does
     not depend on ``start`` or ``count``; every ``theta`` reads the same
@@ -247,7 +243,7 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
         stop = min(start + SIM_BATCH, sims)
         u = _stream_uniforms(seed, start, stop - start, 2 * n)
         draws = u[:, n:]
-        _, out[:, start:stop] = _allocate(policy, u[:, :n], draws < tc, draws < td, probs, False)
+        _, out[:, start:stop] = _allocate(policy, u[:, :n], draws < tc, draws < td, probs)
     return tuple(out)
 
 
@@ -270,8 +266,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     ``grids``, those of :func:`_dp_grids`.  The work is elementwise per row
     and the final sum runs in a fixed order, so rows do not affect each
     other."""
-    n, b = policy.n, policy.burn_in
-    m = outcomes.shape[0]
+    n, m = policy.n, outcomes.shape[0]
     s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
     t_obs = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
     succ = np.zeros((m, n + 1), dtype=np.int64)
@@ -280,7 +275,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     rows_m = np.arange(m)
 
     w, lo, pos = np.ones((m, 1, 1)), 0, 0
-    for length in _dp_blocks(policy):
+    for length in _design_blocks(policy):
         c = (length + 1) // 2
         hyper = np.array([[math.comb(s, k) * math.comb(length - s, c - k) / math.comb(length, c)
                            for k in range(c + 1)] for s in range(length + 1)])
@@ -290,7 +285,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
             out[:, :, k:k + w.shape[2]] += w * hyper[:, k, None, None]
         w, lo, pos = out, lo + c, pos + length
     for t in range(pos, n):
-        q, q1 = probs[t - 2 * b]
+        q, q1 = probs[t - pos]
         w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
         # s_d = S_t - s_c enters the index linearly; off-layer states hold
@@ -347,8 +342,8 @@ def randomization_test(arms, outcomes, policy: Policy, alpha: float):
     ``(m, n)`` arrays of 0/1 ``arms`` (0 is control) and ``outcomes``;
     returns ``(reject, p)``, two arrays of length ``m``.  With a row's
     outcome sequence fixed in participant order, ``p = P(|T| >= |t_obs|)``
-    over every allocation the design could have made, its burn-in one
-    permuted balanced block.  Ties count fully, so p = 1 when all
+    over every allocation the design could have made, by the mechanism
+    :func:`simulate_trials` draws from.  Ties count fully, so p = 1 when all
     allocations tie (say, all outcomes zero), P(p <= alpha) <= alpha given
     the outcomes, and designs with heavy ties, such as permuted-block
     equal allocation, are conservative.  An adaptive policy needs a burn-in
@@ -385,8 +380,8 @@ def randomization_rejection_rates(policy: Policy, thetas, sims: int, alpha: floa
     """Rejection rate of the exact randomization test at each ``theta`` of
     ``thetas``, over trials ``0 .. sims - 1`` of the run keyed by ``seed``,
     with a normal-approximation 95% half-width.  Each trial reads its own
-    words of the run's sequence (see :func:`simulate_trials`) and has a
-    permuted burn-in block, like the test.  The trials are simulated
+    words of the run's sequence: it is the trial :func:`simulate_trials`
+    gives.  The trials are simulated
     ``SIM_BATCH`` at a time and tested in ``DP_TRIALS`` chunks of the batch
     sorted by total successes (see :func:`_randomization_p_values`).  Each
     batch's words are drawn once for every ``theta``, and every ``theta``
@@ -401,7 +396,7 @@ def randomization_rejection_rates(policy: Policy, thetas, sims: int, alpha: floa
     for start in range(0, sims, SIM_BATCH):
         u = _stream_uniforms(seed, start, min(SIM_BATCH, sims - start), 2 * policy.n)
         for i, theta in enumerate(thetas):
-            arms, outcomes, _ = _simulate_batch(policy, theta, u, probs, burn_in_blocks=True)
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, probs)
             p = _randomization_p_values(policy, arms, outcomes, probs, abs_t)
             rejections[i] += np.count_nonzero(p <= alpha)
     est = rejections / sims

@@ -109,7 +109,9 @@ def null_diagonal(points: int = 99) -> list[tuple[float, float]]:
 
 def power_curves(theta_c_values, step: float = 0.01) -> list[tuple[float, float]]:
     """Curve family: for each anchor rate, sweep the developmental rate
-    upward from it."""
+    upward from it by ``step``."""
+    if not 0.0 < step <= 1.0:
+        raise ValueError(f"'step' = {step!r} is not in (0, 1]")
     out = []
     for tc in theta_c_values:
         td = np.arange(tc, 1.0 + 1e-12, step)

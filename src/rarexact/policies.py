@@ -10,11 +10,10 @@ stores for each adaptive epoch.
 
 Every policy is defined for epochs ``t >= 2b``; the first ``2b``
 participants form a balanced burn-in, ``b`` per arm, which the engine and
-simulator handle directly.  The exact sweeps need only its counts.
-Simulated trials alternate the arms, except that the randomization test
-(:func:`~rarexact.montecarlo.randomization_test`) takes the burn-in to be
-one permuted balanced block, and its rejection rate simulates one.
-Permuted-block equal allocation uses its block plan throughout.
+simulator handle directly.  The exact sweeps need only its counts; the
+simulated trials, and the randomization test that re-randomizes them,
+draw it as one permuted balanced block.  Equal allocation is permuted
+blocks throughout and has no per-state probabilities.
 
 Every policy computes on the calling thread: none starts a thread or
 reads the CPU count, so no result depends on either.
@@ -34,6 +33,8 @@ from .states import Layer, TrialState, layer as make_layer
 # Allocation probabilities are kept away from 0 and 1 so no state becomes
 # absorbing and every log weight stays finite.
 DBCD_CLIP = (0.01, 0.99)
+# how far from one the two arm probabilities of a state may sum
+ARM_SUM_TOL = 1e-12
 
 
 def neyman_target(theta_c, theta_d):
@@ -63,9 +64,24 @@ def _dbcd_alloc(rho, r, gamma):
     return w1 / (w1 + w0)
 
 
+def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int, scratch: np.ndarray) -> None:
+    """Raise ``ValueError`` naming epoch ``t`` unless ``q`` and ``q1`` are
+    probabilities in ``[0, 1]`` (so not NaN) that sum to one per state;
+    the sum is formed in ``scratch``, of the same size."""
+    lo = np.minimum(q.min(), q1.min())
+    hi = np.maximum(q.max(), q1.max())
+    s = np.add(q, q1, out=scratch)
+    s -= 1.0
+    gap = max(s.max(), -s.min())    # NaN in s makes it NaN, which fails
+    if not (lo >= 0.0 and hi <= 1.0 and gap <= ARM_SUM_TOL):
+        raise ValueError(
+            f"policy probabilities at epoch {t} are not a pair (q, 1 - q) in [0, 1]"
+        )
+
+
 @dataclass(frozen=True)
 class Policy:
-    """Base class; concrete policies implement :meth:`fill_arm_probs`,
+    """Base class; adaptive policies implement :meth:`fill_arm_probs`,
     :meth:`layer_arm_probs` returns the pair in new arrays, and
     :meth:`control_prob` reads one state's entry of its control side."""
 
@@ -105,14 +121,10 @@ class Policy:
 
 @dataclass(frozen=True)
 class EqualAllocation(Policy):
-    """Fixed 50/50 design; the engine uses its closed-form terminal weights,
-    so the per-state probability is only a sentinel."""
+    """Fixed 50/50 design in permuted balanced blocks; the engine uses its
+    closed-form terminal weights, and it fills no per-state probabilities."""
 
     is_symmetric = True
-
-    def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
-        q.fill(0.5)
-        q1.fill(0.5)
 
 
 @dataclass(frozen=True)

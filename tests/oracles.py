@@ -885,31 +885,27 @@ def block_values_ref(fn, thetas):
     return out
 
 
-def _trial_arms_ref(policy, keys, outcome_at, burn_in_blocks):
-    """Arms of rows of trials stepped one epoch at a time, the burn-in a
-    permuted balanced block or the alternation, equal allocation in
-    permuted blocks; ``outcome_at(t, arm)`` is participant ``t``'s
-    response.  Each epoch's ``q`` is the policy's own
-    ``layer_arm_probs``."""
-    from rarexact.montecarlo import EA_BLOCK, _arms_from_keys, _balanced_pattern, _block_plan
+def _trial_arms_ref(policy, keys, outcome_at):
+    """Arms of rows of trials stepped one epoch at a time: the design's
+    permuted balanced blocks (the ``2b`` burn-in, or every block of equal
+    allocation), then one policy-randomized epoch per participant left;
+    ``outcome_at(t, arm)`` is participant ``t``'s response.  Each epoch's
+    ``q`` is the policy's own ``layer_arm_probs``."""
+    from rarexact.montecarlo import EA_BLOCK, _arms_from_keys, _block_plan
     from rarexact.policies import EqualAllocation
     from rarexact.states import layer
 
     n, b = policy.n, policy.burn_in
-    if isinstance(policy, EqualAllocation):
-        return _arms_from_keys(keys, _block_plan(n, b, EA_BLOCK))
-    rows = keys.shape[0]
-    if burn_in_blocks and b:
-        burn_in = _arms_from_keys(keys[:, : 2 * b], [2 * b])
-    else:
-        burn_in = np.tile(_balanced_pattern(2 * b), (rows, 1))
+    plan = _block_plan(n, b, EA_BLOCK) if isinstance(policy, EqualAllocation) else [2 * b]
+    rows, pos = keys.shape[0], sum(plan)
     arms = np.empty((rows, n), dtype=np.int8)
+    arms[:, :pos] = _arms_from_keys(keys[:, :pos], plan)
     s_c = np.zeros(rows, dtype=np.int64)
     s_d = np.zeros(rows, dtype=np.int64)
     n_c = np.zeros(rows, dtype=np.int64)
     for t in range(n):
-        if t < 2 * b:
-            arm = burn_in[:, t]
+        if t < pos:
+            arm = arms[:, t]
         else:
             lay = layer(t, b)
             q = policy.layer_arm_probs(lay)[0]
@@ -923,7 +919,7 @@ def _trial_arms_ref(policy, keys, outcome_at, burn_in_blocks):
     return arms
 
 
-def simulate_trial_ref(policy, theta, seed, stream, burn_in_blocks=False):
+def simulate_trial_ref(policy, theta, seed, stream):
     """``(arms, outcomes)`` of trial ``stream`` of the run keyed by
     ``seed``, stepped alone from its ``2n`` words: ``n`` allocation keys,
     then ``n`` outcome draws.  The trial owns ``B = ceil(2n / 4)`` Philox
@@ -938,7 +934,6 @@ def simulate_trial_ref(policy, theta, seed, stream, burn_in_blocks=False):
     arms = _trial_arms_ref(
         policy, u[:, :n],
         lambda t, arm: np.where(arm == 0, draws[:, t] < tc, draws[:, t] < td),
-        burn_in_blocks,
     )
     return arms[0], np.where(arms == 0, draws < tc, draws < td).astype(np.int8)[0]
 

@@ -270,6 +270,17 @@ def test_cli_monte_carlo_refuses_theta_outside_the_unit_square(tmp_path, capsys,
         assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("command", [["mc", "randtest"], ["paths"]])
+def test_cli_monte_carlo_refuses_a_nan_coin_exponent(tmp_path, capsys, command):
+    # JSON NaN reads as a float; it leaves no allocation probability
+    cfg = _cfg(tmp_path, "nan_gamma.json", n=10, burn_in=1, sims=100, path_sims=2,
+               policy={"kind": "dbcd", "gamma": float("nan")},
+               theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+    assert "are not a pair" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_rule_missing_a_required_key_is_rejected_naming_it():
     from rarexact import AsymptoticRule
     from rarexact.io import RULE_KEYS
@@ -395,6 +406,11 @@ def test_cli_exit_codes_for_a_rule_of_another_horizon(tmp_path, kind):
                  {"theta_grid": {"kind": "list", "values": [0.1]}}, id="values"),
     pytest.param(["paths"], "theta_grid.theta_c",
                  {"theta_grid": {"kind": "curves", "theta_c": 0.3}}, id="theta_c"),
+    pytest.param(["paths"], "step",
+                 {"theta_grid": {"kind": "curves", "theta_c": [0.3], "step": 0}}, id="step-0"),
+    pytest.param(["oc"], "step",
+                 {"theta_grid": {"kind": "curves", "theta_c": [0.3], "step": -0.1}},
+                 id="step-negative"),
     pytest.param(["cmdp", "solve"], "rectangles", {"rectangles": [[0, 0.1, 0.2]]},
                  id="rectangles"),
     pytest.param(["cmdp", "solve"], "null_grid", {"null_grid": 0.5}, id="null_grid"),

@@ -55,8 +55,8 @@ def test_simulate_certain_outcomes():
     assert np.all(outcomes == 1)
     st = terminal_state_ref(arms, outcomes)
     assert st.successes == 12
-    # alternating burn-in, control first
-    assert arms[:4].tolist() == [0, 1, 0, 1]
+    # the burn-in is one permuted balanced block
+    assert sorted(arms[:4].tolist()) == [0, 0, 1, 1]
 
 
 def test_simulate_equal_allocation_balance():
@@ -89,6 +89,45 @@ def test_permuted_block_arrangements_uniform():
     assert len(counts) == 6
     res = chisquare(list(counts.values()))
     assert res.pvalue > 0.001
+
+
+@pytest.mark.parametrize("policy", [
+    DbcdNeyman(6, 2), BayesianRar(6, 2), _random_table(6, 2, 0.9, seed=2),
+], ids=repr)
+def test_simulated_trials_are_the_trials_the_randomization_test_assumes(policy, monkeypatch):
+    # the test re-randomizes the burn-in as one permuted balanced block:
+    # simulated burn-ins take all C(4, 2) arrangements uniformly
+    arms, _ = simulate_trials(policy, (0.3, 0.6), 5, 0, 6000)
+    counts = {}
+    for row in arms[:, :4].tolist():
+        counts[tuple(row)] = counts.get(tuple(row), 0) + 1
+    assert len(counts) == math.comb(4, 2)
+    assert chisquare(list(counts.values())).pvalue > 0.001
+    # and the rate tests the very trials simulate_trials gives
+    tested = []
+    p_values = montecarlo._randomization_p_values
+    monkeypatch.setattr(montecarlo, "_randomization_p_values",
+                        lambda pol, a, y, *rest: tested.append((a, y)) or p_values(pol, a, y, *rest))
+    monkeypatch.setattr(montecarlo, "SIM_BATCH", 60)
+    thetas = [(0.3, 0.6), (0.5, 0.5)]
+    randomization_rejection_rates(policy, thetas, 120, 0.05, 11)
+    for k, (arms, outcomes) in enumerate(simulate_trials_at(policy, thetas, 11, 0, 120)):
+        # batches outer, thetas inner
+        got = [tested[2 * batch + k] for batch in range(2)]
+        assert np.array_equal(np.concatenate([a for a, _ in got]), arms)
+        assert np.array_equal(np.concatenate([y for _, y in got]), outcomes)
+
+
+@pytest.mark.parametrize("entry", [
+    lambda pol: simulate_trials(pol, (0.5, 0.5), 1, 0, 5),
+    lambda pol: simulate_terminals(pol, (0.5, 0.5), 5, 1),
+    lambda pol: randomization_rejection_rates(pol, [(0.5, 0.5)], 100, 0.05, 1),
+    lambda pol: randomization_test(np.zeros((1, 10)), np.zeros((1, 10)), pol, 0.05),
+], ids=["simulate_trials", "simulate_terminals", "rates", "test"])
+def test_allocation_probabilities_that_are_no_pair_are_refused(entry):
+    # a NaN coin exponent leaves NaN probabilities, which no key is below
+    with pytest.raises(ValueError, match=r"probabilities at epoch \d+ are not a pair"):
+        entry(DbcdNeyman(10, 1, gamma=math.nan))
 
 
 def test_reproducibility_and_substreams():
@@ -228,18 +267,14 @@ def test_randomization_test_smallest_p_value(policy_cls):
     TemperedDbcdNeyman(10, 1), BayesianRar(10, 1), _random_table(10, 1, 0.9, seed=3),
 ])
 def test_randomization_test_matches_reference(policy):
-    # observed trials with the alternating burn-in, and with a permuted one
-    # as in randomization_rejection_rate; the enumeration sums the
-    # probabilities of every arrangement and arm sequence
-    probs = _epoch_probs(policy)
-    u = _stream_uniforms(4, 0, 3, 2 * policy.n)
-    for burn_in_blocks in (False, True):
-        arms, outcomes, _ = _simulate_batch(policy, (0.2, 0.7), u, probs, burn_in_blocks)
-        reject, p = randomization_test(arms, outcomes, policy, alpha=0.1)
-        assert np.array_equal(reject, p <= 0.1) and reject.dtype == bool
-        for a, y, p_row in zip(arms, outcomes, p):
-            assert p_row == pytest.approx(randomization_p_value_enum(policy, a, y),
-                                          rel=0.0, abs=1e-14)
+    # simulated trials, tested; the enumeration sums the probabilities of
+    # every arrangement and arm sequence
+    arms, outcomes = simulate_trials(policy, (0.2, 0.7), 4, 0, 6)
+    reject, p = randomization_test(arms, outcomes, policy, alpha=0.1)
+    assert np.array_equal(reject, p <= 0.1) and reject.dtype == bool
+    for a, y, p_row in zip(arms, outcomes, p):
+        assert p_row == pytest.approx(randomization_p_value_enum(policy, a, y),
+                                      rel=0.0, abs=1e-14)
 
 
 @pytest.mark.parametrize("policy", [DbcdNeyman(12, 2), EqualAllocation(12, 1)], ids=repr)
@@ -277,20 +312,18 @@ ORACLE_POLICIES = [
 @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
 def test_sorted_chunks_and_terminal_table_match_the_chunk_oracle(policy, monkeypatch):
     # the sorted DP_TRIALS chunks, the terminal |T| table and the shifted
-    # add give the p-values of the unsorted chunk DP bit for bit, with
-    # either burn-in pattern and in any trial order
+    # add give the p-values of the unsorted chunk DP bit for bit, in any
+    # trial order
     monkeypatch.setattr(montecarlo, "DP_TRIALS", 5)
     probs, abs_t = _epoch_probs(policy), _terminal_abs_wald(policy)
-    u = _stream_uniforms(9, 0, 60, 2 * policy.n)
-    order = np.random.default_rng(1).permutation(60)
+    u = _stream_uniforms(9, 0, 120, 2 * policy.n)
+    order = np.random.default_rng(1).permutation(120)
     for theta in ((0.3, 0.3), (0.2, 0.8)):
-        for burn_in_blocks in (False, True):
-            arms, outcomes, _ = _simulate_batch(policy, theta, u, probs, burn_in_blocks)
-            ref = randomization_p_values_ref(policy, arms, outcomes)
-            assert np.array_equal(_randomization_p_values(policy, arms, outcomes, probs, abs_t),
-                                  ref)
-            shuffled = _randomization_p_values(policy, arms[order], outcomes[order], probs, abs_t)
-            assert np.array_equal(shuffled, ref[order])
+        arms, outcomes, _ = _simulate_batch(policy, theta, u, probs)
+        ref = randomization_p_values_ref(policy, arms, outcomes)
+        assert np.array_equal(_randomization_p_values(policy, arms, outcomes, probs, abs_t), ref)
+        shuffled = _randomization_p_values(policy, arms[order], outcomes[order], probs, abs_t)
+        assert np.array_equal(shuffled, ref[order])
 
 
 @pytest.mark.parametrize("policy", ORACLE_POLICIES, ids=repr)
@@ -304,8 +337,7 @@ def test_rejection_rates_count_the_chunk_oracle_rejections(policy, monkeypatch):
         rates = randomization_rejection_rates(policy, thetas, sims, alpha, seed)
         for theta, rate in zip(thetas, rates):
             u = _stream_uniforms(seed, 0, sims, 2 * policy.n)
-            arms, outcomes, _ = _simulate_batch(policy, theta, u, _epoch_probs(policy),
-                                                burn_in_blocks=True)
+            arms, outcomes, _ = _simulate_batch(policy, theta, u, _epoch_probs(policy))
             p = randomization_p_values_ref(policy, arms, outcomes)
             assert rate.estimate == np.count_nonzero(p <= alpha) / sims
             assert rate == randomization_rejection_rate(policy, theta, sims, alpha, seed)
@@ -403,10 +435,10 @@ def test_chunked_rejection_rate_matches_per_trial_loop(policy, sims, monkeypatch
     theta, alpha, seed = (0.2, 0.8), 0.2, -3
     probs, abs_t = _epoch_probs(policy), _terminal_abs_wald(policy)
     u = _stream_uniforms(seed, 0, sims, 2 * policy.n)
-    arms, outcomes, _ = _simulate_batch(policy, theta, u, probs, burn_in_blocks=True)
+    arms, outcomes, _ = _simulate_batch(policy, theta, u, probs)
     # the observed trials are those stepped one at a time from their streams
     for i in range(0, sims, 9):
-        ref_arms, ref_outcomes = simulate_trial_ref(policy, theta, seed, i, burn_in_blocks=True)
+        ref_arms, ref_outcomes = simulate_trial_ref(policy, theta, seed, i)
         assert np.array_equal(arms[i], ref_arms) and np.array_equal(outcomes[i], ref_outcomes)
     # p-values bit for bit the same in chunks of 1, 7 and all trials
     p = _randomization_p_values(policy, arms, outcomes, probs, abs_t)

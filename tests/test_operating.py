@@ -97,6 +97,9 @@ def test_grid_constructors():
     assert (0.3, 0.3) in curves
     assert all(td >= tc for tc, td in curves)
     assert max(td for _, td in curves) <= 1.0
+    for step in (0.0, -0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match="'step'"):
+            power_curves([0.3], step=step)
 
 
 def test_asymptotic_rule_threshold():

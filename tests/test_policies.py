@@ -251,7 +251,7 @@ def test_brar_sweep_starts_no_thread():
     assert threading.active_count() == before
 
 
-@pytest.mark.parametrize("policy_cls", [BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation])
+@pytest.mark.parametrize("policy_cls", [BayesianRar, DbcdNeyman, TemperedDbcdNeyman])
 def test_swap_antisymmetry_of_allocation(policy_cls):
     n, b = 30, 1
     pol = policy_cls(n, b)
@@ -266,8 +266,7 @@ def test_layer_probs_match_scalar_dispatch():
     n, b = 10, 1
     table_policy = table_from_codes(n, b, 0.9, [np.arange(layer(t, b).size) % 3
                                                  for t in range(2 * b, n)])
-    for pol in (BayesianRar(n, b), DbcdNeyman(n, b), TemperedDbcdNeyman(n, b),
-                EqualAllocation(n, b), table_policy):
+    for pol in (BayesianRar(n, b), DbcdNeyman(n, b), TemperedDbcdNeyman(n, b), table_policy):
         for t in range(2 * b, n):
             lay = layer(t, b)
             q = pol.layer_arm_probs(lay)[0]
@@ -352,6 +351,11 @@ def test_control_prob_refuses_the_terminal_epoch():
             pol.control_prob(TrialState(1, 1, 2, 2))
 
 
-def test_equal_allocation_probs_are_sentinel():
+def test_equal_allocation_has_no_per_state_probabilities():
+    # permuted blocks throughout: no state past the burn-in has a
+    # probability of its own to report
     pol = EqualAllocation(10, 1)
-    assert pol.control_prob(TrialState(1, 1, 2, 2)) == 0.5
+    with pytest.raises(NotImplementedError, match="EqualAllocation"):
+        pol.control_prob(TrialState(1, 1, 2, 2))
+    with pytest.raises(NotImplementedError, match="EqualAllocation"):
+        pol.layer_arm_probs(layer(4, 1))
