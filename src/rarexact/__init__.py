@@ -20,8 +20,7 @@ _EXPORTS = {
         "measure_log_weights", "solve_cmdp",
     ),
     "engine": (
-        "PathWeightTable", "TerminalFunctional", "equal_allocation_g", "forward_g",
-        "layer_log_likelihood",
+        "PathWeightTable", "TerminalFunctional", "forward_g", "layer_log_likelihood",
     ),
     "exact_tests": (
         "BoschlooRule", "ConditionalRule", "RegionCertificate", "UnconditionalRule",

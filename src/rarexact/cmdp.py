@@ -32,7 +32,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .engine import PathWeightTable, _burn_in_table, _sweep, forward_g
+from .engine import PathWeightTable, _block_table, _sweep, forward_g
 from .numerics import binomial_log_terms, check_alpha, gammaln_table
 from .policies import PolicyTable
 from .states import Layer, Transition, layer as make_layer
@@ -316,7 +316,7 @@ def _backward(reward: np.ndarray, spec: CmdpSpec, steps) -> tuple[PolicyTable, f
         q = probs[step.src.t - 2 * b] = high_low.take(v_lo == v)
         q[v_mid == v] = 0.5
 
-    value = float(np.sum(np.exp(_burn_in_table(b)) * v))
+    value = float(np.sum(np.exp(_block_table(b, b)) * v))
     return PolicyTable(n, b, spec.p, tuple(probs)), value
 
 

@@ -44,7 +44,7 @@ except ImportError:
         from hashlib import sha256
 
 from .numerics import binomial_log_terms, log_binom, logsumexp_fixed, theta_array
-from .policies import EqualAllocation, Policy, PolicyTable, _check_arm_probs
+from .policies import Policy, PolicyTable, _check_arm_probs
 from .states import Layer, Transition, layer as make_layer
 from .wald import layer_wald_statistics
 
@@ -94,41 +94,42 @@ class PathWeightTable:
         return self.layer.tabulate(lambda s_c, s_d, n_c, n_d: s_c + s_d, np.int32)
 
 
-def _burn_in_table(b: int) -> np.ndarray:
-    """Log weights at epoch ``2b``: the number of outcome paths through the
-    balanced burn-in is a product of binomial coefficients."""
-    lb = log_binom(b, np.arange(b + 1))
-    return np.add.outer(lb, lb).ravel()
+def _block_table(n_c: int, n_d: int) -> np.ndarray:
+    """Log weights of block ``(n_c, n_d)`` after balanced blocks: the
+    number of outcome paths is a product of binomial coefficients, by
+    Vandermonde's identity however the blocks split the arms."""
+    lc = log_binom(n_c, np.arange(n_c + 1))
+    ld = lc if n_d == n_c else log_binom(n_d, np.arange(n_d + 1))
+    return np.add.outer(lc, ld).ravel()
 
 
 def forward_g(policy: Policy) -> PathWeightTable:
     """Terminal path-weight table of ``policy`` over its horizon.
 
-    Starts from the balanced burn-in layer and pushes each state's weight
-    to all four children, with the allocation probability attached to the
-    arm and both outcome branches receiving the full arm mass (outcome
-    likelihoods enter later, through the evaluation weights).  The weights
-    carried are fair-coin path probabilities: the policy's
+    Starts after the policy's :attr:`~rarexact.policies.Policy.permuted_blocks`
+    and pushes each state's weight to all four children, with the
+    allocation probability attached to the arm and both outcome branches
+    receiving the full arm mass (outcome likelihoods enter later, through
+    the evaluation weights).  The weights carried are fair-coin path
+    probabilities: the policy's
     :meth:`~rarexact.policies.Policy.fill_arm_probs` are checked (a
     :class:`~rarexact.policies.PolicyTable` once, when it is made) and halved
     in place.  A state whose fair-coin probability underflows to
     zero gets ``log g = -inf``; :meth:`~rarexact.states.Transition.push`
     bounds the probability so lost.
     """
-    n, b = policy.n, policy.burn_in
-    if n < 2 * b:
-        raise ValueError("horizon shorter than the burn-in")
-    if isinstance(policy, EqualAllocation):
-        return equal_allocation_g(n, b)
-    return _sweep(policy, (Transition(t, b) for t in range(2 * b, n)))
+    b = policy.burn_in
+    return _sweep(policy, (Transition(t, b) for t in range(sum(policy.permuted_blocks), policy.n)))
 
 
 def _sweep(policy: Policy, steps) -> PathWeightTable:
     """The sweep of :func:`forward_g` over ``steps``, the transitions from
-    epoch ``2b`` up to ``n - 1`` in order.  :func:`forward_g` makes each
-    one as it goes; a caller that sweeps many policies over one horizon
-    passes the same held transitions every time, so they gather through
-    their plans (see :class:`~rarexact.states.Transition`).
+    the end ``pos`` of the policy's permuted blocks up to ``n - 1`` in
+    order; layer ``pos`` holds weight in the block of their controls
+    alone.  :func:`forward_g` makes each one as it goes; a caller that
+    sweeps many policies over one horizon passes the same held
+    transitions every time, so they gather through their plans (see
+    :class:`~rarexact.states.Transition`).
 
     Layers only grow, so the sweep allocates its layer-sized arrays once,
     sized to the terminal layer: two weight buffers, which take turns as
@@ -143,9 +144,14 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
     n, b = policy.n, policy.burn_in
     lay = make_layer(n, b, n)
     held, idle, q_buf, q1_buf = (np.empty(lay.size) for _ in range(4))
-    start = _burn_in_table(b)
-    cur = np.subtract(start, 2 * b * LN2, out=held[:start.size])
-    np.exp(cur, out=cur)
+    blocks = policy.permuted_blocks
+    pos, n_c = sum(blocks), sum((length + 1) // 2 for length in blocks)
+    first = make_layer(pos, b)
+    cur = held[:first.size]
+    cur.fill(0.0)
+    block = cur[first.block_slice(n_c)]
+    np.subtract(_block_table(n_c, pos - n_c), pos * LN2, out=block)
+    np.exp(block, out=block)
     # a table's probabilities were checked once, when it was made
     check = not isinstance(policy, PolicyTable)
     for step in steps:
@@ -173,19 +179,6 @@ def _sweep(policy: Policy, steps) -> PathWeightTable:
         log_g = np.log(cur, out=cur)
     log_g += n * LN2
     return PathWeightTable(lay, log_g, meta=policy.descriptor())
-
-
-def equal_allocation_g(n: int, b: int = 0) -> PathWeightTable:
-    """Closed-form terminal table of the fixed 50/50 design: weights
-    concentrate on the balanced split and count the per-arm outcome paths."""
-    if n % 2 != 0:
-        raise ValueError("equal allocation requires an even horizon")
-    if b > n // 2:
-        raise ValueError("burn-in exceeds the balanced group size")
-    lay = make_layer(n, b, n)
-    log_g = np.full(lay.size, -np.inf)
-    log_g[lay.block_slice(n // 2)] = _burn_in_table(n // 2)
-    return PathWeightTable(lay, log_g, meta={"kind": "EqualAllocation", "n": n, "burn_in": b})
 
 
 def layer_log_likelihood(lay: Layer, theta: tuple[float, float]) -> np.ndarray:

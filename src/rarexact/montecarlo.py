@@ -11,9 +11,10 @@ reads words ``[4Bi, 4Bi + 2n)``, its first ``n`` words allocation keys
 and the next ``n`` outcome draws.
 
 Every trial, simulated or tested, is one mechanism: its design's permuted
-balanced blocks (:func:`_design_blocks`: the burn-in of an adaptive
-policy, every block of equal allocation), whose keys become arrangements
-by sorting, then one policy-randomized epoch per participant left.
+balanced blocks (:attr:`~rarexact.policies.Policy.permuted_blocks`: the
+burn-in of an adaptive policy, every block of equal allocation), whose
+keys become arrangements by sorting, then one policy-randomized epoch per
+participant left.
 Trials are stepped together, many rows at a time: each row carries its
 counts ``(s_c, s_d, n_c)``, and at each epoch its allocation probability
 is the control side ``q`` of the policy's
@@ -44,12 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .numerics import check_alpha, theta_array
-from .policies import EqualAllocation, Policy, _check_arm_probs
+from .policies import Policy, _check_arm_probs
 from .states import Layer, layer as make_layer
 from .wald import wald_statistics
 
 GENERATOR_ID = "philox4x64-numpy-counter-blocks"
-EA_BLOCK = 10
 # Trials whose randomization p-values the DP computes together, taken in
 # the order of their total successes: at n = 50 each holds at most 39 x 45
 # states, and only the success counts up to the chunk's largest are kept;
@@ -88,48 +88,26 @@ def _terminal_counts(arms: np.ndarray, y_c: np.ndarray, y_d: np.ndarray):
     return (y_c & is_c).sum(axis=-1), (y_d & ~is_c).sum(axis=-1), is_c.sum(axis=-1)
 
 
-def _balanced_pattern(length: int) -> np.ndarray:
-    """Alternating balanced arm pattern of a block before permutation."""
-    out = np.empty(length, dtype=np.int8)
-    out[0::2] = 0
-    out[1::2] = 1
-    return out
-
-
-def _block_plan(n: int, burn_in: int, block: int) -> list[int]:
-    """Block lengths: one balanced burn-in block, then full blocks, then a
-    balanced trailing prefix."""
-    lengths = []
-    if burn_in:
-        lengths.append(2 * burn_in)
-    rest = n - 2 * burn_in
-    lengths += [block] * (rest // block)
-    if rest % block:
-        lengths.append(rest % block)
-    return lengths
-
-
-def _arms_from_keys(keys: np.ndarray, lengths: list[int]) -> np.ndarray:
+def _arms_from_keys(keys: np.ndarray, lengths) -> np.ndarray:
     """Turn per-position uniform keys into permuted balanced blocks; sorting
-    the keys inside each block yields a uniformly random arrangement."""
+    the keys inside each block yields a uniformly random arrangement, in
+    which the key of sort index ``k`` takes arm ``k % 2``."""
     arms = np.empty(keys.shape, dtype=np.int8)
     pos = 0
     for length in lengths:
-        pattern = _balanced_pattern(length)
-        seg = keys[..., pos:pos + length]
-        order = np.argsort(seg, axis=-1, kind="stable")
-        arms[..., pos:pos + length] = pattern[order]
+        order = np.argsort(keys[..., pos:pos + length], axis=-1, kind="stable")
+        arms[..., pos:pos + length] = order % 2
         pos += length
     return arms
 
 
 def _epoch_probs(policy: Policy) -> list:
     """``(q, q1)`` of :meth:`~rarexact.policies.Policy.layer_arm_probs` at
-    each epoch from the end of :func:`_design_blocks` to ``n - 1``, each
-    filled on a layer that is then dropped and checked to be a pair in
-    ``[0, 1]``; none for equal allocation, which is blocks throughout."""
+    each epoch from the end of the policy's permuted blocks to ``n - 1``,
+    each filled on a layer that is then dropped and checked to be a pair
+    in ``[0, 1]``; none for equal allocation, which is blocks throughout."""
     b, out = policy.burn_in, []
-    for t in range(sum(_design_blocks(policy)), policy.n):
+    for t in range(sum(policy.permuted_blocks), policy.n):
         q, q1 = policy.layer_arm_probs(make_layer(t, b))
         _check_arm_probs(q, q1, t, np.empty_like(q))
         out.append((q, q1))
@@ -153,15 +131,6 @@ def _grid_indices(lay: Layer, lo: int, rows: int, cols: int) -> np.ndarray:
     return lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None])
 
 
-def _design_blocks(policy: Policy) -> list[int]:
-    """Lengths of the permuted balanced blocks every trial of ``policy``
-    starts with, which the simulation draws and the DP of
-    :func:`_chunk_p_values` re-randomizes: the burn-in, or every block of
-    equal allocation."""
-    n, b = policy.n, policy.burn_in
-    return _block_plan(n if isinstance(policy, EqualAllocation) else 2 * b, b, EA_BLOCK)
-
-
 def _dp_grids(policy: Policy, top: int) -> list[np.ndarray]:
     """The index grids of :func:`_chunk_p_values`, one per epoch ``t`` from
     the end ``pos`` of its blocks up to the terminal ``n``: the
@@ -170,7 +139,7 @@ def _dp_grids(policy: Policy, top: int) -> list[np.ndarray]:
     chunk of rows with at most ``top`` successes reaches.  Every chunk
     slices its own column count from them.  O(n**3) int64 entries in all:
     about 19 MB at ``n = 200``, ``b = 6``, ``top = n``."""
-    blocks = _design_blocks(policy)
+    blocks = policy.permuted_blocks
     lo, pos = sum((length + 1) // 2 for length in blocks), sum(blocks)
     return [_grid_indices(make_layer(t, policy.burn_in), lo, t - pos + 1, min(t, top) + 1)
             for t in range(pos, policy.n + 1)]
@@ -181,12 +150,11 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
     """Arms and terminal ``(s_c, s_d, n_c)`` of trials given as ``(m, n)``
     rows of allocation ``keys``; participant ``t`` responds ``y_c[:, t]``
     on control and ``y_d[:, t]`` otherwise.  The keys of the first ``pos``
-    participants become the permuted balanced blocks of
-    :func:`_design_blocks`; each later one goes to control where its key
-    is below ``q`` of ``probs[t - pos]`` (see :func:`_epoch_probs`) at its
-    row's state."""
+    participants become the policy's permuted balanced blocks; each later
+    one goes to control where its key is below ``q`` of ``probs[t - pos]``
+    (see :func:`_epoch_probs`) at its row's state."""
     n, b = policy.n, policy.burn_in
-    blocks = _design_blocks(policy)
+    blocks = policy.permuted_blocks
     pos = sum(blocks)
     # epoch-major arms and copies of the inputs: each epoch reads and
     # writes contiguous rows
@@ -221,6 +189,9 @@ def simulate_trials_at(policy: Policy, thetas, seed: int, start: int, count: int
     Each trial reads only its own words of the run's sequence, so it does
     not depend on ``start`` or ``count``; every ``theta`` reads the same
     words and the allocation probabilities, computed once."""
+    for name, value in (("start", start), ("count", count)):
+        if value < 0:
+            raise ValueError(f"{name} = {value!r} must be nonnegative")
     thetas = theta_array(thetas)
     u = _stream_uniforms(seed, start, count, 2 * policy.n)
     probs = _epoch_probs(policy)
@@ -275,7 +246,7 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     rows_m = np.arange(m)
 
     w, lo, pos = np.ones((m, 1, 1)), 0, 0
-    for length in _design_blocks(policy):
+    for length in policy.permuted_blocks:
         c = (length + 1) // 2
         hyper = np.array([[math.comb(s, k) * math.comb(length - s, c - k) / math.comb(length, c)
                            for k in range(c + 1)] for s in range(length + 1)])

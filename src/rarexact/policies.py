@@ -8,12 +8,10 @@ q)``: a built-in design computes it from each state's counts, and a CMDP
 policy table (:class:`PolicyTable`) copies the control probabilities it
 stores for each adaptive epoch.
 
-Every policy is defined for epochs ``t >= 2b``; the first ``2b``
-participants form a balanced burn-in, ``b`` per arm, which the engine and
-simulator handle directly.  The exact sweeps need only its counts; the
-simulated trials, and the randomization test that re-randomizes them,
-draw it as one permuted balanced block.  Equal allocation is permuted
-blocks throughout and has no per-state probabilities.
+Every trial starts with its policy's :attr:`Policy.permuted_blocks`: the
+balanced burn-in of ``2b`` participants, and for equal allocation every
+block to the horizon.  The exact sweeps need only their counts; the
+simulated trials, and the randomization test, draw their arrangements.
 
 Every policy computes on the calling thread: none starts a thread or
 reads the CPU count, so no result depends on either.
@@ -35,6 +33,8 @@ from .states import Layer, TrialState, layer as make_layer
 DBCD_CLIP = (0.01, 0.99)
 # how far from one the two arm probabilities of a state may sum
 ARM_SUM_TOL = 1e-12
+# equal allocation's block length after the burn-in
+EA_BLOCK = 10
 
 
 def neyman_target(theta_c, theta_d):
@@ -79,6 +79,17 @@ def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int, scratch: np.ndarray)
         )
 
 
+def _block_plan(n: int, burn_in: int, block: int) -> tuple[int, ...]:
+    """Block lengths: one balanced burn-in block, then full blocks, then a
+    balanced trailing prefix."""
+    lengths = (2 * burn_in,) if burn_in else ()
+    rest = n - 2 * burn_in
+    lengths += (block,) * (rest // block)
+    if rest % block:
+        lengths += (rest % block,)
+    return lengths
+
+
 @dataclass(frozen=True)
 class Policy:
     """Base class; adaptive policies implement :meth:`fill_arm_probs`,
@@ -89,6 +100,16 @@ class Policy:
     burn_in: int
 
     is_symmetric = False
+
+    def __post_init__(self):
+        if not 0 <= 2 * self.burn_in <= self.n:
+            raise ValueError(f"burn-in of {self.burn_in} per arm does not fit the horizon {self.n}")
+
+    @property
+    def permuted_blocks(self) -> tuple[int, ...]:
+        """Lengths ``L`` of the permuted balanced blocks (``ceil(L / 2)``
+        controls each) that start every trial: ``(2b,)``, none at ``b = 0``."""
+        return (2 * self.burn_in,) if self.burn_in else ()
 
     def control_prob(self, state: TrialState) -> float:
         """Allocation probability of one state past the burn-in and before
@@ -121,10 +142,12 @@ class Policy:
 
 @dataclass(frozen=True)
 class EqualAllocation(Policy):
-    """Fixed 50/50 design in permuted balanced blocks; the engine uses its
-    closed-form terminal weights, and it fills no per-state probabilities."""
+    """Fixed 50/50 design in permuted balanced blocks up to the horizon, so
+    ``ceil(n / 2)`` controls and no per-state probabilities."""
 
-    is_symmetric = True
+    @property
+    def permuted_blocks(self) -> tuple[int, ...]:
+        return _block_plan(self.n, self.burn_in, EA_BLOCK)
 
 
 @dataclass(frozen=True)
@@ -139,8 +162,11 @@ class DbcdNeyman(Policy):
     is_symmetric = True
 
     def __post_init__(self):
+        super().__post_init__()
         if self.burn_in < 1:
             raise ValueError(f"DBCD needs a burn-in of at least 1 per arm, not {self.burn_in}")
+        if not 0.0 <= self.gamma < np.inf:     # NaN fails too
+            raise ValueError(f"gamma = {self.gamma!r} must be finite and nonnegative")
 
     def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
         s_c, s_d, n_c, n_d = lay.arrays()
@@ -157,8 +183,6 @@ class DbcdNeyman(Policy):
 class TemperedDbcdNeyman(DbcdNeyman):
     """DBCD Neyman allocation tempered to never favor the arm currently
     estimated inferior: outside the agreeing branches the target is 1/2."""
-
-    is_symmetric = True
 
     def fill_arm_probs(self, lay: Layer, q: np.ndarray, q1: np.ndarray) -> None:
         super().fill_arm_probs(lay, q, q1)
@@ -312,6 +336,7 @@ class PolicyTable(Policy):
     probs: tuple = field(repr=False)  # one float64 array per epoch 2b .. n-1
 
     def __post_init__(self):
+        super().__post_init__()
         if not 0.5 <= self.p <= 1.0:
             raise ValueError("maximum randomized allocation rate must lie in [0.5, 1]")
         b, lo = self.burn_in, 1.0 - self.p

@@ -76,8 +76,9 @@ class Layer:
     """Dense index over the states reachable at epoch ``t >= 2b`` given a
     burn-in of ``b`` participants per arm: the admissible control group
     sizes are ``b .. t - b``.  No layer exists inside the burn-in: the
-    sweeps start at epoch ``2b`` from its counts, and simulated trials
-    allocate the burn-in by their own pattern.
+    sweeps and simulated trials start after a policy's permuted balanced
+    blocks (:attr:`~rarexact.policies.Policy.permuted_blocks`), from
+    their counts.
 
     :attr:`spans` holds ``(n_c, n_d, start, stop)`` of each block in
     canonical order, and :attr:`offsets` (read-only) the block starts

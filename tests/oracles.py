@@ -724,11 +724,11 @@ def forward_g_alloc_ref(policy):
     are averaged with their arm-swapped image in new arrays.  The held
     sweep runs the same operations on the same operands, so the two agree
     bit for bit."""
-    from rarexact.engine import LN2, PathWeightTable, _burn_in_table
+    from rarexact.engine import LN2, PathWeightTable, _block_table
     from rarexact.states import Layer, Transition
 
     n, b = policy.n, policy.burn_in
-    cur = np.exp(_burn_in_table(b) - 2 * b * LN2)
+    cur = np.exp(_block_table(b, b) - 2 * b * LN2)
     for t in range(2 * b, n):
         q, q1 = policy.layer_arm_probs(Layer(t, b))
         q *= 0.5
@@ -769,11 +769,11 @@ def forward_g_log_ref(policy):
     image by log-sum-exp.  This is the sweep that the linear-domain
     ``forward_g`` replaced; nothing in it underflows, so it gives every
     reachable state a finite log weight."""
-    from rarexact.engine import LN2, PathWeightTable, _burn_in_table
+    from rarexact.engine import LN2, PathWeightTable, _block_table
     from rarexact.states import Layer
 
     n, b = policy.n, policy.burn_in
-    cur = _burn_in_table(b)
+    cur = _block_table(b, b)
     for t in range(2 * b, n):
         src = Layer(t, b)
         q, q1 = policy.layer_arm_probs(src)
@@ -790,6 +790,23 @@ def forward_g_log_ref(policy):
         out[mask] = hi[mask] + np.log1p(np.exp(lo[mask] - hi[mask])) - LN2
         cur = out
     return PathWeightTable(lay, cur, meta=policy.descriptor())
+
+
+def equal_allocation_log_g_ref(n, b):
+    """Terminal log path weights of equal allocation in closed form: every
+    trial ends with ``n_c = ceil(n / 2)`` controls, and a state of that
+    block is reached by ``C(n_c, s_c) C(n - n_c, s_d)`` outcome paths, the
+    sum of two ``log_binom``; no other state is reached.  At even ``n``
+    this is the table the engine wrote before it swept equal
+    allocation."""
+    from rarexact.numerics import log_binom
+    from rarexact.states import Layer
+
+    lay, n_c = Layer(n, b), (n + 1) // 2
+    out = np.full(lay.size, -np.inf)
+    out[lay.block_slice(n_c)] = np.add.outer(log_binom(n_c, np.arange(n_c + 1)),
+                                             log_binom(n - n_c, np.arange(n - n_c + 1))).ravel()
+    return out
 
 
 def grow_prefix_two_sorts_ref(t_stat, w, s, n, level):
@@ -891,8 +908,8 @@ def _trial_arms_ref(policy, keys, outcome_at):
     allocation), then one policy-randomized epoch per participant left;
     ``outcome_at(t, arm)`` is participant ``t``'s response.  Each epoch's
     ``q`` is the policy's own ``layer_arm_probs``."""
-    from rarexact.montecarlo import EA_BLOCK, _arms_from_keys, _block_plan
-    from rarexact.policies import EqualAllocation
+    from rarexact.montecarlo import _arms_from_keys
+    from rarexact.policies import EA_BLOCK, EqualAllocation, _block_plan
     from rarexact.states import layer
 
     n, b = policy.n, policy.burn_in
@@ -954,8 +971,7 @@ def allocation_paths_enum(policy, outcomes):
     equal probability; each later epoch branches on
     ``policy.control_prob`` of the state reached, dropping branches of
     probability zero."""
-    from rarexact.montecarlo import EA_BLOCK, _block_plan
-    from rarexact.policies import EqualAllocation
+    from rarexact.policies import EA_BLOCK, EqualAllocation, _block_plan
     from rarexact.states import TrialState
 
     n, b = policy.n, policy.burn_in
@@ -1026,8 +1042,8 @@ def randomization_p_values_ref(policy, arms, outcomes):
     both from the policy's own ``layer_arm_probs``.
     The work is elementwise per row and the final sum runs in a fixed
     order, so rows do not affect each other."""
-    from rarexact.montecarlo import EA_BLOCK, _block_plan, _terminal_counts
-    from rarexact.policies import EqualAllocation
+    from rarexact.montecarlo import _terminal_counts
+    from rarexact.policies import EA_BLOCK, EqualAllocation, _block_plan
     from rarexact.states import layer
     from rarexact.wald import wald_statistics
 
@@ -1092,7 +1108,7 @@ def evaluate_backward(table, reward, spec):
     """Value of a fixed CMDP policy table for a terminal reward by backward
     recursion (no maximization); equals the forward-weighted terminal sum
     by construction."""
-    from rarexact.engine import _burn_in_table
+    from rarexact.engine import _block_table
     from rarexact.states import Transition, layer
 
     n, b = spec.n, spec.burn_in
@@ -1101,7 +1117,7 @@ def evaluate_backward(table, reward, spec):
         wc, wd = Transition(t, b).pull(v)
         q = table.layer_arm_probs(layer(t, b))[0]
         v = q * wc + (1.0 - q) * wd
-    return float(np.sum(np.exp(_burn_in_table(b)) * v))
+    return float(np.sum(np.exp(_block_table(b, b)) * v))
 
 
 def solve_choice_ref(history, tol):
@@ -1129,7 +1145,7 @@ def lagrangian_backward_ref(reward, spec):
     """``lagrangian_backward`` as three full value arrays and a nested
     ``np.where`` for the codes: ties prefer 1/2, then the low action.
     Returns the per-epoch codes after the burn-in and the value."""
-    from rarexact.engine import _burn_in_table
+    from rarexact.engine import _block_table
     from rarexact.states import Transition
 
     n, b = spec.n, spec.burn_in
@@ -1143,7 +1159,7 @@ def lagrangian_backward_ref(reward, spec):
         v_mid = 0.5 * (wc + wd)
         v = np.maximum(np.maximum(v_lo, v_hi), v_mid)
         codes[t] = np.where(v_mid == v, 1, np.where(v_lo == v, 0, 2)).astype(np.int8)
-    return codes, float(np.sum(np.exp(_burn_in_table(b)) * v))
+    return codes, float(np.sum(np.exp(_block_table(b, b)) * v))
 
 
 def bernstein_tail_sup(table, reject):
@@ -1160,7 +1176,8 @@ def permuted_block_sequence(n, block, seed_or_rng):
     """Arm sequence from a permuted block design: each full block holds
     exactly half of each arm in uniformly random order; a trailing partial
     block is a uniformly drawn balanced prefix."""
-    from rarexact.montecarlo import _arms_from_keys, _block_plan, make_rng
+    from rarexact.montecarlo import _arms_from_keys, make_rng
+    from rarexact.policies import _block_plan
 
     if block % 2 != 0:
         raise ValueError("block size must be even")

@@ -27,10 +27,10 @@ from rarexact import (
     BayesianRar,
     CmdpSpec,
     DbcdNeyman,
+    EqualAllocation,
     TemperedDbcdNeyman,
     conditional_rule,
     boschloo_rule,
-    equal_allocation_g,
     forward_g,
     lagrangian_backward,
     layer,
@@ -58,7 +58,7 @@ def test_weight_table_round_trip(tmp_path):
 
 
 def test_weight_table_header_carries_numeric_health(tmp_path):
-    for table in (forward_g(BayesianRar(10, 1)), equal_allocation_g(8, 1)):
+    for table in (forward_g(BayesianRar(10, 1)), forward_g(EqualAllocation(8, 1))):
         path = tmp_path / "design.bin"
         write_weight_table(path, table)
         header, payload = _read_container(path, WEIGHT_MAGIC)
@@ -272,14 +272,23 @@ def test_cli_monte_carlo_refuses_theta_outside_the_unit_square(tmp_path, capsys,
 
 @pytest.mark.parametrize("command", [["mc", "randtest"], ["paths"]])
 def test_cli_monte_carlo_refuses_a_nan_coin_exponent(tmp_path, capsys, command):
-    # JSON NaN reads as a float; it leaves no allocation probability
+    # JSON NaN reads as a float; the design refuses it
     cfg = _cfg(tmp_path, "nan_gamma.json", n=10, burn_in=1, sims=100, path_sims=2,
                policy={"kind": "dbcd", "gamma": float("nan")},
                theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
     assert main(command + ["--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
-    assert "are not a pair" in capsys.readouterr().err
+    assert "gamma = nan" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
 
+
+
+@pytest.mark.parametrize("command", [["design"], ["mc", "randtest"], ["paths"]])
+def test_cli_refuses_a_horizon_shorter_than_the_burn_in(tmp_path, capsys, command):
+    cfg = _cfg(tmp_path, "short.json", n=5, burn_in=3, policy="brar", sims=100, path_sims=2,
+               seed=1, theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(command + ["--config", cfg, "--out", str(tmp_path / "x.out")]) == 2
+    assert "burn-in of 3 per arm does not fit the horizon 5" in capsys.readouterr().err
+    assert not (tmp_path / "x.out").exists()
 
 def test_rule_missing_a_required_key_is_rejected_naming_it():
     from rarexact import AsymptoticRule

@@ -12,9 +12,9 @@ from rarexact import (
     EqualAllocation,
     TemperedDbcdNeyman,
     TrialState,
-    equal_allocation_g,
     forward_g,
     layer,
+    simulate_terminals,
 )
 from rarexact.engine import LN2, TerminalFunctional, _sweep, layer_log_likelihood
 from rarexact.policies import Policy, PolicyTable
@@ -24,6 +24,7 @@ from oracles import (
     block_values_ref,
     code_gather_policy_ref,
     enumerate_path_weights,
+    equal_allocation_log_g_ref,
     expectation_ref,
     forward_g_alloc_ref,
     forward_g_log_ref,
@@ -110,19 +111,42 @@ def test_symmetric_policy_yields_exactly_symmetric_table():
 
 
 def test_equal_allocation_examples():
-    table = equal_allocation_g(2)
+    table = forward_g(EqualAllocation(2, 0))
     got = _table_as_dict(table)
     assert got[(0, 0, 1, 1)] == pytest.approx(1.0)
     assert got[(1, 1, 1, 1)] == pytest.approx(1.0)
     # off-balance states carry no weight
     assert got[(0, 0, 2, 0)] == 0.0
-    with pytest.raises(ValueError):
-        equal_allocation_g(5)
+    # at an odd horizon all weight sits on ceil(n / 2) controls, the n_c
+    # of every simulated trial
+    for n, b in [(7, 0), (9, 1), (23, 2)]:
+        policy = EqualAllocation(n, b)
+        table = forward_g(policy)
+        live = np.zeros(table.layer.size, dtype=bool)
+        live[table.layer.block_slice((n + 1) // 2)] = True
+        assert np.array_equal(np.isfinite(table.log_g), live)
+        assert table.normalization_error() <= 1e-12
+        _, _, n_c = simulate_terminals(policy, (0.4, 0.7), 200, seed=1)
+        assert np.all(n_c == (n + 1) // 2)
+
+
+def test_equal_allocation_matches_the_closed_form():
+    # the sweep starts from its one block and takes no step: its log
+    # weights make one round trip through the fair-coin probabilities
+    for n in range(1, 81):
+        for b in (0, 1, 3, 6):
+            if 2 * b > n:
+                continue
+            got = forward_g(EqualAllocation(n, b)).log_g
+            want = equal_allocation_log_g_ref(n, b)
+            assert np.array_equal(np.isfinite(got), np.isfinite(want))
+            live = np.isfinite(want)
+            assert np.all(np.abs(got[live] - want[live]) <= 1e-15 * np.abs(want[live]))
 
 
 def test_equal_allocation_matches_permuted_history_counts():
     n = 6
-    table = equal_allocation_g(n)
+    table = forward_g(EqualAllocation(n, 0))
     got = _table_as_dict(table)
     for (s_c, s_d, n_c, n_d), g in got.items():
         if n_c == n // 2:
@@ -186,7 +210,7 @@ def test_oc_value_total_probability():
 
 
 def test_oc_value_equal_allocation_binomial():
-    table = equal_allocation_g(2, b=1)
+    table = forward_g(EqualAllocation(2, 1))
     s = table.successes()
     assert TerminalFunctional((s == 1).astype(float), table).value((0.5, 0.5)) == pytest.approx(0.5, abs=1e-12)
     assert TerminalFunctional((s == 2).astype(float), table).value((1.0, 1.0)) == pytest.approx(1.0, abs=1e-12)
@@ -206,7 +230,7 @@ def test_oc_value_matches_brute_force():
 
 
 def test_terminal_functional_handles_signed_functions():
-    table = equal_allocation_g(4, b=1)
+    table = forward_g(EqualAllocation(4, 1))
     s_c, s_d, _, _ = table.layer.arrays()
     f = (s_c - s_d).astype(float)
     fn = TerminalFunctional(f, table)
@@ -348,7 +372,7 @@ def test_sweep_builds_no_per_state_arrays_of_the_terminal_layer(monkeypatch):
 @st.composite
 def _symmetric_designs(draw):
     # DBCD is undefined on an empty arm, so its burn-in is at least one;
-    # equal allocation needs an even horizon
+    # equal allocation is swap-invariant at an even horizon alone
     cls = draw(st.sampled_from([BayesianRar, DbcdNeyman, TemperedDbcdNeyman, EqualAllocation]))
     b = draw(st.integers(0 if cls in (BayesianRar, EqualAllocation) else 1, 3))
     n = draw(st.integers(max(2 * b, 1), 40))

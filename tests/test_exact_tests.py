@@ -8,13 +8,13 @@ from hypothesis import example, given, settings, strategies as st
 from rarexact import (
     BayesianRar,
     DbcdNeyman,
+    EqualAllocation,
     TemperedDbcdNeyman,
     TrialState,
     boschloo_rule,
     boschloo_statistic,
     certify_region,
     conditional_rule,
-    equal_allocation_g,
     forward_g,
     profile,
     unconditional_rule,
@@ -82,7 +82,7 @@ def test_conditional_mass_sums_to_one_per_stratum(brar8):
 def test_conditional_rule_matches_bruteforce(brar8, brar8_ref):
     # closed-form equal allocation: heavy ties, and zero-mass blocks
     # (unbalanced splits) inside strata of positive mass
-    ea8 = equal_allocation_g(8, b=1)
+    ea8 = forward_g(EqualAllocation(8, 1))
     ea8_ref = {st: math.exp(g) for st, g in zip(_state_tuples(ea8), ea8.log_g)}
     for table, weights in ((brar8, brar8_ref), (ea8, ea8_ref)):
         rule = conditional_rule(table, ALPHA)
@@ -107,7 +107,7 @@ def test_conditional_rule_zero_stratum_cannot_reject(brar8):
 
 def test_conditional_rule_skips_strata_without_mass():
     # every tail of a massless stratum is 0, yet it must reject nothing
-    table = equal_allocation_g(8, b=1)
+    table = forward_g(EqualAllocation(8, 1))
     s = table.successes()
     table = replace(table, log_g=np.where(s == 4, -np.inf, table.log_g))
     rule = conditional_rule(table, ALPHA)
@@ -136,7 +136,7 @@ def test_bernstein_tail_sup_trivial(brar8):
 
 
 def test_bernstein_tail_sup_brackets_dense_grid():
-    table = equal_allocation_g(6, b=1)
+    table = forward_g(EqualAllocation(6, 1))
     rng = np.random.default_rng(3)
     states = _state_tuples(table)
     weights = {st: math.exp(g) for st, g in zip(states, table.log_g)}
@@ -336,7 +336,7 @@ def test_lemma_inclusion_on_n20_policies():
 
 def test_fisher_equivalence_small_horizons():
     for n in (4, 8, 12):
-        table = equal_allocation_g(n, b=1)
+        table = forward_g(EqualAllocation(n, 1))
         rule = conditional_rule(table, ALPHA)
         rej = rule.reject_table(table)
         lay = table.layer
@@ -349,7 +349,7 @@ def test_fisher_equivalence_small_horizons():
 
 
 def test_rules_require_burn_in():
-    table = equal_allocation_g(6, b=0)
+    table = forward_g(EqualAllocation(6, 0))
     with pytest.raises(ValueError):
         conditional_rule(table, ALPHA)
     with pytest.raises(ValueError):

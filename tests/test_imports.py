@@ -36,7 +36,7 @@ EXPORTED = [
     "AltUniform", "AuditReport", "CmdpResult", "CmdpSpec", "NullUniform", "PointNull",
     "Rectangle", "audit_policy", "default_rectangles", "lagrangian_backward",
     "measure_log_weights", "solve_cmdp",
-    "PathWeightTable", "TerminalFunctional", "equal_allocation_g", "forward_g",
+    "PathWeightTable", "TerminalFunctional", "forward_g",
     "layer_log_likelihood",
     "BoschlooRule", "ConditionalRule", "RegionCertificate", "UnconditionalRule", "boschloo_rule",
     "boschloo_statistic", "certify_region", "conditional_rule", "unconditional_rule",

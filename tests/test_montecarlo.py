@@ -32,6 +32,8 @@ from rarexact.montecarlo import (
     simulate_trials_at,
 )
 
+from rarexact.policies import Policy
+
 from oracles import (
     allocation_paths_enum,
     permuted_block_sequence,
@@ -48,6 +50,14 @@ from oracles import (
 def _random_table(n, b, p, seed):
     """A ``PolicyTable`` with uniformly drawn actions."""
     return table_from_codes(n, b, p, random_codes(n, b, np.random.default_rng(seed)))
+
+
+class _NanCoin(Policy):
+    """Fills NaN allocation probabilities."""
+
+    def fill_arm_probs(self, lay, q, q1):
+        q.fill(np.nan)
+        q1.fill(np.nan)
 
 
 def test_simulate_certain_outcomes():
@@ -125,9 +135,31 @@ def test_simulated_trials_are_the_trials_the_randomization_test_assumes(policy, 
     lambda pol: randomization_test(np.zeros((1, 10)), np.zeros((1, 10)), pol, 0.05),
 ], ids=["simulate_trials", "simulate_terminals", "rates", "test"])
 def test_allocation_probabilities_that_are_no_pair_are_refused(entry):
-    # a NaN coin exponent leaves NaN probabilities, which no key is below
+    # NaN probabilities, which no key is below
     with pytest.raises(ValueError, match=r"probabilities at epoch \d+ are not a pair"):
-        entry(DbcdNeyman(10, 1, gamma=math.nan))
+        entry(_NanCoin(10, 1))
+
+
+def test_trial_numbers_must_be_nonnegative():
+    policy = DbcdNeyman(10, 1)
+    for start, count, name in [(-3, 2, "start"), (0, -1, "count")]:
+        with pytest.raises(ValueError, match=f"{name} = -"):
+            simulate_trials_at(policy, [(0.5, 0.5)], 1, start, count)
+
+
+def test_block_arms_are_the_alternating_pattern_at_the_key_ranks():
+    # the arm at each position of a block is that of 0, 1, 0, ... at the
+    # sort index of its key
+    lengths = EqualAllocation(23, 2).permuted_blocks
+    keys = make_rng(3).random((1000, 23))
+    arms = montecarlo._arms_from_keys(keys, lengths)
+    assert arms.dtype == np.int8
+    pos = 0
+    for length in lengths:
+        pattern = np.resize(np.array([0, 1], dtype=np.int8), length)
+        order = np.argsort(keys[:, pos:pos + length], axis=1, kind="stable")
+        assert np.array_equal(arms[:, pos:pos + length], pattern[order])
+        pos += length
 
 
 def test_reproducibility_and_substreams():

@@ -12,7 +12,6 @@ from rarexact import (
     TerminalFunctional,
     TrialState,
     conditional_rule,
-    equal_allocation_g,
     forward_g,
     null_diagonal,
     patient_benefit,
@@ -32,7 +31,7 @@ class _NothingRule:
 
 
 def test_rejecting_nothing_gives_zero_everywhere():
-    table = equal_allocation_g(10, b=1)
+    table = forward_g(EqualAllocation(10, 1))
     for theta in [(0.2, 0.2), (0.1, 0.9)]:
         assert rejection_rate(table, _NothingRule(), theta) == 0.0
 
@@ -40,7 +39,7 @@ def test_rejecting_nothing_gives_zero_everywhere():
 def test_patient_benefit_conventions():
     table = forward_g(BayesianRar(8, 1))
     assert patient_benefit(table, (0.3, 0.3)) == 0.5
-    ea = equal_allocation_g(8, b=1)
+    ea = forward_g(EqualAllocation(8, 1))
     # a deterministic half split stays at one half for any rates
     assert patient_benefit(ea, (0.2, 0.9)) == pytest.approx(0.5, abs=1e-12)
     assert patient_benefit(ea, (0.9, 0.2)) == pytest.approx(0.5, abs=1e-12)
@@ -67,7 +66,7 @@ def test_profile_reuse_identity():
 
 
 def test_profile_requires_grid():
-    table = equal_allocation_g(6, b=1)
+    table = forward_g(EqualAllocation(6, 1))
     with pytest.raises(ValueError):
         profile(table, AsymptoticRule(0.05), [])
 

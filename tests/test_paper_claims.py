@@ -21,6 +21,7 @@ the dual solver does not reach in 50 iterations (``cmdp solve`` exits 3),
 so they are strict xfails.
 """
 
+import numpy as np
 import pytest
 
 from rarexact import (
@@ -33,12 +34,14 @@ from rarexact import (
     conditional_rule,
     default_rectangles,
     forward_g,
+    lagrangian_backward,
     null_diagonal,
     profile,
     randomization_rejection_rate,
     solve_cmdp,
     unconditional_rule,
 )
+from rarexact.cmdp import _AuditContext
 
 N, BURN_IN, ALPHA = 50, 6, 0.05
 POINT = (0.5, 0.9)
@@ -126,3 +129,22 @@ def test_cmdp_design_loses_power_under_the_randomization_test(section4_cmdp):
     assert rate.estimate + rate.half_width < exact, (
         f"randomization power {rate.estimate:.4f} +- {rate.half_width:.4f}, "
         f"unconditional exact {exact:.4f}")
+
+
+def test_randomization_power_of_the_unconstrained_cmdp_design_falls_with_its_action_bound():
+    # the paper's open question: after the burn-in a CMDP design's only
+    # randomness is its action bound p, and the randomization test's
+    # reference set is that randomness.  The lambda = 0 Lagrangian
+    # maximizer (no constraint enforced) at p = 0.6 keeps a coin on every
+    # allocation; at p = 1 it is deterministic except at exact ties.
+    rates = {}
+    for p in (0.6, 1.0):
+        spec = CmdpSpec(N, BURN_IN, p=p)
+        reward = _AuditContext(spec).reward(np.zeros(len(spec.constraints())))
+        table, _ = lagrangian_backward(reward, spec)
+        rates[p] = randomization_rejection_rate(table, POINT, 500, ALPHA, seed=1)
+    coin, bound = rates[0.6], rates[1.0]
+    margin = 4 * (coin.half_width + bound.half_width)
+    assert coin.estimate - bound.estimate > margin, (
+        f"randomization power {coin.estimate:.3f} +- {coin.half_width:.3f} at p = 0.6, "
+        f"{bound.estimate:.3f} +- {bound.half_width:.3f} at p = 1; need a gap over {margin:.3f}")

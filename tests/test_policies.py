@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -359,3 +360,33 @@ def test_equal_allocation_has_no_per_state_probabilities():
         pol.control_prob(TrialState(1, 1, 2, 2))
     with pytest.raises(NotImplementedError, match="EqualAllocation"):
         pol.layer_arm_probs(layer(4, 1))
+
+
+@pytest.mark.parametrize("make", [
+    EqualAllocation, BayesianRar, DbcdNeyman, TemperedDbcdNeyman,
+    lambda n, b: PolicyTable(n, b, 0.9, ()),
+], ids=["equal", "brar", "dbcd", "tempered", "table"])
+def test_every_policy_refuses_a_burn_in_that_does_not_fit_the_horizon(make):
+    for n, b in [(5, 3), (5, -1)]:
+        with pytest.raises(ValueError, match=f"burn-in of {b} per arm does not fit the horizon 5"):
+            make(n, b)
+
+
+@pytest.mark.parametrize("cls", [DbcdNeyman, TemperedDbcdNeyman])
+def test_dbcd_refuses_a_coin_exponent_that_is_not_finite_and_nonnegative(cls):
+    # refused when the design is made, before any allocation overflows
+    for gamma in (-1.0, math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="gamma"):
+            cls(10, 1, gamma=gamma)
+
+
+def test_permuted_blocks_are_the_burn_in_or_every_block_of_equal_allocation():
+    assert BayesianRar(12, 2).permuted_blocks == (4,)
+    assert DbcdNeyman(12, 1).permuted_blocks == (2,)
+    assert BayesianRar(12, 0).permuted_blocks == ()
+    assert EqualAllocation(23, 2).permuted_blocks == (4, 10, 9)
+    assert EqualAllocation(11, 0).permuted_blocks == (10, 1)
+    assert EqualAllocation(4, 2).permuted_blocks == (4,)
+    pol = EqualAllocation(12, 1)
+    with pytest.raises(AttributeError):
+        pol.permuted_blocks = (12,)
