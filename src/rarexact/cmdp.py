@@ -34,7 +34,7 @@ import numpy as np
 
 from .engine import PathWeightTable, _block_table, _sweep, forward_g
 from .numerics import binomial_log_terms, check_alpha, gammaln_table
-from .policies import PolicyTable
+from .policies import PolicyTable, check_action_bound, check_burn_in
 from .states import Layer, Transition, layer as make_layer
 from .wald import asymptotic_reject_array, layer_wald_statistics
 
@@ -209,15 +209,13 @@ class CmdpSpec:
     tol: ClassVar[float] = 5e-4
 
     def __post_init__(self):
-        if not 0.5 <= self.p <= 1.0:
-            raise ValueError("p must lie in [0.5, 1]")
+        check_action_bound(self.p)
         check_alpha(self.alpha)
         check_alpha(self.alpha_avg, "alpha_avg", bound=True)
         check_alpha(self.alpha_point, "alpha_point", bound=True)
         if self.alpha_point > self.alpha:
             raise ValueError("pointwise bound must not exceed the test level")
-        if self.n < 2 * self.burn_in:
-            raise ValueError("horizon shorter than the burn-in")
+        check_burn_in(self.n, self.burn_in)
         if self.max_iters < 1:
             raise ValueError(f"max_iters = {self.max_iters!r} is not a positive count")
         names = [name for name, _, _ in self.constraints()]

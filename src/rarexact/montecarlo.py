@@ -19,12 +19,12 @@ Trials are stepped together, many rows at a time: each row carries its
 counts ``(s_c, s_d, n_c)``, and at each epoch its allocation probability
 is the control side ``q`` of the policy's
 :meth:`~rarexact.policies.Policy.layer_arm_probs`, read at the row's
-state by :meth:`~rarexact.states.Layer.indices`.  Each entry point fills
-and checks the ``(q, q1)`` arrays of every such epoch once and passes
-them down; the layers they were filled on are dropped, and the index of
-a state is computed from a fresh layer, which holds no arrays.  Every
-row depends only on its own words, so results do not depend on how the
-trials are chunked.
+state by :meth:`~rarexact.states.Layer.indices`; the developmental share
+is ``1 - q``.  Each entry point fills and checks the ``q`` array of every
+such epoch once and passes them down; the layers they were filled on are
+dropped, and the index of a state is computed from a fresh layer, which
+holds no arrays.  Every row depends only on its own words, so results do
+not depend on how the trials are chunked.
 
 The randomization test draws nothing: a dynamic program gives its exact
 p-values, all rows sharing those arrays.  Its rejection rate simulates a
@@ -102,15 +102,15 @@ def _arms_from_keys(keys: np.ndarray, lengths) -> np.ndarray:
 
 
 def _epoch_probs(policy: Policy) -> list:
-    """``(q, q1)`` of :meth:`~rarexact.policies.Policy.layer_arm_probs` at
-    each epoch from the end of the policy's permuted blocks to ``n - 1``,
-    each filled on a layer that is then dropped and checked to be a pair
-    in ``[0, 1]``; none for equal allocation, which is blocks throughout."""
+    """``q`` of :meth:`~rarexact.policies.Policy.layer_arm_probs` at each
+    epoch from the end of the policy's permuted blocks to ``n - 1``, each
+    filled on a layer that is then dropped and checked, with ``q1`` as
+    scratch, to be a pair in ``[0, 1]``; none for equal allocation."""
     b, out = policy.burn_in, []
     for t in range(sum(policy.permuted_blocks), policy.n):
         q, q1 = policy.layer_arm_probs(make_layer(t, b))
-        _check_arm_probs(q, q1, t, np.empty_like(q))
-        out.append((q, q1))
+        _check_arm_probs(q, q1, t, q1)
+        out.append(q)
     return out
 
 
@@ -151,8 +151,8 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
     rows of allocation ``keys``; participant ``t`` responds ``y_c[:, t]``
     on control and ``y_d[:, t]`` otherwise.  The keys of the first ``pos``
     participants become the policy's permuted balanced blocks; each later
-    one goes to control where its key is below ``q`` of ``probs[t - pos]``
-    (see :func:`_epoch_probs`) at its row's state."""
+    one goes to control where its key is below ``probs[t - pos]`` (see
+    :func:`_epoch_probs`) at its row's state."""
     n, b = policy.n, policy.burn_in
     blocks = policy.permuted_blocks
     pos = sum(blocks)
@@ -163,7 +163,7 @@ def _allocate(policy: Policy, keys: np.ndarray, y_c: np.ndarray, y_d: np.ndarray
     keys, y_c, y_d = (np.ascontiguousarray(a.T) for a in (keys, y_c, y_d))
     s_c, s_d, n_c = _terminal_counts(arms[:pos].T, y_c[:pos].T, y_d[:pos].T)
     for t in range(pos, n):
-        is_c = keys[t] < probs[t - pos][0][make_layer(t, b).indices(s_c, s_d, n_c)]
+        is_c = keys[t] < probs[t - pos][make_layer(t, b).indices(s_c, s_d, n_c)]
         arms[t] = ~is_c
         n_c += is_c
         s_c += is_c & y_c[t]
@@ -207,6 +207,8 @@ def simulate_terminals(policy: Policy, theta, sims: int, seed: int):
     """Terminal states of trials ``0 .. sims - 1`` of the run keyed by
     ``seed``, the same as :func:`simulate_trials` gives them, stepped
     ``SIM_BATCH`` at a time; returns ``(s_c, s_d, n_c)`` arrays."""
+    if sims < 0:
+        raise ValueError(f"sims = {sims!r} must be nonnegative")
     n, ((tc, td),) = policy.n, theta_array([theta])
     probs = _epoch_probs(policy)
     out = np.empty((3, sims), dtype=np.int64)
@@ -230,13 +232,13 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
     mass.  Each permuted balanced block (the burn-in, all of equal
     allocation) of ``L`` with ``c = ceil(L / 2)`` controls adds ``c`` to
     ``n_c`` and a ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later
-    epoch keeps ``q1`` of a state's mass and moves ``q`` of it to ``(n_c +
-    1, s_c + y_t)``, with ``(q, q1)`` from :func:`_epoch_probs`'s
-    ``probs``.  Each terminal state's ``|T|`` is read from ``abs_t``, the
-    table of :func:`_terminal_abs_wald`, and the states' indices from
-    ``grids``, those of :func:`_dp_grids`.  The work is elementwise per row
-    and the final sum runs in a fixed order, so rows do not affect each
-    other."""
+    epoch keeps ``1 - q`` of a state's mass and moves ``q`` of it to
+    ``(n_c + 1, s_c + y_t)``, with ``q`` from :func:`_epoch_probs`'s
+    ``probs``, the law simulated trials draw from.  Each terminal
+    state's ``|T|`` is read from ``abs_t``, the table of
+    :func:`_terminal_abs_wald`, and the states' indices from ``grids``,
+    those of :func:`_dp_grids`.  The work is elementwise per row and the
+    final sum runs in a fixed order, so rows do not affect each other."""
     n, m = policy.n, outcomes.shape[0]
     s_c, s_d, n_c = _terminal_counts(arms, outcomes, outcomes)
     t_obs = np.abs(wald_statistics(s_c, s_d, n_c, n - n_c))
@@ -256,15 +258,14 @@ def _chunk_p_values(policy: Policy, arms: np.ndarray, outcomes: np.ndarray,
             out[:, :, k:k + w.shape[2]] += w * hyper[:, k, None, None]
         w, lo, pos = out, lo + c, pos + length
     for t in range(pos, n):
-        q, q1 = probs[t - pos]
         w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
         # s_d = S_t - s_c enters the index linearly; off-layer states hold
         # no mass, and their indices stay in the layer
-        idx = grids[t - pos][:, :cols] + succ[:, t, None, None]
+        q = probs[t - pos].take(grids[t - pos][:, :cols] + succ[:, t, None, None])
         out = np.zeros((m, rows + 1, cols + 1))
-        np.multiply(w, q1.take(idx), out=out[:, :rows, :cols])
-        w *= q.take(idx)
+        np.multiply(w, 1.0 - q, out=out[:, :rows, :cols])
+        w *= q
         # the control mass moves to (n_c + 1, s_c + y_t): view out[:, 1:]
         # as (m, 2, rows, cols), its column shifts 0 and 1 side by side, and
         # add each row's mass at the shift of its own outcome
@@ -313,14 +314,14 @@ def randomization_test(arms, outcomes, policy: Policy, alpha: float):
     ``(m, n)`` arrays of 0/1 ``arms`` (0 is control) and ``outcomes``;
     returns ``(reject, p)``, two arrays of length ``m``.  With a row's
     outcome sequence fixed in participant order, ``p = P(|T| >= |t_obs|)``
-    over every allocation the design could have made, by the mechanism
-    :func:`simulate_trials` draws from.  Ties count fully, so p = 1 when all
-    allocations tie (say, all outcomes zero), P(p <= alpha) <= alpha given
-    the outcomes, and designs with heavy ties, such as permuted-block
-    equal allocation, are conservative.  An adaptive policy needs a burn-in
-    of at least one per arm, or some Wald statistic is undefined.  All rows
-    share one set of allocation probabilities and one terminal ``|T|``
-    table, and no row's p-value depends on the others.
+    over every allocation the design could have made, under the law
+    :func:`simulate_trials` draws from: ``q`` to control, else ``1 - q``.
+    Ties count fully, so p = 1 when all allocations tie (say, all outcomes
+    zero), P(p <= alpha) <= alpha given the outcomes, and designs with
+    heavy ties, such as permuted-block equal allocation, are conservative.
+    An adaptive policy needs a burn-in of at least one per arm, or some
+    Wald statistic is undefined.  All rows share one ``q`` per epoch and
+    one ``|T|`` table; no row's p-value depends on the others.
     """
     check_alpha(alpha)
     arms, outcomes = np.asarray(arms), np.asarray(outcomes)

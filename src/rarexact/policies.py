@@ -79,6 +79,18 @@ def _check_arm_probs(q: np.ndarray, q1: np.ndarray, t: int, scratch: np.ndarray)
         )
 
 
+def check_burn_in(n: int, burn_in: int) -> None:
+    """Refuse a burn-in per arm that does not fit the horizon."""
+    if not 0 <= 2 * burn_in <= n:
+        raise ValueError(f"burn-in of {burn_in} per arm does not fit the horizon {n}")
+
+
+def check_action_bound(p: float) -> None:
+    """Refuse a maximum allocation rate outside ``[0.5, 1]``, or NaN."""
+    if not 0.5 <= p <= 1.0:
+        raise ValueError(f"maximum allocation rate p = {p!r} is not in [0.5, 1]")
+
+
 def _block_plan(n: int, burn_in: int, block: int) -> tuple[int, ...]:
     """Block lengths: one balanced burn-in block, then full blocks, then a
     balanced trailing prefix."""
@@ -102,8 +114,7 @@ class Policy:
     is_symmetric = False
 
     def __post_init__(self):
-        if not 0 <= 2 * self.burn_in <= self.n:
-            raise ValueError(f"burn-in of {self.burn_in} per arm does not fit the horizon {self.n}")
+        check_burn_in(self.n, self.burn_in)
 
     @property
     def permuted_blocks(self) -> tuple[int, ...]:
@@ -272,12 +283,8 @@ class BayesianRar(Policy):
     lb2`` (``ln b1`` in ``step_b``), and each ``lbeta`` is ``(g[a] + g[b])
     - g[a + b]``: the operands and their order are those of the
     recurrence, so the result is bit for bit that of a per-state
-    evaluation.
-
-    The tail from ``P`` to the pair runs on contiguous runs of about
-    ``2**14`` states of the layer, each as soon as its blocks are built,
-    on the calling thread.  Each state's value depends on its own ``P``
-    alone, so the result is the same bits for any split into runs.
+    evaluation.  The tail from ``P`` to the pair runs in ``_TAIL_RUN``
+    pieces (:func:`_arm_tail`).
     """
 
     def _exponent(self, epoch: int) -> float:
@@ -337,8 +344,7 @@ class PolicyTable(Policy):
 
     def __post_init__(self):
         super().__post_init__()
-        if not 0.5 <= self.p <= 1.0:
-            raise ValueError("maximum randomized allocation rate must lie in [0.5, 1]")
+        check_action_bound(self.p)
         b, lo = self.burn_in, 1.0 - self.p
         if len(self.probs) != self.n - 2 * b:
             raise ValueError(f"need one probability array per epoch {2 * b} .. {self.n - 1}")

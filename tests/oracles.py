@@ -1038,8 +1038,9 @@ def randomization_p_values_ref(policy, arms, outcomes):
     balanced block (the burn-in, all of equal allocation) of ``L`` with
     ``c = ceil(L / 2)`` controls adds ``c`` to ``n_c`` and a
     ``Hypergeom(L, S_block, c)`` count to ``s_c``; each later epoch moves
-    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``q1``,
-    both from the policy's own ``layer_arm_probs``.
+    ``q`` of a state's mass to ``(n_c + 1, s_c + y_t)`` and keeps ``1 -
+    q``, with ``q`` from the policy's own ``layer_arm_probs``: the law a
+    simulated participant is allocated by.
     The work is elementwise per row and the final sum runs in a fixed
     order, so rows do not affect each other."""
     from rarexact.montecarlo import _terminal_counts
@@ -1068,7 +1069,7 @@ def randomization_p_values_ref(policy, arms, outcomes):
         w, lo, pos = out, lo + c, pos + length
     for t in range(pos, n):
         lay = layer(t, b)
-        q, q1 = policy.layer_arm_probs(lay)
+        q = policy.layer_arm_probs(lay)[0]
         w = w[:, :, :reach[t]]
         rows, cols = w.shape[1:]
         s_c = np.arange(cols)
@@ -1076,7 +1077,7 @@ def randomization_p_values_ref(policy, arms, outcomes):
         # no mass, and their indices stay in the layer
         idx = lay.indices(s_c, -s_c, np.arange(lo, lo + rows)[:, None]) + succ[:, t, None, None]
         out = np.zeros((m, rows + 1, cols + 1))
-        np.multiply(w, q1[idx], out=out[:, :rows, :cols])
+        np.multiply(w, 1.0 - q[idx], out=out[:, :rows, :cols])
         w *= q[idx]
         moved = w * y[:, t, None, None]
         w -= moved

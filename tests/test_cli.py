@@ -290,6 +290,15 @@ def test_cli_refuses_a_horizon_shorter_than_the_burn_in(tmp_path, capsys, comman
     assert "burn-in of 3 per arm does not fit the horizon 5" in capsys.readouterr().err
     assert not (tmp_path / "x.out").exists()
 
+
+def test_cli_cmdp_solve_refuses_a_horizon_shorter_than_the_burn_in(tmp_path, capsys):
+    # the spec's message is the policies' own, as for every other subcommand
+    cfg = _cfg(tmp_path, "short.json", n=5, burn_in=3)
+    assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.bin")]) == 2
+    assert "burn-in of 3 per arm does not fit the horizon 5" in capsys.readouterr().err
+    assert not (tmp_path / "x.bin").exists()
+
+
 def test_rule_missing_a_required_key_is_rejected_naming_it():
     from rarexact import AsymptoticRule
     from rarexact.io import RULE_KEYS

@@ -9,6 +9,7 @@ from rarexact import (
     CmdpSpec,
     NullUniform,
     PointNull,
+    PolicyTable,
     Rectangle,
     TrialState,
     audit_policy,
@@ -414,6 +415,24 @@ def test_solve_returns_the_iterate_of_the_three_candidate_choice(spec):
 def test_spec_rejects_bad_solver_limits_and_repeated_null_points(kw, match):
     with pytest.raises(ValueError, match=match):
         CmdpSpec(n=8, burn_in=1, **kw)
+
+
+@pytest.mark.parametrize("n, b", [(5, 3), (10, -1)])
+def test_spec_refuses_a_burn_in_that_does_not_fit_as_every_policy_does(n, b):
+    match = f"burn-in of {b} per arm does not fit the horizon {n}"
+    with pytest.raises(ValueError, match=match):
+        CmdpSpec(n, b)
+    with pytest.raises(ValueError, match=match):
+        BayesianRar(n, b)
+
+
+@pytest.mark.parametrize("p", [0.4, 1.5, math.nan])
+def test_spec_and_policy_table_refuse_the_same_action_bounds(p):
+    match = "maximum allocation rate p = .* is not in \\[0.5, 1\\]"
+    with pytest.raises(ValueError, match=match):
+        CmdpSpec(10, 1, p=p)
+    with pytest.raises(ValueError, match=match):
+        PolicyTable(10, 1, p, ())
 
 
 def test_solve_is_bit_identical_with_and_without_gather_plans(monkeypatch):

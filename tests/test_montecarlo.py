@@ -147,6 +147,14 @@ def test_trial_numbers_must_be_nonnegative():
             simulate_trials_at(policy, [(0.5, 0.5)], 1, start, count)
 
 
+def test_simulate_terminals_refuses_a_negative_number_of_trials_by_name():
+    policy = DbcdNeyman(10, 1)
+    with pytest.raises(ValueError, match="sims = -1 must be nonnegative"):
+        simulate_terminals(policy, (0.5, 0.5), -1, 1)
+    for counts in simulate_terminals(policy, (0.5, 0.5), 0, 1):
+        assert counts.shape == (0,) and counts.dtype == np.int64
+
+
 def test_block_arms_are_the_alternating_pattern_at_the_key_ranks():
     # the arm at each position of a block is that of 0, 1, 0, ... at the
     # sort index of its key
@@ -376,7 +384,7 @@ def test_rejection_rates_count_the_chunk_oracle_rejections(policy, monkeypatch):
 
 
 def test_rejection_rate_keeps_the_allocation_probabilities_and_no_layer_arrays():
-    # the run keeps (q, q1) of every epoch 2b .. n - 1, 16 B a state; the
+    # the run keeps q alone of every epoch 2b .. n - 1, 8 B a state; the
     # layers they were filled on, with their per-state arrays, and the DP's
     # index grids are not held for the run
     policy = DbcdNeyman(60, 2)
@@ -392,7 +400,7 @@ def test_rejection_rate_keeps_the_allocation_probabilities_and_no_layer_arrays()
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert peak < 28 * states
+    assert peak < 20 * states
 
 
 def test_adaptive_design_without_burn_in_has_no_randomization_test():
