@@ -5,11 +5,12 @@ and JSON) embed the configuration and package version, use ``.`` decimal
 points, ``,`` separators and LF line endings, and reproduce
 byte-identically for a fixed configuration and seed.
 
-Exit codes: 0 ok, 2 configuration error, 3 infeasible problem, 4 numeric
-guard, 5 I/O error.  An exact rule read through ``rule_path`` holds only
-for the design it was built for, which its file names by digest: ``oc``
-and ``power-diff`` with a design of another horizon, or of the same
-horizon but other path weights, exit 2.
+Exit codes: 0 ok, 2 configuration error, 3 the returned CMDP design
+exceeds a bound (no iterate met every one), 4 numeric guard, 5 I/O
+error.  An exact rule read through ``rule_path`` holds only for the
+design it was built for, which its file names by digest: ``oc`` and
+``power-diff`` with a design of another horizon, or of the same horizon
+but other path weights, exit 2.
 """
 
 from __future__ import annotations

@@ -189,12 +189,8 @@ class CmdpSpec:
     constraint measures with their bounds (see :meth:`constraints`).
 
     The dual solver runs at most ``max_iters`` iterations.  ``tol`` is a
-    fixed constant, not a setting: it is both the slack the solver
-    accepts on the bounds when no iterate meets them exactly and the
-    duality gap at which it stops early (see :func:`solve_cmdp`).  So a
-    result marked feasible may exceed a bound by up to ``tol``, such as a
-    pointwise type-I error of 0.040135 against a bound of 0.04; the
-    audit's ``max_violation`` is the number to read."""
+    fixed constant, not a setting: the duality gap at which it stops
+    early (see :func:`solve_cmdp`)."""
 
     n: int
     burn_in: int
@@ -414,18 +410,15 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
     ``lam_j <- max(0, lam_j + v_j / sqrt(sum of v_j**2 so far))``.
     The Lagrangian maximum plus ``lam . bounds`` is a dual value, an upper
     bound on the objective of every feasible design; the loop stops once
-    the best strictly feasible objective is within ``tol`` of the least
-    dual value so far, and otherwise after ``max_iters`` iterations.
+    the best feasible objective is within ``tol`` of the least dual value
+    so far, and otherwise after ``max_iters`` iterations.
 
-    Returns the strictly feasible iterate with the largest objective; if
-    there is none, the iterate within ``tol`` of the bounds with the
-    largest objective; if there is none either, the least-violating
-    iterate, flagged infeasible.  One running best holds it: each iterate
-    is ranked by ``(strictly feasible, within tol, objective if within
-    tol else -worst violation)`` and replaces the best only on a strictly
-    greater rank, so the first of tied iterates is kept.  ``feasible`` is
-    therefore true for an iterate up to ``tol`` over a bound;
-    ``audit.max_violation(spec)`` says by how much.  The reward is the
+    Returns the feasible iterate with the largest objective, or, if no
+    iterate meets every bound, the least-violating one.  One running best
+    holds it: each iterate is ranked by ``(feasible, objective if feasible
+    else -worst violation)`` and replaces the best only on a strictly
+    greater rank, so the first of tied iterates is kept.  ``feasible``
+    means ``audit.max_violation(spec) <= 0``.  The reward is the
     objective's integrand minus ``lam`` times the constraints', and the
     constraint values are the constraints' expectations under the
     maximizer, both from the same kernel tables (:class:`_AuditContext`).
@@ -454,19 +447,18 @@ def solve_cmdp(spec: CmdpSpec) -> CmdpResult:
              "max_violation": worst, "dual_value": dual_value,
              "multipliers": dict(zip(names, lam.tolist()))}
         )
-        within = worst <= spec.tol
-        rank = (worst <= 0.0, within, audit.objective if within else -worst)
+        rank = (worst <= 0.0, audit.objective if worst <= 0.0 else -worst)
         if best is None or rank > best[0]:
             best = (rank, table, audit)
         # not held, unless it is the best, while the next recursion runs
         del table
-        strict, _, objective = best[0]
-        if strict and objective >= min_dual - spec.tol:
+        feasible, objective = best[0]
+        if feasible and objective >= min_dual - spec.tol:
             break
         grad_sq += v * v
         step = np.divide(v, np.sqrt(grad_sq), out=np.zeros_like(v), where=grad_sq > 0.0)
         lam = np.maximum(0.0, lam + step)
 
     dual = DualState(dict(zip(names, lam.tolist())), history)
-    (_, feasible, _), table, audit = best
+    (feasible, _), table, audit = best
     return CmdpResult(table, audit, dual, feasible, len(history))

@@ -404,17 +404,11 @@ def _require_design(rule, table: PathWeightTable):
                          f"not for this design {table.digest():.8}")
 
 
-def _require_burn_in(table: PathWeightTable):
-    if table.layer.n_c_min < 1 or table.layer.n_c_max > table.n - 1:
-        raise ValueError("exact rules require a burn-in of at least one per arm")
-
-
 def conditional_rule(table: PathWeightTable, alpha: float) -> ConditionalRule:
     """Two-sided conditional exact rule: within every total-success stratum
     the tie-group tail masses of the Wald statistic are accumulated up to
     ``alpha/2`` per side."""
     check_alpha(alpha)
-    _require_burn_in(table)
     n = table.n
     t_stat = table.wald_statistics()
     w, s = conditional_masses(table)
@@ -443,7 +437,6 @@ def unconditional_rule(table: PathWeightTable, alpha: float) -> UnconditionalRul
     """Two-sided unconditional exact rule: each tail grows tie group by tie
     group while its certified null supremum stays at or below ``alpha/2``."""
     check_alpha(alpha)
-    _require_burn_in(table)
     n = table.n
     t_stat = table.wald_statistics()
     w, s = conditional_masses(table)
@@ -475,7 +468,6 @@ def boschloo_statistic(table: PathWeightTable) -> np.ndarray:
     Each p-value is a forward sum of its own stratum's terms, so it is
     accurate relative to its size, and a state of positive mass never
     has p = 0."""
-    _require_burn_in(table)
     return _boschloo_statistic(table, *conditional_masses(table))
 
 
@@ -490,7 +482,6 @@ def boschloo_rule(table: PathWeightTable, alpha: float) -> BoschlooRule:
     conditional p-value statistic, rejecting small values, at full level
     ``alpha``."""
     check_alpha(alpha)
-    _require_burn_in(table)
     w, s = conditional_masses(table)
     stat = _boschloo_statistic(table, w, s)
     last, nxt, cert = _grow_prefix(stat, np.argsort(stat, kind="stable"), w, s, table.n, alpha)

@@ -75,7 +75,8 @@ def _require_types(d: dict, checks: dict, what: str) -> None:
 
 
 def _is_number(value) -> bool:
-    return _is_int(value) or isinstance(value, float)
+    """An int or a float other than NaN; +-inf are the rules' sentinels."""
+    return _is_int(value) or isinstance(value, float) and value == value
 
 
 def _or_null(check):
@@ -135,6 +136,12 @@ def read_weight_table(path) -> PathWeightTable:
     log_g = np.frombuffer(payload, dtype="<f8").astype(np.float64)
     if log_g.size != lay.size:
         raise ValueError(f"{path}: payload size does not match the layer")
+    # -inf is a weight of zero; NaN and +inf are no weight.  The maximum
+    # propagates NaN, and needs no layer-sized temporary.
+    with np.errstate(invalid="ignore"):
+        top = log_g.max()
+    if not top < np.inf:
+        raise ValueError(f"{path}: log g holds NaN or +inf")
     return PathWeightTable(lay, log_g, meta=header.get("policy", {}))
 
 

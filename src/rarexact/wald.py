@@ -37,7 +37,7 @@ def layer_wald_statistics(lay: Layer) -> np.ndarray:
     """:func:`wald_statistics` of every state of a layer (burn-in >= 1),
     evaluated block by block."""
     if lay.n_c_min < 1 or lay.n_c_max > lay.t - 1:
-        raise ValueError("layer contains states with an empty group")
+        raise ValueError("the Wald statistic requires a burn-in of at least one per arm")
     return lay.tabulate(wald_statistics)
 
 

@@ -1121,25 +1121,19 @@ def evaluate_backward(table, reward, spec):
     return float(np.sum(np.exp(_block_table(b, b)) * v))
 
 
-def solve_choice_ref(history, tol):
+def solve_choice_ref(history):
     """``(index, feasible)`` of the iterate ``solve_cmdp`` returns, from its
-    dual history, by the three candidates it kept before one ranked best:
-    the strictly feasible iterate of largest objective, else the one within
-    ``tol`` of largest objective, else the least violating; the first of
-    ties each time."""
-    best_strict = best_tol = least = None
+    dual history, by two candidates kept apart: the feasible iterate
+    (every bound met, ``max_violation <= 0``) of largest objective, else
+    the least violating; the first of ties each time."""
+    best = least = None
     for i, h in enumerate(history):
         obj, worst = h["objective"], h["max_violation"]
         if least is None or worst < history[least]["max_violation"]:
             least = i
-        if worst <= 0.0 and (best_strict is None or obj > history[best_strict]["objective"]):
-            best_strict = i
-        if worst <= tol and (best_tol is None or obj > history[best_tol]["objective"]):
-            best_tol = i
-    for i in (best_strict, best_tol):
-        if i is not None:
-            return i, True
-    return least, False
+        if worst <= 0.0 and (best is None or obj > history[best]["objective"]):
+            best = i
+    return (best, True) if best is not None else (least, False)
 
 
 def lagrangian_backward_ref(reward, spec):

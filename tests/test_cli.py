@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -394,6 +395,14 @@ def test_cli_exit_codes(tmp_path):
         alpha_point=0.0005, null_grid=[0.5],
     )
     assert main(["cmdp", "solve", "--config", cfg, "--out", str(tmp_path / "x.rxpt")]) == 3
+    # 3 as well when the best iterate exceeds a bound by less than the
+    # solver's stopping tolerance: pointwise 0.040135 against 0.04
+    cfg = _cfg(tmp_path, "over_by_little.json", n=6, burn_in=1, alpha_avg=1.0,
+               alpha_point=0.04, null_grid=[0.1], max_iters=60)
+    out = tmp_path / "little.rxpt"
+    assert main(["cmdp", "solve", "--config", cfg, "--out", str(out)]) == 3
+    audit = json.loads(Path(f"{out}.audit.json").read_text())
+    assert audit["feasible"] is False and audit["max_violation"] > 0.0
     # 2: settings of removed solver variants are rejected, not ignored
     for key, value in (("solver", "cutting-plane"), ("step_rule", "sqrt"), ("eta0", 1.0),
                        ("settle", 10**9), ("margin", 1e-3), ("multiplier_cap", 1e5),
@@ -520,6 +529,48 @@ def test_cli_rule_value_of_the_wrong_type_exits_2_naming_the_key(tmp_path, capsy
     assert f"{test} rule key {key!r} = {bad!r} is not" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("test, key, edit", [
+    ("unconditional", "upper", lambda d: dict(d, upper=math.nan)),
+    ("conditional", "lower",
+     lambda d: dict(d, lower=d["lower"][:5] + [math.nan] + d["lower"][6:])),
+    ("conditional", "certified_upper",
+     lambda d: dict(d, certificate=dict(d["certificate"], certified_upper=math.nan))),
+], ids=["upper", "list-entry", "certificate"])
+def test_cli_rule_with_a_nan_number_exits_2_naming_the_key(tmp_path, capsys, test, key, edit):
+    # JSON NaN reads as a float; a NaN bound compares false, so the rule
+    # would reject on the other tail alone
+    rule_path = tmp_path / "rule.json"
+    cfg = _cfg(tmp_path, "crit.json", n=10, burn_in=1, policy="DbcdNeyman", test=test)
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    rule_path.write_text(json.dumps(edit(json.loads(rule_path.read_text()))))
+    cfg = _cfg(tmp_path, "oc.json", n=10, burn_in=1, policy="DbcdNeyman",
+               rule_path=str(rule_path), theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 2
+    assert f"key {key!r} = " in capsys.readouterr().err
+
+
+def test_cli_rule_with_infinite_bounds_is_read(tmp_path):
+    # Infinity is the no-rejection sentinel of upper and lower
+    rule_path = tmp_path / "rule.json"
+    cfg = _cfg(tmp_path, "crit.json", n=10, burn_in=1, policy="DbcdNeyman",
+               test="unconditional")
+    assert main(["crit", "--config", cfg, "--out", str(rule_path)]) == 0
+    saved = json.loads(rule_path.read_text())
+    rule_path.write_text(json.dumps(dict(saved, upper=math.inf, lower=-math.inf)))
+    cfg = _cfg(tmp_path, "oc.json", n=10, burn_in=1, policy="DbcdNeyman",
+               rule_path=str(rule_path), theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
+    assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 0
+    assert read_rule(rule_path).upper == math.inf
+
+
+def test_cli_crit_without_a_burn_in_names_it(tmp_path, capsys):
+    path = tmp_path / "design.bin"
+    write_weight_table(path, forward_g(EqualAllocation(10, 0)))
+    cfg = _cfg(tmp_path, "crit.json", design_path=str(path), test="conditional")
+    assert main(["crit", "--config", cfg, "--out", str(tmp_path / "rule.json")]) == 2
+    assert "burn-in of at least one per arm" in capsys.readouterr().err
+
+
 def test_cli_weight_header_without_n_exits_2(tmp_path, capsys):
     path = tmp_path / "design.bin"
     write_weight_table(path, forward_g(BayesianRar(6, 1)))
@@ -530,6 +581,24 @@ def test_cli_weight_header_without_n_exits_2(tmp_path, capsys):
                theta_grid={"kind": "list", "values": [[0.5, 0.5]]})
     assert main(["oc", "--config", cfg, "--out", str(tmp_path / "oc.csv")]) == 2
     assert "'n'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("command", ["crit", "oc"])
+def test_cli_design_with_a_nan_or_plus_inf_log_weight_exits_2_naming_the_file(
+        tmp_path, capsys, command, bad):
+    # -inf is a weight of zero; NaN and +inf would run oc to NaN rates and
+    # crit into the certifier's guard
+    path = tmp_path / "design.bin"
+    write_weight_table(path, forward_g(BayesianRar(12, 1)))
+    header, payload = _read_container(path, WEIGHT_MAGIC)
+    log_g = np.frombuffer(payload, dtype="<f8").copy()
+    log_g[log_g.size // 2] = bad
+    _write_container(path, WEIGHT_MAGIC, header, log_g.tobytes())
+    cfg = _cfg(tmp_path, "cfg.json", design_path=str(path), test="unconditional",
+               theta_grid={"kind": "list", "values": [[0.1, 0.9]]})
+    assert main([command, "--config", cfg, "--out", str(tmp_path / "out")]) == 2
+    assert f"{path}: log g holds NaN or +inf" in capsys.readouterr().err
 
 
 # an int is not a descriptor open() may use: a stale one fails with EBADF
